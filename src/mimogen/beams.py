@@ -18,7 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrix
-from .dataset import Dataset, Manifest, ManifestEntry, content_hash, get_channel
+from .dataset import (
+    Dataset, Manifest, ManifestEntry, atomic_write, content_hash, get_channel,
+)
 
 
 @dataclass(frozen=True)
@@ -153,14 +155,12 @@ def export_ml_dataset(
     entries = []
     for name, lines in (("features.csv", feat_lines), ("labels.csv", label_lines)):
         data = ("\n".join(lines) + "\n").encode()
-        tmp = outdir / (name + ".tmp~")
-        tmp.write_bytes(data)
-        tmp.replace(outdir / name)
+        atomic_write(outdir / name, data)
         first = records[0].user_index if records else 0
         last = records[-1].user_index if records else 0
         entries.append(ManifestEntry(name, 0, first, last, len(data), content_hash(data)))
     manifest = Manifest(tuple(entries))
-    (outdir / "ml_manifest.txt").write_text(manifest.to_text())
+    atomic_write(outdir / "ml_manifest.txt", manifest.to_text().encode())
     return manifest
 
 

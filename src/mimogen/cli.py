@@ -12,7 +12,6 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -26,13 +25,15 @@ from . import __version__
 from .beams import BeamEvalConfig, build_ml_dataset, dft_codebook
 from .dataset import (
     DatasetError,
+    atomic_write,
     build_dataset,
+    content_hash,
     export_dataset,
     load_dataset,
     parse_shard,
 )
-from .kvconfig import ConfigError, KVEntry, parse_kv
-from .params import ParamSet, ParamError, parse_params, serialize_params
+from .kvconfig import ConfigError, KVEntry, merge_kv
+from .params import ParamSet, ParamError, params_from_entries, serialize_params
 from .rayio import (
     RayFileError,
     RayFileHeader,
@@ -85,15 +86,6 @@ class ProgressReporter:
             self.stream.write(f"{self.stage} {done}/{self.total}\n")
 
 
-def progress_report(stage: str, done: int, total: int,
-                    reporter: ProgressReporter | None = None) -> ProgressReporter:
-    """Functional wrapper over ProgressReporter for one-off updates."""
-    if reporter is None:
-        reporter = ProgressReporter(stage, total)
-    reporter.update(done, total)
-    return reporter
-
-
 @dataclass
 class RunManifest:
     subcommand: str
@@ -112,27 +104,11 @@ class RunManifest:
             "wall_seconds": self.wall_seconds,
             "tool_version": self.tool_version or __version__,
         }
-        _atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp~")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp~")
-    tmp.write_bytes(data)
-    tmp.replace(path)
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
+        atomic_write(path, (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode())
 
 
 def _file_hash(path: Path) -> str:
-    return _sha(path.read_bytes())
+    return content_hash(path.read_bytes())
 
 
 def _default_outdir() -> str:
@@ -143,18 +119,6 @@ def _load_scene(path: str) -> Scene:
     return scene_from_json(Path(path).read_text())
 
 
-def _collect_overrides(config: str | None, sets: Sequence[str]) -> dict[str, KVEntry]:
-    entries: dict[str, KVEntry] = {}
-    if config:
-        entries.update(parse_kv(Path(config).read_text()))
-    for i, item in enumerate(sets or (), start=1):
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected key=value")
-        key, _, value = item.partition("=")
-        entries[key.strip()] = KVEntry(key.strip(), value.strip(), -i)
-    return entries
-
-
 _PARAM_FLAGS = [
     "active_BS", "active_user_first", "active_user_last",
     "num_ant_x", "num_ant_y", "num_ant_z", "ant_spacing", "bandwidth",
@@ -162,23 +126,17 @@ _PARAM_FLAGS = [
 ]
 
 
+def _merged_config(args: argparse.Namespace, flags: Sequence[str] = ()) -> dict[str, KVEntry]:
+    """``--config`` file < ``--set`` items < the given per-key flags."""
+    return merge_kv(
+        Path(args.config).read_text() if args.config else None,
+        args.set or (),
+        {f: getattr(args, f) for f in flags if getattr(args, f) is not None},
+    )
+
+
 def _params_from_args(args: argparse.Namespace) -> ParamSet:
-    text = ""
-    if getattr(args, "config", None):
-        text += Path(args.config).read_text() + "\n"
-    for item in getattr(args, "set", None) or ():
-        text += item + "\n"
-    for flag in _PARAM_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            text += f"{flag}={val}\n"
-    # Later lines win: rebuild keeping the last occurrence of each key.
-    latest: dict[str, str] = {}
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped and "=" in stripped:
-            latest[stripped.partition("=")[0].strip()] = stripped
-    return parse_params("\n".join(latest.values()))
+    return params_from_entries(_merged_config(args, _PARAM_FLAGS))
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +148,16 @@ def _cmd_scene(args: argparse.Namespace) -> int:
     if args.preset != "o1":
         print(f"error: unknown preset {args.preset!r}", file=sys.stderr)
         return 2
-    overrides = _collect_overrides(args.config, args.set)
+    overrides = _merged_config(args)
     scene = build_o1_scene(overrides)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    text = scene_to_json(scene)
-    _atomic_write_text(out, text)
+    atomic_write(out, scene_to_json(scene).encode())
     inputs = {args.config: _file_hash(Path(args.config))} if args.config else {}
     RunManifest(
         subcommand="scene",
-        config_hash=_sha("\n".join(sorted(f"{k}={e.value}" for k, e in overrides.items()))
-                         .encode()),
+        config_hash=content_hash(
+            "\n".join(sorted(f"{k}={e.value}" for k, e in overrides.items())).encode()),
         input_hashes=inputs,
         outputs=[str(out)],
         wall_seconds=time.monotonic() - t0,
@@ -245,11 +202,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         out = outdir / f"rays_bs{bs_id:03d}.drf"
         buf = io.BytesIO()
         write_rayfile(path_lists, header, buf)
-        _atomic_write_bytes(out, buf.getvalue())
+        atomic_write(out, buf.getvalue())
         outputs.append(str(out))
     RunManifest(
         subcommand="trace",
-        config_hash=_sha(
+        config_hash=content_hash(
             f"{args.bs} {args.active_user_first} {args.active_user_last} "
             f"{args.max_reflections} {args.max_paths}".encode()
         ),
@@ -280,7 +237,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     manifest = export_dataset(ds, outdir, fmt=args.format)
     RunManifest(
         subcommand="build",
-        config_hash=_sha(serialize_params(params).encode()),
+        config_hash=content_hash(serialize_params(params).encode()),
         input_hashes={
             str(rays_dir / f"rays_bs{b:03d}.drf"):
                 _file_hash(rays_dir / f"rays_bs{b:03d}.drf")
@@ -301,7 +258,7 @@ def _cmd_beams(args: argparse.Namespace) -> int:
     build_ml_dataset(ds, cfg, outdir)
     RunManifest(
         subcommand="beams",
-        config_hash=_sha(f"{args.snr} {args.oversampling} {args.conjugate}".encode()),
+        config_hash=content_hash(f"{args.snr} {args.oversampling} {args.conjugate}".encode()),
         input_hashes={args.dataset_dir: _file_hash(Path(args.dataset_dir) / "manifest.txt")},
         outputs=[str(outdir / "features.csv"), str(outdir / "labels.csv")],
         wall_seconds=time.monotonic() - t0,
@@ -316,7 +273,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         if path.is_dir():
             load_dataset(path)
         else:
-            head = path.open("rb").read(4)
+            with path.open("rb") as fh:
+                head = fh.read(4)
             if head == b"DMRF":
                 with path.open("rb") as fh:
                     rf = read_rayfile(fh)
@@ -361,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--max-reflections", type=int, default=4)
     p_trace.add_argument("--max-paths", type=int, default=25)
     p_trace.add_argument("--out-dir", default=_default_outdir())
-    p_trace.add_argument("--workers", type=int, default=os.cpu_count())
     p_trace.add_argument("--quiet", action="store_true")
     p_trace.set_defaults(func=_cmd_trace)
 
@@ -374,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_build.add_argument(f"--{flag}")
     p_build.add_argument("--format", choices=("binary", "csv"), default="binary")
     p_build.add_argument("--out-dir", default=_default_outdir())
-    p_build.add_argument("--workers", type=int, default=os.cpu_count())
     p_build.add_argument("--quiet", action="store_true")
     p_build.set_defaults(func=_cmd_build)
 

@@ -39,6 +39,8 @@ SHARD_VERSION = 1
 CSV_SIZE_CAP_BYTES = 64 * 1024 * 1024  # refuse CSV export above this estimate
 
 _BATCH = 256  # users per vectorized channel-construction batch
+_PREAMBLE = struct.Struct("<4sII")    # magic, version, echo block length
+_RECORD_HEAD = struct.Struct("<Q3d")  # user record head: global_index, location
 
 
 class DatasetError(Exception):
@@ -210,20 +212,36 @@ def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``, so an interrupted write never leaves a partial file."""
+    tmp = path.with_name(path.name + ".tmp~")
+    tmp.write_bytes(data)
+    tmp.replace(path)
+
+
+def _shard_echo(params: ParamSet, scenario: str, bs_id: int, n_users: int) -> bytes:
+    return (
+        serialize_params(params)
+        + f"bs_id={bs_id}\nuser_count={n_users}\nscenario={scenario}\n"
+    ).encode("utf-8")
+
+
+def _record_stride(params: ParamSet) -> int:
+    """Bytes per user record: the record head, then the M x |K| c16 matrix."""
+    return _RECORD_HEAD.size + params.num_antennas * params.ofdm_limit * 16
+
+
 def shard_bytes(
     params: ParamSet,
     scenario: str,
     bs_id: int,
     entries: Sequence[UserEntry],
 ) -> bytes:
-    echo = (
-        serialize_params(params)
-        + f"bs_id={bs_id}\nuser_count={len(entries)}\nscenario={scenario}\n"
-    ).encode("utf-8")
-    parts = [SHARD_MAGIC, struct.pack("<I", SHARD_VERSION),
-             struct.pack("<I", len(echo)), echo]
+    echo = _shard_echo(params, scenario, bs_id, len(entries))
+    parts = [_PREAMBLE.pack(SHARD_MAGIC, SHARD_VERSION, len(echo)), echo]
     for e in entries:
-        parts.append(struct.pack("<Q3d", e.global_index, *e.location))
+        parts.append(_RECORD_HEAD.pack(e.global_index, *e.location))
         col_major = np.asarray(e.channel.entries, dtype="<c16").ravel(order="F")
         parts.append(col_major.tobytes())
     return b"".join(parts)
@@ -231,27 +249,23 @@ def shard_bytes(
 
 def shard_size_bytes(params: ParamSet, n_users: int, scenario: str, bs_id: int) -> int:
     """Exact on-disk size of a shard, from the documented layout."""
-    echo = (
-        serialize_params(params)
-        + f"bs_id={bs_id}\nuser_count={n_users}\nscenario={scenario}\n"
-    ).encode("utf-8")
-    per_user = 8 + 3 * 8 + params.num_antennas * params.ofdm_limit * 16
-    return 4 + 4 + 4 + len(echo) + n_users * per_user
+    echo = _shard_echo(params, scenario, bs_id, n_users)
+    return _PREAMBLE.size + len(echo) + n_users * _record_stride(params)
 
 
 def parse_shard(data: bytes) -> tuple[ParamSet, str, int, list[UserEntry]]:
-    if len(data) < 12:
+    if len(data) < _PREAMBLE.size:
         raise DatasetError(f"truncated shard: {len(data)} bytes")
-    if data[:4] != SHARD_MAGIC:
-        raise DatasetError(f"bad shard magic {data[:4]!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
+    magic, version, echo_len = _PREAMBLE.unpack_from(data)
+    if magic != SHARD_MAGIC:
+        raise DatasetError(f"bad shard magic {magic!r}")
     if version != SHARD_VERSION:
         raise DatasetError(f"unsupported shard version {version}")
-    (echo_len,) = struct.unpack_from("<I", data, 8)
-    if 12 + echo_len > len(data):
+    body = _PREAMBLE.size + echo_len  # offset of the first user record
+    if body > len(data):
         raise DatasetError(f"echo block overruns file: {echo_len} bytes claimed")
     try:
-        echo = data[12: 12 + echo_len].decode("utf-8")
+        echo = data[_PREAMBLE.size: body].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetError(f"echo block is not valid UTF-8: {exc}") from None
     extra = {}
@@ -274,20 +288,19 @@ def parse_shard(data: bytes) -> tuple[ParamSet, str, int, list[UserEntry]]:
 
     m = params.num_antennas
     ksz = params.ofdm_limit
-    per_user = 32 + m * ksz * 16
-    if 12 + echo_len + user_count * per_user != len(data):
+    per_user = _record_stride(params)
+    if body + user_count * per_user != len(data):
         raise DatasetError(
             f"shard length {len(data)} does not match {user_count} user "
             f"records of {per_user} bytes"
         )
-    offset = 12 + echo_len
+    offset = body
     entries: list[UserEntry] = []
     for _ in range(user_count):
-        gidx, px, py, pz = struct.unpack_from("<Q3d", data, offset)
-        offset += 32
-        count = m * ksz
-        mat = np.frombuffer(data, dtype="<c16", count=count, offset=offset)
-        offset += count * 16
+        gidx, px, py, pz = _RECORD_HEAD.unpack_from(data, offset)
+        mat = np.frombuffer(data, dtype="<c16", count=m * ksz,
+                            offset=offset + _RECORD_HEAD.size)
+        offset += per_user
         entries.append(
             UserEntry(
                 global_index=gidx, location=(px, py, pz),
@@ -297,9 +310,28 @@ def parse_shard(data: bytes) -> tuple[ParamSet, str, int, list[UserEntry]]:
                 ),
             )
         )
-    if offset != len(data):
-        raise DatasetError(f"{len(data) - offset} trailing bytes in shard")
     return params, scenario, bs_id, entries
+
+
+def _channels_csv(ds: Dataset, bs_id: int, users: Sequence[UserEntry]) -> bytes:
+    lines = ["user_index,px,py,pz,k,m,re,im"]
+    ks = subcarrier_set(ds.params)
+    for e in users:
+        head = ",".join([str(e.global_index)] + [repr(float(x)) for x in e.location])
+        mat = e.channel.entries
+        for j, k in enumerate(ks):
+            for mi in range(mat.shape[0]):
+                c = mat[mi, j]
+                lines.append(f"{head},{int(k)},{mi},{float(c.real)!r},{float(c.imag)!r}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Export format -> (per-BS file name pattern, encoder of one BS's users).
+_EXPORT_FORMATS = {
+    "binary": ("shard_bs{:03d}.dmds",
+               lambda ds, bs_id, users: shard_bytes(ds.params, ds.scenario_name, bs_id, users)),
+    "csv": ("bs{:03d}_channels.csv", _channels_csv),
+}
 
 
 def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manifest:
@@ -310,19 +342,8 @@ def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manife
     """
     sink = Path(sink)
     sink.mkdir(parents=True, exist_ok=True)
-    if fmt == "binary":
-        entries = []
-        for bs_id, users in zip(ds.bs_ids, ds.per_bs):
-            name = f"shard_bs{bs_id:03d}.dmds"
-            data = shard_bytes(ds.params, ds.scenario_name, bs_id, users)
-            _atomic_write_bytes(sink / name, data)
-            first = users[0].global_index if users else 0
-            last = users[-1].global_index if users else 0
-            entries.append(ManifestEntry(name, bs_id, first, last, len(data),
-                                         content_hash(data)))
-        manifest = Manifest(tuple(entries))
-        _atomic_write_bytes(sink / "manifest.txt", manifest.to_text().encode())
-        return manifest
+    if fmt not in _EXPORT_FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}")
     if fmt == "csv":
         est = sum(
             shard_size_bytes(ds.params, len(users), ds.scenario_name, bs_id) * 3
@@ -333,30 +354,19 @@ def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manife
                 f"csv export refused: estimated {est} bytes exceeds cap "
                 f"{CSV_SIZE_CAP_BYTES}"
             )
-        entries = []
-        for bs_id, users in zip(ds.bs_ids, ds.per_bs):
-            name = f"bs{bs_id:03d}_channels.csv"
-            lines = ["user_index,px,py,pz,k,m,re,im"]
-            ks = subcarrier_set(ds.params)
-            for e in users:
-                mat = e.channel.entries
-                for j, k in enumerate(ks):
-                    for mi in range(mat.shape[0]):
-                        c = mat[mi, j]
-                        lines.append(
-                            f"{e.global_index},{e.location[0]!r},{e.location[1]!r},"
-                            f"{e.location[2]!r},{int(k)},{mi},{c.real!r},{c.imag!r}"
-                        )
-            data = ("\n".join(lines) + "\n").encode()
-            _atomic_write_bytes(sink / name, data)
-            first = users[0].global_index if users else 0
-            last = users[-1].global_index if users else 0
-            entries.append(ManifestEntry(name, bs_id, first, last, len(data),
-                                         content_hash(data)))
-        manifest = Manifest(tuple(entries))
-        _atomic_write_bytes(sink / "manifest.txt", manifest.to_text().encode())
-        return manifest
-    raise ValueError(f"unknown export format {fmt!r}")
+    name_format, encode = _EXPORT_FORMATS[fmt]
+    entries = []
+    for bs_id, users in zip(ds.bs_ids, ds.per_bs):
+        name = name_format.format(bs_id)
+        data = encode(ds, bs_id, users)
+        atomic_write(sink / name, data)
+        first = users[0].global_index if users else 0
+        last = users[-1].global_index if users else 0
+        entries.append(ManifestEntry(name, bs_id, first, last, len(data),
+                                     content_hash(data)))
+    manifest = Manifest(tuple(entries))
+    atomic_write(sink / "manifest.txt", manifest.to_text().encode())
+    return manifest
 
 
 def load_dataset(source: Path | str) -> Dataset:
@@ -382,12 +392,6 @@ def load_dataset(source: Path | str) -> Dataset:
         raise DatasetError("empty manifest")
     return Dataset(params=params, scenario_name=scenario, bs_ids=tuple(bs_ids),
                    per_bs=tuple(per_bs))
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp~")
-    tmp.write_bytes(data)
-    tmp.replace(path)
 
 
 # ---------------------------------------------------------------------------

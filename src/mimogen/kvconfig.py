@@ -1,12 +1,14 @@
 """Flat key=value configuration files.
 
 One ``key = value`` pair per line, ``#`` starts a comment, blank lines are
-ignored. Used for both scene configs and dataset parameter files.
+ignored. Used for both scene configs and dataset parameter files, which
+``merge_kv`` combines with command-line ``--set`` items and per-key flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 
 class ConfigError(ValueError):
@@ -17,7 +19,14 @@ class ConfigError(ValueError):
 class KVEntry:
     key: str
     value: str
-    line: int
+    line: int   # > 0: config file line; < 0: -(i) for the i-th --set item; 0: flag
+
+    @property
+    def where(self) -> str:
+        """Where the entry came from, for diagnostics."""
+        if self.line > 0:
+            return f"line {self.line}"
+        return f"--set item {-self.line}" if self.line < 0 else f"flag --{self.key}"
 
 
 def parse_kv(text: str) -> dict[str, KVEntry]:
@@ -42,12 +51,34 @@ def parse_kv(text: str) -> dict[str, KVEntry]:
     return entries
 
 
+def merge_kv(
+    text: str | None = None,
+    sets: Sequence[str] = (),
+    flags: Mapping[str, str] | None = None,
+) -> dict[str, KVEntry]:
+    """Merge a config document < ``--set key=value`` items < per-key flags.
+
+    Later sources override earlier ones key by key; the config document is
+    parsed strictly by :func:`parse_kv`, and a ``--set`` item without a key
+    and ``=`` is an error.
+    """
+    entries = parse_kv(text) if text else {}
+    for i, item in enumerate(sets, start=1):
+        key, sep, value = item.partition("=")
+        if not sep or not key.strip():
+            raise ConfigError(f"--set {item!r}: expected key=value")
+        entries[key.strip()] = KVEntry(key.strip(), value.strip(), -i)
+    for key, value in (flags or {}).items():
+        entries[key] = KVEntry(key, value.strip(), 0)
+    return entries
+
+
 def as_int(entry: KVEntry) -> int:
     try:
         return int(entry.value)
     except ValueError:
         raise ConfigError(
-            f"line {entry.line}: key {entry.key!r} expects an integer, got {entry.value!r}"
+            f"{entry.where}: key {entry.key!r} expects an integer, got {entry.value!r}"
         ) from None
 
 
@@ -56,17 +87,17 @@ def as_float(entry: KVEntry) -> float:
         return float(entry.value)
     except ValueError:
         raise ConfigError(
-            f"line {entry.line}: key {entry.key!r} expects a number, got {entry.value!r}"
+            f"{entry.where}: key {entry.key!r} expects a number, got {entry.value!r}"
         ) from None
 
 
 def as_int_list(entry: KVEntry) -> list[int]:
     items = [s for s in entry.value.replace(" ", "").split(",") if s]
     if not items:
-        raise ConfigError(f"line {entry.line}: key {entry.key!r} expects a comma-separated list")
+        raise ConfigError(f"{entry.where}: key {entry.key!r} expects a comma-separated list")
     try:
         return [int(s) for s in items]
     except ValueError:
         raise ConfigError(
-            f"line {entry.line}: key {entry.key!r} expects integers, got {entry.value!r}"
+            f"{entry.where}: key {entry.key!r} expects integers, got {entry.value!r}"
         ) from None

@@ -10,10 +10,11 @@ names as the generator's documented interface: ``active_BS``,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
-from .kvconfig import ConfigError, as_float, as_int, as_int_list, parse_kv
+from .kvconfig import ConfigError, KVEntry, as_float, as_int, as_int_list, parse_kv
 
 
 class ParamError(ConfigError):
@@ -92,13 +93,12 @@ _KEY_MAP = {
 }
 
 
-def parse_params(text: str, base: ParamSet | None = None) -> ParamSet:
-    """Parse a key=value parameter document. Unspecified keys keep defaults."""
-    entries = parse_kv(text)
+def params_from_entries(entries: Mapping[str, KVEntry], base: ParamSet | None = None) -> ParamSet:
+    """Apply parsed key=value entries to ``base``. Unspecified keys keep defaults."""
     overrides = {}
     for key, entry in entries.items():
         if key not in _KEY_MAP:
-            raise ParamError(f"line {entry.line}: unknown parameter {key!r}")
+            raise ParamError(f"{entry.where}: unknown parameter {key!r}")
         attr, kind = _KEY_MAP[key]
         if kind == "int":
             overrides[attr] = as_int(entry)
@@ -107,6 +107,11 @@ def parse_params(text: str, base: ParamSet | None = None) -> ParamSet:
         else:
             overrides[attr] = tuple(as_int_list(entry))
     return replace(base or ParamSet(), **overrides)
+
+
+def parse_params(text: str, base: ParamSet | None = None) -> ParamSet:
+    """Parse a key=value parameter document. Unspecified keys keep defaults."""
+    return params_from_entries(parse_kv(text), base)
 
 
 def serialize_params(p: ParamSet) -> str:

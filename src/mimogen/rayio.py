@@ -9,9 +9,6 @@ Layout (all little-endian):
 * then per user: global_index u64, position 3 x f64 (m), n_paths u16, and
   per path: aod_az, aod_el, aoa_az, aoa_el (f64, degrees), power (f64, W),
   phase (f64, rad), delay (f64, s), n_reflections u16.
-
-A small CSV mirror (`write_rayfile_csv`) exists for debugging; the binary
-form is the interchange contract.
 """
 
 from __future__ import annotations
@@ -229,17 +226,3 @@ def read_rayfile(source: BinaryIO) -> RayFile:
         raise RayFileSemanticError("; ".join(str(v) for v in violations[:10]))
     return rf
 
-
-def write_rayfile_csv(path_lists: Sequence[PathList], header: RayFileHeader, sink) -> None:
-    """Human-readable mirror of the binary format, for small debug dumps."""
-    sink.write(f"# scenario={header.scenario} bs_id={header.bs_id} "
-               f"carrier_freq={header.carrier_freq!r}\n")
-    sink.write("user_index,px,py,pz,path,aod_az,aod_el,aoa_az,aoa_el,"
-               "power,phase,delay,n_reflections\n")
-    for pl in path_lists:
-        for j, p in enumerate(pl.paths):
-            sink.write(
-                f"{pl.user_index},{pl.user_position[0]!r},{pl.user_position[1]!r},"
-                f"{pl.user_position[2]!r},{j},{p.aod_az!r},{p.aod_el!r},{p.aoa_az!r},"
-                f"{p.aoa_el!r},{p.power!r},{p.phase!r},{p.delay!r},{p.n_reflections}\n"
-            )

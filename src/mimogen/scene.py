@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .kvconfig import ConfigError, KVEntry, as_float, as_int, parse_kv
+from .kvconfig import ConfigError, KVEntry, as_float
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -250,11 +250,6 @@ def _default_grids(user_z: float) -> list[UserGrid]:
         n_rows=1351, users_per_row=361, spacing=0.1, first_row_label=3853,
     )
     return [g1, g2, g3]
-
-
-def parse_scene_config(text: str) -> dict[str, KVEntry]:
-    """Parse a scene config document; key validation happens in build_o1_scene."""
-    return parse_kv(text)
 
 
 _GRID_KEYS = ("n_rows", "users_per_row", "spacing_m", "origin_x", "origin_y", "origin_z")

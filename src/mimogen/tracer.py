@@ -332,31 +332,25 @@ def _angles_deg(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return az, el
 
 
-def trace_paths_batch(
+def _trace_records(
     scene: Scene,
-    bs_id: int,
-    positions: np.ndarray,
-    user_indices: Sequence[int] | None = None,
-    max_reflections: int = 4,
-    max_paths: int = 25,
-) -> list[PathList]:
-    """Trace all paths between one base station and a batch of receivers."""
-    bs = scene.bs_by_id(bs_id)
-    tx = np.asarray(bs.position, dtype=float)
-    rx = np.asarray(positions, dtype=float).reshape(-1, 3)
-    U = rx.shape[0]
-    if user_indices is None:
-        user_indices = list(range(1, U + 1))
-
+    tx: np.ndarray,
+    rx: np.ndarray,
+    max_reflections: int,
+    max_paths: int,
+) -> list[tuple[PathRecord, ...]]:
+    """Paths from transmitter ``tx`` to each receiver row of ``rx`` (U, 3):
+    strongest first (ties by delay, then bounce sequence), at most
+    ``max_paths`` per receiver."""
     geo = _geometry(scene)
     nodes = _image_tree(geo, tx, max_reflections)
 
     # Per-user accumulation: (sort_key_fields..., record)
-    per_user: list[list[tuple]] = [[] for _ in range(U)]
+    per_user: list[list[tuple]] = [[] for _ in range(rx.shape[0])]
     freq = scene.carrier_freq
     lam = scene.wavelength
 
-    for node_id, node in enumerate(nodes):
+    for node in nodes:
         rows, lengths, loss_db, chain = _node_paths(node, geo, tx, rx)
         if rows.size == 0:
             continue
@@ -375,18 +369,35 @@ def trace_paths_batch(
             )
             per_user[u].append((-rec.power, rec.delay, node.seq, rec))
 
-    out = []
-    for u in range(U):
-        entries = sorted(per_user[u], key=lambda e: (e[0], e[1], e[2]))[:max_paths]
-        out.append(
-            PathList(
-                bs_id=bs_id,
-                user_index=int(user_indices[u]),
-                user_position=tuple(float(x) for x in rx[u]),
-                paths=tuple(e[3] for e in entries),
-            )
+    return [
+        tuple(e[3] for e in sorted(entries, key=lambda e: (e[0], e[1], e[2]))[:max_paths])
+        for entries in per_user
+    ]
+
+
+def trace_paths_batch(
+    scene: Scene,
+    bs_id: int,
+    positions: np.ndarray,
+    user_indices: Sequence[int] | None = None,
+    max_reflections: int = 4,
+    max_paths: int = 25,
+) -> list[PathList]:
+    """Trace all paths between one base station and a batch of receivers."""
+    tx = np.asarray(scene.bs_by_id(bs_id).position, dtype=float)
+    rx = np.asarray(positions, dtype=float).reshape(-1, 3)
+    if user_indices is None:
+        user_indices = list(range(1, rx.shape[0] + 1))
+    records = _trace_records(scene, tx, rx, max_reflections, max_paths)
+    return [
+        PathList(
+            bs_id=bs_id,
+            user_index=int(user_indices[u]),
+            user_position=tuple(float(x) for x in rx[u]),
+            paths=paths,
         )
-    return out
+        for u, paths in enumerate(records)
+    ]
 
 
 def trace_paths(
@@ -414,30 +425,7 @@ def trace_between(
     max_paths: int = 25,
 ) -> tuple[PathRecord, ...]:
     """Trace between two arbitrary points (used for reciprocity checks)."""
-    tx = np.asarray(tx, dtype=float)
-    rx_arr = np.asarray(rx, dtype=float)[None, :]
-    geo = _geometry(scene)
-    nodes = _image_tree(geo, tx, max_reflections)
-
-    entries = []
-    freq = scene.carrier_freq
-    lam = scene.wavelength
-    for node in nodes:
-        rows, lengths, loss_db, chain = _node_paths(node, geo, tx, rx_arr)
-        if rows.size == 0:
-            continue
-        n = len(node.seq)
-        aod_az, aod_el = _angles_deg(chain[1] - chain[0])
-        aoa_az, aoa_el = _angles_deg(chain[-2] - chain[-1])
-        delay = float(lengths[0] / SPEED_OF_LIGHT)
-        power = float((lam / (4.0 * math.pi * lengths[0])) ** 2 * 10.0 ** (-loss_db[0] / 10.0))
-        rec = PathRecord(
-            aod_az=float(aod_az[0]), aod_el=float(aod_el[0]),
-            aoa_az=float(aoa_az[0]), aoa_el=float(aoa_el[0]),
-            power=power,
-            phase=(-2.0 * math.pi * freq * delay + math.pi * n) % (2.0 * math.pi),
-            delay=delay, n_reflections=n,
-        )
-        entries.append((-rec.power, rec.delay, node.seq, rec))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return tuple(e[3] for e in entries[:max_paths])
+    return _trace_records(
+        scene, np.asarray(tx, dtype=float), np.asarray(rx, dtype=float).reshape(1, 3),
+        max_reflections, max_paths,
+    )[0]

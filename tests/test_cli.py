@@ -82,7 +82,11 @@ class TestPipeline:
         rays = _trace(tmp_path, scene_file, bs="3")
         rc, ds_dir = _build(tmp_path, scene_file, rays, active_bs="3")
         assert rc == 0
-        for d in (scene_file.parent, rays, ds_dir):
+        ml = tmp_path / "ml"
+        assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
+                    "--quiet"]) == 0
+        assert (ml / "ml_manifest.txt").exists()
+        for d in (scene_file.parent, rays, ds_dir, ml):
             assert not list(d.glob("*.tmp~"))
 
     def test_build_manifest_records_inputs(self, tmp_path, scene_file):
@@ -168,6 +172,46 @@ class TestParamMerge:
         p = _params_from_args(args)
         assert p.num_paths == 7
         assert p.num_ant_y == 16
+
+    def _argv(self, cmd, tmp_path, scene_file):
+        if cmd == "scene":
+            return ["scene", "--out", str(tmp_path / "s.json"), "--quiet"]
+        return ["build", "--scene", str(scene_file), "--rays-dir", str(tmp_path / "r"),
+                "--out-dir", str(tmp_path / "d"), "--quiet"]
+
+    @pytest.mark.parametrize("cmd", ["scene", "build"])
+    @pytest.mark.parametrize("config,extra", [
+        ("num_paths=3\ngarbage\n", []),
+        ("num_paths=3\nnum_paths=4\n", []),
+        (None, ["--set", "garbage"]),
+    ], ids=["malformed_config_line", "duplicate_config_key", "set_without_equals"])
+    def test_bad_input_exit_2(self, cmd, config, extra, tmp_path, scene_file):
+        if config is not None:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(config)
+            extra = ["--config", str(cfg)]
+        assert run(self._argv(cmd, tmp_path, scene_file) + extra) == 2
+
+    @pytest.mark.parametrize("cmd,good,bad", [
+        ("scene", "grid1.n_rows=2", "carrier_freq_hz=abc"),
+        ("build", "active_BS=3", "num_ant_y=abc"),
+    ])
+    def test_config_error_cites_file_line(self, cmd, good, bad, tmp_path, scene_file,
+                                          capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"# header comment\n\n{good}\n{bad}\n")
+        argv = self._argv(cmd, tmp_path, scene_file) + ["--config", str(cfg)]
+        assert run(argv) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,source", [
+        (["--set", "num_paths=3", "--set", "num_ant_y=abc"], "--set item 2"),
+        (["--num_ant_y", "abc"], "flag --num_ant_y"),
+    ], ids=["set", "flag"])
+    def test_override_error_names_its_source(self, extra, source, tmp_path, scene_file,
+                                             capsys):
+        assert run(self._argv("build", tmp_path, scene_file) + extra) == 2
+        assert source in capsys.readouterr().err
 
 
 class TestProgressReporter:

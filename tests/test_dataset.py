@@ -24,9 +24,10 @@ from mimogen.dataset import (
     shard_bytes,
     shard_size_bytes,
 )
-from mimogen.params import ParamSet
+from mimogen.kvconfig import parse_kv
+from mimogen.params import ParamSet, subcarrier_set
 from mimogen.rayio import RayFile, RayFileHeader
-from mimogen.scene import build_o1_scene, parse_scene_config, user_positions
+from mimogen.scene import build_o1_scene, user_positions
 
 from conftest import random_path_list
 
@@ -34,7 +35,7 @@ from conftest import random_path_list
 @pytest.fixture(scope="module")
 def tiny_scene():
     # grid1: rows 1-2 (3 users each), grid2: row 3, grid3: row 4
-    return build_o1_scene(parse_scene_config(
+    return build_o1_scene(parse_kv(
         "grid1.n_rows=2\ngrid1.users_per_row=3\n"
         "grid2.n_rows=1\ngrid2.users_per_row=1\n"
         "grid3.n_rows=1\ngrid3.users_per_row=1\n"
@@ -229,6 +230,26 @@ class TestExportImport:
         # header + one row per (user, k, antenna)
         assert len(lines) == 1 + ds.n_users * 8 * 8
         assert lines[0].startswith("user_index,")
+
+    def test_csv_fields_rebuild_matrix_exactly(self, rng, tiny_scene, tmp_path):
+        p = _params()
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        manifest = export_dataset(ds, tmp_path / "csv", fmt="csv")
+        for entry, users in zip(manifest.entries, ds.per_bs):
+            text = (tmp_path / "csv" / entry.filename).read_text()
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+            by_user: dict[int, list[list[str]]] = {}
+            for row in rows:
+                by_user.setdefault(int(row[0]), []).append(row)
+            assert sorted(by_user) == [u.global_index for u in users]
+            ks = list(subcarrier_set(p))
+            for u in users:
+                mat = np.zeros_like(u.channel.entries)
+                for row in by_user[u.global_index]:
+                    px, py, pz, re, im = (float(row[i]) for i in (1, 2, 3, 6, 7))
+                    assert (px, py, pz) == u.location
+                    mat[int(row[5]), ks.index(int(row[4]))] = complex(re, im)
+                assert np.array_equal(mat, u.channel.entries)
 
     def test_csv_cap(self, tmp_path):
         p = ParamSet(active_bs=(1,), num_ant_x=1, num_ant_y=32, num_ant_z=8,

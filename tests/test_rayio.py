@@ -20,7 +20,6 @@ from mimogen.rayio import (
     read_rayfile,
     validate_rayfile,
     write_rayfile,
-    write_rayfile_csv,
 )
 from mimogen.tracer import PathList, PathRecord
 
@@ -232,17 +231,3 @@ class TestMutationFuzz:
             with pytest.raises(RayFileError):
                 read_rayfile(io.BytesIO(base[:cut]))
 
-
-class TestCsvMirror:
-    def test_row_count_and_values(self, rng):
-        pls = _random_lists(rng, 3)
-        out = io.StringIO()
-        write_rayfile_csv(pls, _header(3), out)
-        lines = out.getvalue().strip().splitlines()
-        n_paths = sum(len(pl.paths) for pl in pls)
-        assert len(lines) == 2 + n_paths
-        if n_paths:
-            first = lines[2].split(",")
-            pl0 = next(pl for pl in pls if pl.paths)
-            assert int(first[0]) == pl0.user_index
-            assert float(first[5]) == pl0.paths[0].aod_az

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from mimogen.kvconfig import ConfigError
+from mimogen.kvconfig import ConfigError, parse_kv
 from mimogen.scene import (
     SceneConfigError,
     build_o1_scene,
     enumerate_users,
     grid_start_indices,
-    parse_scene_config,
     scene_from_json,
     scene_to_json,
     user_positions,
@@ -25,7 +24,7 @@ def small_scene(rows=(2, 2, 2), users=(3, 3, 3)):
     for i, (r, u) in enumerate(zip(rows, users), start=1):
         overrides.append(f"grid{i}.n_rows={r}")
         overrides.append(f"grid{i}.users_per_row={u}")
-    return build_o1_scene(parse_scene_config("\n".join(overrides)))
+    return build_o1_scene(parse_kv("\n".join(overrides)))
 
 
 class TestCensus:
@@ -93,7 +92,7 @@ class TestEnumeration:
         assert a == b
 
     def test_single_user_grid(self):
-        sc = build_o1_scene(parse_scene_config(
+        sc = build_o1_scene(parse_kv(
             "grid1.n_rows=1\ngrid1.users_per_row=1\n"
             "grid1.origin_x=5\ngrid1.origin_y=5\ngrid1.origin_z=2\n"
             "grid2.n_rows=1\ngrid2.users_per_row=1\n"
@@ -157,26 +156,26 @@ class TestRowRange:
 class TestConfig:
     def test_zero_rows_rejected(self):
         with pytest.raises(SceneConfigError, match="grid1.n_rows"):
-            build_o1_scene(parse_scene_config("grid1.n_rows=0"))
+            build_o1_scene(parse_kv("grid1.n_rows=0"))
 
     def test_negative_spacing_rejected(self):
         with pytest.raises(SceneConfigError, match="grid2.spacing_m"):
-            build_o1_scene(parse_scene_config("grid2.spacing_m=-0.5"))
+            build_o1_scene(parse_kv("grid2.spacing_m=-0.5"))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(SceneConfigError, match="no_such_key"):
-            build_o1_scene(parse_scene_config("no_such_key=3"))
+            build_o1_scene(parse_kv("no_such_key=3"))
 
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="carrier_freq_hz"):
-            build_o1_scene(parse_scene_config("carrier_freq_hz=sixty"))
+            build_o1_scene(parse_kv("carrier_freq_hz=sixty"))
 
     def test_comments_and_blank_lines(self):
-        sc = build_o1_scene(parse_scene_config("# comment\n\nuser_height_m=1.5\n"))
+        sc = build_o1_scene(parse_kv("# comment\n\nuser_height_m=1.5\n"))
         assert sc.grids[0].origin[2] == 1.5
 
     def test_bs_override(self):
-        sc = build_o1_scene(parse_scene_config("bs.3.x=123.0\nbs.3.z=7.5"))
+        sc = build_o1_scene(parse_kv("bs.3.x=123.0\nbs.3.z=7.5"))
         assert sc.bs_by_id(3).position[0] == 123.0
         assert sc.bs_by_id(3).position[2] == 7.5
 

@@ -4,13 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from mimogen.scene import SPEED_OF_LIGHT, Building
+from mimogen.scene import (
+    SPEED_OF_LIGHT,
+    Building,
+    build_o1_scene,
+    user_positions,
+    users_in_row_range,
+)
 from mimogen.tracer import (
     mirror_point,
     path_phase,
     path_power,
     trace_between,
     trace_paths,
+    trace_paths_batch,
 )
 
 from conftest import free_space_scene, wall_scene
@@ -256,3 +263,13 @@ class TestInvariants:
         p1 = [p for p in trace_between(lossy, tx, rx, 1) if p.n_reflections == 1]
         for a, b in zip(p0, p1):
             assert b.power / a.power == pytest.approx(10 ** (-0.6), rel=1e-12)
+
+
+class TestTraceBetween:
+    @pytest.mark.parametrize("bs_id", [3, 17])
+    def test_equals_batch_of_one_on_o1(self, bs_id):
+        sc = build_o1_scene()
+        tx = sc.bs_by_id(bs_id).position
+        positions = user_positions(sc, users_in_row_range(sc, 1000, 1000))
+        for rx in positions[::18]:
+            assert trace_between(sc, tx, rx) == trace_paths_batch(sc, bs_id, [rx])[0].paths
