@@ -4,12 +4,19 @@ A dataset holds, for every active base station and active user, the M x |K|
 channel matrix and the user location. Access is by 1-based ordinals: the
 b-th active base station and the u-th active user.
 
+In memory and on disk the dataset is one fixed-stride record per (active
+BS, active user) pair, with the numpy structured dtype
+``record_dtype(params)``: global_index u64, location 3 x f64, then channel
+as a (|K|, M) complex128 block, which is the M x |K| matrix in column-major
+order. ``Dataset.shards`` holds one such record array per active base
+station; ``get_channel(...).entries`` and ``get_location`` are views into
+it, read-only after ``load_dataset``.
+
 On disk the dataset is a directory of per-base-station shards plus a text
 manifest. Shard layout (little-endian): magic ``DMDS``, version u32, echo
 block (u32 byte length + UTF-8 key=value text carrying the parameter set,
-``bs_id``, ``user_count``, and ``scenario``), then per user: global_index
-u64, location 3 x f64, channel M * |K| * 2 x f64 (complex interleaved
-re/im, column-major). The manifest has one line per shard:
+``bs_id``, ``user_count``, and ``scenario``), then the record array's
+buffer. The manifest has one line per shard:
 ``filename bs_id first_user last_user bytes hash`` where the hash is the
 first 16 hex digits of the shard's SHA-256.
 """
@@ -21,7 +28,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -40,7 +47,6 @@ CSV_SIZE_CAP_BYTES = 64 * 1024 * 1024  # refuse CSV export above this estimate
 
 _BATCH = 256  # users per vectorized channel-construction batch
 _PREAMBLE = struct.Struct("<4sII")    # magic, version, echo block length
-_RECORD_HEAD = struct.Struct("<Q3d")  # user record head: global_index, location
 
 
 class DatasetError(Exception):
@@ -57,23 +63,26 @@ class ScenarioMismatchError(DatasetError):
     pass
 
 
-@dataclass(frozen=True)
-class UserEntry:
-    global_index: int
-    location: tuple[float, float, float]
-    channel: ChannelMatrix
+def record_dtype(params: ParamSet) -> np.dtype:
+    """The one (BS, user) record, in memory and on disk: a (|K|, M) C-order
+    channel block is the column-major M x |K| matrix."""
+    return np.dtype([
+        ("global_index", "<u8"),
+        ("location", "<f8", (3,)),
+        ("channel", "<c16", (params.ofdm_limit, params.num_antennas)),
+    ])
 
 
 @dataclass(frozen=True)
 class Dataset:
     params: ParamSet
     scenario_name: str
-    bs_ids: tuple[int, ...]                      # active order
-    per_bs: tuple[tuple[UserEntry, ...], ...]    # one user tuple per active BS
+    bs_ids: tuple[int, ...]            # active order
+    shards: tuple[np.ndarray, ...]     # per active BS: record_dtype(params) array
 
     @property
     def n_users(self) -> int:
-        return len(self.per_bs[0]) if self.per_bs else 0
+        return len(self.shards[0]) if self.shards else 0
 
     def bs_for_ordinal(self, b_ord: int) -> int:
         """Map the 1-based active-BS ordinal to the base station id."""
@@ -89,20 +98,23 @@ class Dataset:
             raise IndexError(
                 f"active-user ordinal {u_ord} out of range 1..{self.n_users}"
             )
-        return self.per_bs[0][u_ord - 1].global_index
+        return int(self.shards[0]["global_index"][u_ord - 1])
 
 
 def get_channel(ds: Dataset, b_ord: int, u_ord: int) -> ChannelMatrix:
-    """Channel matrix of the b-th active BS and u-th active user (1-based)."""
-    ds.bs_for_ordinal(b_ord)
-    ds.user_for_ordinal(u_ord)
-    return ds.per_bs[b_ord - 1][u_ord - 1].channel
+    """Channel matrix of the b-th active BS and u-th active user (1-based).
+    Its entries are a view of the record, read-only after load_dataset."""
+    bs_id = ds.bs_for_ordinal(b_ord)
+    gidx = ds.user_for_ordinal(u_ord)
+    return ChannelMatrix(entries=ds.shards[b_ord - 1]["channel"][u_ord - 1].T,
+                         bs_id=bs_id, user_index=gidx)
 
 
-def get_location(ds: Dataset, b_ord: int, u_ord: int) -> tuple[float, float, float]:
+def get_location(ds: Dataset, b_ord: int, u_ord: int) -> np.ndarray:
+    """User location (3-vector view of the record) for the given ordinals."""
     ds.bs_for_ordinal(b_ord)
     ds.user_for_ordinal(u_ord)
-    return ds.per_bs[b_ord - 1][u_ord - 1].location
+    return ds.shards[b_ord - 1]["location"][u_ord - 1]
 
 
 def active_user_indices(scene: Scene, params: ParamSet) -> np.ndarray:
@@ -132,13 +144,14 @@ def build_dataset(
 
     indices = active_user_indices(scene, params)
     positions = user_positions(scene, indices)
-    per_bs: list[tuple[UserEntry, ...]] = []
+    shards: list[np.ndarray] = []
     total = len(params.active_bs) * indices.size
     done = 0
     for bs_id in params.active_bs:
         rf = ray_sources[bs_id]
         by_index = {pl.user_index: pl for pl in rf.records}
-        entries: list[UserEntry] = []
+        shard = np.zeros(indices.size, dtype=record_dtype(params))
+        shard["global_index"] = indices
         for lo in range(0, indices.size, _BATCH):
             chunk_idx = indices[lo: lo + _BATCH]
             chunk_pls: list[PathList] = []
@@ -149,22 +162,15 @@ def build_dataset(
                     pl = PathList(bs_id=bs_id, user_index=int(gidx),
                                   user_position=tuple(positions[lo + i]), paths=())
                 chunk_pls.append(pl)
-            mats = channel_matrices_batch(chunk_pls, params)
-            for i, pl in enumerate(chunk_pls):
-                entries.append(
-                    UserEntry(
-                        global_index=pl.user_index,
-                        location=pl.user_position,
-                        channel=ChannelMatrix(entries=mats[i], bs_id=bs_id,
-                                              user_index=pl.user_index),
-                    )
-                )
+            block = shard[lo: lo + len(chunk_pls)]
+            block["location"] = [pl.user_position for pl in chunk_pls]
+            block["channel"] = channel_matrices_batch(chunk_pls, params).transpose(0, 2, 1)
             done += len(chunk_pls)
             if progress is not None:
                 progress(done, total)
-        per_bs.append(tuple(entries))
+        shards.append(shard)
     return Dataset(params=params, scenario_name=scenario,
-                   bs_ids=tuple(params.active_bs), per_bs=tuple(per_bs))
+                   bs_ids=tuple(params.active_bs), shards=tuple(shards))
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +233,28 @@ def _shard_echo(params: ParamSet, scenario: str, bs_id: int, n_users: int) -> by
     ).encode("utf-8")
 
 
-def _record_stride(params: ParamSet) -> int:
-    """Bytes per user record: the record head, then the M x |K| c16 matrix."""
-    return _RECORD_HEAD.size + params.num_antennas * params.ofdm_limit * 16
-
-
 def shard_bytes(
     params: ParamSet,
     scenario: str,
     bs_id: int,
-    entries: Sequence[UserEntry],
+    records: np.ndarray,
 ) -> bytes:
-    echo = _shard_echo(params, scenario, bs_id, len(entries))
-    parts = [_PREAMBLE.pack(SHARD_MAGIC, SHARD_VERSION, len(echo)), echo]
-    for e in entries:
-        parts.append(_RECORD_HEAD.pack(e.global_index, *e.location))
-        col_major = np.asarray(e.channel.entries, dtype="<c16").ravel(order="F")
-        parts.append(col_major.tobytes())
-    return b"".join(parts)
+    """Encode one BS's ``record_dtype(params)`` array as a shard."""
+    if records.dtype != record_dtype(params):
+        raise ValueError(f"record dtype {records.dtype} does not match the parameter set")
+    echo = _shard_echo(params, scenario, bs_id, len(records))
+    return b"".join([_PREAMBLE.pack(SHARD_MAGIC, SHARD_VERSION, len(echo)), echo,
+                     memoryview(records)])
 
 
 def shard_size_bytes(params: ParamSet, n_users: int, scenario: str, bs_id: int) -> int:
     """Exact on-disk size of a shard, from the documented layout."""
     echo = _shard_echo(params, scenario, bs_id, n_users)
-    return _PREAMBLE.size + len(echo) + n_users * _record_stride(params)
+    return _PREAMBLE.size + len(echo) + n_users * record_dtype(params).itemsize
 
 
-def parse_shard(data: bytes) -> tuple[ParamSet, str, int, list[UserEntry]]:
+def parse_shard(data: bytes) -> tuple[ParamSet, str, int, np.ndarray]:
+    """Decode a shard; the records are a ``record_dtype`` view of ``data``."""
     if len(data) < _PREAMBLE.size:
         raise DatasetError(f"truncated shard: {len(data)} bytes")
     magic, version, echo_len = _PREAMBLE.unpack_from(data)
@@ -281,47 +282,27 @@ def parse_shard(data: bytes) -> tuple[ParamSet, str, int, list[UserEntry]]:
         bs_id = int(extra["bs_id"])
         user_count = int(extra["user_count"])
         scenario = extra["scenario"]
+        dtype = record_dtype(params)
     except (ConfigError, KeyError, ValueError) as exc:
         raise DatasetError(f"bad shard echo block: {exc}") from None
     if user_count < 0:
         raise DatasetError(f"negative user_count {user_count}")
-
-    m = params.num_antennas
-    ksz = params.ofdm_limit
-    per_user = _record_stride(params)
-    if body + user_count * per_user != len(data):
+    if body + user_count * dtype.itemsize != len(data):
         raise DatasetError(
             f"shard length {len(data)} does not match {user_count} user "
-            f"records of {per_user} bytes"
+            f"records of {dtype.itemsize} bytes"
         )
-    offset = body
-    entries: list[UserEntry] = []
-    for _ in range(user_count):
-        gidx, px, py, pz = _RECORD_HEAD.unpack_from(data, offset)
-        mat = np.frombuffer(data, dtype="<c16", count=m * ksz,
-                            offset=offset + _RECORD_HEAD.size)
-        offset += per_user
-        entries.append(
-            UserEntry(
-                global_index=gidx, location=(px, py, pz),
-                channel=ChannelMatrix(
-                    entries=mat.reshape((m, ksz), order="F").copy(),
-                    bs_id=bs_id, user_index=gidx,
-                ),
-            )
-        )
-    return params, scenario, bs_id, entries
+    return params, scenario, bs_id, np.frombuffer(data, dtype, user_count, body)
 
 
-def _channels_csv(ds: Dataset, bs_id: int, users: Sequence[UserEntry]) -> bytes:
+def _channels_csv(ds: Dataset, bs_id: int, records: np.ndarray) -> bytes:
     lines = ["user_index,px,py,pz,k,m,re,im"]
     ks = subcarrier_set(ds.params)
-    for e in users:
-        head = ",".join([str(e.global_index)] + [repr(float(x)) for x in e.location])
-        mat = e.channel.entries
-        for j, k in enumerate(ks):
-            for mi in range(mat.shape[0]):
-                c = mat[mi, j]
+    for rec in records:
+        head = ",".join([str(int(rec["global_index"]))]
+                        + [repr(float(x)) for x in rec["location"]])
+        for k, row in zip(ks, rec["channel"]):
+            for mi, c in enumerate(row):
                 lines.append(f"{head},{int(k)},{mi},{float(c.real)!r},{float(c.imag)!r}")
     return ("\n".join(lines) + "\n").encode()
 
@@ -329,7 +310,8 @@ def _channels_csv(ds: Dataset, bs_id: int, users: Sequence[UserEntry]) -> bytes:
 # Export format -> (per-BS file name pattern, encoder of one BS's users).
 _EXPORT_FORMATS = {
     "binary": ("shard_bs{:03d}.dmds",
-               lambda ds, bs_id, users: shard_bytes(ds.params, ds.scenario_name, bs_id, users)),
+               lambda ds, bs_id, records: shard_bytes(ds.params, ds.scenario_name, bs_id,
+                                                      records)),
     "csv": ("bs{:03d}_channels.csv", _channels_csv),
 }
 
@@ -346,8 +328,8 @@ def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manife
         raise ValueError(f"unknown export format {fmt!r}")
     if fmt == "csv":
         est = sum(
-            shard_size_bytes(ds.params, len(users), ds.scenario_name, bs_id) * 3
-            for bs_id, users in zip(ds.bs_ids, ds.per_bs)
+            shard_size_bytes(ds.params, len(records), ds.scenario_name, bs_id) * 3
+            for bs_id, records in zip(ds.bs_ids, ds.shards)
         )
         if est > CSV_SIZE_CAP_BYTES:
             raise DatasetError(
@@ -356,12 +338,11 @@ def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manife
             )
     name_format, encode = _EXPORT_FORMATS[fmt]
     entries = []
-    for bs_id, users in zip(ds.bs_ids, ds.per_bs):
+    for bs_id, records in zip(ds.bs_ids, ds.shards):
         name = name_format.format(bs_id)
-        data = encode(ds, bs_id, users)
+        data = encode(ds, bs_id, records)
         atomic_write(sink / name, data)
-        first = users[0].global_index if users else 0
-        last = users[-1].global_index if users else 0
+        first, last = _user_range(records)
         entries.append(ManifestEntry(name, bs_id, first, last, len(data),
                                      content_hash(data)))
     manifest = Manifest(tuple(entries))
@@ -369,70 +350,46 @@ def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manife
     return manifest
 
 
+def _user_range(records: np.ndarray) -> tuple[int, int]:
+    """(first, last) global user index of a shard; (0, 0) when empty."""
+    users = records["global_index"]
+    return (int(users[0]), int(users[-1])) if len(users) else (0, 0)
+
+
 def load_dataset(source: Path | str) -> Dataset:
-    """Re-import a binary dataset directory written by export_dataset."""
+    """Re-import a binary dataset directory written by export_dataset.
+
+    Each shard must match its manifest line (hash, byte size, first and
+    last user) and list the same users, in the same order, as the first.
+    """
     source = Path(source)
     manifest = Manifest.from_text((source / "manifest.txt").read_text())
     params = None
     scenario = None
     bs_ids = []
-    per_bs = []
+    shards = []
     for entry in manifest.entries:
         data = (source / entry.filename).read_bytes()
         if content_hash(data) != entry.content_hash:
             raise DatasetError(f"{entry.filename}: content hash mismatch")
-        p, scen, bs_id, users = parse_shard(data)
+        if len(data) != entry.byte_size:
+            raise DatasetError(f"{entry.filename}: {len(data)} bytes, manifest says "
+                               f"{entry.byte_size}")
+        p, scen, bs_id, records = parse_shard(data)
+        users = _user_range(records)
+        if users != (entry.first_user, entry.last_user):
+            raise DatasetError(f"{entry.filename}: first/last user {users}, manifest says "
+                               f"{(entry.first_user, entry.last_user)}")
         if params is None:
             params, scenario = p, scen
         elif p != params or scen != scenario:
             raise ScenarioMismatchError(f"{entry.filename}: inconsistent shard metadata")
+        elif not np.array_equal(records["global_index"], shards[0]["global_index"]):
+            raise DatasetError(f"{entry.filename}: user list differs from "
+                               f"{manifest.entries[0].filename}")
         bs_ids.append(bs_id)
-        per_bs.append(tuple(users))
+        shards.append(records)
     if params is None:
         raise DatasetError("empty manifest")
     return Dataset(params=params, scenario_name=scenario, bs_ids=tuple(bs_ids),
-                   per_bs=tuple(per_bs))
-
-
-# ---------------------------------------------------------------------------
-# Parallel channel construction
-# ---------------------------------------------------------------------------
-
-def _digest_chunk(chunk: Sequence[PathList], params: ParamSet) -> str:
-    mats = channel_matrices_batch(chunk, params)
-    return content_hash(np.ascontiguousarray(mats).tobytes())
-
-
-def compute_channels_parallel(
-    path_lists: Sequence[PathList],
-    params: ParamSet,
-    workers: int = 1,
-    chunk_size: int = _BATCH,
-    progress: Callable[[int, int], None] | None = None,
-) -> str:
-    """Build every channel matrix in worker processes; returns a combined
-    content hash over all chunks (used for determinism and throughput checks
-    without holding the full dataset in memory)."""
-    chunks = [
-        list(path_lists[lo: lo + chunk_size])
-        for lo in range(0, len(path_lists), chunk_size)
-    ]
-    digests: list[str] = []
-    done = 0
-    if workers <= 1:
-        for chunk in chunks:
-            digests.append(_digest_chunk(chunk, params))
-            done += len(chunk)
-            if progress is not None:
-                progress(done, len(path_lists))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_digest_chunk, chunk, params) for chunk in chunks]
-            for fut, chunk in zip(futures, chunks):
-                digests.append(fut.result())
-                done += len(chunk)
-                if progress is not None:
-                    progress(done, len(path_lists))
-    return content_hash("".join(digests).encode())
+                   shards=tuple(shards))

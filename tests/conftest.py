@@ -1,6 +1,13 @@
+from dataclasses import replace
+from pathlib import Path
+from typing import Callable, Sequence
+
 import numpy as np
 import pytest
 
+from mimogen.channel import channel_matrices_batch
+from mimogen.dataset import _BATCH, Manifest, content_hash, parse_shard, shard_bytes
+from mimogen.params import ParamSet
 from mimogen.scene import BaseStation, Building, Scene, UserGrid
 from mimogen.tracer import PathList, PathRecord
 
@@ -63,3 +70,61 @@ def random_path_list(rng, bs_id, user_index, max_paths=25):
         user_position=tuple(rng.uniform(-100, 100, 3)),
         paths=tuple(paths),
     )
+
+
+def rewrite_shard(ds_dir: Path, filename: str, edit: Callable[[np.ndarray], None]) -> None:
+    """Re-encode one shard of an exported dataset after ``edit(records)`` and
+    give its manifest line the new size and hash; first/last user stay."""
+    path = ds_dir / filename
+    params, scenario, bs_id, records = parse_shard(path.read_bytes())
+    records = records.copy()
+    edit(records)
+    data = shard_bytes(params, scenario, bs_id, records)
+    path.write_bytes(data)
+    manifest_path = ds_dir / "manifest.txt"
+    manifest = Manifest.from_text(manifest_path.read_text())
+    manifest_path.write_text(Manifest(tuple(
+        replace(e, byte_size=len(data), content_hash=content_hash(data))
+        if e.filename == filename else e
+        for e in manifest.entries
+    )).to_text())
+
+
+def _digest_chunk(chunk: Sequence[PathList], params: ParamSet) -> str:
+    mats = channel_matrices_batch(chunk, params)
+    return content_hash(np.ascontiguousarray(mats).tobytes())
+
+
+def compute_channels_parallel(
+    path_lists: Sequence[PathList],
+    params: ParamSet,
+    workers: int = 1,
+    chunk_size: int = _BATCH,
+    progress: Callable[[int, int], None] | None = None,
+) -> str:
+    """Build every channel matrix in worker processes; returns a combined
+    content hash over all chunks (used for determinism and throughput checks
+    without holding the full dataset in memory)."""
+    chunks = [
+        list(path_lists[lo: lo + chunk_size])
+        for lo in range(0, len(path_lists), chunk_size)
+    ]
+    digests: list[str] = []
+    done = 0
+    if workers <= 1:
+        for chunk in chunks:
+            digests.append(_digest_chunk(chunk, params))
+            done += len(chunk)
+            if progress is not None:
+                progress(done, len(path_lists))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_digest_chunk, chunk, params) for chunk in chunks]
+            for fut, chunk in zip(futures, chunks):
+                digests.append(fut.result())
+                done += len(chunk)
+                if progress is not None:
+                    progress(done, len(path_lists))
+    return content_hash("".join(digests).encode())

@@ -13,9 +13,9 @@ from mimogen.dataset import (
     DatasetError,
     active_user_indices,
     build_dataset,
-    compute_channels_parallel,
     get_channel,
     parse_shard,
+    record_dtype,
     shard_bytes,
 )
 from mimogen.params import ParamSet, subcarrier_set
@@ -28,7 +28,7 @@ from mimogen.rayio import (
 from mimogen.scene import SPEED_OF_LIGHT, build_o1_scene, users_in_row_range
 from mimogen.tracer import PathList, trace_between, trace_paths_batch
 
-from conftest import random_path_list, random_path_record, wall_scene
+from conftest import compute_channels_parallel, random_path_list, random_path_record, wall_scene
 from test_channel import _single_antenna_params, _tap_record
 from test_tracer import _oracle_lengths
 
@@ -245,20 +245,18 @@ def test_criterion_8_roundtrip_and_fuzz(rng):
         # ...and the dataset shard format.
         p = ParamSet(num_ant_x=1, num_ant_y=4, num_ant_z=2,
                      num_ofdm=16, ofdm_limit=8)
-        from mimogen.channel import ChannelMatrix
-        from mimogen.dataset import UserEntry
         for _ in range(20):
-            users = [
-                UserEntry(i, tuple(rng.uniform(-10, 10, 3)),
-                          ChannelMatrix(rng.normal(size=(8, 8))
-                                        + 1j * rng.normal(size=(8, 8)), 3, i))
-                for i in range(1, int(rng.integers(1, 5)) + 1)
-            ]
-            data = shard_bytes(p, "O1_60", 3, users)
+            records = np.zeros(int(rng.integers(1, 5)), dtype=record_dtype(p))
+            for i, rec in enumerate(records, start=1):
+                rec["global_index"] = i
+                rec["location"] = rng.uniform(-10, 10, 3)
+                rec["channel"] = (rng.normal(size=(8, 8))
+                                  + 1j * rng.normal(size=(8, 8))).T
+            data = shard_bytes(p, "O1_60", 3, records)
             p2, scen, bs_id, back = parse_shard(data)
             assert (p2, scen, bs_id) == (p, "O1_60", 3)
-            for a, b in zip(users, back):
-                assert np.array_equal(a.channel.entries, b.channel.entries)
+            for a, b in zip(records, back):
+                assert np.array_equal(a["channel"], b["channel"])
             if len(shard_corpus) < 4:
                 shard_corpus.append(data)
 

@@ -5,6 +5,8 @@ import pytest
 
 from mimogen.cli import ProgressReporter, build_parser, run
 
+from conftest import rewrite_shard
+
 
 TINY_SCENE_SETS = [
     "--set", "grid1.n_rows=2", "--set", "grid1.users_per_row=3",
@@ -138,6 +140,17 @@ class TestErrors:
         f = rays / "rays_bs003.drf"
         f.write_bytes(f.read_bytes()[:-5])
         assert run(["validate", str(f), "--quiet"]) == 1
+
+    def test_validate_inconsistent_dataset(self, tmp_path, scene_file, capsys):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+
+        def swap_user(records):
+            records["global_index"][2] = 99   # first and last user unchanged
+
+        rewrite_shard(ds_dir, "shard_bs004.dmds", swap_user)
+        assert run(["validate", str(ds_dir), "--quiet"]) == 1
+        assert "violation: DatasetError: shard_bs004.dmds: user list differs" \
+            in capsys.readouterr().err
 
     def test_bad_param_value_exit_2(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file, bs="3")

@@ -1,9 +1,14 @@
 import logging
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mimogen.channel import ChannelMatrix, channel_matrix
+from mimogen.channel import channel_matrix
 from mimogen.dataset import (
     Dataset,
     DatasetError,
@@ -11,25 +16,24 @@ from mimogen.dataset import (
     ManifestEntry,
     MissingRaySourceError,
     ScenarioMismatchError,
-    UserEntry,
     active_user_indices,
     build_dataset,
-    compute_channels_parallel,
     content_hash,
     export_dataset,
     get_channel,
     get_location,
     load_dataset,
     parse_shard,
+    record_dtype,
     shard_bytes,
     shard_size_bytes,
 )
 from mimogen.kvconfig import parse_kv
-from mimogen.params import ParamSet, subcarrier_set
+from mimogen.params import ParamSet, serialize_params, subcarrier_set
 from mimogen.rayio import RayFile, RayFileHeader
 from mimogen.scene import build_o1_scene, user_positions
 
-from conftest import random_path_list
+from conftest import compute_channels_parallel, random_path_list, rewrite_shard
 
 
 @pytest.fixture(scope="module")
@@ -155,30 +159,103 @@ class TestShard:
     def test_size_formula_matches(self, rng, tiny_scene):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        data = shard_bytes(p, ds.scenario_name, 3, ds.per_bs[0])
+        data = shard_bytes(p, ds.scenario_name, 3, ds.shards[0])
         assert len(data) == shard_size_bytes(p, ds.n_users, ds.scenario_name, 3)
 
     def test_roundtrip_bit_exact(self, rng, tiny_scene):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        data = shard_bytes(p, ds.scenario_name, 3, ds.per_bs[0])
-        p2, scen, bs_id, users = parse_shard(data)
+        data = shard_bytes(p, ds.scenario_name, 3, ds.shards[0])
+        p2, scen, bs_id, records = parse_shard(data)
         assert (p2, scen, bs_id) == (p, "O1_60", 3)
-        for a, b in zip(ds.per_bs[0], users):
-            assert a.global_index == b.global_index
-            assert a.location == b.location
-            assert np.array_equal(a.channel.entries, b.channel.entries)
+        for a, b in zip(ds.shards[0], records):
+            assert a["global_index"] == b["global_index"]
+            assert np.array_equal(a["location"], b["location"])
+            assert np.array_equal(a["channel"], b["channel"])
 
     def test_trailing_bytes_rejected(self, rng, tiny_scene):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        data = shard_bytes(p, ds.scenario_name, 3, ds.per_bs[0])
+        data = shard_bytes(p, ds.scenario_name, 3, ds.shards[0])
         with pytest.raises(DatasetError, match="does not match"):
             parse_shard(data + b"\x00")
 
     def test_bad_magic(self):
         with pytest.raises(DatasetError, match="magic"):
             parse_shard(b"NOPE" + b"\x00" * 20)
+
+
+def _oracle_shard(params, scenario, bs_id, indices, locations, mats) -> bytes:
+    """The shard layout written out user by user, independently of the
+    record dtype: preamble, echo, then per user the record head and the
+    M x |K| matrix in column-major order."""
+    echo = (serialize_params(params) + f"bs_id={bs_id}\nuser_count={len(indices)}\n"
+            f"scenario={scenario}\n").encode()
+    parts = [struct.pack("<4sII", b"DMDS", 1, len(echo)), echo]
+    for gidx, loc, mat in zip(indices, locations, mats):
+        parts.append(struct.pack("<Q3d", gidx, *loc))
+        parts.append(np.asarray(mat, dtype="<c16").ravel(order="F").tobytes())
+    return b"".join(parts)
+
+
+@st.composite
+def _shard_cases(draw):
+    dims = [draw(st.integers(1, 3)) for _ in range(3)]
+    k = draw(st.integers(1, 4))
+    params = ParamSet(active_bs=(1,), num_ant_x=dims[0], num_ant_y=dims[1],
+                      num_ant_z=dims[2], num_ofdm=draw(st.integers(k, 2 * k)),
+                      ofdm_limit=k)
+    n = draw(st.integers(0, 4))
+    indices = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    locations = draw(arrays(np.float64, (n, 3)))
+    mats = draw(arrays(np.complex128, (n, params.num_antennas, k)))
+    scenario = draw(st.text("abcXYZ019_", min_size=1, max_size=8))
+    bs_id = draw(st.integers(1, 999))
+    return params, scenario, bs_id, indices, locations, mats
+
+
+class TestShardProperty:
+    @settings(deadline=None)
+    @given(_shard_cases())
+    def test_encode_parse_and_oracle(self, case):
+        params, scenario, bs_id, indices, locations, mats = case
+        records = np.zeros(len(indices), dtype=record_dtype(params))
+        records["global_index"] = indices
+        records["location"] = locations
+        records["channel"] = mats.transpose(0, 2, 1)
+        data = shard_bytes(params, scenario, bs_id, records)
+        assert len(data) == shard_size_bytes(params, len(indices), scenario, bs_id)
+        assert data == _oracle_shard(params, scenario, bs_id, indices, locations, mats)
+        p2, scen, b2, back = parse_shard(data)
+        assert (p2, scen, b2) == (params, scenario, bs_id)
+        assert back.dtype == records.dtype
+        assert back.tobytes() == records.tobytes()
+        assert [int(g) for g in back["global_index"]] == indices
+
+
+class TestLoadConsistency:
+    def test_shards_with_different_user_lists(self, rng, tiny_scene, tmp_path):
+        p = _params()
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        export_dataset(ds, tmp_path / "out")
+
+        def swap_user(records):
+            records["global_index"][2] = 99   # first and last user unchanged
+
+        rewrite_shard(tmp_path / "out", "shard_bs005.dmds", swap_user)
+        with pytest.raises(DatasetError, match="shard_bs005.dmds: user list differs"):
+            load_dataset(tmp_path / "out")
+
+    @pytest.mark.parametrize("field", ["first_user", "last_user", "byte_size"])
+    def test_manifest_line_must_match_shard(self, rng, tiny_scene, tmp_path, field):
+        p = _params()
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        manifest = export_dataset(ds, tmp_path / "out")
+        bad = replace(manifest.entries[1], **{field: getattr(manifest.entries[1], field) + 1})
+        (tmp_path / "out" / "manifest.txt").write_text(
+            Manifest((manifest.entries[0], bad)).to_text())
+        with pytest.raises(DatasetError, match="shard_bs005.dmds"):
+            load_dataset(tmp_path / "out")
 
 
 class TestExportImport:
@@ -192,9 +269,19 @@ class TestExportImport:
         assert ds2.bs_ids == ds.bs_ids
         assert ds2.scenario_name == ds.scenario_name
         for bi in range(2):
-            for a, b in zip(ds.per_bs[bi], ds2.per_bs[bi]):
-                assert np.array_equal(a.channel.entries, b.channel.entries)
-                assert a.location == b.location
+            for a, b in zip(ds.shards[bi], ds2.shards[bi]):
+                assert np.array_equal(a["channel"], b["channel"])
+                assert np.array_equal(a["location"], b["location"])
+
+    def test_loaded_channels_are_read_only_views(self, rng, tiny_scene, tmp_path):
+        p = _params()
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        export_dataset(ds, tmp_path / "out")
+        ds2 = load_dataset(tmp_path / "out")
+        H = get_channel(ds2, 2, 3).entries
+        assert np.shares_memory(H, ds2.shards[1])
+        assert not H.flags.writeable
+        assert not get_location(ds2, 2, 3).flags.writeable
 
     def test_export_deterministic(self, rng, tiny_scene, tmp_path):
         p = _params()
@@ -235,31 +322,29 @@ class TestExportImport:
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
         manifest = export_dataset(ds, tmp_path / "csv", fmt="csv")
-        for entry, users in zip(manifest.entries, ds.per_bs):
+        for entry, records in zip(manifest.entries, ds.shards):
             text = (tmp_path / "csv" / entry.filename).read_text()
             rows = [line.split(",") for line in text.splitlines()[1:]]
             by_user: dict[int, list[list[str]]] = {}
             for row in rows:
                 by_user.setdefault(int(row[0]), []).append(row)
-            assert sorted(by_user) == [u.global_index for u in users]
+            assert sorted(by_user) == [int(g) for g in records["global_index"]]
             ks = list(subcarrier_set(p))
-            for u in users:
-                mat = np.zeros_like(u.channel.entries)
-                for row in by_user[u.global_index]:
+            for u in records:
+                want = u["channel"].T
+                mat = np.zeros_like(want)
+                for row in by_user[int(u["global_index"])]:
                     px, py, pz, re, im = (float(row[i]) for i in (1, 2, 3, 6, 7))
-                    assert (px, py, pz) == u.location
+                    assert (px, py, pz) == tuple(u["location"])
                     mat[int(row[5]), ks.index(int(row[4]))] = complex(re, im)
-                assert np.array_equal(mat, u.channel.entries)
+                assert np.array_equal(mat, want)
 
     def test_csv_cap(self, tmp_path):
         p = ParamSet(active_bs=(1,), num_ant_x=1, num_ant_y=32, num_ant_z=8,
                      num_ofdm=1024, ofdm_limit=1024)
-        zeros = np.zeros((256, 1024), dtype=complex)
-        users = tuple(
-            UserEntry(i, (0.0, 0.0, 0.0), ChannelMatrix(zeros, 1, i))
-            for i in range(1, 7)
-        )
-        ds = Dataset(params=p, scenario_name="O1_60", bs_ids=(1,), per_bs=(users,))
+        records = np.zeros(6, dtype=record_dtype(p))
+        records["global_index"] = range(1, 7)
+        ds = Dataset(params=p, scenario_name="O1_60", bs_ids=(1,), shards=(records,))
         with pytest.raises(DatasetError, match="csv export refused"):
             export_dataset(ds, tmp_path / "big", fmt="csv")
 
