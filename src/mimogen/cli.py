@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -25,6 +25,7 @@ from . import __version__
 from .beams import BeamEvalConfig, build_ml_dataset, dft_codebook
 from .dataset import (
     DatasetError,
+    active_user_indices,
     atomic_write,
     build_dataset,
     content_hash,
@@ -50,9 +51,9 @@ from .scene import (
     user_positions,
     users_in_row_range,
 )
-from .tracer import trace_paths_batch
+from .tracer import image_node_counts, trace_paths_batch
 
-_TRACE_CHUNK = 128
+_TRACE_CHUNK = 1024
 
 
 class ProgressReporter:
@@ -94,6 +95,7 @@ class RunManifest:
     outputs: list[str]
     wall_seconds: float
     tool_version: str = ""
+    counters: dict[str, int] = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
         doc = {
@@ -104,6 +106,8 @@ class RunManifest:
             "wall_seconds": self.wall_seconds,
             "tool_version": self.tool_version or __version__,
         }
+        if self.counters:
+            doc["counters"] = self.counters
         atomic_write(path, (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode())
 
 
@@ -186,6 +190,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     reporter = ProgressReporter("TRACE", total, quiet=args.quiet)
     done = 0
     outputs = []
+    counters = {}
     for bs_id in bs_ids:
         path_lists = []
         for lo in range(0, indices.size, _TRACE_CHUNK):
@@ -197,6 +202,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             path_lists.extend(chunk)
             done += len(chunk)
             reporter.update(done)
+        before, after = image_node_counts(scene, bs_id, args.max_reflections)
+        counters[f"bs{bs_id:03d}.image_nodes_unpruned"] = before
+        counters[f"bs{bs_id:03d}.image_nodes"] = after
         header = RayFileHeader(bs_id=bs_id, carrier_freq=scene.carrier_freq,
                                user_count=len(path_lists), scenario=scene.name)
         out = outdir / f"rays_bs{bs_id:03d}.drf"
@@ -213,6 +221,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         input_hashes={args.scene: _file_hash(Path(args.scene))},
         outputs=outputs,
         wall_seconds=time.monotonic() - t0,
+        counters=counters,
     ).write(outdir / "trace.manifest.json")
     return 0
 
@@ -231,7 +240,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
             return 1
         with path.open("rb") as fh:
             sources[bs_id] = read_rayfile(fh)
-    reporter = ProgressReporter("BUILD", 1, quiet=args.quiet)
+    total = len(params.active_bs) * active_user_indices(scene, params).size
+    reporter = ProgressReporter("BUILD", total, quiet=args.quiet)
     ds = build_dataset(sources, params, scene, progress=reporter.update)
     outdir = Path(args.out_dir)
     manifest = export_dataset(ds, outdir, fmt=args.format)

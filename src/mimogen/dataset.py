@@ -203,13 +203,18 @@ class Manifest:
     @classmethod
     def from_text(cls, text: str) -> "Manifest":
         entries = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            name, bs_id, first, last, size, digest = line.split()
-            entries.append(ManifestEntry(name, int(bs_id), int(first), int(last),
-                                         int(size), digest))
+            try:
+                name, bs_id, first, last, size, digest = line.split()
+                entries.append(ManifestEntry(name, int(bs_id), int(first), int(last),
+                                             int(size), digest))
+            except ValueError:
+                raise DatasetError(
+                    f"manifest line {lineno}: expected 'filename bs_id first_user "
+                    f"last_user byte_size hash', got {line!r}") from None
         return cls(tuple(entries))
 
 
@@ -359,8 +364,8 @@ def _user_range(records: np.ndarray) -> tuple[int, int]:
 def load_dataset(source: Path | str) -> Dataset:
     """Re-import a binary dataset directory written by export_dataset.
 
-    Each shard must match its manifest line (hash, byte size, first and
-    last user) and list the same users, in the same order, as the first.
+    Each shard must match its manifest line (hash, byte size, bs_id, first
+    and last user) and list the same users, in the same order, as the first.
     """
     source = Path(source)
     manifest = Manifest.from_text((source / "manifest.txt").read_text())
@@ -376,6 +381,9 @@ def load_dataset(source: Path | str) -> Dataset:
             raise DatasetError(f"{entry.filename}: {len(data)} bytes, manifest says "
                                f"{entry.byte_size}")
         p, scen, bs_id, records = parse_shard(data)
+        if bs_id != entry.bs_id:
+            raise DatasetError(f"{entry.filename}: bs_id {bs_id}, manifest says "
+                               f"{entry.bs_id}")
         users = _user_range(records)
         if users != (entry.first_user, entry.last_user):
             raise DatasetError(f"{entry.filename}: first/last user {users}, manifest says "

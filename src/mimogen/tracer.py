@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ _EPS_SIDE = 1e-9      # front-side test tolerance for image pruning
 _EPS_T = 1e-12        # segment-parameter tolerance for reflection points
 _RECT_TOL = 1e-9      # face-rectangle containment tolerance
 _SHRINK = 1e-6        # occlusion boxes are shrunk by this much per side
+_PRUNE_TOL = 1e-6     # slack of the aperture test that prunes the image tree
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,13 @@ class _Plane:
 
 @dataclass
 class _Geometry:
-    planes: list[_Plane]
+    planes: list[_Plane]       # planes[0] is the ground
     boxes_shrunk: np.ndarray   # (B, 2, 3): min/max corners for occlusion tests
+    face_lo: np.ndarray        # (F, 3): building faces as flat boxes, grown by
+    face_hi: np.ndarray        #   _PRUNE_TOL on every side (ground excluded)
+    face_plane: np.ndarray     # (F,): index into `planes` of each face
+    tree_capacity: int         # cached image trees: one per base station
+    trees: dict[tuple, list["_Node"]] = field(default_factory=dict)
 
 
 def _covered_by_neighbor(scene: Scene, bi: int, axis: int, offset: float, sign: float) -> bool:
@@ -168,7 +174,22 @@ def _build_geometry(scene: Scene) -> _Geometry:
         boxes = np.stack([mins + _SHRINK, maxs - _SHRINK], axis=1)
     else:
         boxes = np.empty((0, 2, 3))
-    return _Geometry(planes=planes, boxes_shrunk=boxes)
+
+    face_lo, face_hi, face_plane = [], [], []
+    for pi, pl in enumerate(planes[1:], 1):
+        u, v = _OTHER_AXES[pl.axis]
+        for u0, u1, v0, v1 in pl.rects:
+            lo, hi = np.full(3, pl.offset), np.full(3, pl.offset)
+            lo[u], hi[u], lo[v], hi[v] = u0, u1, v0, v1
+            face_lo.append(lo - _PRUNE_TOL)
+            face_hi.append(hi + _PRUNE_TOL)
+            face_plane.append(pi)
+    return _Geometry(
+        planes=planes, boxes_shrunk=boxes,
+        face_lo=np.array(face_lo).reshape(-1, 3), face_hi=np.array(face_hi).reshape(-1, 3),
+        face_plane=np.array(face_plane, dtype=int),
+        tree_capacity=max(1, len(scene.base_stations)),
+    )
 
 
 _geometry_cache: "weakref.WeakKeyDictionary[Scene, _Geometry]" = weakref.WeakKeyDictionary()
@@ -192,10 +213,51 @@ class _Node:
     images: np.ndarray         # (n+1, 3): tx image after 0..n mirrors
 
 
+def _aperture_visible(geo: _Geometry, a: int, img: np.ndarray) -> np.ndarray:
+    """(P,) mask of the planes that a bounce off plane ``a`` can reach when the
+    ray comes from image ``img``, which lies strictly behind ``a``.
+
+    A next bounce point must lie on a face of the next plane, on the far side
+    of ``a``, and seen from ``img`` through a face of ``a``. Each face is
+    clipped to that half-space and projected from ``img`` onto ``a``; the
+    plane is kept when the bounding box of a projection overlaps a face of
+    ``a``. Faces are grown by ``_PRUNE_TOL``, so the test only keeps more.
+    The ground is unbounded: it is always reachable and never prunes.
+    """
+    pa = geo.planes[a]
+    if pa.is_ground:
+        return np.ones(len(geo.planes), dtype=bool)
+    A = pa.axis
+    lo, hi = geo.face_lo, geo.face_hi
+    if pa.sign > 0:
+        meets = hi[:, A] >= pa.offset
+        depth = np.maximum(np.stack([lo[:, A], hi[:, A]], axis=1), pa.offset)  # (F, 2)
+    else:
+        meets = lo[:, A] <= pa.offset
+        depth = np.minimum(np.stack([lo[:, A], hi[:, A]], axis=1), pa.offset)
+    # Central projection from img onto a: a point at depth x_A lands at
+    # img + scale * (x - img); scale is in (0, 1] because img is behind a.
+    scale = (pa.offset - img[A]) / (depth - img[A])
+    overlap = meets[:, None]                                   # (F, faces of a)
+    for k, ax in enumerate(_OTHER_AXES[A]):
+        ends = np.stack([lo[:, ax], hi[:, ax]], axis=1) - img[ax]           # (F, 2)
+        proj = img[ax] + scale[:, :, None] * ends[:, None, :]               # (F, 2, 2)
+        r_lo = pa.rects[None, :, 2 * k] - _PRUNE_TOL
+        r_hi = pa.rects[None, :, 2 * k + 1] + _PRUNE_TOL
+        overlap = (overlap & (proj.min(axis=(1, 2))[:, None] <= r_hi)
+                   & (proj.max(axis=(1, 2))[:, None] >= r_lo))
+    visible = np.zeros(len(geo.planes), dtype=bool)
+    visible[0] = True
+    visible[geo.face_plane[overlap.any(axis=1)]] = True
+    return visible
+
+
 def _image_tree(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> list[_Node]:
-    """Enumerate mirrored-source images, pruned by the front-side condition:
-    the previous image must lie strictly on the reflective side of the next
-    plane. Consecutive bounces off the same oriented plane are impossible."""
+    """Enumerate mirrored-source images, pruned by the front-side condition
+    (the previous image must lie strictly on the reflective side of the next
+    plane; consecutive bounces off the same oriented plane are impossible)
+    and by the aperture test of ``_aperture_visible``. Neither looks at a
+    receiver, and no node that can yield a path is dropped."""
     root = _Node(seq=(), images=tx[None, :].copy())
     nodes = [root]
     frontier = [root]
@@ -204,8 +266,10 @@ def _image_tree(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> list[_N
         for node in frontier:
             img = node.images[-1]
             last = node.seq[-1] if node.seq else -1
+            visible = (_aperture_visible(geo, last, img) if node.seq
+                       else np.ones(len(geo.planes), dtype=bool))
             for pi, pl in enumerate(geo.planes):
-                if pi == last:
+                if pi == last or not visible[pi]:
                     continue
                 if pl.sign * (img[pl.axis] - pl.offset) <= _EPS_SIDE:
                     continue
@@ -216,7 +280,50 @@ def _image_tree(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> list[_N
                 nxt.append(child)
         nodes.extend(nxt)
         frontier = nxt
+    for node in nodes:
+        node.images.setflags(write=False)
     return nodes
+
+
+def _cached_tree(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> list[_Node]:
+    """The image tree of ``tx``, built once per (tx, max_reflections). The
+    cache keeps at most one tree per base station of the scene, dropping the
+    oldest, so tracing from arbitrary points cannot grow it."""
+    key = (tuple(tx.tolist()), max_reflections)
+    nodes = geo.trees.get(key)
+    if nodes is None:
+        if len(geo.trees) >= geo.tree_capacity:
+            del geo.trees[next(iter(geo.trees))]
+        nodes = geo.trees[key] = _image_tree(geo, tx, max_reflections)
+    return nodes
+
+
+def _front_side_tree_size(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> int:
+    """Number of image nodes the front-side condition alone admits: the size
+    of the tree before aperture pruning."""
+    axis = np.array([pl.axis for pl in geo.planes])
+    offset = np.array([pl.offset for pl in geo.planes])
+    sign = np.array([pl.sign for pl in geo.planes])
+    imgs, last, total = tx[None, :], np.array([-1]), 1
+    for _ in range(max_reflections):
+        front = sign * (imgs[:, axis] - offset) > _EPS_SIDE
+        bounced = np.nonzero(last >= 0)[0]
+        front[bounced, last[bounced]] = False
+        parent, last = np.nonzero(front)
+        imgs = imgs[parent]
+        rows = np.arange(last.size)
+        imgs[rows, axis[last]] = 2.0 * offset[last] - imgs[rows, axis[last]]
+        total += last.size
+    return total
+
+
+def image_node_counts(scene: Scene, bs_id: int, max_reflections: int) -> tuple[int, int]:
+    """Image nodes of base station ``bs_id``'s tree before and after aperture
+    pruning (the root, the transmitter itself, counts as one node)."""
+    geo = _geometry(scene)
+    tx = np.asarray(scene.bs_by_id(bs_id).position, dtype=float)
+    return (_front_side_tree_size(geo, tx, max_reflections),
+            len(_cached_tree(geo, tx, max_reflections)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +333,40 @@ def _image_tree(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> list[_N
 def _segments_blocked(
     p0: np.ndarray, p1: np.ndarray, boxes: np.ndarray
 ) -> np.ndarray:
-    """Slab test: does segment p0->p1 (both (U,3)) penetrate any shrunk box?"""
+    """Slab test: does segment p0->p1 (both (U,3)) penetrate any shrunk box?
+
+    Only (segment, box) pairs whose bounding boxes overlap run the slab
+    formulas. For any other pair those formulas give tmin >= tmax, because
+    float subtraction and division are monotone, so skipping them changes
+    no result.
+    """
     U = p0.shape[0]
+    blocked = np.zeros(U, dtype=bool)
     if boxes.shape[0] == 0 or U == 0:
-        return np.zeros(U, dtype=bool)
-    d = p1 - p0                                    # (U, 3)
-    bmin = boxes[None, :, 0, :]                    # (1, B, 3)
-    bmax = boxes[None, :, 1, :]
-    a = p0[:, None, :]
+        return blocked
+    lo = np.minimum(p0, p1)[:, None, :]
+    hi = np.maximum(p0, p1)[:, None, :]
+    near = ((lo <= boxes[None, :, 1, :]) & (hi >= boxes[None, :, 0, :])).all(axis=2)
+    ui, bi = np.nonzero(near)
+    if ui.size == 0:
+        return blocked
+    d = (p1 - p0)[ui]                              # (N, 3) for the N near pairs
+    a = p0[ui]
+    bmin = boxes[bi, 0, :]
+    bmax = boxes[bi, 1, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (bmin - a) / d[:, None, :]
-        t2 = (bmax - a) / d[:, None, :]
+        t1 = (bmin - a) / d
+        t2 = (bmax - a) / d
     tlo = np.fmin(t1, t2)
     thi = np.fmax(t1, t2)
-    zero = np.abs(d)[:, None, :] == 0.0
+    zero = np.abs(d) == 0.0
     inside = (a >= bmin) & (a <= bmax)
     tlo = np.where(zero, np.where(inside, -np.inf, np.inf), tlo)
     thi = np.where(zero, np.where(inside, np.inf, -np.inf), thi)
-    tmin = np.maximum(tlo.max(axis=2), 0.0)
-    tmax = np.minimum(thi.min(axis=2), 1.0)
-    return (tmin + _EPS_T < tmax).any(axis=1)
+    tmin = np.maximum(tlo.max(axis=1), 0.0)
+    tmax = np.minimum(thi.min(axis=1), 1.0)
+    blocked[ui[tmin + _EPS_T < tmax]] = True
+    return blocked
 
 
 def _node_paths(
@@ -343,7 +464,7 @@ def _trace_records(
     strongest first (ties by delay, then bounce sequence), at most
     ``max_paths`` per receiver."""
     geo = _geometry(scene)
-    nodes = _image_tree(geo, tx, max_reflections)
+    nodes = _cached_tree(geo, tx, max_reflections)
 
     # Per-user accumulation: (sort_key_fields..., record)
     per_user: list[list[tuple]] = [[] for _ in range(rx.shape[0])]

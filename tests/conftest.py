@@ -9,7 +9,7 @@ from mimogen.channel import channel_matrices_batch
 from mimogen.dataset import _BATCH, Manifest, content_hash, parse_shard, shard_bytes
 from mimogen.params import ParamSet
 from mimogen.scene import BaseStation, Building, Scene, UserGrid
-from mimogen.tracer import PathList, PathRecord
+from mimogen.tracer import _EPS_T, PathList, PathRecord
 
 
 @pytest.fixture
@@ -128,3 +128,27 @@ def compute_channels_parallel(
                 if progress is not None:
                     progress(done, len(path_lists))
     return content_hash("".join(digests).encode())
+
+
+def dense_segments_blocked(p0: np.ndarray, p1: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Occlusion oracle: the slab test of every segment (p0, p1 both (U, 3))
+    against every box ((B, 2, 3) min/max corners), with no prefilter."""
+    U = p0.shape[0]
+    if boxes.shape[0] == 0 or U == 0:
+        return np.zeros(U, dtype=bool)
+    d = p1 - p0                                    # (U, 3)
+    bmin = boxes[None, :, 0, :]                    # (1, B, 3)
+    bmax = boxes[None, :, 1, :]
+    a = p0[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (bmin - a) / d[:, None, :]
+        t2 = (bmax - a) / d[:, None, :]
+    tlo = np.fmin(t1, t2)
+    thi = np.fmax(t1, t2)
+    zero = np.abs(d)[:, None, :] == 0.0
+    inside = (a >= bmin) & (a <= bmax)
+    tlo = np.where(zero, np.where(inside, -np.inf, np.inf), tlo)
+    thi = np.where(zero, np.where(inside, np.inf, -np.inf), thi)
+    tmin = np.maximum(tlo.max(axis=2), 0.0)
+    tmax = np.minimum(thi.min(axis=2), 1.0)
+    return (tmin + _EPS_T < tmax).any(axis=1)

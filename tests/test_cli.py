@@ -56,6 +56,16 @@ class TestPipeline:
         )
         assert manifest["subcommand"] == "scene"
         assert str(scene_file) in manifest["outputs"]
+        assert "counters" not in manifest
+
+    def test_trace_manifest_counts_image_nodes(self, tmp_path, scene_file):
+        rays = _trace(tmp_path, scene_file)
+        counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
+        assert set(counters) == {f"bs{b:03d}.image_nodes{s}"
+                                 for b in (3, 4) for s in ("", "_unpruned")}
+        for b in (3, 4):
+            assert counters[f"bs{b:03d}.image_nodes_unpruned"] == 1802
+            assert 0 < counters[f"bs{b:03d}.image_nodes"] < 1802
 
     def test_full_pipeline(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)
@@ -152,6 +162,18 @@ class TestErrors:
         assert "violation: DatasetError: shard_bs004.dmds: user list differs" \
             in capsys.readouterr().err
 
+    def test_malformed_manifest_line(self, tmp_path, scene_file, capsys):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        manifest = ds_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "garbage line\n")
+        assert run(["validate", str(ds_dir), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "violation: DatasetError: manifest line 4:" in err
+        assert "Traceback" not in err
+        assert run(["beams", "--dataset-dir", str(ds_dir),
+                    "--out-dir", str(tmp_path / "ml"), "--quiet"]) == 1
+        assert "error: manifest line 4:" in capsys.readouterr().err
+
     def test_bad_param_value_exit_2(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file, bs="3")
         rc = run([
@@ -160,6 +182,23 @@ class TestErrors:
             "--out-dir", str(tmp_path / "d"), "--quiet",
         ])
         assert rc == 2
+
+
+class TestProgress:
+    def test_build_first_line_carries_total(self, tmp_path, scene_file, capsys):
+        rays = _trace(tmp_path, scene_file)
+        capsys.readouterr()
+        rc = run([
+            "build", "--scene", str(scene_file), "--rays-dir", str(rays),
+            "--set", "active_BS=3,4", "--set", "active_user_first=1",
+            "--set", "active_user_last=2", "--out-dir", str(tmp_path / "ds"),
+        ])
+        assert rc == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines()
+                 if ln.startswith("BUILD ")]
+        # 2 base stations x 2 rows x 3 users per row
+        assert lines[0].endswith("/12")
+        assert lines[-1] == "BUILD 12/12"
 
 
 class TestParamMerge:

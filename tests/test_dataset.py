@@ -246,7 +246,7 @@ class TestLoadConsistency:
         with pytest.raises(DatasetError, match="shard_bs005.dmds: user list differs"):
             load_dataset(tmp_path / "out")
 
-    @pytest.mark.parametrize("field", ["first_user", "last_user", "byte_size"])
+    @pytest.mark.parametrize("field", ["first_user", "last_user", "byte_size", "bs_id"])
     def test_manifest_line_must_match_shard(self, rng, tiny_scene, tmp_path, field):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)

@@ -1,17 +1,27 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from mimogen import tracer
 
 from mimogen.scene import (
     SPEED_OF_LIGHT,
+    BaseStation,
     Building,
+    Scene,
     build_o1_scene,
     user_positions,
     users_in_row_range,
 )
 from mimogen.tracer import (
+    _geometry,
+    _segments_blocked,
+    image_node_counts,
     mirror_point,
     path_phase,
     path_power,
@@ -20,7 +30,7 @@ from mimogen.tracer import (
     trace_paths_batch,
 )
 
-from conftest import free_space_scene, wall_scene
+from conftest import dense_segments_blocked, free_space_scene, wall_scene
 
 
 class TestMirrorPoint:
@@ -273,3 +283,126 @@ class TestTraceBetween:
         positions = user_positions(sc, users_in_row_range(sc, 1000, 1000))
         for rx in positions[::18]:
             assert trace_between(sc, tx, rx) == trace_paths_batch(sc, bs_id, [rx])[0].paths
+
+
+# Grid coordinates make coplanar, touching and axis-parallel cases common;
+# free floats cover the generic ones.
+_grid = st.integers(-4, 4).map(float)
+_coord = st.one_of(_grid, st.floats(-5.0, 5.0))
+_point = st.tuples(_coord, _coord, st.one_of(st.integers(0, 5).map(float),
+                                             st.floats(0.0, 6.0)))
+_tx = st.tuples(_coord, _coord, st.one_of(st.integers(1, 5).map(float),
+                                         st.floats(0.1, 6.0)))
+_box = st.tuples(
+    st.tuples(_grid, _grid, st.integers(0, 2).map(float)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)),
+).map(lambda b: Building(b[0], tuple(lo + size for lo, size in zip(*b))))
+
+
+class TestAperturePruning:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(boxes=st.lists(_box, min_size=2, max_size=6), tx=_tx,
+           rx=st.lists(_point, min_size=1, max_size=6),
+           max_reflections=st.integers(0, 3))
+    def test_equals_unpruned_tree(self, boxes, tx, rx, max_reflections):
+        assume(not any(b.contains(tx) for b in boxes))
+        scene = Scene(buildings=tuple(boxes), base_stations=(BaseStation(1, tx),),
+                      grids=(), carrier_freq=28e9)
+        pruned = trace_paths_batch(scene, 1, rx, max_reflections=max_reflections,
+                                   max_paths=10_000)
+        unpruned_scene = dataclasses.replace(scene)   # new identity: cold caches
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracer, "_aperture_visible",
+                       lambda geo, a, img: np.ones(len(geo.planes), dtype=bool))
+            unpruned = trace_paths_batch(unpruned_scene, 1, rx,
+                                         max_reflections=max_reflections,
+                                         max_paths=10_000)
+            before, after = image_node_counts(unpruned_scene, 1, max_reflections)
+        assert repr(pruned) == repr(unpruned)   # rx == tx gives NaN angles
+        assert before == after == len(tracer._cached_tree(
+            _geometry(unpruned_scene), np.asarray(tx, dtype=float), max_reflections))
+        assert image_node_counts(scene, 1, max_reflections)[0] == before
+
+    def test_prunes_o1(self):
+        sc = build_o1_scene()
+        before, after = image_node_counts(sc, 17, 4)
+        assert before == 1140
+        assert after < 0.6 * before
+
+
+class TestTreeCache:
+    def test_one_tree_per_bs_and_depth(self, monkeypatch):
+        builds = []
+        real = tracer._image_tree
+
+        def counting(geo, tx, max_reflections):
+            builds.append((tuple(tx), max_reflections))
+            return real(geo, tx, max_reflections)
+
+        monkeypatch.setattr(tracer, "_image_tree", counting)
+        sc = wall_scene([(-20.0, -12.0), (12.0, 20.0)], ground_z=0.0)
+        sc = dataclasses.replace(sc, base_stations=(
+            BaseStation(1, (0.0, 0.0, 10.0)), BaseStation(2, (5.0, -3.0, 20.0))))
+        rx = np.array([[25.0, 4.0, 6.0], [-5.0, 2.0, 3.0]])
+        a = trace_paths_batch(sc, 1, rx, max_reflections=2)
+        b = trace_paths_batch(sc, 1, rx[::-1], max_reflections=2)
+        assert [pl.paths for pl in b] == [pl.paths for pl in a[::-1]]
+        assert len(builds) == 1
+        trace_paths_batch(sc, 1, rx, max_reflections=3)
+        assert len(builds) == 2
+        two, three = _geometry(sc).trees.values()
+        assert len(two) < len(three)
+        trace_paths_batch(sc, 2, rx, max_reflections=2)   # drops the oldest tree
+        assert len(builds) == 3
+        assert len(_geometry(sc).trees) == 2
+        trace_paths_batch(sc, 1, rx, max_reflections=3)
+        assert len(builds) == 3
+        assert trace_paths_batch(sc, 1, rx, max_reflections=2) == a
+        assert len(builds) == 4
+
+    def test_size_bounded_by_base_stations(self, rng):
+        sc = wall_scene([(-20.0, -12.0), (12.0, 20.0)], ground_z=0.0)
+        for _ in range(10):
+            tx = rng.uniform([-30, -10, 2], [30, 10, 40])
+            trace_between(sc, tx, (25.0, 4.0, 6.0), max_reflections=2)
+        geo = _geometry(sc)
+        assert len(geo.trees) == geo.tree_capacity == len(sc.base_stations) == 1
+
+    def test_cached_images_are_read_only(self):
+        sc = free_space_scene()
+        trace_paths(sc, 1, (10.0, 0.0, 10.0))
+        for nodes in _geometry(sc).trees.values():
+            assert not any(n.images.flags.writeable for n in nodes)
+
+
+class TestOcclusionPrefilter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        segs=st.lists(st.tuples(_point, _point), min_size=1, max_size=12),
+        boxes=st.lists(_box, min_size=1, max_size=6),
+    )
+    def test_equals_dense_slab_test(self, segs, boxes):
+        p0 = np.array([s[0] for s in segs])
+        p1 = np.array([s[1] for s in segs])
+        b = np.array([[bx.min_corner, bx.max_corner] for bx in boxes], dtype=float)
+        np.testing.assert_array_equal(_segments_blocked(p0, p1, b),
+                                      dense_segments_blocked(p0, p1, b))
+
+    def test_axis_parallel_and_touching(self):
+        boxes = np.array([[[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]])
+        p0 = np.array([
+            [1.0, 1.0, -1.0],   # axis-parallel, through the box
+            [2.0, 1.0, -1.0],   # axis-parallel, sliding along a face
+            [3.0, 1.0, -1.0],   # axis-parallel, beside the box
+            [-1.0, 1.0, 1.0],   # ends on a face
+            [-1.0, 1.0, 1.0],   # touches an edge
+            [1.0, 1.0, 1.0],    # zero length, inside
+        ])
+        p1 = np.array([
+            [1.0, 1.0, 3.0], [2.0, 1.0, 3.0], [3.0, 1.0, 3.0],
+            [0.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 1.0],
+        ])
+        got = _segments_blocked(p0, p1, boxes)
+        np.testing.assert_array_equal(got, dense_segments_blocked(p0, p1, boxes))
+        assert got.tolist() == [True, True, False, False, False, True]
