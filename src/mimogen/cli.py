@@ -190,7 +190,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     reporter = ProgressReporter("TRACE", total, quiet=args.quiet)
     done = 0
     outputs = []
-    counters = {}
+    counters: dict[str, int] = {}
     for bs_id in bs_ids:
         path_lists = []
         for lo in range(0, indices.size, _TRACE_CHUNK):
