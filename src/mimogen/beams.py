@@ -68,6 +68,18 @@ class BeamEvalConfig:
             raise ValueError(f"snr must be > 0, got {self.snr}")
 
 
+def _entries(H: ChannelMatrix | np.ndarray) -> np.ndarray:
+    return H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
+
+
+def _rates(beams: np.ndarray, mat: np.ndarray, snr: float, conjugate: bool) -> np.ndarray:
+    """The one rate kernel: mean over subcarriers of log2(1 + snr * |f^T h_k|^2)
+    for each beam f, the last axis of ``beams`` (one beam or a (P, M) stack)."""
+    fv = np.conj(beams) if conjugate else beams
+    gains = np.abs(fv @ mat) ** 2
+    return np.mean(np.log2(1.0 + snr * gains), axis=-1)
+
+
 def achievable_rate(
     H: ChannelMatrix | np.ndarray,
     f: np.ndarray,
@@ -75,21 +87,16 @@ def achievable_rate(
     conjugate: bool = False,
 ) -> float:
     """Mean over subcarriers of log2(1 + snr * |f^T h_k|^2), in bits/s/Hz."""
-    mat = H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
+    mat = _entries(H)
     f = np.asarray(f)
     if f.shape[0] != mat.shape[0]:
         raise ValueError(f"beam length {f.shape[0]} != channel rows {mat.shape[0]}")
-    fv = np.conj(f) if conjugate else f
-    gains = np.abs(fv @ mat) ** 2
-    return float(np.mean(np.log2(1.0 + snr * gains)))
+    return float(_rates(f, mat, snr, conjugate))
 
 
 def beam_rates(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig) -> np.ndarray:
     """Achievable rate of every codebook beam, as a length-P vector."""
-    mat = H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
-    vecs = np.conj(cfg.codebook.vectors) if cfg.conjugate else cfg.codebook.vectors
-    gains = np.abs(vecs @ mat) ** 2              # (P, |K|)
-    return np.mean(np.log2(1.0 + cfg.snr * gains), axis=1)
+    return _rates(cfg.codebook.vectors, _entries(H), cfg.snr, cfg.conjugate)
 
 
 def best_beam(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig) -> tuple[int, float]:
@@ -103,8 +110,7 @@ def best_beam(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig) -> tuple[int, 
 
 def omni_feature(H: ChannelMatrix | np.ndarray) -> np.ndarray:
     """The received sequence at the first antenna element: row 1 of H."""
-    mat = H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
-    return mat[0, :].copy()
+    return _entries(H)[0, :].copy()
 
 
 @dataclass(frozen=True)

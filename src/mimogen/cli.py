@@ -25,13 +25,15 @@ from . import __version__
 from .beams import BeamEvalConfig, build_ml_dataset, dft_codebook
 from .dataset import (
     DatasetError,
+    ScenarioMismatchError,
     active_user_indices,
     atomic_write,
-    build_dataset,
+    batch_users,
     content_hash,
-    export_dataset,
     load_dataset,
     parse_shard,
+    shard_sources,
+    write_shards,
 )
 from .kvconfig import ConfigError, KVEntry, merge_kv
 from .params import ParamSet, ParamError, params_from_entries, serialize_params
@@ -231,9 +233,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
     scene = _load_scene(args.scene)
     params = _params_from_args(args)
     rays_dir = Path(args.rays_dir)
+
+    def ray_file(bs_id: int) -> Path:
+        return rays_dir / f"rays_bs{bs_id:03d}.drf"
+
     sources = {}
     for bs_id in params.active_bs:
-        path = rays_dir / f"rays_bs{bs_id:03d}.drf"
+        path = ray_file(bs_id)
         if not path.exists():
             print(f"error: missing ray file for active base station {bs_id}: {path}",
                   file=sys.stderr)
@@ -242,19 +248,24 @@ def _cmd_build(args: argparse.Namespace) -> int:
             sources[bs_id] = read_rayfile(fh)
     total = len(params.active_bs) * active_user_indices(scene, params).size
     reporter = ProgressReporter("BUILD", total, quiet=args.quiet)
-    ds = build_dataset(sources, params, scene, progress=reporter.update)
+    try:
+        scenario, shards = shard_sources(sources, params, scene, progress=reporter.update)
+    except ScenarioMismatchError as exc:
+        print(f"error: {ray_file(exc.bs_id)}: {exc}", file=sys.stderr)
+        return 1
     outdir = Path(args.out_dir)
-    manifest = export_dataset(ds, outdir, fmt=args.format)
+    manifest = write_shards(outdir, params, scenario, shards, fmt=args.format)
+    counters = {"batch_users": batch_users(params)}
+    for shard, entry in zip(shards, manifest.entries):
+        counters[f"bs{shard.bs_id:03d}.zero_channel_gaps"] = shard.gaps
+        counters[f"bs{shard.bs_id:03d}.shard_bytes"] = entry.byte_size
     RunManifest(
         subcommand="build",
         config_hash=content_hash(serialize_params(params).encode()),
-        input_hashes={
-            str(rays_dir / f"rays_bs{b:03d}.drf"):
-                _file_hash(rays_dir / f"rays_bs{b:03d}.drf")
-            for b in params.active_bs
-        },
+        input_hashes={str(ray_file(b)): _file_hash(ray_file(b)) for b in params.active_bs},
         outputs=[str(outdir / e.filename) for e in manifest.entries],
         wall_seconds=time.monotonic() - t0,
+        counters=counters,
     ).write(outdir / "build.manifest.json")
     return 0
 

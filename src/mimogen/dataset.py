@@ -19,16 +19,23 @@ block (u32 byte length + UTF-8 key=value text carrying the parameter set,
 buffer. The manifest has one line per shard:
 ``filename bs_id first_user last_user bytes hash`` where the hash is the
 first 16 hex digits of the shard's SHA-256.
+
+``shard_sources`` computes each shard's records in batches of at most
+``_BATCH_BYTES`` of records and ``write_shards`` writes, hashes and drops
+them one batch at a time, so writing a dataset needs memory for a batch,
+not for the dataset. ``build_dataset`` joins the same batches in memory.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +52,9 @@ SHARD_MAGIC = b"DMDS"
 SHARD_VERSION = 1
 CSV_SIZE_CAP_BYTES = 64 * 1024 * 1024  # refuse CSV export above this estimate
 
-_BATCH = 256  # users per vectorized channel-construction batch
+_BATCH_BYTES = 16 * 2**20        # record bytes per channel-construction batch...
+_MAX_BATCH_USERS = 256           # ...and at most this many users in it
+_GAPS_SHOWN = 5                  # users named in a base station's gap warning
 _PREAMBLE = struct.Struct("<4sII")    # magic, version, echo block length
 
 
@@ -60,7 +69,9 @@ class MissingRaySourceError(DatasetError):
 
 
 class ScenarioMismatchError(DatasetError):
-    pass
+    def __init__(self, message: str, bs_id: int | None = None):
+        super().__init__(message)
+        self.bs_id = bs_id      # the base station whose ray file disagrees, if any
 
 
 def record_dtype(params: ParamSet) -> np.dtype:
@@ -121,56 +132,113 @@ def active_user_indices(scene: Scene, params: ParamSet) -> np.ndarray:
     return users_in_row_range(scene, params.active_user_first, params.active_user_last)
 
 
+def batch_users(params: ParamSet) -> int:
+    """Users per channel-construction batch: as many records as fit in
+    ``_BATCH_BYTES``, at least 1 and at most ``_MAX_BATCH_USERS``."""
+    return max(1, min(_MAX_BATCH_USERS, _BATCH_BYTES // record_dtype(params).itemsize))
+
+
+@dataclass(frozen=True)
+class ShardSource:
+    """One shard to write: its base station, the global indices of its users
+    in record order, and its ``record_dtype`` records as a run of batches."""
+    bs_id: int
+    users: np.ndarray
+    batches: Iterable[np.ndarray]
+    gaps: int = 0                      # users without a ray record (zero channel)
+
+
+def _record_batches(
+    by_index: Mapping[int, PathList],
+    params: ParamSet,
+    bs_id: int,
+    indices: np.ndarray,
+    positions: np.ndarray,
+    on_batch: Callable[[int], None],
+) -> Iterator[np.ndarray]:
+    """Compute one base station's records, ``batch_users(params)`` at a time."""
+    dtype = record_dtype(params)
+    step = batch_users(params)
+    for lo in range(0, indices.size, step):
+        users = indices[lo: lo + step]
+        chunk = []
+        for g, pos in zip(users, positions[lo: lo + step]):
+            pl = by_index.get(int(g))
+            chunk.append(pl if pl is not None else PathList(
+                bs_id=bs_id, user_index=int(g), user_position=tuple(pos), paths=()))
+        block = np.empty(len(chunk), dtype=dtype)   # every field is assigned below
+        block["global_index"] = users
+        block["location"] = [pl.user_position for pl in chunk]
+        block["channel"] = channel_matrices_batch(chunk, params).transpose(0, 2, 1)
+        on_batch(len(chunk))
+        yield block
+        del block           # free it before the next batch is computed
+
+
+def shard_sources(
+    ray_sources: Mapping[int, RayFile],
+    params: ParamSet,
+    scene: Scene,
+    progress: Callable[[int, int], None] | None = None,
+) -> tuple[str, list[ShardSource]]:
+    """Check the ray files against the scene and plan one shard per active
+    base station; returns the scenario name and the shards, whose batches
+    are computed only as they are iterated.
+
+    A ray file traced for another scenario or carrier frequency is a
+    ``ScenarioMismatchError``. A (bs, user) pair absent from its ray file
+    yields an all-zero channel; each base station with such gaps logs one
+    warning with their count and first few users.
+    """
+    for bs_id in params.active_bs:
+        if bs_id not in ray_sources:
+            raise MissingRaySourceError(bs_id)
+        header = ray_sources[bs_id].header
+        if (header.scenario, header.carrier_freq) != (scene.name, scene.carrier_freq):
+            raise ScenarioMismatchError(
+                f"rays for base station {bs_id} were traced in scenario "
+                f"{header.scenario!r} at {header.carrier_freq:g} Hz, but the scene is "
+                f"{scene.name!r} at {scene.carrier_freq:g} Hz", bs_id=bs_id)
+
+    indices = active_user_indices(scene, params)
+    positions = user_positions(scene, indices)
+    total = len(params.active_bs) * indices.size
+    done = 0
+
+    def on_batch(n: int) -> None:
+        nonlocal done
+        done += n
+        if progress is not None:
+            progress(done, total)
+
+    shards = []
+    for bs_id in params.active_bs:
+        by_index = {pl.user_index: pl for pl in ray_sources[bs_id].records}
+        missing = [g for g in indices.tolist() if g not in by_index]
+        if missing:
+            log.warning("no ray record for bs %d: %d of %d users get a zero channel "
+                        "(user %s%s)", bs_id, len(missing), indices.size,
+                        ", ".join(map(str, missing[:_GAPS_SHOWN])),
+                        ", ..." if len(missing) > _GAPS_SHOWN else "")
+        shards.append(ShardSource(
+            bs_id, indices,
+            _record_batches(by_index, params, bs_id, indices, positions, on_batch),
+            gaps=len(missing)))
+    return scene.name, shards
+
+
 def build_dataset(
     ray_sources: Mapping[int, RayFile],
     params: ParamSet,
     scene: Scene,
     progress: Callable[[int, int], None] | None = None,
 ) -> Dataset:
-    """Assemble the dataset from one ray file per active base station.
-
-    A (bs, user) pair absent from its ray file yields an all-zero channel
-    with a logged gap. Missing ray files and scenario mismatches are errors.
-    """
-    for bs_id in params.active_bs:
-        if bs_id not in ray_sources:
-            raise MissingRaySourceError(bs_id)
-    scenarios = {ray_sources[b].header.scenario for b in params.active_bs}
-    if len(scenarios) > 1:
-        raise ScenarioMismatchError(
-            f"ray files disagree on scenario name: {sorted(scenarios)}"
-        )
-    scenario = next(iter(scenarios))
-
-    indices = active_user_indices(scene, params)
-    positions = user_positions(scene, indices)
-    shards: list[np.ndarray] = []
-    total = len(params.active_bs) * indices.size
-    done = 0
-    for bs_id in params.active_bs:
-        rf = ray_sources[bs_id]
-        by_index = {pl.user_index: pl for pl in rf.records}
-        shard = np.zeros(indices.size, dtype=record_dtype(params))
-        shard["global_index"] = indices
-        for lo in range(0, indices.size, _BATCH):
-            chunk_idx = indices[lo: lo + _BATCH]
-            chunk_pls: list[PathList] = []
-            for i, gidx in enumerate(chunk_idx):
-                pl = by_index.get(int(gidx))
-                if pl is None:
-                    log.warning("no ray record for bs %d user %d; zero channel", bs_id, gidx)
-                    pl = PathList(bs_id=bs_id, user_index=int(gidx),
-                                  user_position=tuple(positions[lo + i]), paths=())
-                chunk_pls.append(pl)
-            block = shard[lo: lo + len(chunk_pls)]
-            block["location"] = [pl.user_position for pl in chunk_pls]
-            block["channel"] = channel_matrices_batch(chunk_pls, params).transpose(0, 2, 1)
-            done += len(chunk_pls)
-            if progress is not None:
-                progress(done, total)
-        shards.append(shard)
-    return Dataset(params=params, scenario_name=scenario,
-                   bs_ids=tuple(params.active_bs), shards=tuple(shards))
+    """Assemble the dataset in memory from one ray file per active base
+    station: the batches of ``shard_sources``, joined per base station."""
+    scenario, sources = shard_sources(ray_sources, params, scene, progress)
+    empty = np.empty(0, dtype=record_dtype(params))
+    return Dataset(params=params, scenario_name=scenario, bs_ids=tuple(params.active_bs),
+                   shards=tuple(np.concatenate([empty, *s.batches]) for s in sources))
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +286,35 @@ class Manifest:
         return cls(tuple(entries))
 
 
+def _hex16(sha: hashlib._Hash) -> str:
+    return sha.hexdigest()[:16]
+
+
 def content_hash(data: bytes) -> str:
     """64-bit content hash: first 16 hex digits of SHA-256."""
-    return hashlib.sha256(data).hexdigest()[:16]
+    return _hex16(hashlib.sha256(data))
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over
-    ``path``, so an interrupted write never leaves a partial file."""
+def atomic_write(path: Path, data: bytes | Iterable[bytes | memoryview]) -> tuple[int, str]:
+    """Write ``data`` (bytes, or buffers written one after another) to a temp
+    file beside ``path``, then rename it over ``path``, so an interrupted
+    write never leaves a partial file. Returns the byte count and the
+    ``content_hash`` of what was written, hashed as it is written. On an
+    error the temp file is removed and ``path`` is left as it was."""
     tmp = path.with_name(path.name + ".tmp~")
-    tmp.write_bytes(data)
-    tmp.replace(path)
+    sha = hashlib.sha256()
+    try:
+        with tmp.open("wb") as fh:
+            for chunk in [data] if isinstance(data, bytes) else data:
+                fh.write(chunk)
+                sha.update(chunk)
+                del chunk       # free this buffer before the next one is made
+            size = fh.tell()
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return size, _hex16(sha)
 
 
 def _shard_echo(params: ParamSet, scenario: str, bs_id: int, n_users: int) -> bytes:
@@ -238,6 +324,18 @@ def _shard_echo(params: ParamSet, scenario: str, bs_id: int, n_users: int) -> by
     ).encode("utf-8")
 
 
+def _shard_head(params: ParamSet, scenario: str, bs_id: int, n_users: int) -> bytes:
+    """Preamble and echo block: everything before the first record."""
+    echo = _shard_echo(params, scenario, bs_id, n_users)
+    return _PREAMBLE.pack(SHARD_MAGIC, SHARD_VERSION, len(echo)) + echo
+
+
+def _shard_records(params: ParamSet, records: np.ndarray) -> memoryview:
+    if records.dtype != record_dtype(params):
+        raise ValueError(f"record dtype {records.dtype} does not match the parameter set")
+    return memoryview(records)
+
+
 def shard_bytes(
     params: ParamSet,
     scenario: str,
@@ -245,11 +343,8 @@ def shard_bytes(
     records: np.ndarray,
 ) -> bytes:
     """Encode one BS's ``record_dtype(params)`` array as a shard."""
-    if records.dtype != record_dtype(params):
-        raise ValueError(f"record dtype {records.dtype} does not match the parameter set")
-    echo = _shard_echo(params, scenario, bs_id, len(records))
-    return b"".join([_PREAMBLE.pack(SHARD_MAGIC, SHARD_VERSION, len(echo)), echo,
-                     memoryview(records)])
+    return b"".join([_shard_head(params, scenario, bs_id, len(records)),
+                     _shard_records(params, records)])
 
 
 def shard_size_bytes(params: ParamSet, n_users: int, scenario: str, bs_id: int) -> int:
@@ -300,29 +395,37 @@ def parse_shard(data: bytes) -> tuple[ParamSet, str, int, np.ndarray]:
     return params, scenario, bs_id, np.frombuffer(data, dtype, user_count, body)
 
 
-def _channels_csv(ds: Dataset, bs_id: int, records: np.ndarray) -> bytes:
-    lines = ["user_index,px,py,pz,k,m,re,im"]
-    ks = subcarrier_set(ds.params)
+def _channels_csv(params: ParamSet, records: np.ndarray) -> bytes:
+    lines = []
+    ks = subcarrier_set(params)
     for rec in records:
         head = ",".join([str(int(rec["global_index"]))]
                         + [repr(float(x)) for x in rec["location"]])
         for k, row in zip(ks, rec["channel"]):
             for mi, c in enumerate(row):
-                lines.append(f"{head},{int(k)},{mi},{float(c.real)!r},{float(c.imag)!r}")
-    return ("\n".join(lines) + "\n").encode()
+                lines.append(f"{head},{int(k)},{mi},{float(c.real)!r},{float(c.imag)!r}\n")
+    return "".join(lines).encode()
 
 
-# Export format -> (per-BS file name pattern, encoder of one BS's users).
+# Export format -> (per-BS file name pattern, file head, encoder of a batch of records).
 _EXPORT_FORMATS = {
-    "binary": ("shard_bs{:03d}.dmds",
-               lambda ds, bs_id, records: shard_bytes(ds.params, ds.scenario_name, bs_id,
-                                                      records)),
-    "csv": ("bs{:03d}_channels.csv", _channels_csv),
+    "binary": ("shard_bs{:03d}.dmds", _shard_head, _shard_records),
+    "csv": ("bs{:03d}_channels.csv",
+            lambda params, scenario, bs_id, n_users: b"user_index,px,py,pz,k,m,re,im\n",
+            _channels_csv),
 }
 
 
-def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manifest:
-    """Write per-BS shards plus a manifest; returns the manifest.
+def write_shards(
+    sink: Path | str,
+    params: ParamSet,
+    scenario: str,
+    sources: Sequence[ShardSource],
+    fmt: str = "binary",
+) -> Manifest:
+    """Write one file per shard, batch by batch, then the manifest; returns
+    the manifest. Each batch is encoded, written and hashed, then dropped,
+    so memory is bounded by a batch and not by the shard.
 
     ``fmt="csv"`` writes a readable tree instead and is refused above a
     documented size cap (CSV_SIZE_CAP_BYTES).
@@ -332,32 +435,36 @@ def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manife
     if fmt not in _EXPORT_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
     if fmt == "csv":
-        est = sum(
-            shard_size_bytes(ds.params, len(records), ds.scenario_name, bs_id) * 3
-            for bs_id, records in zip(ds.bs_ids, ds.shards)
-        )
+        est = sum(shard_size_bytes(params, s.users.size, scenario, s.bs_id) * 3
+                  for s in sources)
         if est > CSV_SIZE_CAP_BYTES:
             raise DatasetError(
                 f"csv export refused: estimated {est} bytes exceeds cap "
                 f"{CSV_SIZE_CAP_BYTES}"
             )
-    name_format, encode = _EXPORT_FORMATS[fmt]
+    name_format, head, encode = _EXPORT_FORMATS[fmt]
     entries = []
-    for bs_id, records in zip(ds.bs_ids, ds.shards):
-        name = name_format.format(bs_id)
-        data = encode(ds, bs_id, records)
-        atomic_write(sink / name, data)
-        first, last = _user_range(records)
-        entries.append(ManifestEntry(name, bs_id, first, last, len(data),
-                                     content_hash(data)))
+    for s in sources:
+        name = name_format.format(s.bs_id)
+        size, digest = atomic_write(sink / name, itertools.chain(
+            [head(params, scenario, s.bs_id, s.users.size)],
+            map(functools.partial(encode, params), s.batches)))
+        entries.append(ManifestEntry(name, s.bs_id, *_user_range(s.users), size, digest))
     manifest = Manifest(tuple(entries))
     atomic_write(sink / "manifest.txt", manifest.to_text().encode())
     return manifest
 
 
-def _user_range(records: np.ndarray) -> tuple[int, int]:
-    """(first, last) global user index of a shard; (0, 0) when empty."""
-    users = records["global_index"]
+def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manifest:
+    """Write an in-memory dataset as per-BS shards plus a manifest (see
+    ``write_shards``); returns the manifest."""
+    return write_shards(sink, ds.params, ds.scenario_name, [
+        ShardSource(bs_id, records["global_index"], [records])
+        for bs_id, records in zip(ds.bs_ids, ds.shards)], fmt)
+
+
+def _user_range(users: np.ndarray) -> tuple[int, int]:
+    """(first, last) of a shard's global user indices; (0, 0) when empty."""
     return (int(users[0]), int(users[-1])) if len(users) else (0, 0)
 
 
@@ -384,7 +491,7 @@ def load_dataset(source: Path | str) -> Dataset:
         if bs_id != entry.bs_id:
             raise DatasetError(f"{entry.filename}: bs_id {bs_id}, manifest says "
                                f"{entry.bs_id}")
-        users = _user_range(records)
+        users = _user_range(records["global_index"])
         if users != (entry.first_user, entry.last_user):
             raise DatasetError(f"{entry.filename}: first/last user {users}, manifest says "
                                f"{(entry.first_user, entry.last_user)}")

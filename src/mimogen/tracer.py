@@ -424,8 +424,10 @@ def _node_paths(
         chain_rev.append(q)
 
     chain = [np.broadcast_to(tx, (rows.size, 3))] + chain_rev[::-1]
-    # Occlusion: every leg must clear every (shrunk) building box.
-    keep = np.ones(rows.size, dtype=bool)
+    lengths = np.linalg.norm(node.images[-1][None, :] - chain[-1], axis=1)
+    # A receiver on the source has no path (as in path_power); every leg of
+    # the others must clear every (shrunk) building box.
+    keep = lengths > 0.0
     for s in range(len(chain) - 1):
         live = np.nonzero(keep)[0]
         if live.size == 0:
@@ -438,9 +440,9 @@ def _node_paths(
         keep[live[blocked]] = False
     if not keep.all():
         rows = rows[keep]
+        lengths = lengths[keep]
         loss_db = loss_db[keep]
         chain = [c[keep] for c in chain]
-    lengths = np.linalg.norm(node.images[-1][None, :] - chain[-1], axis=1)
     return rows, lengths, loss_db, np.stack(chain, axis=0)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mimogen.channel import channel_matrices_batch
-from mimogen.dataset import _BATCH, Manifest, content_hash, parse_shard, shard_bytes
+from mimogen.dataset import Manifest, content_hash, parse_shard, shard_bytes
 from mimogen.params import ParamSet
 from mimogen.scene import BaseStation, Building, Scene, UserGrid
 from mimogen.tracer import _EPS_T, PathList, PathRecord
@@ -99,7 +99,7 @@ def compute_channels_parallel(
     path_lists: Sequence[PathList],
     params: ParamSet,
     workers: int = 1,
-    chunk_size: int = _BATCH,
+    chunk_size: int = 256,
     progress: Callable[[int, int], None] | None = None,
 ) -> str:
     """Build every channel matrix in worker processes; returns a combined

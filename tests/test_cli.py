@@ -110,6 +110,24 @@ class TestPipeline:
         assert any("rays_bs003.drf" in k for k in doc["input_hashes"])
         assert doc["wall_seconds"] >= 0
 
+    def test_build_manifest_counts_gaps_and_bytes(self, tmp_path, scene_file, caplog):
+        rays = tmp_path / "rays"
+        assert run(["trace", "--scene", str(scene_file), "--bs", "3,4",
+                    "--active_user_first", "1", "--active_user_last", "1",
+                    "--out-dir", str(rays), "--quiet"]) == 0
+        rc, ds_dir = _build(tmp_path, scene_file, rays)    # rows 1-2: row 2 has no rays
+        assert rc == 0
+        counters = json.loads((ds_dir / "build.manifest.json").read_text())["counters"]
+        assert counters == {
+            "batch_users": 256,
+            "bs003.zero_channel_gaps": 3, "bs004.zero_channel_gaps": 3,
+            "bs003.shard_bytes": (ds_dir / "shard_bs003.dmds").stat().st_size,
+            "bs004.shard_bytes": (ds_dir / "shard_bs004.dmds").stat().st_size,
+        }
+        gaps = [r.getMessage() for r in caplog.records if "no ray record" in r.getMessage()]
+        assert gaps == [f"no ray record for bs {b}: 3 of 6 users get a zero channel "
+                        f"(user 4, 5, 6)" for b in (3, 4)]
+
 
 class TestErrors:
     def test_usage_error_exit_2(self):
@@ -130,6 +148,23 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "7" in err and "rays_bs007.drf" in err
+
+    @pytest.mark.parametrize("mismatch", ["carrier", "scenario"])
+    def test_rays_from_another_scene(self, tmp_path, scene_file, mismatch, capsys):
+        rays = _trace(tmp_path, scene_file)
+        other = tmp_path / "other.json"
+        if mismatch == "carrier":
+            assert run(["scene", "--out", str(other), "--quiet",
+                        "--set", "carrier_freq_hz=28e9"] + TINY_SCENE_SETS) == 0
+        else:
+            doc = json.loads(scene_file.read_text())
+            doc["name"] = "other"
+            other.write_text(json.dumps(doc))
+        rc, ds_dir = _build(tmp_path, other, rays)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {rays / 'rays_bs003.drf'}: rays for base station 3" in err
+        assert not ds_dir.exists()
 
     def test_unknown_bs_in_trace(self, tmp_path, scene_file):
         rc = run([

@@ -1,6 +1,10 @@
 import logging
 import struct
+import tempfile
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mimogen import dataset
 from mimogen.channel import channel_matrix
 from mimogen.dataset import (
     Dataset,
@@ -17,6 +22,7 @@ from mimogen.dataset import (
     MissingRaySourceError,
     ScenarioMismatchError,
     active_user_indices,
+    batch_users,
     build_dataset,
     content_hash,
     export_dataset,
@@ -27,6 +33,8 @@ from mimogen.dataset import (
     record_dtype,
     shard_bytes,
     shard_size_bytes,
+    shard_sources,
+    write_shards,
 )
 from mimogen.kvconfig import parse_kv
 from mimogen.params import ParamSet, serialize_params, subcarrier_set
@@ -69,7 +77,7 @@ def _ray_sources(rng, scene, params, skip=()):
                                     user_position=tuple(pos), paths=pl.paths))
         sources[bs_id] = RayFile(
             header=RayFileHeader(bs_id=bs_id, carrier_freq=scene.carrier_freq,
-                                 user_count=len(records), scenario="O1_60"),
+                                 user_count=len(records), scenario=scene.name),
             records=tuple(records),
         )
     return sources
@@ -147,6 +155,27 @@ class TestBuild:
         # other users unaffected
         assert np.any(get_channel(ds, 1, 3).entries != 0)
 
+    def test_one_gap_warning_per_bs(self, rng, tiny_scene, caplog):
+        p = _params()
+        skip = {(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2)}
+        sources = _ray_sources(rng, tiny_scene, p, skip=skip)
+        with caplog.at_level(logging.WARNING, logger="mimogen.dataset"):
+            scenario, shards = shard_sources(sources, p, tiny_scene)
+        assert [s.gaps for s in shards] == [6, 1]
+        assert [r.getMessage() for r in caplog.records] == [
+            "no ray record for bs 3: 6 of 6 users get a zero channel "
+            "(user 1, 2, 3, 4, 5, ...)",
+            "no ray record for bs 5: 1 of 6 users get a zero channel (user 2)",
+        ]
+
+    def test_carrier_mismatch(self, rng, tiny_scene):
+        p = _params()
+        sources = _ray_sources(rng, tiny_scene, p)
+        sources[3] = RayFile(header=replace(sources[3].header, carrier_freq=28e9),
+                             records=sources[3].records)
+        with pytest.raises(ScenarioMismatchError, match="base station 3.*2.8e"):
+            build_dataset(sources, p, tiny_scene)
+
     def test_progress_reaches_total(self, rng, tiny_scene):
         p = _params()
         calls = []
@@ -167,7 +196,7 @@ class TestShard:
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
         data = shard_bytes(p, ds.scenario_name, 3, ds.shards[0])
         p2, scen, bs_id, records = parse_shard(data)
-        assert (p2, scen, bs_id) == (p, "O1_60", 3)
+        assert (p2, scen, bs_id) == (p, tiny_scene.name, 3)
         for a, b in zip(ds.shards[0], records):
             assert a["global_index"] == b["global_index"]
             assert np.array_equal(a["location"], b["location"])
@@ -231,6 +260,89 @@ class TestShardProperty:
         assert back.dtype == records.dtype
         assert back.tobytes() == records.tobytes()
         assert [int(g) for g in back["global_index"]] == indices
+
+
+def _small_scene(users_per_row: int):
+    return build_o1_scene(parse_kv(
+        f"grid1.n_rows=2\ngrid1.users_per_row={users_per_row}\n"
+        "grid2.n_rows=1\ngrid2.users_per_row=1\n"
+        "grid3.n_rows=1\ngrid3.users_per_row=1\n"
+    ))
+
+
+@st.composite
+def _stream_cases(draw):
+    users_per_row = draw(st.integers(1, 5))
+    first = draw(st.integers(1, 4))
+    params = _params(
+        active_bs=tuple(draw(st.lists(st.sampled_from([3, 4, 5, 6]), min_size=1,
+                                      max_size=3, unique=True))),
+        active_user_first=first, active_user_last=draw(st.integers(first, 4)),
+        num_ant_x=draw(st.integers(1, 2)), num_ant_y=draw(st.integers(1, 3)),
+        num_ant_z=1, num_ofdm=8, ofdm_limit=draw(st.integers(1, 4)),
+        num_paths=draw(st.integers(1, 6)))
+    skip = draw(st.sets(st.tuples(st.sampled_from(params.active_bs),
+                                  st.integers(1, 2 * users_per_row + 2)), max_size=4))
+    # Batch budget in bytes: from less than one record to a few records.
+    budget = draw(st.integers(0, 4 * record_dtype(params).itemsize))
+    return users_per_row, params, skip, budget, draw(st.integers(0, 2**32 - 1))
+
+
+class TestStreamingWrite:
+    @settings(deadline=None, max_examples=60)
+    @given(_stream_cases())
+    def test_streamed_files_equal_in_memory_export(self, case):
+        users_per_row, p, skip, budget, seed = case
+        scene = _small_scene(users_per_row)
+        sources = _ray_sources(np.random.default_rng(seed), scene, p, skip=skip)
+        with tempfile.TemporaryDirectory() as tmp:
+            ref, out = Path(tmp) / "ref", Path(tmp) / "streamed"
+            want = export_dataset(build_dataset(sources, p, scene), ref)
+            with mock.patch.object(dataset, "_BATCH_BYTES", budget):
+                assert batch_users(p) == max(1, min(256, budget // record_dtype(p).itemsize))
+                scenario, shards = shard_sources(sources, p, scene)
+                got = write_shards(out, p, scenario, shards)
+            assert got == want
+            for name in [e.filename for e in want.entries] + ["manifest.txt"]:
+                assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_memory_bounded_by_batch(self, rng, tmp_path, monkeypatch):
+        scene = _small_scene(160)
+        p = _params(active_bs=(3,), active_user_last=2, num_ant_y=8, num_ant_z=2,
+                    num_ofdm=64, ofdm_limit=64)
+        batch = 16 * record_dtype(p).itemsize
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", batch)
+        scenario, shards = shard_sources(_ray_sources(rng, scene, p), p, scene)
+        tracemalloc.start()
+        try:
+            manifest = write_shards(tmp_path, p, scenario, shards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert manifest.entries[0].byte_size > 20 * batch     # 320 users, 20 batches
+        # One batch of records, the channel array it is copied from, and the
+        # channel kernel's temporaries; the whole shard would be 20 batches.
+        assert peak < 4 * batch
+
+    def test_failure_mid_stream_leaves_no_shard(self, rng, tiny_scene, tmp_path,
+                                                monkeypatch):
+        p = _params(active_bs=(3,))
+        scenario, shards = shard_sources(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 1)     # one user per batch
+        calls = []
+        real = dataset.channel_matrices_batch
+
+        def fail_third_batch(path_lists, params):
+            calls.append(len(path_lists))
+            if len(calls) == 3:
+                raise RuntimeError("disk on fire")
+            return real(path_lists, params)
+
+        monkeypatch.setattr(dataset, "channel_matrices_batch", fail_third_batch)
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            write_shards(tmp_path, p, scenario, shards)
+        assert calls == [1, 1, 1]
+        assert sorted(f.name for f in tmp_path.iterdir()) == []
 
 
 class TestLoadConsistency:

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mimogen import tracer
+from mimogen.rayio import RayFileHeader, read_rayfile, validate_rayfile, write_rayfile
 
 from mimogen.scene import (
     SPEED_OF_LIGHT,
@@ -117,6 +119,24 @@ class TestFreeSpace:
         )
         pl = trace_paths(sc, 1, (10.0, 0.0, 10.0), max_reflections=0)
         assert pl.paths == ()
+
+    def test_receiver_on_transmitter_has_no_los(self):
+        # A zero-length line of sight has no power (path_power rejects it);
+        # the receiver keeps its reflected paths, and its ray file round-trips.
+        sc = build_o1_scene()
+        bs = sc.bs_by_id(3)
+        pl = trace_paths_batch(sc, 3, [bs.position], user_indices=[7])[0]
+        assert pl.paths and all(p.n_reflections > 0 for p in pl.paths)
+        for p in pl.paths:
+            assert all(math.isfinite(x) for x in dataclasses.astuple(p))
+            assert p.delay > 0
+        header = RayFileHeader(bs_id=3, carrier_freq=sc.carrier_freq, user_count=1,
+                               scenario=sc.name)
+        buf = io.BytesIO()
+        write_rayfile([pl], header, buf)
+        rf = read_rayfile(io.BytesIO(buf.getvalue()))
+        assert rf.records == (pl,)
+        assert validate_rayfile(rf) == []
 
     def test_unknown_bs(self):
         sc = free_space_scene()
