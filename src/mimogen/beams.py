@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .channel import ChannelMatrix
 from .dataset import (
-    Dataset, Manifest, ManifestEntry, atomic_write, content_hash, get_channel,
+    Dataset, DatasetError, Manifest, ManifestEntry, atomic_files, atomic_write, verify_files,
 )
 
 
@@ -120,24 +120,88 @@ class MlRecord:
     labels: tuple[np.ndarray, ...]     # per active BS: P rates
 
 
+def ml_records(batches: Sequence[np.ndarray], cfg: BeamEvalConfig) -> list[MlRecord]:
+    """The per-step kernel: one record per user of ``batches``, which hold,
+    per active base station in active order, the ``record_dtype`` records of
+    the same users. Features and labels are copies, so the records outlive
+    the batches."""
+    channels = [b["channel"] for b in batches]
+    return [
+        MlRecord(
+            user_index=int(g),
+            features=tuple(omni_feature(ch[i].T) for ch in channels),
+            labels=tuple(beam_rates(ch[i].T, cfg) for ch in channels),
+        )
+        for i, g in enumerate(batches[0]["global_index"])
+    ]
+
+
 def build_ml_records(ds: Dataset, cfg: BeamEvalConfig) -> list[MlRecord]:
     """One record per active user: omni features and per-beam rate labels
     for every active base station, in active order."""
-    records = []
-    for u_ord in range(1, ds.n_users + 1):
-        feats = []
-        labels = []
-        for b_ord in range(1, len(ds.bs_ids) + 1):
-            H = get_channel(ds, b_ord, u_ord)
-            feats.append(omni_feature(H))
-            labels.append(beam_rates(H, cfg))
-        records.append(
-            MlRecord(
-                user_index=ds.user_for_ordinal(u_ord),
-                features=tuple(feats), labels=tuple(labels),
-            )
-        )
-    return records
+    return ml_records(ds.shards, cfg)
+
+
+_CSV_HEADS = (b"user_index,bs_ordinal,k,re,im\n",
+              b"user_index,bs_ordinal,beam_index,rate_bps_hz\n")
+ML_FILES = ("features.csv", "labels.csv")
+ML_MANIFEST = "ml_manifest.txt"
+
+
+def _ml_csv(records: Sequence[MlRecord]) -> tuple[bytes, bytes]:
+    """The one CSV formatter: the features.csv and labels.csv rows of the
+    records."""
+    feat_lines = []
+    label_lines = []
+    for rec in records:
+        for n, feat in enumerate(rec.features, start=1):
+            for j, c in enumerate(feat, start=1):
+                feat_lines.append(f"{rec.user_index},{n},{j},{c.real!r},{c.imag!r}\n")
+        for n, rates in enumerate(rec.labels, start=1):
+            for p, r in enumerate(rates, start=1):
+                label_lines.append(f"{rec.user_index},{n},{p},{r!r}\n")
+    return "".join(feat_lines).encode(), "".join(label_lines).encode()
+
+
+def write_ml_dataset(steps: Iterable[Sequence[MlRecord]], outdir: Path | str) -> Manifest:
+    """Write features.csv and labels.csv in one pass over the steps'
+    records, then ml_manifest.txt with their sizes and content hashes.
+
+    Both files go to temp files that are renamed into place only after the
+    last step, so an error raised while the steps are drawn (such as a
+    shard failing its hash check at its end) leaves neither file and no
+    manifest. Memory is bounded by one step's records and rows.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    first = last = None             # user indices, when any record is written
+    with atomic_files([outdir / name for name in ML_FILES]) as sinks:
+        for sink, head in zip(sinks, _CSV_HEADS):
+            sink.write(head)
+        for records in steps:
+            for sink, rows in zip(sinks, _ml_csv(records)):
+                sink.write(rows)
+            if records:
+                first = records[0].user_index if first is None else first
+                last = records[-1].user_index
+    if first is None:
+        first = last = 0
+    manifest = Manifest(tuple(ManifestEntry(name, 0, first, last, sink.size, sink.digest)
+                              for name, sink in zip(ML_FILES, sinks)))
+    atomic_write(outdir / ML_MANIFEST, manifest.to_text().encode())
+    return manifest
+
+
+def verify_ml_dataset(outdir: Path | str) -> None:
+    """Check an ML directory against its ml_manifest.txt: it lists
+    features.csv and labels.csv, and each has the listed byte size and
+    content hash (read a chunk at a time)."""
+    outdir = Path(outdir)
+    manifest = Manifest.from_text((outdir / ML_MANIFEST).read_text())
+    names = tuple(e.filename for e in manifest.entries)
+    if names != ML_FILES:
+        raise DatasetError(f"{ML_MANIFEST} lists {names}, expected {ML_FILES}")
+    verify_files(outdir, manifest)
 
 
 def export_ml_dataset(
@@ -145,29 +209,7 @@ def export_ml_dataset(
     outdir: Path | str,
 ) -> Manifest:
     """Write features.csv / labels.csv plus a manifest with content hashes."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    feat_lines = ["user_index,bs_ordinal,k,re,im"]
-    label_lines = ["user_index,bs_ordinal,beam_index,rate_bps_hz"]
-    for rec in records:
-        for n, feat in enumerate(rec.features, start=1):
-            for j, c in enumerate(feat, start=1):
-                feat_lines.append(f"{rec.user_index},{n},{j},{c.real!r},{c.imag!r}")
-        for n, rates in enumerate(rec.labels, start=1):
-            for p, r in enumerate(rates, start=1):
-                label_lines.append(f"{rec.user_index},{n},{p},{r!r}")
-
-    entries = []
-    for name, lines in (("features.csv", feat_lines), ("labels.csv", label_lines)):
-        data = ("\n".join(lines) + "\n").encode()
-        atomic_write(outdir / name, data)
-        first = records[0].user_index if records else 0
-        last = records[-1].user_index if records else 0
-        entries.append(ManifestEntry(name, 0, first, last, len(data), content_hash(data)))
-    manifest = Manifest(tuple(entries))
-    atomic_write(outdir / "ml_manifest.txt", manifest.to_text().encode())
-    return manifest
+    return write_ml_dataset([records], outdir)
 
 
 def build_ml_dataset(

@@ -22,16 +22,24 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 from . import __version__
-from .beams import BeamEvalConfig, build_ml_dataset, dft_codebook
+from .beams import (
+    ML_MANIFEST,
+    BeamEvalConfig,
+    dft_codebook,
+    ml_records,
+    verify_ml_dataset,
+    write_ml_dataset,
+)
 from .dataset import (
     DatasetError,
+    DatasetReader,
     ScenarioMismatchError,
+    ShardReader,
     active_user_indices,
     atomic_write,
     batch_users,
     content_hash,
-    load_dataset,
-    parse_shard,
+    file_digest,
     shard_sources,
     write_shards,
 )
@@ -114,7 +122,7 @@ class RunManifest:
 
 
 def _file_hash(path: Path) -> str:
-    return content_hash(path.read_bytes())
+    return file_digest(path)[1]
 
 
 def _default_outdir() -> str:
@@ -272,17 +280,26 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_beams(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    ds = load_dataset(args.dataset_dir)
-    codebook = dft_codebook(ds.params.dims, oversampling=args.oversampling)
-    cfg = BeamEvalConfig(codebook=codebook, snr=args.snr, conjugate=args.conjugate)
     outdir = Path(args.out_dir)
-    build_ml_dataset(ds, cfg, outdir)
+    with DatasetReader(args.dataset_dir) as ds:
+        codebook = dft_codebook(ds.params.dims, oversampling=args.oversampling)
+        cfg = BeamEvalConfig(codebook=codebook, snr=args.snr, conjugate=args.conjugate)
+        users = batch_users(ds.params, len(ds.bs_ids))
+        manifest = write_ml_dataset((ml_records(step, cfg) for step in ds.steps(users)),
+                                    outdir)
     RunManifest(
         subcommand="beams",
         config_hash=content_hash(f"{args.snr} {args.oversampling} {args.conjugate}".encode()),
         input_hashes={args.dataset_dir: _file_hash(Path(args.dataset_dir) / "manifest.txt")},
-        outputs=[str(outdir / "features.csv"), str(outdir / "labels.csv")],
+        outputs=[str(outdir / e.filename) for e in manifest.entries],
         wall_seconds=time.monotonic() - t0,
+        counters={
+            "pairs": ds.n_users * len(ds.bs_ids),
+            "users_per_step": users,
+            "shards_hash_verified": ds.verified,
+            "features_bytes": manifest.entries[0].byte_size,
+            "labels_bytes": manifest.entries[1].byte_size,
+        },
     ).write(outdir / "beams.manifest.json")
     return 0
 
@@ -291,8 +308,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.path)
     problems: list[str] = []
     try:
-        if path.is_dir():
-            load_dataset(path)
+        if (path / ML_MANIFEST).is_file():
+            verify_ml_dataset(path)
+        elif path.is_dir():
+            with DatasetReader(path) as ds:
+                for _ in ds.steps():
+                    pass
         else:
             with path.open("rb") as fh:
                 head = fh.read(4)
@@ -301,7 +322,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                     rf = read_rayfile(fh)
                 problems.extend(str(v) for v in validate_rayfile(rf))
             elif head == b"DMDS":
-                parse_shard(path.read_bytes())
+                with path.open("rb") as fh:
+                    shard = ShardReader(fh, path.name)
+                    for _ in shard.batches(batch_users(shard.params)):
+                        pass
             else:
                 scene_from_json(path.read_text())
     except (RayFileError, DatasetError, SceneConfigError, ConfigError, ParamError,

@@ -24,18 +24,27 @@ first 16 hex digits of the shard's SHA-256.
 ``_BATCH_BYTES`` of records and ``write_shards`` writes, hashes and drops
 them one batch at a time, so writing a dataset needs memory for a batch,
 not for the dataset. ``build_dataset`` joins the same batches in memory.
+
+Reading is the mirror image: ``ShardReader`` reads one shard's records into
+a reused buffer, a batch at a time, checking the head as it opens and the
+SHA-256 as the last record is read, and ``DatasetReader`` steps through
+every shard of a directory together, the same users per step, within
+``_BATCH_BYTES`` of records in all. ``load_dataset`` and ``parse_shard``
+are single-step readers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import io
 import itertools
 import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -55,6 +64,8 @@ CSV_SIZE_CAP_BYTES = 64 * 1024 * 1024  # refuse CSV export above this estimate
 _BATCH_BYTES = 16 * 2**20        # record bytes per channel-construction batch...
 _MAX_BATCH_USERS = 256           # ...and at most this many users in it
 _GAPS_SHOWN = 5                  # users named in a base station's gap warning
+_POSITION_TOL = 1e-6             # m a ray record's user may sit from the scene's
+_READ_BYTES = 2**16              # chunk size when hashing a whole file
 _PREAMBLE = struct.Struct("<4sII")    # magic, version, echo block length
 
 
@@ -132,10 +143,12 @@ def active_user_indices(scene: Scene, params: ParamSet) -> np.ndarray:
     return users_in_row_range(scene, params.active_user_first, params.active_user_last)
 
 
-def batch_users(params: ParamSet) -> int:
-    """Users per channel-construction batch: as many records as fit in
-    ``_BATCH_BYTES``, at least 1 and at most ``_MAX_BATCH_USERS``."""
-    return max(1, min(_MAX_BATCH_USERS, _BATCH_BYTES // record_dtype(params).itemsize))
+def batch_users(params: ParamSet, shards: int = 1) -> int:
+    """Users per batch: as many as keep one batch of records for each of
+    ``shards`` shards within ``_BATCH_BYTES``, at least 1 and at most
+    ``_MAX_BATCH_USERS``."""
+    return max(1, min(_MAX_BATCH_USERS,
+                      _BATCH_BYTES // (shards * record_dtype(params).itemsize)))
 
 
 @dataclass(frozen=True)
@@ -185,10 +198,11 @@ def shard_sources(
     base station; returns the scenario name and the shards, whose batches
     are computed only as they are iterated.
 
-    A ray file traced for another scenario or carrier frequency is a
-    ``ScenarioMismatchError``. A (bs, user) pair absent from its ray file
-    yields an all-zero channel; each base station with such gaps logs one
-    warning with their count and first few users.
+    A ray file traced for another scenario or carrier frequency, or one
+    that puts a user more than ``_POSITION_TOL`` from where the scene puts
+    it, is a ``ScenarioMismatchError``. A (bs, user) pair absent from its
+    ray file yields an all-zero channel; each base station with such gaps
+    logs one warning with their count and first few users.
     """
     for bs_id in params.active_bs:
         if bs_id not in ray_sources:
@@ -214,6 +228,7 @@ def shard_sources(
     shards = []
     for bs_id in params.active_bs:
         by_index = {pl.user_index: pl for pl in ray_sources[bs_id].records}
+        _check_positions(by_index, bs_id, indices, positions)
         missing = [g for g in indices.tolist() if g not in by_index]
         if missing:
             log.warning("no ray record for bs %d: %d of %d users get a zero channel "
@@ -225,6 +240,32 @@ def shard_sources(
             _record_batches(by_index, params, bs_id, indices, positions, on_batch),
             gaps=len(missing)))
     return scene.name, shards
+
+
+def _check_positions(
+    by_index: Mapping[int, PathList],
+    bs_id: int,
+    indices: np.ndarray,
+    positions: np.ndarray,
+) -> None:
+    """Raise ``ScenarioMismatchError`` on the first ray record whose user
+    position is not within ``_POSITION_TOL`` of the scene's."""
+    traced = [i for i, g in enumerate(indices.tolist()) if g in by_index]
+    if not traced:
+        return
+    got = np.array([by_index[int(indices[i])].user_position for i in traced])
+    off = np.abs(got - positions[traced]).max(axis=1)
+    bad = np.flatnonzero(~(off <= _POSITION_TOL))     # NaN is a mismatch too
+    if bad.size:
+        j = int(bad[0])
+        raise ScenarioMismatchError(
+            f"rays for base station {bs_id} put user {int(indices[traced[j]])} at "
+            f"{_xyz(got[j])}, but the scene puts it at {_xyz(positions[traced[j]])}",
+            bs_id=bs_id)
+
+
+def _xyz(p: np.ndarray) -> str:
+    return "(" + ", ".join(f"{float(x):.6g}" for x in p) + ") m"
 
 
 def build_dataset(
@@ -295,26 +336,72 @@ def content_hash(data: bytes) -> str:
     return _hex16(hashlib.sha256(data))
 
 
-def atomic_write(path: Path, data: bytes | Iterable[bytes | memoryview]) -> tuple[int, str]:
-    """Write ``data`` (bytes, or buffers written one after another) to a temp
-    file beside ``path``, then rename it over ``path``, so an interrupted
-    write never leaves a partial file. Returns the byte count and the
-    ``content_hash`` of what was written, hashed as it is written. On an
-    error the temp file is removed and ``path`` is left as it was."""
-    tmp = path.with_name(path.name + ".tmp~")
-    sha = hashlib.sha256()
+class HashingSink:
+    """A file being written: counts and SHA-256-hashes what goes into it."""
+
+    def __init__(self, fh: BinaryIO):
+        self._fh = fh
+        self._sha = hashlib.sha256()
+        self.size = 0
+
+    def write(self, chunk: bytes | memoryview | np.ndarray) -> None:
+        self.size += self._fh.write(chunk)
+        self._sha.update(chunk)
+
+    @property
+    def digest(self) -> str:
+        """The ``content_hash`` of what was written."""
+        return _hex16(self._sha)
+
+
+@contextlib.contextmanager
+def atomic_files(paths: Sequence[Path]) -> Iterator[list[HashingSink]]:
+    """One ``HashingSink`` per path, writing a temp file beside it. When the
+    block ends normally every temp file is renamed over its path, so an
+    interrupted write never leaves a partial file; when it raises, every
+    temp file is removed and the paths are left as they were."""
+    tmps = [path.with_name(path.name + ".tmp~") for path in paths]
     try:
-        with tmp.open("wb") as fh:
-            for chunk in [data] if isinstance(data, bytes) else data:
-                fh.write(chunk)
-                sha.update(chunk)
-                del chunk       # free this buffer before the next one is made
-            size = fh.tell()
-        tmp.replace(path)
+        with contextlib.ExitStack() as files:
+            yield [HashingSink(files.enter_context(tmp.open("wb"))) for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            tmp.replace(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write(path: Path, data: bytes | Iterable[bytes | memoryview]) -> tuple[int, str]:
+    """Write ``data`` (bytes, or buffers written one after another) to
+    ``path`` through ``atomic_files``. Returns the byte count and the
+    ``content_hash`` of what was written, hashed as it is written."""
+    with atomic_files([path]) as (sink,):
+        for chunk in [data] if isinstance(data, bytes) else data:
+            sink.write(chunk)
+            del chunk       # free this buffer before the next one is made
+    return sink.size, sink.digest
+
+
+def file_digest(path: Path) -> tuple[int, str]:
+    """Byte count and ``content_hash`` of a file, read a chunk at a time."""
+    sha = hashlib.sha256()
+    size = 0
+    with path.open("rb") as fh:
+        while chunk := fh.read(_READ_BYTES):
+            sha.update(chunk)
+            size += len(chunk)
     return size, _hex16(sha)
+
+
+def verify_files(directory: Path, manifest: Manifest) -> None:
+    """Check every file a manifest lists against its byte size and hash."""
+    for e in manifest.entries:
+        size, digest = file_digest(directory / e.filename)
+        if size != e.byte_size:
+            raise DatasetError(f"{e.filename}: {size} bytes, manifest says {e.byte_size}")
+        if digest != e.content_hash:
+            raise DatasetError(f"{e.filename}: content hash mismatch")
 
 
 def _shard_echo(params: ParamSet, scenario: str, bs_id: int, n_users: int) -> bytes:
@@ -353,46 +440,169 @@ def shard_size_bytes(params: ParamSet, n_users: int, scenario: str, bs_id: int) 
     return _PREAMBLE.size + len(echo) + n_users * record_dtype(params).itemsize
 
 
+class ShardReader:
+    """One shard read front to back in batches of records.
+
+    Opening reads the preamble and echo block and checks them: magic,
+    version, a parsable echo, and a byte size that is exactly the head plus
+    ``user_count`` records; given the shard's manifest line, also its byte
+    size and ``bs_id``. ``batches`` then reads the records, and with a
+    manifest line checks the first and last user and, once the last record
+    is read, the SHA-256 of the whole file. Error messages start with
+    ``name``.
+    """
+
+    def __init__(self, fh: BinaryIO, name: str = "", entry: ManifestEntry | None = None):
+        self.name = name
+        self._fh = fh
+        self._entry = entry
+        self._sha = hashlib.sha256()
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        if entry is not None and size != entry.byte_size:
+            self._fail(f"{size} bytes, manifest says {entry.byte_size}")
+        if size < _PREAMBLE.size:
+            self._fail(f"truncated shard: {size} bytes")
+        preamble = fh.read(_PREAMBLE.size)
+        magic, version, echo_len = _PREAMBLE.unpack(preamble)
+        if magic != SHARD_MAGIC:
+            self._fail(f"bad shard magic {magic!r}")
+        if version != SHARD_VERSION:
+            self._fail(f"unsupported shard version {version}")
+        if _PREAMBLE.size + echo_len > size:
+            self._fail(f"echo block overruns file: {echo_len} bytes claimed")
+        echo = fh.read(echo_len)
+        self._sha.update(preamble)
+        self._sha.update(echo)
+        self.params, self.scenario, self.bs_id, self.user_count = self._parse_echo(echo)
+        self.dtype = record_dtype(self.params)
+        if _PREAMBLE.size + echo_len + self.user_count * self.dtype.itemsize != size:
+            self._fail(f"shard length {size} does not match {self.user_count} user "
+                       f"records of {self.dtype.itemsize} bytes")
+        if entry is not None and self.bs_id != entry.bs_id:
+            self._fail(f"bs_id {self.bs_id}, manifest says {entry.bs_id}")
+
+    def _fail(self, message: str) -> NoReturn:
+        raise DatasetError(f"{self.name}: {message}" if self.name else message)
+
+    def _parse_echo(self, echo: bytes) -> tuple[ParamSet, str, int, int]:
+        try:
+            text = echo.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            self._fail(f"echo block is not valid UTF-8: {exc}")
+        extra = {}
+        plines = []
+        for line in text.splitlines():
+            key = line.split("=", 1)[0]
+            if key in ("bs_id", "user_count", "scenario"):
+                extra[key] = line.split("=", 1)[1] if "=" in line else ""
+            else:
+                plines.append(line)
+        try:
+            params = parse_params("\n".join(plines))
+            bs_id = int(extra["bs_id"])
+            user_count = int(extra["user_count"])
+            scenario = extra["scenario"]
+            record_dtype(params)
+        except (ConfigError, KeyError, ValueError) as exc:
+            self._fail(f"bad shard echo block: {exc}")
+        if user_count < 0:
+            self._fail(f"negative user_count {user_count}")
+        return params, scenario, bs_id, user_count
+
+    def batches(self, users: int) -> Iterator[np.ndarray]:
+        """The records, ``users`` at a time (the last batch may be shorter).
+        Each batch is a view of one buffer that the next batch overwrites."""
+        buf = np.empty(min(users, self.user_count), self.dtype)
+        raw = buf.view(np.uint8)
+        first = last = 0            # a shard without users lists (0, 0)
+        for lo in range(0, self.user_count, users):
+            batch = buf[: min(users, self.user_count - lo)]
+            chunk = raw[: batch.nbytes]
+            if self._fh.readinto(chunk) != chunk.size:
+                self._fail("shard ended early")      # the file shrank while read
+            self._sha.update(chunk)
+            first = int(batch["global_index"][0]) if lo == 0 else first
+            last = int(batch["global_index"][-1])
+            yield batch
+        entry = self._entry
+        if entry is None:
+            return
+        if (first, last) != (entry.first_user, entry.last_user):
+            self._fail(f"first/last user {(first, last)}, manifest says "
+                       f"{(entry.first_user, entry.last_user)}")
+        if _hex16(self._sha) != entry.content_hash:
+            self._fail("content hash mismatch")
+
+
+class DatasetReader:
+    """A dataset directory opened for one pass over its records.
+
+    Opening reads ``manifest.txt`` and every shard's head, and checks that
+    each shard matches its manifest line and that all shards agree on the
+    parameter set, scenario and user count. ``steps`` then yields, per step,
+    one batch of records per shard, in manifest order, holding the same
+    users; it checks that they are the same users, and raises on the step
+    after the last if any shard fails its first/last user or hash check.
+    Use it as a context manager, which closes the shard files.
+    """
+
+    def __init__(self, source: Path | str):
+        source = Path(source)
+        manifest = Manifest.from_text((source / "manifest.txt").read_text())
+        if not manifest.entries:
+            raise DatasetError("empty manifest")
+        self._files = contextlib.ExitStack()
+        try:
+            self.shards = []
+            for entry in manifest.entries:
+                fh = self._files.enter_context((source / entry.filename).open("rb"))
+                self.shards.append(ShardReader(fh, entry.filename, entry))
+            head = self.shards[0]
+            for shard in self.shards[1:]:
+                if (shard.params, shard.scenario) != (head.params, head.scenario):
+                    raise ScenarioMismatchError(f"{shard.name}: inconsistent shard metadata")
+                if shard.user_count != head.user_count:
+                    raise DatasetError(f"{shard.name}: user list differs from {head.name}")
+        except BaseException:
+            self._files.close()
+            raise
+        self.params = head.params
+        self.scenario_name = head.scenario
+        self.bs_ids = tuple(shard.bs_id for shard in self.shards)
+        self.n_users = head.user_count
+        self.verified = 0          # shards whose hash has been checked
+
+    def __enter__(self) -> "DatasetReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._files.close()
+
+    def steps(self, users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+        """Every shard's records, ``users`` per shard per step (default
+        ``batch_users(params, len(shards))``). A step's batches are views
+        that the next step overwrites. Every shard's hash is checked once
+        the last step has been taken, so consume the steps to the end."""
+        users = users or batch_users(self.params, len(self.shards))
+        head = self.shards[0]
+        # strict: when one shard ends, every other shard is read to its end
+        # too, so each runs its hash check.
+        for step in zip(*(shard.batches(users) for shard in self.shards), strict=True):
+            for shard, batch in zip(self.shards[1:], step[1:]):
+                if not np.array_equal(batch["global_index"], step[0]["global_index"]):
+                    raise DatasetError(f"{shard.name}: user list differs from {head.name}")
+            yield step
+        self.verified = len(self.shards)
+
+
 def parse_shard(data: bytes) -> tuple[ParamSet, str, int, np.ndarray]:
-    """Decode a shard; the records are a ``record_dtype`` view of ``data``."""
-    if len(data) < _PREAMBLE.size:
-        raise DatasetError(f"truncated shard: {len(data)} bytes")
-    magic, version, echo_len = _PREAMBLE.unpack_from(data)
-    if magic != SHARD_MAGIC:
-        raise DatasetError(f"bad shard magic {magic!r}")
-    if version != SHARD_VERSION:
-        raise DatasetError(f"unsupported shard version {version}")
-    body = _PREAMBLE.size + echo_len  # offset of the first user record
-    if body > len(data):
-        raise DatasetError(f"echo block overruns file: {echo_len} bytes claimed")
-    try:
-        echo = data[_PREAMBLE.size: body].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"echo block is not valid UTF-8: {exc}") from None
-    extra = {}
-    plines = []
-    for line in echo.splitlines():
-        key = line.split("=", 1)[0]
-        if key in ("bs_id", "user_count", "scenario"):
-            extra[key] = line.split("=", 1)[1] if "=" in line else ""
-        else:
-            plines.append(line)
-    try:
-        params = parse_params("\n".join(plines))
-        bs_id = int(extra["bs_id"])
-        user_count = int(extra["user_count"])
-        scenario = extra["scenario"]
-        dtype = record_dtype(params)
-    except (ConfigError, KeyError, ValueError) as exc:
-        raise DatasetError(f"bad shard echo block: {exc}") from None
-    if user_count < 0:
-        raise DatasetError(f"negative user_count {user_count}")
-    if body + user_count * dtype.itemsize != len(data):
-        raise DatasetError(
-            f"shard length {len(data)} does not match {user_count} user "
-            f"records of {dtype.itemsize} bytes"
-        )
-    return params, scenario, bs_id, np.frombuffer(data, dtype, user_count, body)
+    """Decode a shard held in memory: its parameter set, scenario, bs_id and
+    ``record_dtype`` records."""
+    reader = ShardReader(io.BytesIO(data))
+    records = np.concatenate([np.empty(0, reader.dtype),
+                              *reader.batches(max(1, reader.user_count))])
+    return reader.params, reader.scenario, reader.bs_id, records
 
 
 def _channels_csv(params: ParamSet, records: np.ndarray) -> bytes:
@@ -469,42 +679,15 @@ def _user_range(users: np.ndarray) -> tuple[int, int]:
 
 
 def load_dataset(source: Path | str) -> Dataset:
-    """Re-import a binary dataset directory written by export_dataset.
-
-    Each shard must match its manifest line (hash, byte size, bs_id, first
-    and last user) and list the same users, in the same order, as the first.
-    """
-    source = Path(source)
-    manifest = Manifest.from_text((source / "manifest.txt").read_text())
-    params = None
-    scenario = None
-    bs_ids = []
-    shards = []
-    for entry in manifest.entries:
-        data = (source / entry.filename).read_bytes()
-        if content_hash(data) != entry.content_hash:
-            raise DatasetError(f"{entry.filename}: content hash mismatch")
-        if len(data) != entry.byte_size:
-            raise DatasetError(f"{entry.filename}: {len(data)} bytes, manifest says "
-                               f"{entry.byte_size}")
-        p, scen, bs_id, records = parse_shard(data)
-        if bs_id != entry.bs_id:
-            raise DatasetError(f"{entry.filename}: bs_id {bs_id}, manifest says "
-                               f"{entry.bs_id}")
-        users = _user_range(records["global_index"])
-        if users != (entry.first_user, entry.last_user):
-            raise DatasetError(f"{entry.filename}: first/last user {users}, manifest says "
-                               f"{(entry.first_user, entry.last_user)}")
-        if params is None:
-            params, scenario = p, scen
-        elif p != params or scen != scenario:
-            raise ScenarioMismatchError(f"{entry.filename}: inconsistent shard metadata")
-        elif not np.array_equal(records["global_index"], shards[0]["global_index"]):
-            raise DatasetError(f"{entry.filename}: user list differs from "
-                               f"{manifest.entries[0].filename}")
-        bs_ids.append(bs_id)
-        shards.append(records)
-    if params is None:
-        raise DatasetError("empty manifest")
-    return Dataset(params=params, scenario_name=scenario, bs_ids=tuple(bs_ids),
-                   shards=tuple(shards))
+    """Re-import a binary dataset directory written by export_dataset: one
+    ``DatasetReader`` step over all users, so every check of the reader
+    applies. The record arrays are read-only."""
+    with DatasetReader(source) as reader:
+        steps = list(reader.steps(max(1, reader.n_users)))
+    # A single step's buffers are not reused, so they are the shards.
+    shards = steps[0] if steps else [np.empty(0, record_dtype(reader.params))
+                                     for _ in reader.bs_ids]
+    for records in shards:
+        records.flags.writeable = False
+    return Dataset(params=reader.params, scenario_name=reader.scenario_name,
+                   bs_ids=reader.bs_ids, shards=tuple(shards))

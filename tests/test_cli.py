@@ -101,6 +101,42 @@ class TestPipeline:
         for d in (scene_file.parent, rays, ds_dir, ml):
             assert not list(d.glob("*.tmp~"))
 
+    def test_beams_manifest_counts_pairs_steps_and_bytes(self, tmp_path, scene_file):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        ml = tmp_path / "ml"
+        assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
+                    "--quiet"]) == 0
+        counters = json.loads((ml / "beams.manifest.json").read_text())["counters"]
+        assert counters == {
+            "pairs": 2 * 6, "users_per_step": 256, "shards_hash_verified": 2,
+            "features_bytes": (ml / "features.csv").stat().st_size,
+            "labels_bytes": (ml / "labels.csv").stat().st_size,
+        }
+
+    def test_validate_ml_dir(self, tmp_path, scene_file, capsys):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        ml = tmp_path / "ml"
+        assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
+                    "--quiet"]) == 0
+        assert run(["validate", str(ml)]) == 0
+        assert f"{ml}: valid" in capsys.readouterr().err
+        labels = ml / "labels.csv"
+        data = bytearray(labels.read_bytes())
+        data[-2] ^= 0x01                  # a digit of the last rate
+        labels.write_bytes(bytes(data))
+        assert run(["validate", str(ml), "--quiet"]) == 1
+        assert "violation: DatasetError: labels.csv: content hash mismatch" \
+            in capsys.readouterr().err
+        features = ml / "features.csv"
+        features.write_bytes(features.read_bytes()[:-1])
+        assert run(["validate", str(ml), "--quiet"]) == 1
+        assert "violation: DatasetError: features.csv: " in capsys.readouterr().err
+        manifest = ml / "ml_manifest.txt"
+        manifest.write_text("".join(manifest.read_text().splitlines(True)[:2]))
+        assert run(["validate", str(ml), "--quiet"]) == 1
+        assert "violation: DatasetError: ml_manifest.txt lists ('features.csv',)" \
+            in capsys.readouterr().err
+
     def test_build_manifest_records_inputs(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file, bs="3")
         rc, ds_dir = _build(tmp_path, scene_file, rays, active_bs="3")
@@ -165,6 +201,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"error: {rays / 'rays_bs003.drf'}: rays for base station 3" in err
         assert not ds_dir.exists()
+
+    def test_rays_from_another_layout(self, tmp_path, scene_file, capsys):
+        # Same user indices, but grid 1's users 0.05 m further apart: user 1
+        # stays where it was, user 2 moves.
+        rays = _trace(tmp_path, scene_file)
+        other = tmp_path / "other.json"
+        assert run(["scene", "--out", str(other), "--quiet", *TINY_SCENE_SETS,
+                    "--set", "grid1.spacing_m=0.25"]) == 0
+        rc, ds_dir = _build(tmp_path, other, rays)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {rays / 'rays_bs003.drf'}: rays for base station 3 put user 2 " \
+            "at (15, 2.2, 2) m, but the scene puts it at (15, 2.25, 2) m" in err
+        assert not ds_dir.exists()
+
+    def test_tampered_last_shard(self, tmp_path, scene_file, capsys):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        shard = ds_dir / "shard_bs004.dmds"      # the last shard in the manifest
+        data = bytearray(shard.read_bytes())
+        data[-1] ^= 0x01                         # in its last record
+        shard.write_bytes(bytes(data))
+        ml = tmp_path / "ml"
+        assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
+                    "--quiet"]) == 1
+        assert "error: shard_bs004.dmds: content hash mismatch" in capsys.readouterr().err
+        assert sorted(ml.glob("*")) == []        # no ML file, manifest or *.tmp~
+        assert run(["validate", str(ds_dir), "--quiet"]) == 1
+        assert "violation: DatasetError: shard_bs004.dmds: content hash mismatch" \
+            in capsys.readouterr().err
 
     def test_unknown_bs_in_trace(self, tmp_path, scene_file):
         rc = run([

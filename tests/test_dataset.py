@@ -17,10 +17,12 @@ from mimogen.channel import channel_matrix
 from mimogen.dataset import (
     Dataset,
     DatasetError,
+    DatasetReader,
     Manifest,
     ManifestEntry,
     MissingRaySourceError,
     ScenarioMismatchError,
+    ShardReader,
     active_user_indices,
     batch_users,
     build_dataset,
@@ -175,6 +177,30 @@ class TestBuild:
                              records=sources[3].records)
         with pytest.raises(ScenarioMismatchError, match="base station 3.*2.8e"):
             build_dataset(sources, p, tiny_scene)
+
+    def test_ray_positions_must_match_scene(self, rng, tiny_scene):
+        # Same grids and user indices, but grid 1 moved by 0.5 m along x.
+        moved = build_o1_scene(parse_kv(
+            "grid1.n_rows=2\ngrid1.users_per_row=3\ngrid1.origin_x=15.5\n"
+            "grid2.n_rows=1\ngrid2.users_per_row=1\n"
+            "grid3.n_rows=1\ngrid3.users_per_row=1\n"
+        ))
+        p = _params()
+        assert np.array_equal(active_user_indices(moved, p), active_user_indices(tiny_scene, p))
+        sources = _ray_sources(rng, tiny_scene, p)
+        with pytest.raises(ScenarioMismatchError,
+                           match=r"base station 3 put user 1 at \(15, 2, 2\) m, but the "
+                                 r"scene puts it at \(15.5, 2, 2\) m") as exc:
+            shard_sources(sources, p, moved)
+        assert exc.value.bs_id == 3
+        # Within the tolerance the ray file's positions are accepted as they are.
+        shifted = build_o1_scene(parse_kv(
+            "grid1.n_rows=2\ngrid1.users_per_row=3\ngrid1.origin_x=15.0000001\n"
+            "grid2.n_rows=1\ngrid2.users_per_row=1\n"
+            "grid3.n_rows=1\ngrid3.users_per_row=1\n"
+        ))
+        ds = build_dataset(sources, p, shifted)
+        assert tuple(ds.shards[0]["location"][0]) == sources[3].records[0].user_position
 
     def test_progress_reaches_total(self, rng, tiny_scene):
         p = _params()
@@ -343,6 +369,52 @@ class TestStreamingWrite:
             write_shards(tmp_path, p, scenario, shards)
         assert calls == [1, 1, 1]
         assert sorted(f.name for f in tmp_path.iterdir()) == []
+
+
+class TestStreamingRead:
+    def test_steps_hold_same_users_within_budget(self, rng, tiny_scene, tmp_path,
+                                                 monkeypatch):
+        p = _params(active_bs=(3, 4, 5))
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        export_dataset(ds, tmp_path)
+        # Two users per shard per step fit in the budget, three do not.
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 8 * record_dtype(p).itemsize)
+        with DatasetReader(tmp_path) as reader:
+            assert (reader.params, reader.bs_ids, reader.n_users) == (p, (3, 4, 5), 6)
+            steps = [tuple(b.copy() for b in step) for step in reader.steps()]
+            assert reader.verified == 3
+        assert [len(step[0]) for step in steps] == [2, 2, 2]
+        for b, records in enumerate(ds.shards):
+            got = np.concatenate([step[b] for step in steps])
+            assert got.tobytes() == records.tobytes()
+
+    def test_last_shard_hash_checked_at_its_end(self, rng, tiny_scene, tmp_path):
+        p = _params()
+        export_dataset(build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene),
+                       tmp_path)
+        shard = tmp_path / "shard_bs005.dmds"
+        data = bytearray(shard.read_bytes())
+        data[-1] ^= 0x01                  # last byte of the last record
+        shard.write_bytes(bytes(data))
+        with DatasetReader(tmp_path) as reader:
+            steps = reader.steps(1)
+            for _ in range(reader.n_users):
+                next(steps)                 # every record reads without complaint...
+            with pytest.raises(DatasetError, match="shard_bs005.dmds: content hash mismatch"):
+                next(steps)                 # ...until the shards end
+            assert reader.verified == 0
+
+    def test_shard_file_alone(self, rng, tiny_scene, tmp_path):
+        p = _params()
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        export_dataset(ds, tmp_path)
+        with (tmp_path / "shard_bs005.dmds").open("rb") as fh:
+            reader = ShardReader(fh, "shard_bs005.dmds")
+            assert (reader.params, reader.scenario, reader.bs_id, reader.user_count) == \
+                (p, tiny_scene.name, 5, 6)
+            got = [b["global_index"].tolist() for b in reader.batches(4)]
+        assert got == [ds.shards[1]["global_index"][:4].tolist(),
+                       ds.shards[1]["global_index"][4:].tolist()]
 
 
 class TestLoadConsistency:
