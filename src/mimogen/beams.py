@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .dataset import (
-    Dataset, DatasetError, Manifest, ManifestEntry, atomic_files, atomic_write, verify_files,
+    Dataset, DatasetError, Manifest, ManifestEntry, atomic_write, verify_files, write_files,
 )
 
 
@@ -174,19 +174,10 @@ def write_ml_dataset(steps: Iterable[Sequence[MlRecord]], outdir: Path | str) ->
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    first = last = None             # user indices, when any record is written
-    with atomic_files([outdir / name for name in ML_FILES]) as sinks:
-        for sink, head in zip(sinks, _CSV_HEADS):
-            sink.write(head)
-        for records in steps:
-            for sink, rows in zip(sinks, _ml_csv(records)):
-                sink.write(rows)
-            if records:
-                first = records[0].user_index if first is None else first
-                last = records[-1].user_index
-    if first is None:
-        first = last = 0
-    manifest = Manifest(tuple(ManifestEntry(name, 0, first, last, sink.size, sink.digest)
+    sinks, users = write_files(
+        [outdir / name for name in ML_FILES], _CSV_HEADS, steps,
+        lambda records: ([rec.user_index for rec in records], _ml_csv(records)))
+    manifest = Manifest(tuple(ManifestEntry(name, 0, *users, sink.size, sink.digest)
                               for name, sink in zip(ML_FILES, sinks)))
     atomic_write(outdir / ML_MANIFEST, manifest.to_text().encode())
     return manifest

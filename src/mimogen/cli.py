@@ -49,7 +49,6 @@ from .rayio import (
     RayFileError,
     RayFileHeader,
     read_rayfile,
-    validate_rayfile,
     write_rayfile,
 )
 from .scene import (
@@ -257,16 +256,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
     total = len(params.active_bs) * active_user_indices(scene, params).size
     reporter = ProgressReporter("BUILD", total, quiet=args.quiet)
     try:
-        scenario, shards = shard_sources(sources, params, scene, progress=reporter.update)
+        source = shard_sources(sources, params, scene, progress=reporter.update)
     except ScenarioMismatchError as exc:
         print(f"error: {ray_file(exc.bs_id)}: {exc}", file=sys.stderr)
         return 1
     outdir = Path(args.out_dir)
-    manifest = write_shards(outdir, params, scenario, shards, fmt=args.format)
-    counters = {"batch_users": batch_users(params)}
-    for shard, entry in zip(shards, manifest.entries):
-        counters[f"bs{shard.bs_id:03d}.zero_channel_gaps"] = shard.gaps
-        counters[f"bs{shard.bs_id:03d}.shard_bytes"] = entry.byte_size
+    manifest = write_shards(outdir, source, fmt=args.format)
+    counters = {"users_per_step": batch_users(params, len(source.bs_ids))}
+    for gaps, entry in zip(source.gaps, manifest.entries):
+        counters[f"bs{entry.bs_id:03d}.zero_channel_gaps"] = gaps
+        counters[f"bs{entry.bs_id:03d}.shard_bytes"] = entry.byte_size
     RunManifest(
         subcommand="build",
         config_hash=content_hash(serialize_params(params).encode()),
@@ -280,6 +279,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_beams(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
+    for flag, value in (("--snr", args.snr), ("--oversampling", args.oversampling)):
+        if not value > 0:
+            print(f"error: {flag} must be > 0, got {value}", file=sys.stderr)
+            return 2
     outdir = Path(args.out_dir)
     with DatasetReader(args.dataset_dir) as ds:
         codebook = dft_codebook(ds.params.dims, oversampling=args.oversampling)
@@ -319,8 +322,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 head = fh.read(4)
             if head == b"DMRF":
                 with path.open("rb") as fh:
-                    rf = read_rayfile(fh)
-                problems.extend(str(v) for v in validate_rayfile(rf))
+                    read_rayfile(fh)        # raises on any violation
             elif head == b"DMDS":
                 with path.open("rb") as fh:
                     shard = ShardReader(fh, path.name)

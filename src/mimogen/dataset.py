@@ -20,31 +20,28 @@ buffer. The manifest has one line per shard:
 ``filename bs_id first_user last_user bytes hash`` where the hash is the
 first 16 hex digits of the shard's SHA-256.
 
-``shard_sources`` computes each shard's records in batches of at most
-``_BATCH_BYTES`` of records and ``write_shards`` writes, hashes and drops
-them one batch at a time, so writing a dataset needs memory for a batch,
-not for the dataset. ``build_dataset`` joins the same batches in memory.
-
-Reading is the mirror image: ``ShardReader`` reads one shard's records into
-a reused buffer, a batch at a time, checking the head as it opens and the
-SHA-256 as the last record is read, and ``DatasetReader`` steps through
-every shard of a directory together, the same users per step, within
-``_BATCH_BYTES`` of records in all. ``load_dataset`` and ``parse_shard``
-are single-step readers.
+Three producers serve the same records through one surface: ``params``,
+``scenario_name``, ``bs_ids``, ``n_users`` and ``steps(users=None)``, one
+``record_dtype`` batch per active base station per step, all of the same
+users, within ``_BATCH_BYTES`` in all. ``shard_sources``' ``RayDataset``
+computes them from ray files; ``DatasetReader`` reads them from a shard
+directory, one ``ShardReader`` per shard, each checking its SHA-256 as its
+last record is read; ``Dataset`` holds them in memory. ``write_shards``
+drains any of them through ``write_files``, the one atomic writer, so
+memory is bounded by a step, not the dataset; ``build_dataset`` and
+``load_dataset`` take one step over all users.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import io
-import itertools
 import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -56,6 +53,7 @@ from .scene import Scene, user_positions, users_in_row_range
 from .tracer import PathList
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 SHARD_MAGIC = b"DMDS"
 SHARD_VERSION = 1
@@ -122,6 +120,13 @@ class Dataset:
             )
         return int(self.shards[0]["global_index"][u_ord - 1])
 
+    def steps(self, users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+        """Views of the shards, ``users`` per shard per step (default
+        ``batch_users(params, len(bs_ids))``)."""
+        users = users or batch_users(self.params, len(self.bs_ids))
+        for lo in range(0, self.n_users, users):
+            yield tuple(records[lo: lo + users] for records in self.shards)
+
 
 def get_channel(ds: Dataset, b_ord: int, u_ord: int) -> ChannelMatrix:
     """Channel matrix of the b-th active BS and u-th active user (1-based).
@@ -151,41 +156,44 @@ def batch_users(params: ParamSet, shards: int = 1) -> int:
                       _BATCH_BYTES // (shards * record_dtype(params).itemsize)))
 
 
+def _records(buf: np.ndarray, params: ParamSet, path_lists: Sequence[PathList]) -> np.ndarray:
+    """Fill the first records of ``buf`` from one base station's ray records
+    ``path_lists``; returns them."""
+    block = buf[: len(path_lists)]          # every field is assigned below
+    block["global_index"] = [pl.user_index for pl in path_lists]
+    block["location"] = [pl.user_position for pl in path_lists]
+    block["channel"] = channel_matrices_batch(path_lists, params).transpose(0, 2, 1)
+    return block
+
+
 @dataclass(frozen=True)
-class ShardSource:
-    """One shard to write: its base station, the global indices of its users
-    in record order, and its ``record_dtype`` records as a run of batches."""
-    bs_id: int
-    users: np.ndarray
-    batches: Iterable[np.ndarray]
-    gaps: int = 0                      # users without a ray record (zero channel)
+class RayDataset:
+    """The dataset that one ray file per active base station gives, checked
+    by ``shard_sources``; its records are computed only as steps are drawn."""
+    params: ParamSet
+    scenario_name: str
+    bs_ids: tuple[int, ...]                    # active order
+    rays: tuple[list[PathList], ...]           # per active BS: a ray record per active user
+    gaps: tuple[int, ...]                      # per active BS: users without a ray record
+    progress: Callable[[int, int], None] | None = None
 
+    @property
+    def n_users(self) -> int:
+        return len(self.rays[0])
 
-def _record_batches(
-    by_index: Mapping[int, PathList],
-    params: ParamSet,
-    bs_id: int,
-    indices: np.ndarray,
-    positions: np.ndarray,
-    on_batch: Callable[[int], None],
-) -> Iterator[np.ndarray]:
-    """Compute one base station's records, ``batch_users(params)`` at a time."""
-    dtype = record_dtype(params)
-    step = batch_users(params)
-    for lo in range(0, indices.size, step):
-        users = indices[lo: lo + step]
-        chunk = []
-        for g, pos in zip(users, positions[lo: lo + step]):
-            pl = by_index.get(int(g))
-            chunk.append(pl if pl is not None else PathList(
-                bs_id=bs_id, user_index=int(g), user_position=tuple(pos), paths=()))
-        block = np.empty(len(chunk), dtype=dtype)   # every field is assigned below
-        block["global_index"] = users
-        block["location"] = [pl.user_position for pl in chunk]
-        block["channel"] = channel_matrices_batch(chunk, params).transpose(0, 2, 1)
-        on_batch(len(chunk))
-        yield block
-        del block           # free it before the next batch is computed
+    def steps(self, users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+        """Every active base station's records, ``users`` per base station
+        per step (default ``batch_users(params, len(bs_ids))``), computed as
+        the step is drawn; ``progress(done, total)`` follows each step.
+        A step's batches are views that the next step overwrites."""
+        users = users or batch_users(self.params, len(self.bs_ids))
+        bufs = [np.empty(min(users, self.n_users), record_dtype(self.params)) for _ in self.rays]
+        for lo in range(0, self.n_users, users):
+            yield tuple(_records(buf, self.params, rays[lo: lo + users])
+                        for buf, rays in zip(bufs, self.rays))
+            if self.progress is not None:
+                self.progress(len(self.rays) * min(lo + users, self.n_users),
+                              len(self.rays) * self.n_users)
 
 
 def shard_sources(
@@ -193,10 +201,9 @@ def shard_sources(
     params: ParamSet,
     scene: Scene,
     progress: Callable[[int, int], None] | None = None,
-) -> tuple[str, list[ShardSource]]:
-    """Check the ray files against the scene and plan one shard per active
-    base station; returns the scenario name and the shards, whose batches
-    are computed only as they are iterated.
+) -> RayDataset:
+    """Check the ray files against the scene; returns the dataset they give,
+    whose records are computed only as its steps are drawn.
 
     A ray file traced for another scenario or carrier frequency, or one
     that puts a user more than ``_POSITION_TOL`` from where the scene puts
@@ -216,52 +223,35 @@ def shard_sources(
 
     indices = active_user_indices(scene, params)
     positions = user_positions(scene, indices)
-    total = len(params.active_bs) * indices.size
-    done = 0
-
-    def on_batch(n: int) -> None:
-        nonlocal done
-        done += n
-        if progress is not None:
-            progress(done, total)
-
-    shards = []
+    rays, gaps = [], []
     for bs_id in params.active_bs:
         by_index = {pl.user_index: pl for pl in ray_sources[bs_id].records}
-        _check_positions(by_index, bs_id, indices, positions)
+        path_lists = [by_index[g] if g in by_index else PathList(
+            bs_id=bs_id, user_index=g, user_position=tuple(pos), paths=())
+            for g, pos in zip(indices.tolist(), positions)]
+        _check_positions(path_lists, bs_id, positions)
         missing = [g for g in indices.tolist() if g not in by_index]
         if missing:
             log.warning("no ray record for bs %d: %d of %d users get a zero channel "
                         "(user %s%s)", bs_id, len(missing), indices.size,
                         ", ".join(map(str, missing[:_GAPS_SHOWN])),
                         ", ..." if len(missing) > _GAPS_SHOWN else "")
-        shards.append(ShardSource(
-            bs_id, indices,
-            _record_batches(by_index, params, bs_id, indices, positions, on_batch),
-            gaps=len(missing)))
-    return scene.name, shards
+        rays.append(path_lists)
+        gaps.append(len(missing))
+    return RayDataset(params, scene.name, tuple(params.active_bs), tuple(rays), tuple(gaps),
+                      progress)
 
 
-def _check_positions(
-    by_index: Mapping[int, PathList],
-    bs_id: int,
-    indices: np.ndarray,
-    positions: np.ndarray,
-) -> None:
+def _check_positions(path_lists: Sequence[PathList], bs_id: int, positions: np.ndarray) -> None:
     """Raise ``ScenarioMismatchError`` on the first ray record whose user
-    position is not within ``_POSITION_TOL`` of the scene's."""
-    traced = [i for i, g in enumerate(indices.tolist()) if g in by_index]
-    if not traced:
-        return
-    got = np.array([by_index[int(indices[i])].user_position for i in traced])
-    off = np.abs(got - positions[traced]).max(axis=1)
-    bad = np.flatnonzero(~(off <= _POSITION_TOL))     # NaN is a mismatch too
+    position is not within ``_POSITION_TOL`` of the scene's ``positions``."""
+    got = np.array([pl.user_position for pl in path_lists]).reshape(-1, 3)
+    bad = np.flatnonzero(~(np.abs(got - positions).max(axis=1) <= _POSITION_TOL))  # NaN too
     if bad.size:
         j = int(bad[0])
         raise ScenarioMismatchError(
-            f"rays for base station {bs_id} put user {int(indices[traced[j]])} at "
-            f"{_xyz(got[j])}, but the scene puts it at {_xyz(positions[traced[j]])}",
-            bs_id=bs_id)
+            f"rays for base station {bs_id} put user {path_lists[j].user_index} at "
+            f"{_xyz(got[j])}, but the scene puts it at {_xyz(positions[j])}", bs_id=bs_id)
 
 
 def _xyz(p: np.ndarray) -> str:
@@ -275,11 +265,17 @@ def build_dataset(
     progress: Callable[[int, int], None] | None = None,
 ) -> Dataset:
     """Assemble the dataset in memory from one ray file per active base
-    station: the batches of ``shard_sources``, joined per base station."""
-    scenario, sources = shard_sources(ray_sources, params, scene, progress)
-    empty = np.empty(0, dtype=record_dtype(params))
-    return Dataset(params=params, scenario_name=scenario, bs_ids=tuple(params.active_bs),
-                   shards=tuple(np.concatenate([empty, *s.batches]) for s in sources))
+    station: ``shard_sources``' dataset gathered in one step."""
+    return _gather(shard_sources(ray_sources, params, scene, progress))
+
+
+def _gather(source: RayDataset | DatasetReader) -> Dataset:
+    """All of ``source``'s records in memory: one step over every user."""
+    steps = list(source.steps(max(1, source.n_users)))
+    shards = steps[0] if steps else [np.empty(0, record_dtype(source.params))
+                                     for _ in source.bs_ids]
+    return Dataset(params=source.params, scenario_name=source.scenario_name,
+                   bs_ids=tuple(source.bs_ids), shards=tuple(shards))
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +350,47 @@ class HashingSink:
         return _hex16(self._sha)
 
 
-@contextlib.contextmanager
-def atomic_files(paths: Sequence[Path]) -> Iterator[list[HashingSink]]:
-    """One ``HashingSink`` per path, writing a temp file beside it. When the
-    block ends normally every temp file is renamed over its path, so an
-    interrupted write never leaves a partial file; when it raises, every
-    temp file is removed and the paths are left as they were."""
+def write_files(
+    paths: Sequence[Path],
+    heads: Sequence[bytes],
+    steps: Iterable[T],
+    encode: Callable[[T], tuple[Sequence[int], Sequence[bytes | memoryview]]] | None,
+) -> tuple[list[HashingSink], tuple[int, int]]:
+    """The one atomic writer: to a temp file beside each path, its head,
+    then per step one chunk, from ``encode(step)``: the indices of the
+    step's users and one chunk per path. Only after the last step is every
+    temp file renamed over its path; when anything raises, every temp file
+    is removed and the paths are left as they were. Returns one
+    ``HashingSink`` per path (byte count and ``content_hash``) and the first
+    and last user of the steps, (0, 0) when they hold none.
+    """
     tmps = [path.with_name(path.name + ".tmp~") for path in paths]
+    first = last = None
     try:
         with contextlib.ExitStack() as files:
-            yield [HashingSink(files.enter_context(tmp.open("wb"))) for tmp in tmps]
+            sinks = [HashingSink(files.enter_context(tmp.open("wb"))) for tmp in tmps]
+            for sink, head in zip(sinks, heads, strict=True):
+                sink.write(head)
+            for step in steps:
+                users, chunks = encode(step)
+                for sink, chunk in zip(sinks, chunks, strict=True):
+                    sink.write(chunk)
+                if len(users):
+                    first = int(users[0]) if first is None else first
+                    last = int(users[-1])
         for tmp, path in zip(tmps, paths):
             tmp.replace(path)
     except BaseException:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
         raise
+    return sinks, (0, 0) if first is None else (first, last)
 
 
-def atomic_write(path: Path, data: bytes | Iterable[bytes | memoryview]) -> tuple[int, str]:
-    """Write ``data`` (bytes, or buffers written one after another) to
-    ``path`` through ``atomic_files``. Returns the byte count and the
-    ``content_hash`` of what was written, hashed as it is written."""
-    with atomic_files([path]) as (sink,):
-        for chunk in [data] if isinstance(data, bytes) else data:
-            sink.write(chunk)
-            del chunk       # free this buffer before the next one is made
+def atomic_write(path: Path, data: bytes) -> tuple[int, str]:
+    """Write ``data`` to ``path`` through ``write_files``. Returns the byte
+    count and the ``content_hash`` of what was written."""
+    (sink,), _ = write_files([path], [data], (), None)
     return sink.size, sink.digest
 
 
@@ -628,14 +639,14 @@ _EXPORT_FORMATS = {
 
 def write_shards(
     sink: Path | str,
-    params: ParamSet,
-    scenario: str,
-    sources: Sequence[ShardSource],
+    source: Dataset | DatasetReader | RayDataset,
     fmt: str = "binary",
 ) -> Manifest:
-    """Write one file per shard, batch by batch, then the manifest; returns
-    the manifest. Each batch is encoded, written and hashed, then dropped,
-    so memory is bounded by a batch and not by the shard.
+    """Write one file per active base station of ``source`` in one pass
+    over its steps, then the manifest; returns the manifest. Each step is
+    encoded, written and hashed, then dropped, so memory is bounded by a
+    step and not by the dataset, and no file is renamed into place until
+    the last step is written.
 
     ``fmt="csv"`` writes a readable tree instead and is refused above a
     documented size cap (CSV_SIZE_CAP_BYTES).
@@ -644,23 +655,24 @@ def write_shards(
     sink.mkdir(parents=True, exist_ok=True)
     if fmt not in _EXPORT_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
+    params, scenario, n_users = source.params, source.scenario_name, source.n_users
     if fmt == "csv":
-        est = sum(shard_size_bytes(params, s.users.size, scenario, s.bs_id) * 3
-                  for s in sources)
+        est = sum(shard_size_bytes(params, n_users, scenario, bs_id) * 3
+                  for bs_id in source.bs_ids)
         if est > CSV_SIZE_CAP_BYTES:
             raise DatasetError(
                 f"csv export refused: estimated {est} bytes exceeds cap "
                 f"{CSV_SIZE_CAP_BYTES}"
             )
     name_format, head, encode = _EXPORT_FORMATS[fmt]
-    entries = []
-    for s in sources:
-        name = name_format.format(s.bs_id)
-        size, digest = atomic_write(sink / name, itertools.chain(
-            [head(params, scenario, s.bs_id, s.users.size)],
-            map(functools.partial(encode, params), s.batches)))
-        entries.append(ManifestEntry(name, s.bs_id, *_user_range(s.users), size, digest))
-    manifest = Manifest(tuple(entries))
+    names = [name_format.format(bs_id) for bs_id in source.bs_ids]
+    sinks, users = write_files(
+        [sink / name for name in names],
+        [head(params, scenario, bs_id, n_users) for bs_id in source.bs_ids],
+        source.steps(),
+        lambda step: (step[0]["global_index"], [encode(params, batch) for batch in step]))
+    manifest = Manifest(tuple(ManifestEntry(name, bs_id, *users, s.size, s.digest)
+                              for name, bs_id, s in zip(names, source.bs_ids, sinks)))
     atomic_write(sink / "manifest.txt", manifest.to_text().encode())
     return manifest
 
@@ -668,14 +680,7 @@ def write_shards(
 def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manifest:
     """Write an in-memory dataset as per-BS shards plus a manifest (see
     ``write_shards``); returns the manifest."""
-    return write_shards(sink, ds.params, ds.scenario_name, [
-        ShardSource(bs_id, records["global_index"], [records])
-        for bs_id, records in zip(ds.bs_ids, ds.shards)], fmt)
-
-
-def _user_range(users: np.ndarray) -> tuple[int, int]:
-    """(first, last) of a shard's global user indices; (0, 0) when empty."""
-    return (int(users[0]), int(users[-1])) if len(users) else (0, 0)
+    return write_shards(sink, ds, fmt)
 
 
 def load_dataset(source: Path | str) -> Dataset:
@@ -683,11 +688,8 @@ def load_dataset(source: Path | str) -> Dataset:
     ``DatasetReader`` step over all users, so every check of the reader
     applies. The record arrays are read-only."""
     with DatasetReader(source) as reader:
-        steps = list(reader.steps(max(1, reader.n_users)))
-    # A single step's buffers are not reused, so they are the shards.
-    shards = steps[0] if steps else [np.empty(0, record_dtype(reader.params))
-                                     for _ in reader.bs_ids]
-    for records in shards:
+        # A single step's buffers are not reused, so they are the shards.
+        ds = _gather(reader)
+    for records in ds.shards:
         records.flags.writeable = False
-    return Dataset(params=reader.params, scenario_name=reader.scenario_name,
-                   bs_ids=reader.bs_ids, shards=tuple(shards))
+    return ds

@@ -1,9 +1,11 @@
 import io
 import json
+import struct
 
 import pytest
 
 from mimogen.cli import ProgressReporter, build_parser, run
+from mimogen.rayio import HEADER_SIZE, read_rayfile
 
 from conftest import rewrite_shard
 
@@ -155,7 +157,7 @@ class TestPipeline:
         assert rc == 0
         counters = json.loads((ds_dir / "build.manifest.json").read_text())["counters"]
         assert counters == {
-            "batch_users": 256,
+            "users_per_step": 256,
             "bs003.zero_channel_gaps": 3, "bs004.zero_channel_gaps": 3,
             "bs003.shard_bytes": (ds_dir / "shard_bs003.dmds").stat().st_size,
             "bs004.shard_bytes": (ds_dir / "shard_bs004.dmds").stat().st_size,
@@ -251,6 +253,24 @@ class TestErrors:
         f.write_bytes(f.read_bytes()[:-5])
         assert run(["validate", str(f), "--quiet"]) == 1
 
+    def test_validate_semantic_rayfile_violation(self, tmp_path, scene_file, capsys):
+        f = _trace(tmp_path, scene_file, bs="3") / "rays_bs003.drf"
+        data = bytearray(f.read_bytes())
+        with f.open("rb") as fh:
+            records = read_rayfile(fh).records
+        # The power of the first path: 8 + 3 * 8 + 2 bytes of user head, then
+        # four angles, before it in the first user's record that has paths.
+        offset = HEADER_SIZE
+        for pl in records:
+            if pl.paths:
+                break
+            offset += 34
+        struct.pack_into("<d", data, offset + 34 + 4 * 8, -pl.paths[0].power)
+        f.write_bytes(bytes(data))
+        assert run(["validate", str(f), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "violation: RayFileSemanticError: " in err and "power > 0" in err
+
     def test_validate_inconsistent_dataset(self, tmp_path, scene_file, capsys):
         _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
 
@@ -273,6 +293,17 @@ class TestErrors:
         assert run(["beams", "--dataset-dir", str(ds_dir),
                     "--out-dir", str(tmp_path / "ml"), "--quiet"]) == 1
         assert "error: manifest line 4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--snr", "0"), ("--snr", "nan"),
+                                            ("--oversampling", "0")])
+    def test_beams_bad_value_exit_2(self, tmp_path, capsys, flag, value):
+        # Refused before the dataset is opened: this one does not exist.
+        assert run(["beams", "--dataset-dir", str(tmp_path / "nowhere"),
+                    "--out-dir", str(tmp_path / "ml"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be > 0, got " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ml").exists()
 
     def test_bad_param_value_exit_2(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file, bs="3")

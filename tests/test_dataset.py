@@ -162,8 +162,8 @@ class TestBuild:
         skip = {(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2)}
         sources = _ray_sources(rng, tiny_scene, p, skip=skip)
         with caplog.at_level(logging.WARNING, logger="mimogen.dataset"):
-            scenario, shards = shard_sources(sources, p, tiny_scene)
-        assert [s.gaps for s in shards] == [6, 1]
+            source = shard_sources(sources, p, tiny_scene)
+        assert list(source.gaps) == [6, 1]
         assert [r.getMessage() for r in caplog.records] == [
             "no ray record for bs 3: 6 of 6 users get a zero channel "
             "(user 1, 2, 3, 4, 5, ...)",
@@ -326,8 +326,7 @@ class TestStreamingWrite:
             want = export_dataset(build_dataset(sources, p, scene), ref)
             with mock.patch.object(dataset, "_BATCH_BYTES", budget):
                 assert batch_users(p) == max(1, min(256, budget // record_dtype(p).itemsize))
-                scenario, shards = shard_sources(sources, p, scene)
-                got = write_shards(out, p, scenario, shards)
+                got = write_shards(out, shard_sources(sources, p, scene))
             assert got == want
             for name in [e.filename for e in want.entries] + ["manifest.txt"]:
                 assert (out / name).read_bytes() == (ref / name).read_bytes()
@@ -338,10 +337,10 @@ class TestStreamingWrite:
                     num_ofdm=64, ofdm_limit=64)
         batch = 16 * record_dtype(p).itemsize
         monkeypatch.setattr(dataset, "_BATCH_BYTES", batch)
-        scenario, shards = shard_sources(_ray_sources(rng, scene, p), p, scene)
+        source = shard_sources(_ray_sources(rng, scene, p), p, scene)
         tracemalloc.start()
         try:
-            manifest = write_shards(tmp_path, p, scenario, shards)
+            manifest = write_shards(tmp_path, source)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -350,24 +349,30 @@ class TestStreamingWrite:
         # channel kernel's temporaries; the whole shard would be 20 batches.
         assert peak < 4 * batch
 
+    # With two base stations the failure comes in the second one's batch,
+    # after the first one's batches of the same users have been written.
+    @pytest.mark.parametrize("active_bs,calls_made", [
+        ((3,), [(3, 1), (3, 1), (3, 1)]),
+        ((3, 5), [(3, 1), (5, 1), (3, 1), (5, 1), (3, 1), (5, 1)]),
+    ], ids=["one_bs", "two_bs"])
     def test_failure_mid_stream_leaves_no_shard(self, rng, tiny_scene, tmp_path,
-                                                monkeypatch):
-        p = _params(active_bs=(3,))
-        scenario, shards = shard_sources(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+                                                monkeypatch, active_bs, calls_made):
+        p = _params(active_bs=active_bs)
+        source = shard_sources(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 1)     # one user per batch
         calls = []
         real = dataset.channel_matrices_batch
 
         def fail_third_batch(path_lists, params):
-            calls.append(len(path_lists))
-            if len(calls) == 3:
+            calls.append((path_lists[0].bs_id, len(path_lists)))
+            if calls.count((active_bs[-1], 1)) == 3:     # the last BS's third batch
                 raise RuntimeError("disk on fire")
             return real(path_lists, params)
 
         monkeypatch.setattr(dataset, "channel_matrices_batch", fail_third_batch)
         with pytest.raises(RuntimeError, match="disk on fire"):
-            write_shards(tmp_path, p, scenario, shards)
-        assert calls == [1, 1, 1]
+            write_shards(tmp_path, source)
+        assert calls == calls_made
         assert sorted(f.name for f in tmp_path.iterdir()) == []
 
 
