@@ -26,7 +26,6 @@ from .channel import (  # noqa: F401
     ChannelMatrix,
     array_response,
     channel_matrix,
-    channel_vector,
 )
 from .dataset import Dataset, build_dataset, export_dataset, get_channel, get_location  # noqa: F401
 from .beams import (  # noqa: F401

@@ -72,12 +72,27 @@ def _entries(H: ChannelMatrix | np.ndarray) -> np.ndarray:
     return H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
 
 
-def _rates(beams: np.ndarray, mat: np.ndarray, snr: float, conjugate: bool) -> np.ndarray:
+def _rates(beams: np.ndarray, mat: np.ndarray, snr: float, conjugate: bool,
+           work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """The one rate kernel: mean over subcarriers of log2(1 + snr * |f^T h_k|^2)
-    for each beam f, the last axis of ``beams`` (one beam or a (P, M) stack)."""
+    for each beam f, the last axis of ``beams`` (one beam or a (P, M) stack).
+
+    ``work`` is a complex and a float buffer of the per-subcarrier shape
+    ((|K|,) or (P, |K|)), which the kernel overwrites; a caller that
+    evaluates many channels passes the same pair each time.
+    """
     fv = np.conj(beams) if conjugate else beams
-    gains = np.abs(fv @ mat) ** 2
-    return np.mean(np.log2(1.0 + snr * gains), axis=-1)
+    if work is None:
+        shape = fv.shape[:-1] + mat.shape[-1:]
+        work = np.empty(shape, dtype=complex), np.empty(shape)
+    prod, gains = work
+    np.matmul(fv, mat, out=prod)
+    np.abs(prod, out=gains)
+    np.square(gains, out=gains)
+    np.multiply(snr, gains, out=gains)
+    np.add(1.0, gains, out=gains)
+    np.log2(gains, out=gains)
+    return np.mean(gains, axis=-1)
 
 
 def achievable_rate(
@@ -94,9 +109,11 @@ def achievable_rate(
     return float(_rates(f, mat, snr, conjugate))
 
 
-def beam_rates(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig) -> np.ndarray:
-    """Achievable rate of every codebook beam, as a length-P vector."""
-    return _rates(cfg.codebook.vectors, _entries(H), cfg.snr, cfg.conjugate)
+def beam_rates(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig,
+               work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Achievable rate of every codebook beam, as a length-P vector
+    (``work``: the kernel's (P, |K|) buffers, as in ``_rates``)."""
+    return _rates(cfg.codebook.vectors, _entries(H), cfg.snr, cfg.conjugate, work)
 
 
 def best_beam(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig) -> tuple[int, float]:
@@ -124,13 +141,16 @@ def ml_records(batches: Sequence[np.ndarray], cfg: BeamEvalConfig) -> list[MlRec
     """The per-step kernel: one record per user of ``batches``, which hold,
     per active base station in active order, the ``record_dtype`` records of
     the same users. Features and labels are copies, so the records outlive
-    the batches."""
+    the batches. Every rate evaluation of the step shares one pair of
+    kernel buffers."""
     channels = [b["channel"] for b in batches]
+    shape = (cfg.codebook.n_beams, channels[0].shape[1])
+    work = np.empty(shape, dtype=complex), np.empty(shape)
     return [
         MlRecord(
             user_index=int(g),
             features=tuple(omni_feature(ch[i].T) for ch in channels),
-            labels=tuple(beam_rates(ch[i].T, cfg) for ch in channels),
+            labels=tuple(beam_rates(ch[i].T, cfg, work) for ch in channels),
         )
         for i, g in enumerate(batches[0]["global_index"])
     ]

@@ -56,55 +56,25 @@ def array_response(
     return np.kron(az, np.kron(ay, ax))
 
 
-def _truncated(paths: Sequence[PathRecord], num_paths: int) -> Sequence[PathRecord]:
-    # Paths arrive sorted by power descending; keep the strongest num_paths.
-    return paths[:num_paths]
-
-
-def channel_vector(
-    paths: Sequence[PathRecord],
-    k: int,
-    params: ParamSet,
-) -> np.ndarray:
-    """The M x 1 channel at 1-based subcarrier ``k``. Empty path list gives
-    the zero vector; fewer than ``num_paths`` paths uses all available."""
-    m = params.num_antennas
-    h = np.zeros(m, dtype=complex)
-    big_k = params.num_ofdm
-    b_hz = params.bandwidth_hz
-    k_off = k - 1
-    for p in _truncated(paths, params.num_paths):
-        gain = np.sqrt(p.power / big_k) * np.exp(
-            1j * (p.phase + (2.0 * np.pi * k_off / big_k) * p.delay * b_hz)
-        )
-        h += gain * array_response(
-            np.radians(p.aod_az), np.radians(p.aod_el), params.dims, params.ant_spacing
-        )
-    return h
-
-
 def channel_matrix(paths: PathList | Sequence[PathRecord], params: ParamSet) -> ChannelMatrix:
-    """Stack channel vectors for the whole sampled subcarrier set."""
-    if isinstance(paths, PathList):
-        bs_id, user_index, records = paths.bs_id, paths.user_index, paths.paths
-    else:
-        bs_id, user_index, records = 0, 0, tuple(paths)
-    ks = subcarrier_set(params)
-    m = params.num_antennas
-    entries = np.zeros((m, ks.size), dtype=complex)
-    for j, k in enumerate(ks):
-        entries[:, j] = channel_vector(records, int(k), params)
-    return ChannelMatrix(entries=entries, bs_id=bs_id, user_index=user_index)
+    """The M x |K| channel of one user over the sampled subcarrier set."""
+    if not isinstance(paths, PathList):
+        paths = PathList(bs_id=0, user_index=0, user_position=(0.0, 0.0, 0.0),
+                         paths=tuple(paths))
+    return ChannelMatrix(entries=channel_matrices_batch([paths], params)[0],
+                         bs_id=paths.bs_id, user_index=paths.user_index)
 
 
 def channel_matrices_batch(
     path_lists: Sequence[PathList],
     params: ParamSet,
 ) -> np.ndarray:
-    """Vectorized channel construction for a batch of users.
+    """The one channel kernel: channel matrices for a batch of users.
 
-    Returns a (U, M, |K|) complex array; semantically identical to calling
-    :func:`channel_matrix` per user (the test suite checks this).
+    Returns a (U, M, |K|) complex array. Each matrix is the per-subcarrier
+    sum of the module docstring over the user's strongest ``num_paths``
+    paths; an empty path list gives zeros. The test suite checks it against
+    a scalar per-subcarrier loop.
     """
     U = len(path_lists)
     ks = subcarrier_set(params)

@@ -202,6 +202,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     counters: dict[str, int] = {}
     for bs_id in bs_ids:
         path_lists = []
+        searched = yielding = 0
         for lo in range(0, indices.size, _TRACE_CHUNK):
             chunk = trace_paths_batch(
                 scene, bs_id, positions[lo: lo + _TRACE_CHUNK],
@@ -209,11 +210,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 max_reflections=args.max_reflections, max_paths=args.max_paths,
             )
             path_lists.extend(chunk)
+            searched += chunk.nodes_searched
+            yielding += chunk.nodes_yielding
             done += len(chunk)
             reporter.update(done)
         before, after = image_node_counts(scene, bs_id, args.max_reflections)
         counters[f"bs{bs_id:03d}.image_nodes_unpruned"] = before
         counters[f"bs{bs_id:03d}.image_nodes"] = after
+        counters[f"bs{bs_id:03d}.image_nodes_searched"] = searched
+        counters[f"bs{bs_id:03d}.image_nodes_yielding"] = yielding
         header = RayFileHeader(bs_id=bs_id, carrier_freq=scene.carrier_freq,
                                user_count=len(path_lists), scenario=scene.name)
         out = outdir / f"rays_bs{bs_id:03d}.drf"
@@ -269,7 +274,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     RunManifest(
         subcommand="build",
         config_hash=content_hash(serialize_params(params).encode()),
-        input_hashes={str(ray_file(b)): _file_hash(ray_file(b)) for b in params.active_bs},
+        input_hashes={args.scene: _file_hash(Path(args.scene)),
+                      **{str(ray_file(b)): _file_hash(ray_file(b)) for b in params.active_bs}},
         outputs=[str(outdir / e.filename) for e in manifest.entries],
         wall_seconds=time.monotonic() - t0,
         counters=counters,

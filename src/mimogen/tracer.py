@@ -26,7 +26,7 @@ _EPS_SIDE = 1e-9      # front-side test tolerance for image pruning
 _EPS_T = 1e-12        # segment-parameter tolerance for reflection points
 _RECT_TOL = 1e-9      # face-rectangle containment tolerance
 _SHRINK = 1e-6        # occlusion boxes are shrunk by this much per side
-_PRUNE_TOL = 1e-6     # slack of the aperture test that prunes the image tree
+_PRUNE_TOL = 1e-6     # slack of the aperture and region tests that prune nodes
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,15 @@ class _Plane:
 @dataclass
 class _Geometry:
     planes: list[_Plane]       # planes[0] is the ground
+    plane_axis: np.ndarray     # (P,) axis, offset and sign of each plane,
+    plane_offset: np.ndarray   #   as arrays for the vectorized tests
+    plane_sign: np.ndarray
     boxes_shrunk: np.ndarray   # (B, 2, 3): min/max corners for occlusion tests
     face_lo: np.ndarray        # (F, 3): building faces as flat boxes, grown by
     face_hi: np.ndarray        #   _PRUNE_TOL on every side (ground excluded)
     face_plane: np.ndarray     # (F,): index into `planes` of each face
+    plane_face_lo: np.ndarray  # (P, F', 3): face_lo/face_hi by plane, padded
+    plane_face_hi: np.ndarray  #   with empty boxes (lo = inf, hi = -inf)
     tree_capacity: int         # cached image trees: one per base station
     trees: dict[tuple, list["_Node"]] = field(default_factory=dict)
 
@@ -184,10 +189,22 @@ def _build_geometry(scene: Scene) -> _Geometry:
             face_lo.append(lo - _PRUNE_TOL)
             face_hi.append(hi + _PRUNE_TOL)
             face_plane.append(pi)
+    face_lo, face_hi = np.array(face_lo).reshape(-1, 3), np.array(face_hi).reshape(-1, 3)
+    face_plane = np.array(face_plane, dtype=int)
+    width = max((len(pl.rects) for pl in planes), default=0)
+    plane_face_lo = np.full((len(planes), width, 3), np.inf)
+    plane_face_hi = np.full((len(planes), width, 3), -np.inf)
+    for pi, pl in enumerate(planes):
+        plane_face_lo[pi, :len(pl.rects)] = face_lo[face_plane == pi]
+        plane_face_hi[pi, :len(pl.rects)] = face_hi[face_plane == pi]
     return _Geometry(
-        planes=planes, boxes_shrunk=boxes,
-        face_lo=np.array(face_lo).reshape(-1, 3), face_hi=np.array(face_hi).reshape(-1, 3),
-        face_plane=np.array(face_plane, dtype=int),
+        planes=planes,
+        plane_axis=np.array([pl.axis for pl in planes]),
+        plane_offset=np.array([pl.offset for pl in planes]),
+        plane_sign=np.array([pl.sign for pl in planes]),
+        boxes_shrunk=boxes,
+        face_lo=face_lo, face_hi=face_hi, face_plane=face_plane,
+        plane_face_lo=plane_face_lo, plane_face_hi=plane_face_hi,
         tree_capacity=max(1, len(scene.base_stations)),
     )
 
@@ -301,9 +318,7 @@ def _cached_tree(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> list[_
 def _front_side_tree_size(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> int:
     """Number of image nodes the front-side condition alone admits: the size
     of the tree before aperture pruning."""
-    axis = np.array([pl.axis for pl in geo.planes])
-    offset = np.array([pl.offset for pl in geo.planes])
-    sign = np.array([pl.sign for pl in geo.planes])
+    axis, offset, sign = geo.plane_axis, geo.plane_offset, geo.plane_sign
     imgs, last, total = tx[None, :], np.array([-1]), 1
     for _ in range(max_reflections):
         front = sign * (imgs[:, axis] - offset) > _EPS_SIDE
@@ -326,6 +341,76 @@ def image_node_counts(scene: Scene, bs_id: int, max_reflections: int) -> tuple[i
             len(_cached_tree(geo, tx, max_reflections)))
 
 
+# Image nodes per vectorized step of the region test; bounds its
+# (nodes, faces of a plane, 3) temporaries.
+_REGION_NODES = 64
+# The 8 corners of a box: per axis, its min (0) or its max (1).
+_CORNERS = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1],
+                     [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=bool)
+
+
+def _reachable(geo: _Geometry, nodes: list[_Node], rx: np.ndarray) -> np.ndarray:
+    """(len(nodes),) mask of the image nodes whose backward beam through the
+    receivers ``rx`` (U, 3) can reach a face at every bounce.
+
+    The beam starts as the bounding box of the finite receivers (one with a
+    NaN or infinite coordinate has no path) and walks each node's bounces
+    from the last to the first. At each bounce the box is clipped to the
+    plane's reflective side, where the image is not (0 < t < 1 needs it),
+    and its corners are projected from the image onto the plane. On the
+    clipped box the projection's denominator keeps one sign, so the
+    projected corners bound every bounce point. Their bounding box, grown
+    by ``_PRUNE_TOL``, must overlap a (grown) face of the plane; the ground
+    is unbounded and always does. The beam then narrows to that box and the
+    hull of the faces it overlaps. Like ``_aperture_visible``, the test only
+    drops nodes that give no path. It runs on the nodes of a depth
+    ``_REGION_NODES`` at a time.
+    """
+    keep = np.zeros(len(nodes), dtype=bool)
+    rx = rx[np.isfinite(rx).all(axis=1)]
+    if rx.shape[0] == 0:
+        return keep
+    depth = np.array([len(node.seq) for node in nodes])
+    keep[depth == 0] = True
+    for d in range(1, int(depth.max()) + 1):
+        at_depth = np.nonzero(depth == d)[0]
+        for first in range(0, at_depth.size, _REGION_NODES):
+            idx = at_depth[first:first + _REGION_NODES]
+            seqs = np.array([nodes[k].seq for k in idx])                 # (N, d)
+            imgs = np.stack([nodes[k].images for k in idx])              # (N, d+1, 3)
+            lo = np.repeat(rx.min(axis=0)[None, :], idx.size, axis=0)    # (N, 3)
+            hi = np.repeat(rx.max(axis=0)[None, :], idx.size, axis=0)
+            for i in range(d, 0, -1):
+                rows = np.arange(idx.size)
+                pi = seqs[:, i - 1]
+                ax, off = geo.plane_axis[pi], geo.plane_offset[pi]
+                front = geo.plane_sign[pi] > 0
+                lo[rows, ax] = np.where(front, np.maximum(lo[rows, ax], off), lo[rows, ax])
+                hi[rows, ax] = np.where(front, hi[rows, ax], np.minimum(hi[rows, ax], off))
+                alive = lo[rows, ax] <= hi[rows, ax]
+                idx, seqs, imgs, lo, hi, pi, ax, off = (
+                    a[alive] for a in (idx, seqs, imgs, lo, hi, pi, ax, off))
+                rows = np.arange(idx.size)
+                img = imgs[:, i, :]
+                corners = np.where(_CORNERS, hi[:, None, :], lo[:, None, :])  # (N, 8, 3)
+                c_ax = corners[rows, :, ax]                                   # (N, 8)
+                t = (off[:, None] - c_ax) / (img[rows, ax][:, None] - c_ax)
+                proj = corners + t[:, :, None] * (img[:, None, :] - corners)
+                lo = proj.min(axis=1) - _PRUNE_TOL
+                hi = proj.max(axis=1) + _PRUNE_TOL
+                face_lo, face_hi = geo.plane_face_lo[pi], geo.plane_face_hi[pi]  # (N, F', 3)
+                hit = ((lo[:, None, :] <= face_hi) & (hi[:, None, :] >= face_lo)).all(axis=2)
+                walls = pi != 0
+                hull_lo = face_lo.min(axis=1, where=hit[:, :, None], initial=np.inf)
+                hull_hi = face_hi.max(axis=1, where=hit[:, :, None], initial=-np.inf)
+                lo[walls] = np.maximum(lo[walls], hull_lo[walls])
+                hi[walls] = np.minimum(hi[walls], hull_hi[walls])
+                alive = ~walls | hit.any(axis=1)
+                idx, seqs, imgs, lo, hi = (a[alive] for a in (idx, seqs, imgs, lo, hi))
+            keep[idx] = True
+    return keep
+
+
 # ---------------------------------------------------------------------------
 # Path search
 # ---------------------------------------------------------------------------
@@ -338,14 +423,19 @@ def _segments_blocked(
     Only (segment, box) pairs whose bounding boxes overlap run the slab
     formulas. For any other pair those formulas give tmin >= tmax, because
     float subtraction and division are monotone, so skipping them changes
-    no result.
+    no result. Boxes that the bounding box of all segments misses are
+    dropped first; a segment with a NaN coordinate overlaps no box, so
+    that bounding box ignores NaNs.
     """
     U = p0.shape[0]
     blocked = np.zeros(U, dtype=bool)
     if boxes.shape[0] == 0 or U == 0:
         return blocked
-    lo = np.minimum(p0, p1)[:, None, :]
-    hi = np.maximum(p0, p1)[:, None, :]
+    lo = np.minimum(p0, p1)
+    hi = np.maximum(p0, p1)
+    boxes = boxes[((np.fmin.reduce(lo, axis=0) <= boxes[:, 1, :])
+                   & (np.fmax.reduce(hi, axis=0) >= boxes[:, 0, :])).all(axis=1)]
+    lo, hi = lo[:, None, :], hi[:, None, :]
     near = ((lo <= boxes[None, :, 1, :]) & (hi >= boxes[None, :, 0, :])).all(axis=2)
     ui, bi = np.nonzero(near)
     if ui.size == 0:
@@ -425,9 +515,10 @@ def _node_paths(
 
     chain = [np.broadcast_to(tx, (rows.size, 3))] + chain_rev[::-1]
     lengths = np.linalg.norm(node.images[-1][None, :] - chain[-1], axis=1)
-    # A receiver on the source has no path (as in path_power); every leg of
-    # the others must clear every (shrunk) building box.
-    keep = lengths > 0.0
+    # A receiver on the source or with a non-finite coordinate has no path
+    # (as in path_power); every leg of the others must clear every (shrunk)
+    # building box.
+    keep = (lengths > 0.0) & (lengths < np.inf)
     for s in range(len(chain) - 1):
         live = np.nonzero(keep)[0]
         if live.size == 0:
@@ -461,10 +552,11 @@ def _trace_records(
     rx: np.ndarray,
     max_reflections: int,
     max_paths: int,
-) -> list[tuple[PathRecord, ...]]:
+) -> tuple[list[tuple[PathRecord, ...]], int, int]:
     """Paths from transmitter ``tx`` to each receiver row of ``rx`` (U, 3):
     strongest first (ties by delay, then bounce sequence), at most
-    ``max_paths`` per receiver."""
+    ``max_paths`` per receiver; then the number of image nodes searched
+    (those ``_reachable`` keeps) and of those that gave a path."""
     geo = _geometry(scene)
     nodes = _cached_tree(geo, tx, max_reflections)
 
@@ -473,10 +565,13 @@ def _trace_records(
     freq = scene.carrier_freq
     lam = scene.wavelength
 
-    for node in nodes:
+    searched = [node for node, kept in zip(nodes, _reachable(geo, nodes, rx)) if kept]
+    yielding = 0
+    for node in searched:
         rows, lengths, loss_db, chain = _node_paths(node, geo, tx, rx)
         if rows.size == 0:
             continue
+        yielding += 1
         n = len(node.seq)
         aod_az, aod_el = _angles_deg(chain[1] - chain[0])
         aoa_az, aoa_el = _angles_deg(chain[-2] - chain[-1])
@@ -492,10 +587,23 @@ def _trace_records(
             )
             per_user[u].append((-rec.power, rec.delay, node.seq, rec))
 
-    return [
+    records = [
         tuple(e[3] for e in sorted(entries, key=lambda e: (e[0], e[1], e[2]))[:max_paths])
         for entries in per_user
     ]
+    return records, len(searched), yielding
+
+
+class PathBatch(list):
+    """The ``PathList`` of each receiver of one ``trace_paths_batch`` call,
+    plus the number of image nodes the call searched and of those that gave
+    at least one path."""
+
+    def __init__(self, path_lists: Sequence[PathList], nodes_searched: int,
+                 nodes_yielding: int):
+        super().__init__(path_lists)
+        self.nodes_searched = nodes_searched
+        self.nodes_yielding = nodes_yielding
 
 
 def trace_paths_batch(
@@ -505,14 +613,14 @@ def trace_paths_batch(
     user_indices: Sequence[int] | None = None,
     max_reflections: int = 4,
     max_paths: int = 25,
-) -> list[PathList]:
+) -> PathBatch:
     """Trace all paths between one base station and a batch of receivers."""
     tx = np.asarray(scene.bs_by_id(bs_id).position, dtype=float)
     rx = np.asarray(positions, dtype=float).reshape(-1, 3)
     if user_indices is None:
         user_indices = list(range(1, rx.shape[0] + 1))
-    records = _trace_records(scene, tx, rx, max_reflections, max_paths)
-    return [
+    records, searched, yielding = _trace_records(scene, tx, rx, max_reflections, max_paths)
+    return PathBatch([
         PathList(
             bs_id=bs_id,
             user_index=int(user_indices[u]),
@@ -520,7 +628,7 @@ def trace_paths_batch(
             paths=paths,
         )
         for u, paths in enumerate(records)
-    ]
+    ], searched, yielding)
 
 
 def trace_paths(
@@ -551,4 +659,4 @@ def trace_between(
     return _trace_records(
         scene, np.asarray(tx, dtype=float), np.asarray(rx, dtype=float).reshape(1, 3),
         max_reflections, max_paths,
-    )[0]
+    )[0][0]

@@ -5,9 +5,9 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from mimogen.channel import channel_matrices_batch
+from mimogen.channel import array_response, channel_matrices_batch
 from mimogen.dataset import Manifest, content_hash, parse_shard, shard_bytes
-from mimogen.params import ParamSet
+from mimogen.params import ParamSet, subcarrier_set
 from mimogen.scene import BaseStation, Building, Scene, UserGrid
 from mimogen.tracer import _EPS_T, PathList, PathRecord
 
@@ -88,6 +88,28 @@ def rewrite_shard(ds_dir: Path, filename: str, edit: Callable[[np.ndarray], None
         if e.filename == filename else e
         for e in manifest.entries
     )).to_text())
+
+
+def channel_vector(paths: Sequence[PathRecord], k: int, params: ParamSet) -> np.ndarray:
+    """Channel oracle: the M-vector at 1-based subcarrier ``k``, summed one
+    path at a time over the strongest ``num_paths`` paths (paths arrive
+    sorted by power). No paths give the zero vector."""
+    h = np.zeros(params.num_antennas, dtype=complex)
+    big_k = params.num_ofdm
+    for p in paths[:params.num_paths]:
+        gain = np.sqrt(p.power / big_k) * np.exp(
+            1j * (p.phase + (2.0 * np.pi * (k - 1) / big_k) * p.delay * params.bandwidth_hz)
+        )
+        h += gain * array_response(
+            np.radians(p.aod_az), np.radians(p.aod_el), params.dims, params.ant_spacing
+        )
+    return h
+
+
+def channel_matrix_oracle(paths: Sequence[PathRecord], params: ParamSet) -> np.ndarray:
+    """The oracle's M x |K| matrix: ``channel_vector`` at each sampled subcarrier."""
+    return np.stack([channel_vector(paths, int(k), params) for k in subcarrier_set(params)],
+                    axis=1)
 
 
 def _digest_chunk(chunk: Sequence[PathList], params: ParamSet) -> str:

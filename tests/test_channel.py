@@ -5,12 +5,11 @@ from mimogen.channel import (
     array_response,
     channel_matrices_batch,
     channel_matrix,
-    channel_vector,
 )
 from mimogen.params import ParamSet
 from mimogen.tracer import PathList, PathRecord
 
-from conftest import random_path_list, random_path_record
+from conftest import channel_matrix_oracle, channel_vector, random_path_list, random_path_record
 
 
 def brute_force_response(az, el, dims, spacing):
@@ -86,6 +85,8 @@ def _tap_record(power, phase, delay, **kw):
 
 
 class TestChannelVector:
+    """The scalar oracle (``conftest.channel_vector``) against closed forms."""
+
     def test_no_paths_zero(self):
         p = ParamSet()
         assert np.all(channel_vector((), 1, p) == 0)
@@ -129,8 +130,9 @@ class TestChannelVector:
 
 class TestDftOracle:
     """With a single antenna, unit bandwidth-delay products that land on
-    integer taps, and the full subcarrier set, the channel across k is the
-    (positive-exponent) inverse DFT of the tap sequence scaled by K."""
+    integer taps, and the full subcarrier set, the channel across k (the
+    one row of ``channel_matrix``) is the (positive-exponent) inverse DFT
+    of the tap sequence scaled by K."""
 
     @pytest.mark.parametrize("big_k", [8, 64, 256])
     def test_integer_tap_channels(self, rng, big_k):
@@ -149,9 +151,7 @@ class TestDftOracle:
                 recs.append(_tap_record(power, phase, delay))
                 taps[d] += np.sqrt(power / big_k) * np.exp(1j * phase)
             want = big_k * np.fft.ifft(taps)
-            got = np.array(
-                [channel_vector(recs, k, p)[0] for k in range(1, big_k + 1)]
-            )
+            got = channel_matrix(recs, p).entries[0]
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) < 1e-10 * scale
 
@@ -176,6 +176,13 @@ class TestChannelMatrix:
         cm = channel_matrix(pl, ParamSet(num_ofdm=16, ofdm_limit=16))
         assert (cm.bs_id, cm.user_index) == (4, 777)
 
+    def test_is_batch_of_one(self, rng):
+        p = ParamSet(num_ant_x=2, num_ant_y=2, num_ant_z=1, num_ofdm=16, ofdm_limit=16)
+        pl = random_path_list(rng, bs_id=4, user_index=777)
+        want = channel_matrices_batch([pl], p)[0]
+        assert np.array_equal(channel_matrix(pl, p).entries, want)
+        assert np.array_equal(channel_matrix(pl.paths, p).entries, want)
+
 
 class TestBatch:
     def test_matches_per_user(self, rng):
@@ -186,7 +193,7 @@ class TestBatch:
         batch = channel_matrices_batch(pls, p)
         assert batch.shape == (12, 16, 16)
         for u, pl in enumerate(pls):
-            single = channel_matrix(pl, p).entries
+            single = channel_matrix_oracle(pl.paths, p)
             assert np.max(np.abs(batch[u] - single)) < 1e-12 * (
                 1.0 + np.max(np.abs(single))
             )
@@ -203,4 +210,4 @@ class TestBatch:
         full = random_path_list(rng, bs_id=1, user_index=2)
         batch = channel_matrices_batch([empty, full], p)
         assert np.all(batch[0] == 0)
-        assert np.allclose(batch[1], channel_matrix(full, p).entries)
+        assert np.allclose(batch[1], channel_matrix_oracle(full.paths, p))

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from mimogen.cli import ProgressReporter, build_parser, run
+from mimogen.dataset import content_hash
 from mimogen.rayio import HEADER_SIZE, read_rayfile
 
 from conftest import rewrite_shard
@@ -63,11 +64,14 @@ class TestPipeline:
     def test_trace_manifest_counts_image_nodes(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)
         counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
-        assert set(counters) == {f"bs{b:03d}.image_nodes{s}"
-                                 for b in (3, 4) for s in ("", "_unpruned")}
+        assert set(counters) == {f"bs{b:03d}.image_nodes{s}" for b in (3, 4)
+                                 for s in ("", "_unpruned", "_searched", "_yielding")}
         for b in (3, 4):
             assert counters[f"bs{b:03d}.image_nodes_unpruned"] == 1802
             assert 0 < counters[f"bs{b:03d}.image_nodes"] < 1802
+            assert (0 < counters[f"bs{b:03d}.image_nodes_yielding"]
+                    <= counters[f"bs{b:03d}.image_nodes_searched"]
+                    < counters[f"bs{b:03d}.image_nodes"])
 
     def test_full_pipeline(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)
@@ -146,6 +150,7 @@ class TestPipeline:
         doc = json.loads((ds_dir / "build.manifest.json").read_text())
         assert doc["subcommand"] == "build"
         assert any("rays_bs003.drf" in k for k in doc["input_hashes"])
+        assert doc["input_hashes"][str(scene_file)] == content_hash(scene_file.read_bytes())
         assert doc["wall_seconds"] >= 0
 
     def test_build_manifest_counts_gaps_and_bytes(self, tmp_path, scene_file, caplog):

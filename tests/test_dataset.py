@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mimogen import dataset
-from mimogen.channel import channel_matrix
 from mimogen.dataset import (
     Dataset,
     DatasetError,
@@ -43,7 +42,9 @@ from mimogen.params import ParamSet, serialize_params, subcarrier_set
 from mimogen.rayio import RayFile, RayFileHeader
 from mimogen.scene import build_o1_scene, user_positions
 
-from conftest import compute_channels_parallel, random_path_list, rewrite_shard
+from conftest import (
+    channel_matrix_oracle, compute_channels_parallel, random_path_list, rewrite_shard,
+)
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +115,7 @@ class TestBuild:
             by_index = {pl.user_index: pl for pl in sources[bs_id].records}
             for u_ord in range(1, ds.n_users + 1):
                 gidx = ds.user_for_ordinal(u_ord)
-                want = channel_matrix(by_index[gidx], p).entries
+                want = channel_matrix_oracle(by_index[gidx].paths, p)
                 got = get_channel(ds, b_ord, u_ord).entries
                 assert np.max(np.abs(got - want)) < 1e-12 * (1 + np.max(np.abs(want)))
 

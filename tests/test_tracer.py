@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mimogen import tracer
@@ -348,6 +348,105 @@ class TestAperturePruning:
         before, after = image_node_counts(sc, 17, 4)
         assert before == 1140
         assert after < 0.6 * before
+
+
+@st.composite
+def _region_cases(draw):
+    """A random box scene, transmitter, receiver batch and bounce budget. The
+    batch mixes free receivers with ones on face edges, ones whose single
+    bounce point lies just off a face edge (within the tracer's tolerance),
+    duplicates, one at the transmitter and ones with a NaN or infinite
+    coordinate."""
+    boxes = draw(st.lists(_box, min_size=1, max_size=5))
+    tx = draw(_tx)
+    assume(not any(b.contains(tx) for b in boxes))
+    rx = draw(st.lists(_point, min_size=1, max_size=5))
+    kinds = ("edge", "graze", "duplicate", "tx", "non-finite")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=4)):
+        b = draw(st.sampled_from(boxes))
+        lo, hi = np.array(b.min_corner), np.array(b.max_corner)
+        ax = draw(st.integers(0, 2))
+        u, v = [a for a in range(3) if a != ax]
+        p = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+        p[ax] = draw(st.sampled_from((lo[ax], hi[ax])))
+        p[u] = draw(st.sampled_from((lo[u], hi[u])))
+        if kind == "graze":
+            # Face p[ax] of b, seen from tx; the bounce point p sits 5e-10 m
+            # outside the face's u edge, and the receiver on the ray from
+            # tx's image through p.
+            side = 1.0 if p[ax] == hi[ax] else -1.0
+            if side * (tx[ax] - p[ax]) <= 0:
+                continue
+            p[u] += 5e-10 if p[u] == hi[u] else -5e-10
+            img = np.array(tx)
+            img[ax] = 2 * p[ax] - img[ax]
+            p = p + draw(st.floats(0.25, 2.0)) * (p - img)
+        elif kind == "duplicate":
+            p = draw(st.sampled_from(rx))
+        elif kind == "tx":
+            p = tx
+        elif kind == "non-finite":
+            p = np.array(draw(_point))
+            p[ax] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+        rx.insert(draw(st.integers(0, len(rx))), tuple(float(x) for x in p))
+    return boxes, tx, rx, draw(st.integers(0, 3))
+
+
+class TestRegionPruning:
+    # A bounce point 5e-10 m off a face edge, found only within the tolerance;
+    # a NaN receiver beside one with paths.
+    @example(case=([Building((0.0, 2.0, 0.0), (3.0, 4.0, 3.0))], (1.0, 0.0, 1.5),
+                   [(5.0 + 1e-9, 0.0, 1.5)], 1))
+    @example(case=([Building((0.0, 2.0, 0.0), (3.0, 4.0, 3.0))], (1.0, 0.0, 1.5),
+                   [(math.nan, 0.0, 1.0), (2.0, 1.0, 1.0)], 2))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(case=_region_cases())
+    def test_equals_searching_every_node(self, case):
+        boxes, tx, rx, max_reflections = case
+        scene = Scene(buildings=tuple(boxes), base_stations=(BaseStation(1, tx),),
+                      grids=(), carrier_freq=28e9)
+        kw = dict(max_reflections=max_reflections, max_paths=10_000)
+        with np.errstate(all="ignore"):
+            pruned = trace_paths_batch(scene, 1, rx, **kw)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tracer, "_reachable",
+                           lambda geo, nodes, rx: np.ones(len(nodes), dtype=bool))
+                every = trace_paths_batch(scene, 1, rx, **kw)
+        assert repr(pruned) == repr(every)
+        assert pruned.nodes_yielding == every.nodes_yielding
+        assert pruned.nodes_yielding <= pruned.nodes_searched <= every.nodes_searched
+        assert every.nodes_searched == image_node_counts(scene, 1, max_reflections)[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        segs=st.lists(st.tuples(_point, _point), min_size=2, max_size=8),
+        boxes=st.lists(_box, min_size=1, max_size=4),
+        nan_at=st.tuples(st.integers(0, 7), st.integers(0, 1), st.integers(0, 2)),
+    )
+    def test_nan_segment_keeps_the_batch_boxes(self, segs, boxes, nan_at):
+        p = np.array(segs)                                       # (U, 2, 3)
+        u, end, ax = nan_at
+        p[u % len(segs), end, ax] = math.nan
+        b = np.array([[bx.min_corner, bx.max_corner] for bx in boxes], dtype=float)
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(_segments_blocked(p[:, 0], p[:, 1], b),
+                                          dense_segments_blocked(p[:, 0], p[:, 1], b))
+
+    def test_non_finite_receivers_get_no_path(self):
+        sc = wall_scene([(12.0, 20.0)], ground_z=0.0)
+        rx = [(25.0, 4.0, 6.0), (math.inf, 4.0, 6.0), (25.0, math.nan, 6.0)]
+        with np.errstate(all="ignore"):
+            got = trace_paths_batch(sc, 1, rx, max_reflections=2)
+        assert got[0].paths == trace_paths(sc, 1, rx[0], max_reflections=2).paths
+        assert got[1].paths == got[2].paths == ()
+
+    def test_prunes_o1(self):
+        sc = build_o1_scene()
+        rx = user_positions(sc, users_in_row_range(sc, 4500, 4500))
+        batch = trace_paths_batch(sc, 17, rx)
+        nodes = image_node_counts(sc, 17, 4)[1]
+        assert 0 < batch.nodes_yielding <= batch.nodes_searched < 0.1 * nodes
 
 
 class TestTreeCache:
