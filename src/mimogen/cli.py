@@ -46,6 +46,7 @@ from .dataset import (
 from .kvconfig import ConfigError, KVEntry, merge_kv
 from .params import ParamSet, ParamError, params_from_entries, serialize_params
 from .rayio import (
+    MAX_PATHS,
     RayFileError,
     RayFileHeader,
     read_rayfile,
@@ -159,8 +160,7 @@ def _params_from_args(args: argparse.Namespace) -> ParamSet:
 def _cmd_scene(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     if args.preset != "o1":
-        print(f"error: unknown preset {args.preset!r}", file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown preset {args.preset!r}")
     overrides = _merged_config(args)
     scene = build_o1_scene(overrides)
     out = Path(args.out)
@@ -184,10 +184,22 @@ def _cmd_scene(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
+    try:
+        bs_ids = [int(s) for s in args.bs.split(",") if s]
+    except ValueError:
+        return _usage_error(f"--bs must be comma-separated integers, got {args.bs!r}")
+    if args.max_reflections < 0:
+        return _usage_error(f"--max-reflections must be >= 0, got {args.max_reflections}")
+    if not 1 <= args.max_paths <= MAX_PATHS:
+        return _usage_error(f"--max-paths must be in 1..{MAX_PATHS}, got {args.max_paths}")
     scene = _load_scene(args.scene)
-    bs_ids = [int(s) for s in args.bs.split(",") if s]
     for bs_id in bs_ids:
         scene.bs_by_id(bs_id)  # fail early on unknown ids
     indices = users_in_row_range(scene, args.active_user_first, args.active_user_last)
@@ -214,11 +226,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             yielding += chunk.nodes_yielding
             done += len(chunk)
             reporter.update(done)
-        before, after = image_node_counts(scene, bs_id, args.max_reflections)
-        counters[f"bs{bs_id:03d}.image_nodes_unpruned"] = before
-        counters[f"bs{bs_id:03d}.image_nodes"] = after
+        counters[f"bs{bs_id:03d}.image_nodes"] = image_node_counts(
+            scene, bs_id, args.max_reflections)
         counters[f"bs{bs_id:03d}.image_nodes_searched"] = searched
         counters[f"bs{bs_id:03d}.image_nodes_yielding"] = yielding
+        counters[f"bs{bs_id:03d}.paths"] = sum(len(pl.paths) for pl in path_lists)
+        counters[f"bs{bs_id:03d}.users_without_paths"] = sum(
+            not pl.paths for pl in path_lists)
         header = RayFileHeader(bs_id=bs_id, carrier_freq=scene.carrier_freq,
                                user_count=len(path_lists), scenario=scene.name)
         out = outdir / f"rays_bs{bs_id:03d}.drf"
@@ -287,8 +301,7 @@ def _cmd_beams(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     for flag, value in (("--snr", args.snr), ("--oversampling", args.oversampling)):
         if not value > 0:
-            print(f"error: {flag} must be > 0, got {value}", file=sys.stderr)
-            return 2
+            return _usage_error(f"{flag} must be > 0, got {value}")
     outdir = Path(args.out_dir)
     with DatasetReader(args.dataset_dir) as ds:
         codebook = dft_codebook(ds.params.dims, oversampling=args.oversampling)

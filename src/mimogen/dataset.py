@@ -38,6 +38,7 @@ import contextlib
 import hashlib
 import io
 import logging
+import shutil
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -649,21 +650,27 @@ def write_shards(
     the last step is written.
 
     ``fmt="csv"`` writes a readable tree instead and is refused above a
-    documented size cap (CSV_SIZE_CAP_BYTES).
+    documented size cap (CSV_SIZE_CAP_BYTES). Either is refused, before
+    the first step, when its (estimated) size exceeds the free space of
+    ``sink``'s file system.
     """
     sink = Path(sink)
-    sink.mkdir(parents=True, exist_ok=True)
     if fmt not in _EXPORT_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
     params, scenario, n_users = source.params, source.scenario_name, source.n_users
+    size = sum(shard_size_bytes(params, n_users, scenario, bs_id) for bs_id in source.bs_ids)
     if fmt == "csv":
-        est = sum(shard_size_bytes(params, n_users, scenario, bs_id) * 3
-                  for bs_id in source.bs_ids)
-        if est > CSV_SIZE_CAP_BYTES:
+        size *= 3
+        if size > CSV_SIZE_CAP_BYTES:
             raise DatasetError(
-                f"csv export refused: estimated {est} bytes exceeds cap "
+                f"csv export refused: estimated {size} bytes exceeds cap "
                 f"{CSV_SIZE_CAP_BYTES}"
             )
+    free = shutil.disk_usage(next(p for p in (sink, *sink.parents) if p.exists())).free
+    if size > free:
+        raise DatasetError(
+            f"{sink}: the dataset needs {size} bytes but only {free} bytes are free")
+    sink.mkdir(parents=True, exist_ok=True)
     name_format, head, encode = _EXPORT_FORMATS[fmt]
     names = [name_format.format(bs_id) for bs_id in source.bs_ids]
     sinks, users = write_files(

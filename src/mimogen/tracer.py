@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .scene import GROUND_MATERIAL, SPEED_OF_LIGHT, Scene
 
-_EPS_SIDE = 1e-9      # front-side test tolerance for image pruning
+_EPS_SIDE = 1e-9      # front-side test tolerance of the image tree
 _EPS_T = 1e-12        # segment-parameter tolerance for reflection points
 _RECT_TOL = 1e-9      # face-rectangle containment tolerance
 _SHRINK = 1e-6        # occlusion boxes are shrunk by this much per side
-_PRUNE_TOL = 1e-6     # slack of the aperture and region tests that prune nodes
+_PRUNE_TOL = 1e-6     # slack of the region test that prunes image nodes
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,9 @@ class _Geometry:
     plane_offset: np.ndarray   #   as arrays for the vectorized tests
     plane_sign: np.ndarray
     boxes_shrunk: np.ndarray   # (B, 2, 3): min/max corners for occlusion tests
-    face_lo: np.ndarray        # (F, 3): building faces as flat boxes, grown by
-    face_hi: np.ndarray        #   _PRUNE_TOL on every side (ground excluded)
-    face_plane: np.ndarray     # (F,): index into `planes` of each face
-    plane_face_lo: np.ndarray  # (P, F', 3): face_lo/face_hi by plane, padded
-    plane_face_hi: np.ndarray  #   with empty boxes (lo = inf, hi = -inf)
-    tree_capacity: int         # cached image trees: one per base station
-    trees: dict[tuple, list["_Node"]] = field(default_factory=dict)
+    plane_face_lo: np.ndarray  # (P, F', 3): each plane's faces as flat boxes grown
+    plane_face_hi: np.ndarray  #   by _PRUNE_TOL, padded with empty boxes
+                               #   (lo = inf, hi = -inf); the ground has none
 
 
 def _covered_by_neighbor(scene: Scene, bi: int, axis: int, offset: float, sign: float) -> bool:
@@ -180,32 +176,23 @@ def _build_geometry(scene: Scene) -> _Geometry:
     else:
         boxes = np.empty((0, 2, 3))
 
-    face_lo, face_hi, face_plane = [], [], []
-    for pi, pl in enumerate(planes[1:], 1):
-        u, v = _OTHER_AXES[pl.axis]
-        for u0, u1, v0, v1 in pl.rects:
-            lo, hi = np.full(3, pl.offset), np.full(3, pl.offset)
-            lo[u], hi[u], lo[v], hi[v] = u0, u1, v0, v1
-            face_lo.append(lo - _PRUNE_TOL)
-            face_hi.append(hi + _PRUNE_TOL)
-            face_plane.append(pi)
-    face_lo, face_hi = np.array(face_lo).reshape(-1, 3), np.array(face_hi).reshape(-1, 3)
-    face_plane = np.array(face_plane, dtype=int)
     width = max((len(pl.rects) for pl in planes), default=0)
     plane_face_lo = np.full((len(planes), width, 3), np.inf)
     plane_face_hi = np.full((len(planes), width, 3), -np.inf)
-    for pi, pl in enumerate(planes):
-        plane_face_lo[pi, :len(pl.rects)] = face_lo[face_plane == pi]
-        plane_face_hi[pi, :len(pl.rects)] = face_hi[face_plane == pi]
+    for pi, pl in enumerate(planes[1:], 1):
+        faces = slice(len(pl.rects))
+        plane_face_lo[pi, faces, pl.axis] = pl.offset - _PRUNE_TOL
+        plane_face_hi[pi, faces, pl.axis] = pl.offset + _PRUNE_TOL
+        for k, ax in enumerate(_OTHER_AXES[pl.axis]):
+            plane_face_lo[pi, faces, ax] = pl.rects[:, 2 * k] - _PRUNE_TOL
+            plane_face_hi[pi, faces, ax] = pl.rects[:, 2 * k + 1] + _PRUNE_TOL
     return _Geometry(
         planes=planes,
         plane_axis=np.array([pl.axis for pl in planes]),
         plane_offset=np.array([pl.offset for pl in planes]),
         plane_sign=np.array([pl.sign for pl in planes]),
         boxes_shrunk=boxes,
-        face_lo=face_lo, face_hi=face_hi, face_plane=face_plane,
         plane_face_lo=plane_face_lo, plane_face_hi=plane_face_hi,
-        tree_capacity=max(1, len(scene.base_stations)),
     )
 
 
@@ -224,121 +211,39 @@ def _geometry(scene: Scene) -> _Geometry:
 # Image tree
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Node:
-    seq: tuple[int, ...]       # plane indices, in bounce order
-    images: np.ndarray         # (n+1, 3): tx image after 0..n mirrors
-
-
-def _aperture_visible(geo: _Geometry, a: int, img: np.ndarray) -> np.ndarray:
-    """(P,) mask of the planes that a bounce off plane ``a`` can reach when the
-    ray comes from image ``img``, which lies strictly behind ``a``.
-
-    A next bounce point must lie on a face of the next plane, on the far side
-    of ``a``, and seen from ``img`` through a face of ``a``. Each face is
-    clipped to that half-space and projected from ``img`` onto ``a``; the
-    plane is kept when the bounding box of a projection overlaps a face of
-    ``a``. Faces are grown by ``_PRUNE_TOL``, so the test only keeps more.
-    The ground is unbounded: it is always reachable and never prunes.
-    """
-    pa = geo.planes[a]
-    if pa.is_ground:
-        return np.ones(len(geo.planes), dtype=bool)
-    A = pa.axis
-    lo, hi = geo.face_lo, geo.face_hi
-    if pa.sign > 0:
-        meets = hi[:, A] >= pa.offset
-        depth = np.maximum(np.stack([lo[:, A], hi[:, A]], axis=1), pa.offset)  # (F, 2)
-    else:
-        meets = lo[:, A] <= pa.offset
-        depth = np.minimum(np.stack([lo[:, A], hi[:, A]], axis=1), pa.offset)
-    # Central projection from img onto a: a point at depth x_A lands at
-    # img + scale * (x - img); scale is in (0, 1] because img is behind a.
-    scale = (pa.offset - img[A]) / (depth - img[A])
-    overlap = meets[:, None]                                   # (F, faces of a)
-    for k, ax in enumerate(_OTHER_AXES[A]):
-        ends = np.stack([lo[:, ax], hi[:, ax]], axis=1) - img[ax]           # (F, 2)
-        proj = img[ax] + scale[:, :, None] * ends[:, None, :]               # (F, 2, 2)
-        r_lo = pa.rects[None, :, 2 * k] - _PRUNE_TOL
-        r_hi = pa.rects[None, :, 2 * k + 1] + _PRUNE_TOL
-        overlap = (overlap & (proj.min(axis=(1, 2))[:, None] <= r_hi)
-                   & (proj.max(axis=(1, 2))[:, None] >= r_lo))
-    visible = np.zeros(len(geo.planes), dtype=bool)
-    visible[0] = True
-    visible[geo.face_plane[overlap.any(axis=1)]] = True
-    return visible
-
-
-def _image_tree(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> list[_Node]:
-    """Enumerate mirrored-source images, pruned by the front-side condition
-    (the previous image must lie strictly on the reflective side of the next
-    plane; consecutive bounces off the same oriented plane are impossible)
-    and by the aperture test of ``_aperture_visible``. Neither looks at a
-    receiver, and no node that can yield a path is dropped."""
-    root = _Node(seq=(), images=tx[None, :].copy())
-    nodes = [root]
-    frontier = [root]
-    for _ in range(max_reflections):
-        nxt: list[_Node] = []
-        for node in frontier:
-            img = node.images[-1]
-            last = node.seq[-1] if node.seq else -1
-            visible = (_aperture_visible(geo, last, img) if node.seq
-                       else np.ones(len(geo.planes), dtype=bool))
-            for pi, pl in enumerate(geo.planes):
-                if pi == last or not visible[pi]:
-                    continue
-                if pl.sign * (img[pl.axis] - pl.offset) <= _EPS_SIDE:
-                    continue
-                child = _Node(
-                    seq=node.seq + (pi,),
-                    images=np.vstack([node.images, mirror_point(img, pl.axis, pl.offset)]),
-                )
-                nxt.append(child)
-        nodes.extend(nxt)
-        frontier = nxt
-    for node in nodes:
-        node.images.setflags(write=False)
-    return nodes
-
-
-def _cached_tree(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> list[_Node]:
-    """The image tree of ``tx``, built once per (tx, max_reflections). The
-    cache keeps at most one tree per base station of the scene, dropping the
-    oldest, so tracing from arbitrary points cannot grow it."""
-    key = (tuple(tx.tolist()), max_reflections)
-    nodes = geo.trees.get(key)
-    if nodes is None:
-        if len(geo.trees) >= geo.tree_capacity:
-            del geo.trees[next(iter(geo.trees))]
-        nodes = geo.trees[key] = _image_tree(geo, tx, max_reflections)
-    return nodes
-
-
-def _front_side_tree_size(geo: _Geometry, tx: np.ndarray, max_reflections: int) -> int:
-    """Number of image nodes the front-side condition alone admits: the size
-    of the tree before aperture pruning."""
+def _image_tree(geo: _Geometry, tx: np.ndarray,
+                max_reflections: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every mirrored-source image of ``tx`` up to ``max_reflections``
+    bounces, as one ``(seqs (N, d), images (N, d+1, 3))`` pair per depth
+    d = 0..max_reflections: each node's plane indices in bounce order and
+    the tx image after 0..d mirrors. A node's children are the planes, in
+    index order, other than its last plane, whose reflective side strictly
+    holds its last image; children follow their parents' order. Nothing
+    here looks at a receiver."""
     axis, offset, sign = geo.plane_axis, geo.plane_offset, geo.plane_sign
-    imgs, last, total = tx[None, :], np.array([-1]), 1
+    seqs = np.empty((1, 0), dtype=np.intp)
+    images = tx[None, None, :].copy()
+    tree = [(seqs, images)]
     for _ in range(max_reflections):
-        front = sign * (imgs[:, axis] - offset) > _EPS_SIDE
-        bounced = np.nonzero(last >= 0)[0]
-        front[bounced, last[bounced]] = False
-        parent, last = np.nonzero(front)
-        imgs = imgs[parent]
-        rows = np.arange(last.size)
-        imgs[rows, axis[last]] = 2.0 * offset[last] - imgs[rows, axis[last]]
-        total += last.size
-    return total
+        last = images[:, -1, :]
+        front = sign * (last[:, axis] - offset) > _EPS_SIDE           # (N, P)
+        if seqs.shape[1]:
+            front[np.arange(len(seqs)), seqs[:, -1]] = False
+        parent, plane = np.nonzero(front)
+        child = last[parent]
+        rows = np.arange(plane.size)
+        child[rows, axis[plane]] = 2.0 * offset[plane] - child[rows, axis[plane]]
+        seqs = np.concatenate([seqs[parent], plane[:, None]], axis=1)
+        images = np.concatenate([images[parent], child[:, None, :]], axis=1)
+        tree.append((seqs, images))
+    return tree
 
 
-def image_node_counts(scene: Scene, bs_id: int, max_reflections: int) -> tuple[int, int]:
-    """Image nodes of base station ``bs_id``'s tree before and after aperture
-    pruning (the root, the transmitter itself, counts as one node)."""
-    geo = _geometry(scene)
+def image_node_counts(scene: Scene, bs_id: int, max_reflections: int) -> int:
+    """Image nodes in base station ``bs_id``'s tree (the root, the
+    transmitter itself, counts as one node)."""
     tx = np.asarray(scene.bs_by_id(bs_id).position, dtype=float)
-    return (_front_side_tree_size(geo, tx, max_reflections),
-            len(_cached_tree(geo, tx, max_reflections)))
+    return sum(len(seqs) for seqs, _ in _image_tree(_geometry(scene), tx, max_reflections))
 
 
 # Image nodes per vectorized step of the region test; bounds its
@@ -349,8 +254,10 @@ _CORNERS = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1],
                      [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=bool)
 
 
-def _reachable(geo: _Geometry, nodes: list[_Node], rx: np.ndarray) -> np.ndarray:
-    """(len(nodes),) mask of the image nodes whose backward beam through the
+def _reachable(geo: _Geometry, seqs: np.ndarray, images: np.ndarray,
+               rx: np.ndarray) -> np.ndarray:
+    """(N,) mask of the image nodes of one depth of ``_image_tree``
+    (``seqs`` (N, d), ``images`` (N, d+1, 3)) whose backward beam through the
     receivers ``rx`` (U, 3) can reach a face at every bounce.
 
     The beam starts as the bounding box of the finite receivers (one with a
@@ -362,52 +269,47 @@ def _reachable(geo: _Geometry, nodes: list[_Node], rx: np.ndarray) -> np.ndarray
     projected corners bound every bounce point. Their bounding box, grown
     by ``_PRUNE_TOL``, must overlap a (grown) face of the plane; the ground
     is unbounded and always does. The beam then narrows to that box and the
-    hull of the faces it overlaps. Like ``_aperture_visible``, the test only
-    drops nodes that give no path. It runs on the nodes of a depth
-    ``_REGION_NODES`` at a time.
+    hull of the faces it overlaps. The test only drops nodes that give no
+    path. It runs on ``_REGION_NODES`` nodes at a time.
     """
-    keep = np.zeros(len(nodes), dtype=bool)
+    n_nodes, d = seqs.shape
+    keep = np.zeros(n_nodes, dtype=bool)
     rx = rx[np.isfinite(rx).all(axis=1)]
     if rx.shape[0] == 0:
         return keep
-    depth = np.array([len(node.seq) for node in nodes])
-    keep[depth == 0] = True
-    for d in range(1, int(depth.max()) + 1):
-        at_depth = np.nonzero(depth == d)[0]
-        for first in range(0, at_depth.size, _REGION_NODES):
-            idx = at_depth[first:first + _REGION_NODES]
-            seqs = np.array([nodes[k].seq for k in idx])                 # (N, d)
-            imgs = np.stack([nodes[k].images for k in idx])              # (N, d+1, 3)
-            lo = np.repeat(rx.min(axis=0)[None, :], idx.size, axis=0)    # (N, 3)
-            hi = np.repeat(rx.max(axis=0)[None, :], idx.size, axis=0)
-            for i in range(d, 0, -1):
-                rows = np.arange(idx.size)
-                pi = seqs[:, i - 1]
-                ax, off = geo.plane_axis[pi], geo.plane_offset[pi]
-                front = geo.plane_sign[pi] > 0
-                lo[rows, ax] = np.where(front, np.maximum(lo[rows, ax], off), lo[rows, ax])
-                hi[rows, ax] = np.where(front, hi[rows, ax], np.minimum(hi[rows, ax], off))
-                alive = lo[rows, ax] <= hi[rows, ax]
-                idx, seqs, imgs, lo, hi, pi, ax, off = (
-                    a[alive] for a in (idx, seqs, imgs, lo, hi, pi, ax, off))
-                rows = np.arange(idx.size)
-                img = imgs[:, i, :]
-                corners = np.where(_CORNERS, hi[:, None, :], lo[:, None, :])  # (N, 8, 3)
-                c_ax = corners[rows, :, ax]                                   # (N, 8)
-                t = (off[:, None] - c_ax) / (img[rows, ax][:, None] - c_ax)
-                proj = corners + t[:, :, None] * (img[:, None, :] - corners)
-                lo = proj.min(axis=1) - _PRUNE_TOL
-                hi = proj.max(axis=1) + _PRUNE_TOL
-                face_lo, face_hi = geo.plane_face_lo[pi], geo.plane_face_hi[pi]  # (N, F', 3)
-                hit = ((lo[:, None, :] <= face_hi) & (hi[:, None, :] >= face_lo)).all(axis=2)
-                walls = pi != 0
-                hull_lo = face_lo.min(axis=1, where=hit[:, :, None], initial=np.inf)
-                hull_hi = face_hi.max(axis=1, where=hit[:, :, None], initial=-np.inf)
-                lo[walls] = np.maximum(lo[walls], hull_lo[walls])
-                hi[walls] = np.minimum(hi[walls], hull_hi[walls])
-                alive = ~walls | hit.any(axis=1)
-                idx, seqs, imgs, lo, hi = (a[alive] for a in (idx, seqs, imgs, lo, hi))
-            keep[idx] = True
+    for first in range(0, n_nodes, _REGION_NODES):
+        idx = np.arange(first, min(first + _REGION_NODES, n_nodes))
+        sq, imgs = seqs[idx], images[idx]
+        lo = np.repeat(rx.min(axis=0)[None, :], idx.size, axis=0)        # (N, 3)
+        hi = np.repeat(rx.max(axis=0)[None, :], idx.size, axis=0)
+        for i in range(d, 0, -1):
+            rows = np.arange(idx.size)
+            pi = sq[:, i - 1]
+            ax, off = geo.plane_axis[pi], geo.plane_offset[pi]
+            front = geo.plane_sign[pi] > 0
+            lo[rows, ax] = np.where(front, np.maximum(lo[rows, ax], off), lo[rows, ax])
+            hi[rows, ax] = np.where(front, hi[rows, ax], np.minimum(hi[rows, ax], off))
+            alive = lo[rows, ax] <= hi[rows, ax]
+            idx, sq, imgs, lo, hi, pi, ax, off = (
+                a[alive] for a in (idx, sq, imgs, lo, hi, pi, ax, off))
+            rows = np.arange(idx.size)
+            img = imgs[:, i, :]
+            corners = np.where(_CORNERS, hi[:, None, :], lo[:, None, :])  # (N, 8, 3)
+            c_ax = corners[rows, :, ax]                                   # (N, 8)
+            t = (off[:, None] - c_ax) / (img[rows, ax][:, None] - c_ax)
+            proj = corners + t[:, :, None] * (img[:, None, :] - corners)
+            lo = proj.min(axis=1) - _PRUNE_TOL
+            hi = proj.max(axis=1) + _PRUNE_TOL
+            face_lo, face_hi = geo.plane_face_lo[pi], geo.plane_face_hi[pi]  # (N, F', 3)
+            hit = ((lo[:, None, :] <= face_hi) & (hi[:, None, :] >= face_lo)).all(axis=2)
+            walls = pi != 0
+            hull_lo = face_lo.min(axis=1, where=hit[:, :, None], initial=np.inf)
+            hull_hi = face_hi.max(axis=1, where=hit[:, :, None], initial=-np.inf)
+            lo[walls] = np.maximum(lo[walls], hull_lo[walls])
+            hi[walls] = np.minimum(hi[walls], hull_hi[walls])
+            alive = ~walls | hit.any(axis=1)
+            idx, sq, imgs, lo, hi = (a[alive] for a in (idx, sq, imgs, lo, hi))
+        keep[idx] = True
     return keep
 
 
@@ -460,26 +362,28 @@ def _segments_blocked(
 
 
 def _node_paths(
-    node: _Node,
+    seq: np.ndarray,
+    images: np.ndarray,
     geo: _Geometry,
     tx: np.ndarray,
     rx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Valid specular paths of one image node against all receivers.
+    """Valid specular paths of one image node (its plane indices ``seq``
+    (n,) and tx images ``images`` (n+1, 3)) against all receivers.
 
     Returns (user_rows, lengths, loss_db_sums, chain) where chain is the
     (n+2, U', 3) polyline tx -> bounce points -> rx for the valid users.
     """
     U = rx.shape[0]
-    n = len(node.seq)
+    n = len(seq)
     rows = np.arange(U)
     pts = rx
     loss_db = np.zeros(U)
     chain_rev = [rx]
 
     for i in range(n, 0, -1):
-        pl = geo.planes[node.seq[i - 1]]
-        img = node.images[i]
+        pl = geo.planes[seq[i - 1]]
+        img = images[i]
         denom = img[pl.axis] - pts[:, pl.axis]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (pl.offset - pts[:, pl.axis]) / denom
@@ -514,7 +418,7 @@ def _node_paths(
         chain_rev.append(q)
 
     chain = [np.broadcast_to(tx, (rows.size, 3))] + chain_rev[::-1]
-    lengths = np.linalg.norm(node.images[-1][None, :] - chain[-1], axis=1)
+    lengths = np.linalg.norm(images[-1][None, :] - chain[-1], axis=1)
     # A receiver on the source or with a non-finite coordinate has no path
     # (as in path_power); every leg of the others must clear every (shrunk)
     # building box.
@@ -558,26 +462,29 @@ def _trace_records(
     ``max_paths`` per receiver; then the number of image nodes searched
     (those ``_reachable`` keeps) and of those that gave a path."""
     geo = _geometry(scene)
-    nodes = _cached_tree(geo, tx, max_reflections)
 
     # Per-user accumulation: (sort_key_fields..., record)
     per_user: list[list[tuple]] = [[] for _ in range(rx.shape[0])]
     freq = scene.carrier_freq
     lam = scene.wavelength
 
-    searched = [node for node, kept in zip(nodes, _reachable(geo, nodes, rx)) if kept]
+    searched = []
+    for seqs, images in _image_tree(geo, tx, max_reflections):
+        kept = _reachable(geo, seqs, images, rx)
+        searched.extend(zip(seqs[kept], images[kept]))
     yielding = 0
-    for node in searched:
-        rows, lengths, loss_db, chain = _node_paths(node, geo, tx, rx)
+    for seq, images in searched:
+        rows, lengths, loss_db, chain = _node_paths(seq, images, geo, tx, rx)
         if rows.size == 0:
             continue
         yielding += 1
-        n = len(node.seq)
+        n = len(seq)
         aod_az, aod_el = _angles_deg(chain[1] - chain[0])
         aoa_az, aoa_el = _angles_deg(chain[-2] - chain[-1])
         delays = lengths / SPEED_OF_LIGHT
         powers = (lam / (4.0 * math.pi * lengths)) ** 2 * 10.0 ** (-loss_db / 10.0)
         phases = (-2.0 * math.pi * freq * delays + math.pi * n) % (2.0 * math.pi)
+        key = tuple(seq.tolist())
         for j, u in enumerate(rows):
             rec = PathRecord(
                 aod_az=float(aod_az[j]), aod_el=float(aod_el[j]),
@@ -585,7 +492,7 @@ def _trace_records(
                 power=float(powers[j]), phase=float(phases[j]),
                 delay=float(delays[j]), n_reflections=n,
             )
-            per_user[u].append((-rec.power, rec.delay, node.seq, rec))
+            per_user[u].append((-rec.power, rec.delay, key, rec))
 
     records = [
         tuple(e[3] for e in sorted(entries, key=lambda e: (e[0], e[1], e[2]))[:max_paths])

@@ -9,7 +9,7 @@ from mimogen.channel import array_response, channel_matrices_batch
 from mimogen.dataset import Manifest, content_hash, parse_shard, shard_bytes
 from mimogen.params import ParamSet, subcarrier_set
 from mimogen.scene import BaseStation, Building, Scene, UserGrid
-from mimogen.tracer import _EPS_T, PathList, PathRecord
+from mimogen.tracer import _EPS_SIDE, _EPS_T, PathList, PathRecord, mirror_point
 
 
 @pytest.fixture
@@ -174,3 +174,28 @@ def dense_segments_blocked(p0: np.ndarray, p1: np.ndarray, boxes: np.ndarray) ->
     tmin = np.maximum(tlo.max(axis=2), 0.0)
     tmax = np.minimum(thi.min(axis=2), 1.0)
     return (tmin + _EPS_T < tmax).any(axis=1)
+
+
+def image_tree_oracle(planes, tx, max_reflections):
+    """Image-tree oracle: the front-side expansion one node at a time. From
+    each node of a depth, in order, it mirrors the last image across every
+    plane (``axis``, ``offset``, ``sign`` attributes), in index order, that
+    is not the node's last plane and whose reflective side strictly holds
+    that image. Returns the (seq, images (d+1, 3)) of every node, depth by
+    depth."""
+    nodes = [((), np.asarray(tx, dtype=float)[None, :])]
+    frontier = nodes
+    for _ in range(max_reflections):
+        nxt = []
+        for seq, images in frontier:
+            img = images[-1]
+            for pi, pl in enumerate(planes):
+                if seq and pi == seq[-1]:
+                    continue
+                if pl.sign * (img[pl.axis] - pl.offset) <= _EPS_SIDE:
+                    continue
+                nxt.append((seq + (pi,),
+                            np.vstack([images, mirror_point(img, pl.axis, pl.offset)])))
+        nodes = nodes + nxt
+        frontier = nxt
+    return nodes

@@ -1,6 +1,8 @@
 import io
 import json
+import shutil
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -64,14 +66,18 @@ class TestPipeline:
     def test_trace_manifest_counts_image_nodes(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)
         counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
-        assert set(counters) == {f"bs{b:03d}.image_nodes{s}" for b in (3, 4)
-                                 for s in ("", "_unpruned", "_searched", "_yielding")}
+        assert set(counters) == {f"bs{b:03d}.{key}" for b in (3, 4) for key in (
+            "image_nodes", "image_nodes_searched", "image_nodes_yielding",
+            "paths", "users_without_paths")}
+        assert counters["bs003.image_nodes"] == 1802
         for b in (3, 4):
-            assert counters[f"bs{b:03d}.image_nodes_unpruned"] == 1802
-            assert 0 < counters[f"bs{b:03d}.image_nodes"] < 1802
             assert (0 < counters[f"bs{b:03d}.image_nodes_yielding"]
                     <= counters[f"bs{b:03d}.image_nodes_searched"]
                     < counters[f"bs{b:03d}.image_nodes"])
+            records = read_rayfile((rays / f"rays_bs{b:03d}.drf").open("rb")).records
+            assert counters[f"bs{b:03d}.paths"] == sum(len(r.paths) for r in records) > 0
+            assert counters[f"bs{b:03d}.users_without_paths"] == sum(
+                not r.paths for r in records)
 
     def test_full_pipeline(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)
@@ -223,6 +229,20 @@ class TestErrors:
             "at (15, 2.2, 2) m, but the scene puts it at (15, 2.25, 2) m" in err
         assert not ds_dir.exists()
 
+    def test_build_refused_when_the_disk_is_too_small(self, tmp_path, scene_file,
+                                                      monkeypatch, capsys):
+        rays = _trace(tmp_path, scene_file)
+        rc, ds_dir = _build(tmp_path, scene_file, rays)
+        assert rc == 0
+        size = sum(f.stat().st_size for f in ds_dir.glob("shard_bs*.dmds"))
+        free = size - 1
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=free))
+        rc, ds_dir = _build(tmp_path / "small", scene_file, rays)
+        assert rc == 1
+        assert (f"error: {ds_dir}: the dataset needs {size} bytes but only {free} bytes "
+                "are free") in capsys.readouterr().err
+        assert not (tmp_path / "small").exists()
+
     def test_tampered_last_shard(self, tmp_path, scene_file, capsys):
         _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
         shard = ds_dir / "shard_bs004.dmds"      # the last shard in the manifest
@@ -309,6 +329,25 @@ class TestErrors:
         assert f"error: {flag} must be > 0, got " in err
         assert "Traceback" not in err
         assert not (tmp_path / "ml").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--bs", "x", "--bs must be comma-separated integers, got 'x'"),
+        ("--bs", "3,4.5", "--bs must be comma-separated integers, got '3,4.5'"),
+        ("--max-reflections", "-1", "--max-reflections must be >= 0, got -1"),
+        ("--max-paths", "0", "--max-paths must be in 1..25, got 0"),
+        ("--max-paths", "26", "--max-paths must be in 1..25, got 26"),
+    ])
+    def test_trace_bad_value_exit_2(self, tmp_path, capsys, flag, value, message):
+        # Refused before any tracing: the scene file does not exist.
+        args = {"--bs": "3", "--max-reflections": "4", "--max-paths": "25", flag: value}
+        assert run(["trace", "--scene", str(tmp_path / "nowhere.json"),
+                    "--active_user_first", "1", "--active_user_last", "2",
+                    "--out-dir", str(tmp_path / "rays"),
+                    *(x for item in args.items() for x in item)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "rays").exists()
 
     def test_bad_param_value_exit_2(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file, bs="3")

@@ -32,7 +32,7 @@ from mimogen.tracer import (
     trace_paths_batch,
 )
 
-from conftest import dense_segments_blocked, free_space_scene, wall_scene
+from conftest import dense_segments_blocked, free_space_scene, image_tree_oracle, wall_scene
 
 
 class TestMirrorPoint:
@@ -319,35 +319,32 @@ _box = st.tuples(
 ).map(lambda b: Building(b[0], tuple(lo + size for lo, size in zip(*b))))
 
 
-class TestAperturePruning:
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(boxes=st.lists(_box, min_size=2, max_size=6), tx=_tx,
-           rx=st.lists(_point, min_size=1, max_size=6),
-           max_reflections=st.integers(0, 3))
-    def test_equals_unpruned_tree(self, boxes, tx, rx, max_reflections):
+class TestImageTree:
+    @staticmethod
+    def assert_equals_oracle(scene, tx, max_reflections):
+        tree = tracer._image_tree(_geometry(scene), np.asarray(tx, dtype=float),
+                                  max_reflections)
+        oracle = image_tree_oracle(_geometry(scene).planes, tx, max_reflections)
+        assert [tuple(seq) for seqs, _ in tree for seq in seqs.tolist()] == [
+            seq for seq, _ in oracle]
+        got = b"".join(images.tobytes() for _, images in tree)
+        assert got == b"".join(images.tobytes() for _, images in oracle)
+        return len(oracle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(boxes=st.lists(_box, min_size=1, max_size=6), tx=_tx,
+           max_reflections=st.integers(0, 4))
+    def test_equals_oracle(self, boxes, tx, max_reflections):
         assume(not any(b.contains(tx) for b in boxes))
         scene = Scene(buildings=tuple(boxes), base_stations=(BaseStation(1, tx),),
                       grids=(), carrier_freq=28e9)
-        pruned = trace_paths_batch(scene, 1, rx, max_reflections=max_reflections,
-                                   max_paths=10_000)
-        unpruned_scene = dataclasses.replace(scene)   # new identity: cold caches
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tracer, "_aperture_visible",
-                       lambda geo, a, img: np.ones(len(geo.planes), dtype=bool))
-            unpruned = trace_paths_batch(unpruned_scene, 1, rx,
-                                         max_reflections=max_reflections,
-                                         max_paths=10_000)
-            before, after = image_node_counts(unpruned_scene, 1, max_reflections)
-        assert repr(pruned) == repr(unpruned)   # rx == tx gives NaN angles
-        assert before == after   # the counter matches the unpruned tree
-        assert image_node_counts(scene, 1, max_reflections)[0] == before
+        size = self.assert_equals_oracle(scene, tx, max_reflections)
+        assert image_node_counts(scene, 1, max_reflections) == size
 
-    def test_prunes_o1(self):
+    def test_equals_oracle_o1(self):
         sc = build_o1_scene()
-        before, after = image_node_counts(sc, 17, 4)
-        assert before == 1140
-        assert after < 0.6 * before
+        assert self.assert_equals_oracle(sc, sc.bs_by_id(17).position, 4) == 1140
+        assert image_node_counts(sc, 17, 4) == 1140
 
 
 @st.composite
@@ -357,10 +354,10 @@ def _region_cases(draw):
     bounce point lies just off a face edge (within the tracer's tolerance),
     duplicates, one at the transmitter and ones with a NaN or infinite
     coordinate."""
-    boxes = draw(st.lists(_box, min_size=1, max_size=5))
+    boxes = draw(st.lists(_box, min_size=1, max_size=6))
     tx = draw(_tx)
     assume(not any(b.contains(tx) for b in boxes))
-    rx = draw(st.lists(_point, min_size=1, max_size=5))
+    rx = draw(st.lists(_point, min_size=1, max_size=6))
     kinds = ("edge", "graze", "duplicate", "tx", "non-finite")
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=4)):
         b = draw(st.sampled_from(boxes))
@@ -411,12 +408,12 @@ class TestRegionPruning:
             pruned = trace_paths_batch(scene, 1, rx, **kw)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(tracer, "_reachable",
-                           lambda geo, nodes, rx: np.ones(len(nodes), dtype=bool))
+                           lambda geo, seqs, images, rx: np.ones(len(seqs), dtype=bool))
                 every = trace_paths_batch(scene, 1, rx, **kw)
         assert repr(pruned) == repr(every)
         assert pruned.nodes_yielding == every.nodes_yielding
         assert pruned.nodes_yielding <= pruned.nodes_searched <= every.nodes_searched
-        assert every.nodes_searched == image_node_counts(scene, 1, max_reflections)[1]
+        assert every.nodes_searched == image_node_counts(scene, 1, max_reflections)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -445,53 +442,8 @@ class TestRegionPruning:
         sc = build_o1_scene()
         rx = user_positions(sc, users_in_row_range(sc, 4500, 4500))
         batch = trace_paths_batch(sc, 17, rx)
-        nodes = image_node_counts(sc, 17, 4)[1]
+        nodes = image_node_counts(sc, 17, 4)
         assert 0 < batch.nodes_yielding <= batch.nodes_searched < 0.1 * nodes
-
-
-class TestTreeCache:
-    def test_one_tree_per_bs_and_depth(self, monkeypatch):
-        builds = []
-        real = tracer._image_tree
-
-        def counting(geo, tx, max_reflections):
-            builds.append((tuple(tx), max_reflections))
-            return real(geo, tx, max_reflections)
-
-        monkeypatch.setattr(tracer, "_image_tree", counting)
-        sc = wall_scene([(-20.0, -12.0), (12.0, 20.0)], ground_z=0.0)
-        sc = dataclasses.replace(sc, base_stations=(
-            BaseStation(1, (0.0, 0.0, 10.0)), BaseStation(2, (5.0, -3.0, 20.0))))
-        rx = np.array([[25.0, 4.0, 6.0], [-5.0, 2.0, 3.0]])
-        a = trace_paths_batch(sc, 1, rx, max_reflections=2)
-        b = trace_paths_batch(sc, 1, rx[::-1], max_reflections=2)
-        assert [pl.paths for pl in b] == [pl.paths for pl in a[::-1]]
-        assert len(builds) == 1
-        trace_paths_batch(sc, 1, rx, max_reflections=3)
-        assert len(builds) == 2
-        two, three = _geometry(sc).trees.values()
-        assert len(two) < len(three)
-        trace_paths_batch(sc, 2, rx, max_reflections=2)   # drops the oldest tree
-        assert len(builds) == 3
-        assert len(_geometry(sc).trees) == 2
-        trace_paths_batch(sc, 1, rx, max_reflections=3)
-        assert len(builds) == 3
-        assert trace_paths_batch(sc, 1, rx, max_reflections=2) == a
-        assert len(builds) == 4
-
-    def test_size_bounded_by_base_stations(self, rng):
-        sc = wall_scene([(-20.0, -12.0), (12.0, 20.0)], ground_z=0.0)
-        for _ in range(10):
-            tx = rng.uniform([-30, -10, 2], [30, 10, 40])
-            trace_between(sc, tx, (25.0, 4.0, 6.0), max_reflections=2)
-        geo = _geometry(sc)
-        assert len(geo.trees) == geo.tree_capacity == len(sc.base_stations) == 1
-
-    def test_cached_images_are_read_only(self):
-        sc = free_space_scene()
-        trace_paths(sc, 1, (10.0, 0.0, 10.0))
-        for nodes in _geometry(sc).trees.values():
-            assert not any(n.images.flags.writeable for n in nodes)
 
 
 class TestOcclusionPrefilter:
