@@ -195,6 +195,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         bs_ids = [int(s) for s in args.bs.split(",") if s]
     except ValueError:
         return _usage_error(f"--bs must be comma-separated integers, got {args.bs!r}")
+    if not bs_ids:
+        return _usage_error(f"--bs names no base station, got {args.bs!r}")
+    if len(set(bs_ids)) < len(bs_ids):
+        return _usage_error(f"--bs names a base station twice, got {args.bs!r}")
     if args.max_reflections < 0:
         return _usage_error(f"--max-reflections must be >= 0, got {args.max_reflections}")
     if not 1 <= args.max_paths <= MAX_PATHS:

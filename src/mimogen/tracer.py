@@ -6,9 +6,12 @@ using source mirroring. For each path it emits departure/arrival angles,
 receive power (Friis free-space loss times per-bounce material losses),
 phase, and propagation delay.
 
-The tracer is exact: every specular solution within the bounce budget is
-found (no ray-shooting density artifacts). Diffraction, diffuse scattering,
-and penetration are not modeled; antennas are isotropic with unit gain.
+The scene's reflecting surfaces are one plane table: each oriented plane
+holds the building faces on it as flat boxes with their losses, and the
+ground is plane 0 with one unbounded face. The tracer is exact: every
+specular solution within the bounce budget is found (no ray-shooting
+density artifacts). Diffraction, diffuse scattering, and penetration are
+not modeled; antennas are isotropic with unit gain.
 """
 
 from __future__ import annotations
@@ -95,104 +98,70 @@ _OTHER_AXES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
 @dataclass
-class _Plane:
-    """All coplanar faces sharing one oriented reflecting plane."""
-
-    axis: int
-    offset: float
-    sign: float            # outward normal direction along `axis`
-    is_ground: bool
-    rects: np.ndarray      # (F, 4): u_min, u_max, v_min, v_max on the other axes
-    loss_db: np.ndarray    # (F,) per-face reflection loss
-
-
-@dataclass
 class _Geometry:
-    planes: list[_Plane]       # planes[0] is the ground
-    plane_axis: np.ndarray     # (P,) axis, offset and sign of each plane,
-    plane_offset: np.ndarray   #   as arrays for the vectorized tests
+    """The reflecting planes as one table. Plane 0 is the ground, with one
+    unbounded face; every other plane holds the building faces on it, in
+    building order."""
+
+    plane_axis: np.ndarray     # (P,) axis, offset and outward normal sign
+    plane_offset: np.ndarray   #   (along the axis) of each plane
     plane_sign: np.ndarray
+    face_lo: np.ndarray        # (P, F', 3): each plane's faces as flat boxes,
+    face_hi: np.ndarray        #   padded with empty boxes (lo = inf, hi = -inf)
+    face_loss_db: np.ndarray   # (P, F') reflection loss of each face
+    face_count: np.ndarray     # (P,) faces of each plane
     boxes_shrunk: np.ndarray   # (B, 2, 3): min/max corners for occlusion tests
-    plane_face_lo: np.ndarray  # (P, F', 3): each plane's faces as flat boxes grown
-    plane_face_hi: np.ndarray  #   by _PRUNE_TOL, padded with empty boxes
-                               #   (lo = inf, hi = -inf); the ground has none
-
-
-def _covered_by_neighbor(scene: Scene, bi: int, axis: int, offset: float, sign: float) -> bool:
-    """True if the face is flush against another building that fully covers it."""
-    b = scene.buildings[bi]
-    u, v = _OTHER_AXES[axis]
-    for j, other in enumerate(scene.buildings):
-        if j == bi:
-            continue
-        near = other.min_corner[axis] if sign > 0 else other.max_corner[axis]
-        if abs(near - offset) > _RECT_TOL:
-            continue
-        if (
-            other.min_corner[u] <= b.min_corner[u] + _RECT_TOL
-            and other.max_corner[u] >= b.max_corner[u] - _RECT_TOL
-            and other.min_corner[v] <= b.min_corner[v] + _RECT_TOL
-            and other.max_corner[v] >= b.max_corner[v] - _RECT_TOL
-        ):
-            return True
-    return False
 
 
 def _build_geometry(scene: Scene) -> _Geometry:
-    grouped: dict[tuple[int, float, float], tuple[float, list[tuple[list[float], float]]]] = {}
-    for bi, b in enumerate(scene.buildings):
-        loss = scene.reflection_loss_db(b.material_id)
-        for axis in range(3):
-            u, v = _OTHER_AXES[axis]
-            rect = [b.min_corner[u], b.max_corner[u], b.min_corner[v], b.max_corner[v]]
-            for sign, offset in ((-1.0, b.min_corner[axis]), (1.0, b.max_corner[axis])):
-                if axis == 2 and sign < 0:
-                    continue  # building undersides sit on the ground
-                if _covered_by_neighbor(scene, bi, axis, offset, sign):
-                    continue
-                key = (axis, round(offset, 9), sign)
-                grouped.setdefault(key, (offset, []))[1].append((rect, loss))
+    mins = np.array([b.min_corner for b in scene.buildings], dtype=float).reshape(-1, 3)
+    maxs = np.array([b.max_corner for b in scene.buildings], dtype=float).reshape(-1, 3)
+    n_b = mins.shape[0]
+    # Every building face but the underside, which sits on the ground, in
+    # building order.
+    sides = [(axis, sign) for axis in range(3) for sign in (-1.0, 1.0) if axis < 2 or sign > 0]
+    fb = np.repeat(np.arange(n_b), len(sides))
+    fax = np.tile([axis for axis, _ in sides], n_b)
+    fsign = np.tile([sign for _, sign in sides], n_b)
+    lo, hi = mins[fb], maxs[fb]
+    off = np.where(fsign[:, None] > 0, hi, lo)[np.arange(fb.size), fax]
+    # A face flush against another building that fully covers it reflects
+    # nothing: (faces, buildings) tests of the other building's near side
+    # and of its extent on the face's two other axes.
+    near = np.where(fsign[:, None] > 0, mins[:, fax].T, maxs[:, fax].T)
+    spans = (((mins <= lo[:, None] + _RECT_TOL) & (maxs >= hi[:, None] - _RECT_TOL))
+             | (np.arange(3) == fax[:, None, None])).all(axis=2)
+    covered = ((np.abs(near - off[:, None]) <= _RECT_TOL) & spans
+               & (fb[:, None] != np.arange(n_b))).any(axis=1)
 
-    planes = [
-        _Plane(
-            axis=2, offset=scene.ground_z, sign=1.0, is_ground=True,
-            rects=np.empty((0, 4)),
-            loss_db=np.array([scene.reflection_loss_db(GROUND_MATERIAL)]),
-        )
-    ]
-    for (axis, _key_offset, sign), (offset, faces) in sorted(grouped.items()):
-        planes.append(
-            _Plane(
-                axis=axis, offset=float(offset), sign=sign, is_ground=False,
-                rects=np.array([f[0] for f in faces], dtype=float),
-                loss_db=np.array([f[1] for f in faces], dtype=float),
-            )
-        )
+    grouped: dict[tuple[int, float, float], list[int]] = {}
+    for f in np.flatnonzero(~covered).tolist():
+        key = (int(fax[f]), round(float(off[f]), 9), float(fsign[f]))
+        grouped.setdefault(key, []).append(f)
+    building_planes = [(axis, float(off[faces[0]]), sign, faces)
+                       for (axis, _key_offset, sign), faces in sorted(grouped.items())]
 
-    if scene.buildings:
-        mins = np.array([b.min_corner for b in scene.buildings], dtype=float)
-        maxs = np.array([b.max_corner for b in scene.buildings], dtype=float)
-        boxes = np.stack([mins + _SHRINK, maxs - _SHRINK], axis=1)
-    else:
-        boxes = np.empty((0, 2, 3))
-
-    width = max((len(pl.rects) for pl in planes), default=0)
-    plane_face_lo = np.full((len(planes), width, 3), np.inf)
-    plane_face_hi = np.full((len(planes), width, 3), -np.inf)
-    for pi, pl in enumerate(planes[1:], 1):
-        faces = slice(len(pl.rects))
-        plane_face_lo[pi, faces, pl.axis] = pl.offset - _PRUNE_TOL
-        plane_face_hi[pi, faces, pl.axis] = pl.offset + _PRUNE_TOL
-        for k, ax in enumerate(_OTHER_AXES[pl.axis]):
-            plane_face_lo[pi, faces, ax] = pl.rects[:, 2 * k] - _PRUNE_TOL
-            plane_face_hi[pi, faces, ax] = pl.rects[:, 2 * k + 1] + _PRUNE_TOL
+    n_p = 1 + len(building_planes)
+    width = max([1] + [len(faces) for *_, faces in building_planes])
+    face_lo = np.full((n_p, width, 3), np.inf)
+    face_hi = np.full((n_p, width, 3), -np.inf)
+    face_loss_db = np.zeros((n_p, width))
+    face_count = np.ones(n_p, dtype=int)
+    face_lo[0, 0], face_hi[0, 0] = -np.inf, np.inf
+    face_loss_db[0, 0] = scene.reflection_loss_db(GROUND_MATERIAL)
+    loss_db = np.array([scene.reflection_loss_db(b.material_id) for b in scene.buildings])
+    for pi, (axis, offset, _sign, faces) in enumerate(building_planes, 1):
+        n = face_count[pi] = len(faces)
+        face_lo[pi, :n] = lo[faces]
+        face_hi[pi, :n] = hi[faces]
+        face_lo[pi, :n, axis] = face_hi[pi, :n, axis] = offset
+        face_loss_db[pi, :n] = loss_db[fb[faces]]
     return _Geometry(
-        planes=planes,
-        plane_axis=np.array([pl.axis for pl in planes]),
-        plane_offset=np.array([pl.offset for pl in planes]),
-        plane_sign=np.array([pl.sign for pl in planes]),
-        boxes_shrunk=boxes,
-        plane_face_lo=plane_face_lo, plane_face_hi=plane_face_hi,
+        plane_axis=np.array([2] + [pl[0] for pl in building_planes]),
+        plane_offset=np.array([scene.ground_z] + [pl[1] for pl in building_planes], dtype=float),
+        plane_sign=np.array([1.0] + [pl[2] for pl in building_planes]),
+        face_lo=face_lo, face_hi=face_hi, face_loss_db=face_loss_db, face_count=face_count,
+        boxes_shrunk=np.stack([mins + _SHRINK, maxs - _SHRINK], axis=1),
     )
 
 
@@ -247,8 +216,8 @@ def image_node_counts(scene: Scene, bs_id: int, max_reflections: int) -> int:
 
 
 # Image nodes per vectorized step of the region test; bounds its
-# (nodes, faces of a plane, 3) temporaries.
-_REGION_NODES = 64
+# (nodes, faces of a plane, 3) temporaries (about 270 KB on O1).
+_REGION_NODES = 256
 # The 8 corners of a box: per axis, its min (0) or its max (1).
 _CORNERS = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1],
                      [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=bool)
@@ -267,9 +236,9 @@ def _reachable(geo: _Geometry, seqs: np.ndarray, images: np.ndarray,
     and its corners are projected from the image onto the plane. On the
     clipped box the projection's denominator keeps one sign, so the
     projected corners bound every bounce point. Their bounding box, grown
-    by ``_PRUNE_TOL``, must overlap a (grown) face of the plane; the ground
-    is unbounded and always does. The beam then narrows to that box and the
-    hull of the faces it overlaps. The test only drops nodes that give no
+    by ``_PRUNE_TOL``, must overlap a face of the plane, grown by as much;
+    the ground's one face is unbounded, so every box overlaps it. The beam
+    then narrows to that box and the hull of the faces it overlaps. The test only drops nodes that give no
     path. It runs on ``_REGION_NODES`` nodes at a time.
     """
     n_nodes, d = seqs.shape
@@ -300,14 +269,12 @@ def _reachable(geo: _Geometry, seqs: np.ndarray, images: np.ndarray,
             proj = corners + t[:, :, None] * (img[:, None, :] - corners)
             lo = proj.min(axis=1) - _PRUNE_TOL
             hi = proj.max(axis=1) + _PRUNE_TOL
-            face_lo, face_hi = geo.plane_face_lo[pi], geo.plane_face_hi[pi]  # (N, F', 3)
+            face_lo = geo.face_lo[pi] - _PRUNE_TOL                        # (N, F', 3)
+            face_hi = geo.face_hi[pi] + _PRUNE_TOL
             hit = ((lo[:, None, :] <= face_hi) & (hi[:, None, :] >= face_lo)).all(axis=2)
-            walls = pi != 0
-            hull_lo = face_lo.min(axis=1, where=hit[:, :, None], initial=np.inf)
-            hull_hi = face_hi.max(axis=1, where=hit[:, :, None], initial=-np.inf)
-            lo[walls] = np.maximum(lo[walls], hull_lo[walls])
-            hi[walls] = np.minimum(hi[walls], hull_hi[walls])
-            alive = ~walls | hit.any(axis=1)
+            lo = np.maximum(lo, face_lo.min(axis=1, where=hit[:, :, None], initial=np.inf))
+            hi = np.minimum(hi, face_hi.max(axis=1, where=hit[:, :, None], initial=-np.inf))
+            alive = hit.any(axis=1)
             idx, sq, imgs, lo, hi = (a[alive] for a in (idx, sq, imgs, lo, hi))
         keep[idx] = True
     return keep
@@ -382,28 +349,25 @@ def _node_paths(
     chain_rev = [rx]
 
     for i in range(n, 0, -1):
-        pl = geo.planes[seq[i - 1]]
+        pi = seq[i - 1]
+        axis, offset = geo.plane_axis[pi], geo.plane_offset[pi]
         img = images[i]
-        denom = img[pl.axis] - pts[:, pl.axis]
+        denom = img[axis] - pts[:, axis]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (pl.offset - pts[:, pl.axis]) / denom
+            t = (offset - pts[:, axis]) / denom
             ok = np.isfinite(t) & (t > _EPS_T) & (t < 1.0 - _EPS_T)
             q = pts + np.where(ok, t, 0.0)[:, None] * (img[None, :] - pts)
-        if pl.is_ground:
-            face_loss = np.full(pts.shape[0], pl.loss_db[0])
-        else:
-            u_ax, v_ax = _OTHER_AXES[pl.axis]
-            qu = q[:, u_ax][:, None]
-            qv = q[:, v_ax][:, None]
-            r = pl.rects[None, :, :]
-            hit = (
-                (qu >= r[:, :, 0] - _RECT_TOL) & (qu <= r[:, :, 1] + _RECT_TOL)
-                & (qv >= r[:, :, 2] - _RECT_TOL) & (qv <= r[:, :, 3] + _RECT_TOL)
-            )
-            any_hit = hit.any(axis=1)
-            ok &= any_hit
-            first = np.argmax(hit, axis=1)
-            face_loss = pl.loss_db[first]
+        faces = slice(geo.face_count[pi])
+        u_ax, v_ax = _OTHER_AXES[axis]
+        f_lo, f_hi = geo.face_lo[pi, faces], geo.face_hi[pi, faces]
+        qu = q[:, u_ax][:, None]
+        qv = q[:, v_ax][:, None]
+        hit = (
+            (qu >= f_lo[:, u_ax] - _RECT_TOL) & (qu <= f_hi[:, u_ax] + _RECT_TOL)
+            & (qv >= f_lo[:, v_ax] - _RECT_TOL) & (qv <= f_hi[:, v_ax] + _RECT_TOL)
+        )
+        ok &= hit.any(axis=1)
+        face_loss = geo.face_loss_db[pi, faces][np.argmax(hit, axis=1)]
         if not ok.all():
             if not ok.any():
                 return (np.empty(0, dtype=int), np.empty(0), np.empty(0),
@@ -462,9 +426,6 @@ def _trace_records(
     ``max_paths`` per receiver; then the number of image nodes searched
     (those ``_reachable`` keeps) and of those that gave a path."""
     geo = _geometry(scene)
-
-    # Per-user accumulation: (sort_key_fields..., record)
-    per_user: list[list[tuple]] = [[] for _ in range(rx.shape[0])]
     freq = scene.carrier_freq
     lam = scene.wavelength
 
@@ -472,33 +433,34 @@ def _trace_records(
     for seqs, images in _image_tree(geo, tx, max_reflections):
         kept = _reachable(geo, seqs, images, rx)
         searched.extend(zip(seqs[kept], images[kept]))
-    yielding = 0
-    for seq, images in searched:
+    # Rank of each node's bounce sequence among the searched ones, the
+    # last tie-break of the path order.
+    rank = np.argsort(sorted(range(len(searched)), key=lambda k: searched[k][0].tolist()))
+    columns = []
+    for k, (seq, images) in enumerate(searched):
         rows, lengths, loss_db, chain = _node_paths(seq, images, geo, tx, rx)
         if rows.size == 0:
             continue
-        yielding += 1
         n = len(seq)
         aod_az, aod_el = _angles_deg(chain[1] - chain[0])
         aoa_az, aoa_el = _angles_deg(chain[-2] - chain[-1])
         delays = lengths / SPEED_OF_LIGHT
         powers = (lam / (4.0 * math.pi * lengths)) ** 2 * 10.0 ** (-loss_db / 10.0)
         phases = (-2.0 * math.pi * freq * delays + math.pi * n) % (2.0 * math.pi)
-        key = tuple(seq.tolist())
-        for j, u in enumerate(rows):
-            rec = PathRecord(
-                aod_az=float(aod_az[j]), aod_el=float(aod_el[j]),
-                aoa_az=float(aoa_az[j]), aoa_el=float(aoa_el[j]),
-                power=float(powers[j]), phase=float(phases[j]),
-                delay=float(delays[j]), n_reflections=n,
-            )
-            per_user[u].append((-rec.power, rec.delay, key, rec))
+        columns.append((rows, np.full(rows.size, rank[k]), aod_az, aod_el, aoa_az, aoa_el,
+                        powers, phases, delays, np.full(rows.size, n)))
 
-    records = [
-        tuple(e[3] for e in sorted(entries, key=lambda e: (e[0], e[1], e[2]))[:max_paths])
-        for entries in per_user
-    ]
-    return records, len(searched), yielding
+    records: list[tuple[PathRecord, ...]] = [()] * rx.shape[0]
+    if columns:
+        user, node_rank, *fields = (np.concatenate(c) for c in zip(*columns))
+        power, delay = fields[4], fields[6]
+        by = np.lexsort((node_rank, delay, -power, user))
+        first = np.searchsorted(user[by], user[by])   # each user's first path
+        by = by[np.arange(by.size) - first < max_paths]
+        paths = [PathRecord(*f) for f in zip(*(c[by].tolist() for c in fields))]
+        bounds = np.searchsorted(user[by], np.arange(rx.shape[0] + 1)).tolist()
+        records = [tuple(paths[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return records, len(searched), len(columns)
 
 
 class PathBatch(list):

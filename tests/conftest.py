@@ -8,8 +8,9 @@ import pytest
 from mimogen.channel import array_response, channel_matrices_batch
 from mimogen.dataset import Manifest, content_hash, parse_shard, shard_bytes
 from mimogen.params import ParamSet, subcarrier_set
-from mimogen.scene import BaseStation, Building, Scene, UserGrid
-from mimogen.tracer import _EPS_SIDE, _EPS_T, PathList, PathRecord, mirror_point
+from mimogen.scene import GROUND_MATERIAL, BaseStation, Building, Scene, UserGrid
+from mimogen.tracer import (_EPS_SIDE, _EPS_T, _OTHER_AXES, _RECT_TOL, PathList, PathRecord,
+                            mirror_point)
 
 
 @pytest.fixture
@@ -176,26 +177,73 @@ def dense_segments_blocked(p0: np.ndarray, p1: np.ndarray, boxes: np.ndarray) ->
     return (tmin + _EPS_T < tmax).any(axis=1)
 
 
-def image_tree_oracle(planes, tx, max_reflections):
+def image_tree_oracle(plane_axis, plane_offset, plane_sign, tx, max_reflections):
     """Image-tree oracle: the front-side expansion one node at a time. From
     each node of a depth, in order, it mirrors the last image across every
-    plane (``axis``, ``offset``, ``sign`` attributes), in index order, that
-    is not the node's last plane and whose reflective side strictly holds
-    that image. Returns the (seq, images (d+1, 3)) of every node, depth by
-    depth."""
+    plane (``plane_axis``, ``plane_offset``, ``plane_sign``), in index order,
+    that is not the node's last plane and whose reflective side strictly
+    holds that image. Returns the (seq, images (d+1, 3)) of every node,
+    depth by depth."""
+    planes = list(zip(plane_axis, plane_offset, plane_sign))
     nodes = [((), np.asarray(tx, dtype=float)[None, :])]
     frontier = nodes
     for _ in range(max_reflections):
         nxt = []
         for seq, images in frontier:
             img = images[-1]
-            for pi, pl in enumerate(planes):
+            for pi, (axis, offset, sign) in enumerate(planes):
                 if seq and pi == seq[-1]:
                     continue
-                if pl.sign * (img[pl.axis] - pl.offset) <= _EPS_SIDE:
+                if sign * (img[axis] - offset) <= _EPS_SIDE:
                     continue
-                nxt.append((seq + (pi,),
-                            np.vstack([images, mirror_point(img, pl.axis, pl.offset)])))
+                nxt.append((seq + (pi,), np.vstack([images, mirror_point(img, axis, offset)])))
         nodes = nodes + nxt
         frontier = nxt
     return nodes
+
+
+def _covered_by_neighbor(scene: Scene, bi: int, axis: int, offset: float, sign: float) -> bool:
+    """True if the face is flush against another building that fully covers it."""
+    b = scene.buildings[bi]
+    u, v = _OTHER_AXES[axis]
+    for j, other in enumerate(scene.buildings):
+        if j == bi:
+            continue
+        near = other.min_corner[axis] if sign > 0 else other.max_corner[axis]
+        if abs(near - offset) > _RECT_TOL:
+            continue
+        if (
+            other.min_corner[u] <= b.min_corner[u] + _RECT_TOL
+            and other.max_corner[u] >= b.max_corner[u] - _RECT_TOL
+            and other.min_corner[v] <= b.min_corner[v] + _RECT_TOL
+            and other.max_corner[v] >= b.max_corner[v] - _RECT_TOL
+        ):
+            return True
+    return False
+
+
+def geometry_oracle(scene: Scene) -> list[tuple[int, float, float, list, list]]:
+    """Reflecting-plane oracle: the faces grouped one building at a time.
+    Returns (axis, offset, sign, rects, losses) per plane, the ground first
+    (no rects, its loss alone), then the building planes sorted by (axis,
+    offset rounded to 1e-9, sign). Each rect is (u_min, u_max, v_min,
+    v_max) on the plane's two other axes, in building order; a face flush
+    against another building that fully covers it is left out, and so is
+    every building's underside."""
+    grouped: dict = {}
+    for bi, b in enumerate(scene.buildings):
+        loss = scene.reflection_loss_db(b.material_id)
+        for axis in range(3):
+            u, v = _OTHER_AXES[axis]
+            rect = [b.min_corner[u], b.max_corner[u], b.min_corner[v], b.max_corner[v]]
+            for sign, offset in ((-1.0, b.min_corner[axis]), (1.0, b.max_corner[axis])):
+                if axis == 2 and sign < 0:
+                    continue
+                if _covered_by_neighbor(scene, bi, axis, offset, sign):
+                    continue
+                key = (axis, round(offset, 9), sign)
+                grouped.setdefault(key, (offset, []))[1].append((rect, loss))
+    planes = [(2, scene.ground_z, 1.0, [], [scene.reflection_loss_db(GROUND_MATERIAL)])]
+    for (axis, _key_offset, sign), (offset, faces) in sorted(grouped.items()):
+        planes.append((axis, float(offset), sign, [f[0] for f in faces], [f[1] for f in faces]))
+    return planes

@@ -333,6 +333,8 @@ class TestErrors:
     @pytest.mark.parametrize("flag,value,message", [
         ("--bs", "x", "--bs must be comma-separated integers, got 'x'"),
         ("--bs", "3,4.5", "--bs must be comma-separated integers, got '3,4.5'"),
+        ("--bs", ",", "--bs names no base station, got ','"),
+        ("--bs", "3,3", "--bs names a base station twice, got '3,3'"),
         ("--max-reflections", "-1", "--max-reflections must be >= 0, got -1"),
         ("--max-paths", "0", "--max-paths must be in 1..25, got 0"),
         ("--max-paths", "26", "--max-paths must be in 1..25, got 26"),

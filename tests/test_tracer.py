@@ -32,7 +32,8 @@ from mimogen.tracer import (
     trace_paths_batch,
 )
 
-from conftest import dense_segments_blocked, free_space_scene, image_tree_oracle, wall_scene
+from conftest import (dense_segments_blocked, free_space_scene, geometry_oracle,
+                      image_tree_oracle, wall_scene)
 
 
 class TestMirrorPoint:
@@ -322,9 +323,10 @@ _box = st.tuples(
 class TestImageTree:
     @staticmethod
     def assert_equals_oracle(scene, tx, max_reflections):
-        tree = tracer._image_tree(_geometry(scene), np.asarray(tx, dtype=float),
-                                  max_reflections)
-        oracle = image_tree_oracle(_geometry(scene).planes, tx, max_reflections)
+        geo = _geometry(scene)
+        tree = tracer._image_tree(geo, np.asarray(tx, dtype=float), max_reflections)
+        oracle = image_tree_oracle(geo.plane_axis, geo.plane_offset, geo.plane_sign, tx,
+                                   max_reflections)
         assert [tuple(seq) for seqs, _ in tree for seq in seqs.tolist()] == [
             seq for seq, _ in oracle]
         got = b"".join(images.tobytes() for _, images in tree)
@@ -345,6 +347,65 @@ class TestImageTree:
         sc = build_o1_scene()
         assert self.assert_equals_oracle(sc, sc.bs_by_id(17).position, 4) == 1140
         assert image_node_counts(sc, 17, 4) == 1140
+
+
+# Boxes on a unit grid, some jittered by less or more than the tracer's 1e-9
+# tolerance and some 1e-10 thin on one axis, in two materials: flush
+# neighbours, coplanar faces and faces covered by a neighbour are common.
+_jitter = st.sampled_from((0.0, 0.0, 5e-10, -5e-10, 3e-9))
+_flush_box = st.builds(
+    lambda lo, size, jitter, thin, material: Building(
+        tuple(float(a) + j for a, j in zip(lo, jitter)),
+        tuple(float(a) + j + (1e-10 if ax == thin else s)
+              for ax, (a, j, s) in enumerate(zip(lo, jitter, size))),
+        material),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 1)),
+    st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+    st.tuples(_jitter, _jitter, _jitter),
+    st.sampled_from((None, None, None, 0, 1, 2)),
+    st.sampled_from(("building_wall", "glass")),
+)
+
+
+class TestPlaneTable:
+    # A box thinner than the tolerance: its own opposite face is within it.
+    @example(boxes=[Building((0.0, 0.0, 0.0), (1e-10, 1.0, 1.0))], ground_z=0.0)
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=st.lists(_flush_box, min_size=1, max_size=10),
+           ground_z=st.sampled_from((0.0, -1.0)))
+    def test_equals_oracle(self, boxes, ground_z):
+        scene = Scene(buildings=tuple(boxes), base_stations=(), grids=(), carrier_freq=28e9,
+                      ground_z=ground_z, material_losses={"glass": 3.5, "ground": 2.0})
+        geo = tracer._build_geometry(scene)
+        oracle = geometry_oracle(scene)
+        assert geo.plane_axis.tolist() == [pl[0] for pl in oracle]
+        assert geo.plane_offset.tolist() == [pl[1] for pl in oracle]
+        assert geo.plane_sign.tolist() == [pl[2] for pl in oracle]
+        assert geo.face_count.tolist() == [max(1, len(pl[3])) for pl in oracle]
+        inf = math.inf
+        assert geo.face_lo[0, 0].tolist() == [-inf] * 3
+        assert geo.face_hi[0, 0].tolist() == [inf] * 3
+        assert geo.face_loss_db[0, 0] == oracle[0][4][0] == 2.0
+        for pi, (axis, offset, _sign, rects, losses) in enumerate(oracle[1:], 1):
+            u, v = tracer._OTHER_AXES[axis]
+            lo, hi = geo.face_lo[pi, :len(rects)], geo.face_hi[pi, :len(rects)]
+            assert np.stack([lo[:, u], hi[:, u], lo[:, v], hi[:, v]], axis=1).tolist() == rects
+            assert lo[:, axis].tolist() == hi[:, axis].tolist() == [offset] * len(rects)
+            assert geo.face_loss_db[pi, :len(rects)].tolist() == losses
+        empty = np.arange(geo.face_lo.shape[1]) >= geo.face_count[:, None]
+        assert (geo.face_lo[empty] == inf).all() and (geo.face_hi[empty] == -inf).all()
+
+    def test_flush_neighbours_hide_faces(self):
+        # Two unit cubes side by side along x: their touching faces reflect
+        # nothing, and the y and top planes hold one face of each cube.
+        sc = Scene(buildings=(Building((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+                              Building((1.0, 0.0, 0.0), (2.0, 1.0, 1.0))),
+                   base_stations=(), grids=(), carrier_freq=28e9)
+        geo = _geometry(sc)
+        planes = list(zip(geo.plane_axis.tolist(), geo.plane_offset.tolist(),
+                          geo.plane_sign.tolist(), geo.face_count.tolist()))
+        assert planes == [(2, 0.0, 1.0, 1), (0, 0.0, -1.0, 1), (0, 2.0, 1.0, 1),
+                          (1, 0.0, -1.0, 2), (1, 1.0, 1.0, 2), (2, 1.0, 1.0, 2)]
 
 
 @st.composite
