@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import ParamSet, subcarrier_set
-from .tracer import PathList, PathRecord
+from .tracer import PathList, PathRecord, RayRows
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def channel_matrix(paths: PathList | Sequence[PathRecord], params: ParamSet) -> 
 
 
 def channel_matrices_batch(
-    path_lists: Sequence[PathList],
+    rays: RayRows | Sequence[PathList],
     params: ParamSet,
 ) -> np.ndarray:
     """The one channel kernel: channel matrices for a batch of users.
@@ -76,31 +76,29 @@ def channel_matrices_batch(
     paths; an empty path list gives zeros. The test suite checks it against
     a scalar per-subcarrier loop.
     """
-    U = len(path_lists)
+    if not isinstance(rays, RayRows):
+        rays = RayRows.from_path_lists(rays)
+    U = len(rays)
     ks = subcarrier_set(params)
     m = params.num_antennas
     out = np.zeros((U, m, ks.size), dtype=complex)
     if U == 0:
         return out
 
+    # Each user's first L path rows, gathered into (U, L) columns that are
+    # zero past the user's last path.
     L = params.num_paths
-    power = np.zeros((U, L))
-    phase = np.zeros((U, L))
-    delay = np.zeros((U, L))
-    az = np.zeros((U, L))
-    el = np.zeros((U, L))
-    mask = np.zeros((U, L), dtype=bool)
-    for u, pl in enumerate(path_lists):
-        recs = pl.paths[:L]
-        n = len(recs)
-        if n == 0:
-            continue
-        power[u, :n] = [r.power for r in recs]
-        phase[u, :n] = [r.phase for r in recs]
-        delay[u, :n] = [r.delay for r in recs]
-        az[u, :n] = np.radians([r.aod_az for r in recs])
-        el[u, :n] = np.radians([r.aod_el for r in recs])
-        mask[u, :n] = True
+    mask = np.arange(L) < rays.users["n_paths"][:, None]
+    paths = rays.paths[(rays.starts[:-1, None] + np.arange(L))[mask]]
+
+    def column(name: str) -> np.ndarray:
+        values = np.zeros((U, L))
+        values[mask] = paths[name]
+        return values
+
+    power, phase, delay = column("power"), column("phase"), column("delay")
+    az = np.radians(column("aod_az"))
+    el = np.radians(column("aod_el"))
 
     mx, my, mz = params.dims
     kd = 2.0 * np.pi * params.ant_spacing

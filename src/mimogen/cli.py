@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from . import __version__
 from .beams import (
     ML_MANIFEST,
@@ -61,7 +63,7 @@ from .scene import (
     user_positions,
     users_in_row_range,
 )
-from .tracer import image_node_counts, trace_paths_batch
+from .tracer import RayRows, image_node_counts, trace_paths_batch
 
 _TRACE_CHUNK = 1024
 
@@ -217,31 +219,34 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     outputs = []
     counters: dict[str, int] = {}
     for bs_id in bs_ids:
-        path_lists = []
+        chunks = []
         searched = yielding = 0
         for lo in range(0, indices.size, _TRACE_CHUNK):
             chunk = trace_paths_batch(
                 scene, bs_id, positions[lo: lo + _TRACE_CHUNK],
-                user_indices=indices[lo: lo + _TRACE_CHUNK].tolist(),
+                user_indices=indices[lo: lo + _TRACE_CHUNK],
                 max_reflections=args.max_reflections, max_paths=args.max_paths,
             )
-            path_lists.extend(chunk)
+            chunks.append(chunk)
             searched += chunk.nodes_searched
             yielding += chunk.nodes_yielding
             done += len(chunk)
             reporter.update(done)
+        rays = RayRows.concat(bs_id, chunks)
         counters[f"bs{bs_id:03d}.image_nodes"] = image_node_counts(
             scene, bs_id, args.max_reflections)
         counters[f"bs{bs_id:03d}.image_nodes_searched"] = searched
         counters[f"bs{bs_id:03d}.image_nodes_yielding"] = yielding
-        counters[f"bs{bs_id:03d}.paths"] = sum(len(pl.paths) for pl in path_lists)
-        counters[f"bs{bs_id:03d}.users_without_paths"] = sum(
-            not pl.paths for pl in path_lists)
+        counters[f"bs{bs_id:03d}.paths"] = len(rays.paths)
+        users_with = np.bincount(rays.users["n_paths"], minlength=1).tolist()
+        counters[f"bs{bs_id:03d}.users_without_paths"] = users_with[0]
+        counters.update({f"bs{bs_id:03d}.users_with_{k}_paths": n
+                         for k, n in enumerate(users_with) if n})
         header = RayFileHeader(bs_id=bs_id, carrier_freq=scene.carrier_freq,
-                               user_count=len(path_lists), scenario=scene.name)
+                               user_count=len(rays), scenario=scene.name)
         out = outdir / f"rays_bs{bs_id:03d}.drf"
         buf = io.BytesIO()
-        write_rayfile(path_lists, header, buf)
+        write_rayfile(rays, header, buf)
         atomic_write(out, buf.getvalue())
         outputs.append(str(out))
     RunManifest(

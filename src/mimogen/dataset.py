@@ -51,7 +51,7 @@ from .kvconfig import ConfigError
 from .params import ParamSet, parse_params, serialize_params, subcarrier_set
 from .rayio import RayFile
 from .scene import Scene, user_positions, users_in_row_range
-from .tracer import PathList
+from .tracer import USER_ROW, RayRows
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -157,13 +157,13 @@ def batch_users(params: ParamSet, shards: int = 1) -> int:
                       _BATCH_BYTES // (shards * record_dtype(params).itemsize)))
 
 
-def _records(buf: np.ndarray, params: ParamSet, path_lists: Sequence[PathList]) -> np.ndarray:
-    """Fill the first records of ``buf`` from one base station's ray records
-    ``path_lists``; returns them."""
-    block = buf[: len(path_lists)]          # every field is assigned below
-    block["global_index"] = [pl.user_index for pl in path_lists]
-    block["location"] = [pl.user_position for pl in path_lists]
-    block["channel"] = channel_matrices_batch(path_lists, params).transpose(0, 2, 1)
+def _records(buf: np.ndarray, params: ParamSet, rays: RayRows) -> np.ndarray:
+    """Fill the first records of ``buf`` from one base station's ray rows
+    ``rays``; returns them."""
+    block = buf[: len(rays)]          # every field is assigned below
+    block["global_index"] = rays.users["user_index"]
+    block["location"] = rays.users["position"]
+    block["channel"] = channel_matrices_batch(rays, params).transpose(0, 2, 1)
     return block
 
 
@@ -174,7 +174,7 @@ class RayDataset:
     params: ParamSet
     scenario_name: str
     bs_ids: tuple[int, ...]                    # active order
-    rays: tuple[list[PathList], ...]           # per active BS: a ray record per active user
+    rays: tuple[RayRows, ...]                  # per active BS: a user row per active user
     gaps: tuple[int, ...]                      # per active BS: users without a ray record
     progress: Callable[[int, int], None] | None = None
 
@@ -190,7 +190,7 @@ class RayDataset:
         users = users or batch_users(self.params, len(self.bs_ids))
         bufs = [np.empty(min(users, self.n_users), record_dtype(self.params)) for _ in self.rays]
         for lo in range(0, self.n_users, users):
-            yield tuple(_records(buf, self.params, rays[lo: lo + users])
+            yield tuple(_records(buf, self.params, rays.rows(lo, lo + users))
                         for buf, rays in zip(bufs, self.rays))
             if self.progress is not None:
                 self.progress(len(self.rays) * min(lo + users, self.n_users),
@@ -210,11 +210,17 @@ def shard_sources(
     that puts a user more than ``_POSITION_TOL`` from where the scene puts
     it, is a ``ScenarioMismatchError``. A (bs, user) pair absent from its
     ray file yields an all-zero channel; each base station with such gaps
-    logs one warning with their count and first few users.
+    logs one warning with their count and first few users. Each ray file's
+    user indices must be strictly ascending, as ``read_rayfile`` checks;
+    otherwise it is a ``DatasetError``.
     """
     for bs_id in params.active_bs:
         if bs_id not in ray_sources:
             raise MissingRaySourceError(bs_id)
+        index = ray_sources[bs_id].rows.users["user_index"]
+        if np.any(index[1:] <= index[:-1]):
+            raise DatasetError(f"rays for base station {bs_id}: user indices are not "
+                               f"strictly ascending")
         header = ray_sources[bs_id].header
         if (header.scenario, header.carrier_freq) != (scene.name, scene.carrier_freq):
             raise ScenarioMismatchError(
@@ -226,32 +232,54 @@ def shard_sources(
     positions = user_positions(scene, indices)
     rays, gaps = [], []
     for bs_id in params.active_bs:
-        by_index = {pl.user_index: pl for pl in ray_sources[bs_id].records}
-        path_lists = [by_index[g] if g in by_index else PathList(
-            bs_id=bs_id, user_index=g, user_position=tuple(pos), paths=())
-            for g, pos in zip(indices.tolist(), positions)]
-        _check_positions(path_lists, bs_id, positions)
-        missing = [g for g in indices.tolist() if g not in by_index]
+        active, found = _active_rows(ray_sources[bs_id].rows, indices, positions)
+        _check_positions(active, bs_id, positions)
+        missing = indices[~found].tolist()
         if missing:
             log.warning("no ray record for bs %d: %d of %d users get a zero channel "
                         "(user %s%s)", bs_id, len(missing), indices.size,
                         ", ".join(map(str, missing[:_GAPS_SHOWN])),
                         ", ..." if len(missing) > _GAPS_SHOWN else "")
-        rays.append(path_lists)
+        rays.append(active)
         gaps.append(len(missing))
     return RayDataset(params, scene.name, tuple(params.active_bs), tuple(rays), tuple(gaps),
                       progress)
 
 
-def _check_positions(path_lists: Sequence[PathList], bs_id: int, positions: np.ndarray) -> None:
+def _active_rows(rows: RayRows, indices: np.ndarray,
+                 positions: np.ndarray) -> tuple[RayRows, np.ndarray]:
+    """The rows of the users ``indices`` in that order, each user absent
+    from ``rows`` an empty one at its scene position in ``positions``; and
+    the mask of the users ``rows`` has."""
+    have = rows.users["user_index"]
+    wanted = indices.astype(np.uint64)
+    at = np.searchsorted(have, wanted)
+    found = at < have.size
+    found[found] = have[at[found]] == wanted[found]
+    users = np.empty(indices.size, USER_ROW)
+    users["user_index"] = wanted
+    users["position"] = positions
+    users["n_paths"] = 0
+    take = at[found]
+    users[found] = rows.users[take]
+    if np.array_equal(take, np.arange(len(rows))):
+        paths = rows.paths
+    else:
+        counts = rows.users["n_paths"][take].astype(np.intp)
+        first = np.repeat(rows.starts[take] - (np.cumsum(counts) - counts), counts)
+        paths = rows.paths[first + np.arange(first.size)]
+    return RayRows(rows.bs_id, users, paths), found
+
+
+def _check_positions(rays: RayRows, bs_id: int, positions: np.ndarray) -> None:
     """Raise ``ScenarioMismatchError`` on the first ray record whose user
     position is not within ``_POSITION_TOL`` of the scene's ``positions``."""
-    got = np.array([pl.user_position for pl in path_lists]).reshape(-1, 3)
+    got = rays.users["position"]
     bad = np.flatnonzero(~(np.abs(got - positions).max(axis=1) <= _POSITION_TOL))  # NaN too
     if bad.size:
         j = int(bad[0])
         raise ScenarioMismatchError(
-            f"rays for base station {bs_id} put user {path_lists[j].user_index} at "
+            f"rays for base station {bs_id} put user {int(rays.users['user_index'][j])} at "
             f"{_xyz(got[j])}, but the scene puts it at {_xyz(positions[j])}", bs_id=bs_id)
 
 

@@ -5,21 +5,29 @@ Layout (all little-endian):
 
 * header, 64 bytes: magic ``DMRF``, version u32 (=1), bs_id u32,
   carrier_freq f64 (Hz), user_count u64, scenario name (32 bytes,
-  zero-padded UTF-8), zero padding up to byte 64;
+  zero-padded UTF-8), then 4 zero bytes of padding (bytes 60-63), so that
+  one content has one encoding;
 * then per user: global_index u64, position 3 x f64 (m), n_paths u16, and
   per path: aod_az, aod_el, aoa_az, aoa_el (f64, degrees), power (f64, W),
   phase (f64, rad), delay (f64, s), n_reflections u16.
+
+In memory a file's payload is a ``tracer.RayRows``: its user rows in the
+``USER_ROW`` layout and its path rows in the ``PATH_ROW`` layout. The one
+encoder scatters both into one buffer; the one decoder scans the users'
+offsets and gathers both back with ``np.frombuffer``; the one validator
+checks the invariants column by column.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
-from .tracer import PathList, PathRecord
+import numpy as np
+
+from .tracer import PATH_FIELDS, PATH_ROW, USER_ROW, PathList, RayRows
 
 MAGIC = b"DMRF"
 VERSION = 1
@@ -27,8 +35,8 @@ HEADER_SIZE = 64
 MAX_PATHS = 25
 
 _HEADER = struct.Struct("<4sIId Q32s")
-_USER = struct.Struct("<Q3dH")
-_PATH = struct.Struct("<7dH")
+_N_PATHS = struct.Struct("<H")
+_N_PATHS_AT = USER_ROW.fields["n_paths"][1]     # offset of n_paths in a user row
 
 
 class RayFileError(Exception):
@@ -63,7 +71,13 @@ class RayFileHeader:
 @dataclass(frozen=True)
 class RayFile:
     header: RayFileHeader
-    records: tuple[PathList, ...]
+    rows: RayRows
+
+    @property
+    def records(self) -> RayRows:
+        """The rows, which index and iterate as each user's ``PathList``,
+        built from the rows as it is asked for."""
+        return self.rows
 
 
 @dataclass(frozen=True)
@@ -78,53 +92,83 @@ class Violation:
 
 
 def validate_rayfile(rf: RayFile) -> list[Violation]:
-    """Check every invariant; returns an empty list iff the file is valid."""
+    """Check every invariant; returns an empty list iff the file is valid.
+
+    File-level violations come first, then each record's: its user index,
+    base station and path count, then each path's, in path order, with
+    every non-finite field before the range and order rules. The range and
+    order rules skip a path whose power or delay is not finite.
+    """
     out: list[Violation] = []
-    if rf.header.user_count != len(rf.records):
+    users, paths = rf.rows.users, rf.rows.paths
+    if rf.header.user_count != len(users):
         out.append(Violation(-1, "user_count",
-                             f"header says {rf.header.user_count}, file has {len(rf.records)}"))
+                             f"header says {rf.header.user_count}, file has {len(users)}"))
     if rf.header.carrier_freq <= 0 or not math.isfinite(rf.header.carrier_freq):
         out.append(Violation(-1, "carrier_freq", "must be finite and > 0"))
-    prev_index = None
-    for i, pl in enumerate(rf.records):
-        if prev_index is not None and pl.user_index <= prev_index:
-            out.append(Violation(i, "user_index", "must be strictly ascending"))
-        prev_index = pl.user_index
-        if pl.bs_id != rf.header.bs_id:
-            out.append(Violation(i, "bs_id", f"must match header bs_id {rf.header.bs_id}"))
-        if len(pl.paths) > MAX_PATHS:
-            out.append(Violation(i, "paths", f"at most {MAX_PATHS} paths per record"))
-        prev_power = None
-        for j, p in enumerate(pl.paths):
-            f = f"paths[{j}]"
-            for name in ("aod_az", "aod_el", "aoa_az", "aoa_el", "power", "phase", "delay"):
-                if not math.isfinite(getattr(p, name)):
-                    out.append(Violation(i, f"{f}.{name}", "must be finite"))
-            if not math.isfinite(p.power) or not math.isfinite(p.delay):
-                prev_power = p.power
-                continue
-            if p.power <= 0:
-                out.append(Violation(i, f"{f}.power", "power > 0"))
-            if p.delay <= 0:
-                out.append(Violation(i, f"{f}.delay", "delay > 0"))
-            if not -180.0 <= p.aod_az < 180.0:
-                out.append(Violation(i, f"{f}.aod_az", "azimuth in [-180, 180)"))
-            if not -180.0 <= p.aoa_az < 180.0:
-                out.append(Violation(i, f"{f}.aoa_az", "azimuth in [-180, 180)"))
-            if not 0.0 <= p.aod_el <= 180.0:
-                out.append(Violation(i, f"{f}.aod_el", "elevation in [0, 180]"))
-            if not 0.0 <= p.aoa_el <= 180.0:
-                out.append(Violation(i, f"{f}.aoa_el", "elevation in [0, 180]"))
-            if not 0.0 <= p.phase < 2.0 * math.pi + 1e-12:
-                out.append(Violation(i, f"{f}.phase", "phase in [0, 2*pi)"))
-            if prev_power is not None and math.isfinite(prev_power) and p.power > prev_power:
-                out.append(Violation(i, f"{f}.power", "paths sorted by power descending"))
-            prev_power = p.power
-    return out
+
+    index = users["user_index"]
+    record_rules = [
+        ("user_index", "must be strictly ascending",
+         np.concatenate([[False], index[1:] <= index[:-1]])),
+        ("bs_id", f"must match header bs_id {rf.header.bs_id}",
+         np.full(len(users), rf.rows.bs_id != rf.header.bs_id)),
+        ("paths", f"at most {MAX_PATHS} paths per record", users["n_paths"] > MAX_PATHS),
+    ]
+    record = np.repeat(np.arange(len(users)), users["n_paths"])   # of each path
+    place = np.arange(len(paths)) - rf.rows.starts[record]         # in its record
+    power, delay = paths["power"], paths["delay"]
+    prev = np.concatenate([[np.nan], power[:-1]])
+    ranged = np.isfinite(power) & np.isfinite(delay)
+
+    def outside(name: str, lo: float, hi: float, closed: bool) -> np.ndarray:
+        x = paths[name]
+        return ranged & ~((x >= lo) & ((x <= hi) if closed else (x < hi)))
+
+    path_rules = [(name, "must be finite", ~np.isfinite(paths[name])) for name in PATH_FIELDS]
+    path_rules += [
+        ("power", "power > 0", ranged & (power <= 0)),
+        ("delay", "delay > 0", ranged & (delay <= 0)),
+        ("aod_az", "azimuth in [-180, 180)", outside("aod_az", -180.0, 180.0, False)),
+        ("aoa_az", "azimuth in [-180, 180)", outside("aoa_az", -180.0, 180.0, False)),
+        ("aod_el", "elevation in [0, 180]", outside("aod_el", 0.0, 180.0, True)),
+        ("aoa_el", "elevation in [0, 180]", outside("aoa_el", 0.0, 180.0, True)),
+        ("phase", "phase in [0, 2*pi)", outside("phase", 0.0, 2.0 * math.pi + 1e-12, False)),
+        ("power", "paths sorted by power descending",
+         ranged & (place > 0) & np.isfinite(prev) & (power > prev)),
+    ]
+
+    # Order the violations as one pass over records, then paths, would.
+    keyed: list[tuple[tuple[int, int, int, int], Violation]] = []
+    for k, (name, rule, mask) in enumerate(record_rules):
+        keyed += [((i, 0, 0, k), Violation(i, name, rule)) for i in np.flatnonzero(mask).tolist()]
+    for k, (name, rule, mask) in enumerate(path_rules):
+        for i, j in zip(record[mask].tolist(), place[mask].tolist()):
+            keyed.append(((i, 1, j, k), Violation(i, f"paths[{j}].{name}", rule)))
+    keyed.sort(key=lambda kv: kv[0])
+    return out + [v for _, v in keyed]
+
+
+def _user_bytes(n_paths: np.ndarray) -> np.ndarray:
+    """(U, user row size) byte offsets of each user row in a file whose
+    users have ``n_paths`` paths."""
+    path_bytes = PATH_ROW.itemsize * n_paths.astype(np.intp)
+    start = (HEADER_SIZE + USER_ROW.itemsize * np.arange(n_paths.size)
+             + np.cumsum(path_bytes) - path_bytes)
+    return start[:, None] + np.arange(USER_ROW.itemsize)
+
+
+def _path_bytes(size: int, user_bytes: np.ndarray) -> np.ndarray:
+    """Mask of a ``size``-byte file's path-row bytes: neither the header's
+    nor a user row's."""
+    mask = np.ones(size, dtype=bool)
+    mask[:HEADER_SIZE] = False
+    mask[user_bytes] = False
+    return mask
 
 
 def write_rayfile(
-    path_lists: Sequence[PathList],
+    rays: RayRows | Sequence[PathList],
     header: RayFileHeader,
     sink: BinaryIO,
 ) -> int:
@@ -133,10 +177,15 @@ def write_rayfile(
     The input is validated first; an unsorted or invariant-breaking input
     raises :class:`RayFileSemanticError`.
     """
+    if not isinstance(rays, RayRows):
+        try:
+            rays = RayRows.from_path_lists(rays)
+        except ValueError as exc:
+            raise RayFileSemanticError(f"refusing to write invalid ray data: {exc}") from None
     rf = RayFile(header=RayFileHeader(
         bs_id=header.bs_id, carrier_freq=header.carrier_freq,
-        user_count=len(path_lists), scenario=header.scenario,
-    ), records=tuple(path_lists))
+        user_count=len(rays), scenario=header.scenario,
+    ), rows=rays)
     violations = validate_rayfile(rf)
     if violations:
         raise RayFileSemanticError(
@@ -149,18 +198,16 @@ def write_rayfile(
     if len(scenario) > 32:
         raise RayFileFormatError("scenario name longer than 32 bytes")
 
-    buf = io.BytesIO()
     head = _HEADER.pack(MAGIC, VERSION, header.bs_id, header.carrier_freq,
-                        len(path_lists), scenario)
-    buf.write(head.ljust(HEADER_SIZE, b"\0"))
-    for pl in path_lists:
-        buf.write(_USER.pack(pl.user_index, *pl.user_position, len(pl.paths)))
-        for p in pl.paths:
-            buf.write(_PATH.pack(p.aod_az, p.aod_el, p.aoa_az, p.aoa_el,
-                                 p.power, p.phase, p.delay, p.n_reflections))
-    data = buf.getvalue()
-    sink.write(data)
-    return len(data)
+                        len(rays), scenario)
+    size = HEADER_SIZE + len(rays) * USER_ROW.itemsize + len(rays.paths) * PATH_ROW.itemsize
+    data = np.zeros(size, dtype=np.uint8)
+    data[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    user_bytes = _user_bytes(rays.users["n_paths"])
+    data[user_bytes] = np.ascontiguousarray(rays.users).view(np.uint8).reshape(user_bytes.shape)
+    data[_path_bytes(size, user_bytes)] = np.ascontiguousarray(rays.paths).view(np.uint8)
+    sink.write(memoryview(data))
+    return size
 
 
 def read_rayfile(source: BinaryIO) -> RayFile:
@@ -185,44 +232,46 @@ def read_rayfile(source: BinaryIO) -> RayFile:
         scenario = scenario_raw.rstrip(b"\0").decode("utf-8")
     except UnicodeDecodeError:
         raise RayFileFormatError("scenario name is not valid UTF-8") from None
-    if user_count > (len(data) - HEADER_SIZE) // _USER.size:
+    for offset in range(_HEADER.size, HEADER_SIZE):
+        if data[offset]:
+            raise RayFileFormatError(f"non-zero header padding at byte {offset}")
+    if user_count > (len(data) - HEADER_SIZE) // USER_ROW.itemsize:
         raise RayFileCorruptionError(
             f"header claims {user_count} user records but only "
             f"{len(data) - HEADER_SIZE} payload bytes follow"
         )
 
+    # One scan for each user's path count; the rows are then gathered whole.
+    n_paths = np.empty(user_count, dtype=np.intp)
+    n_paths_at = _N_PATHS.unpack_from
     offset = HEADER_SIZE
-    records: list[PathList] = []
-    for _ in range(user_count):
-        if offset + _USER.size > len(data):
+    for u in range(user_count):
+        if offset + USER_ROW.itemsize > len(data):
             raise RayFileCorruptionError(f"truncated user record at byte {offset}")
-        gidx, px, py, pz, n_paths = _USER.unpack_from(data, offset)
-        offset += _USER.size
-        need = n_paths * _PATH.size
+        n = n_paths[u] = n_paths_at(data, offset + _N_PATHS_AT)[0]
+        offset += USER_ROW.itemsize
+        need = n * PATH_ROW.itemsize
         if offset + need > len(data):
             raise RayFileCorruptionError(
                 f"truncated path block at byte {offset}: need {need} bytes, "
                 f"have {len(data) - offset}"
             )
-        paths = []
-        for _ in range(n_paths):
-            vals = _PATH.unpack_from(data, offset)
-            offset += _PATH.size
-            paths.append(PathRecord(*vals))
-        records.append(PathList(bs_id=bs_id, user_index=gidx,
-                                user_position=(px, py, pz), paths=tuple(paths)))
+        offset += need
     if offset != len(data):
         raise RayFileCorruptionError(
             f"{len(data) - offset} trailing bytes after last record (offset {offset})"
         )
 
+    raw = np.frombuffer(data, dtype=np.uint8)
+    user_bytes = _user_bytes(n_paths)
+    rows = RayRows(bs_id, raw[user_bytes].view(USER_ROW).reshape(user_count),
+                   raw[_path_bytes(len(data), user_bytes)].view(PATH_ROW))
     rf = RayFile(
         header=RayFileHeader(bs_id=bs_id, carrier_freq=carrier_freq,
                              user_count=user_count, scenario=scenario),
-        records=tuple(records),
+        rows=rows,
     )
     violations = validate_rayfile(rf)
     if violations:
         raise RayFileSemanticError("; ".join(str(v) for v in violations[:10]))
     return rf
-

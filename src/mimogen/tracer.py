@@ -4,7 +4,8 @@ Computes the line-of-sight path and all specular reflection paths (off
 building faces and the ground plane) up to a configurable bounce order,
 using source mirroring. For each path it emits departure/arrival angles,
 receive power (Friis free-space loss times per-bounce material losses),
-phase, and propagation delay.
+phase, and propagation delay, as rows of the ray file's two layouts
+(``RayRows``: one user row per receiver, then its path rows).
 
 The scene's reflecting surfaces are one plane table: each oriented plane
 holds the building faces on it as flat boxes with their losses, and the
@@ -16,10 +17,12 @@ not modeled; antennas are isotropic with unit gain.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +60,79 @@ class PathList:
     user_index: int
     user_position: tuple[float, float, float]
     paths: tuple[PathRecord, ...]
+
+
+# The two row layouts of the ray file (little-endian, packed): a user row,
+# then that user's ``n_paths`` path rows, strongest first.
+USER_ROW = np.dtype([("user_index", "<u8"), ("position", "<f8", (3,)), ("n_paths", "<u2")])
+PATH_FIELDS = ("aod_az", "aod_el", "aoa_az", "aoa_el", "power", "phase", "delay")
+PATH_ROW = np.dtype([(name, "<f8") for name in PATH_FIELDS] + [("n_reflections", "<u2")])
+_PATH_VALUES = operator.attrgetter(*PATH_ROW.names)
+
+
+def _path_records(paths: np.ndarray) -> list[PathRecord]:
+    """One ``PathRecord`` per ``PATH_ROW`` row."""
+    return [PathRecord(*v) for v in zip(*(paths[name].tolist() for name in PATH_ROW.names))]
+
+
+@dataclass(frozen=True, eq=False)
+class RayRows:
+    """One base station's paths to a block of users as two row arrays:
+    ``users`` (U,) of ``USER_ROW`` and ``paths`` (P,) of ``PATH_ROW``, each
+    user's ``n_paths`` rows in user order. Indexing and iteration give each
+    user's ``PathList``, built one user at a time as it is asked for."""
+
+    bs_id: int
+    users: np.ndarray
+    paths: np.ndarray
+
+    @classmethod
+    def from_path_lists(cls, path_lists: Sequence[PathList]) -> "RayRows":
+        """The rows of ``path_lists``, which must share one base station."""
+        ids = {pl.bs_id for pl in path_lists}
+        if len(ids) > 1:
+            raise ValueError(f"path lists of base stations {sorted(ids)} in one block")
+        bs_id = ids.pop() if ids else 0
+        users = np.empty(len(path_lists), USER_ROW)
+        users["user_index"] = [pl.user_index for pl in path_lists]
+        users["position"] = np.array([pl.user_position for pl in path_lists],
+                                     dtype=float).reshape(-1, 3)
+        users["n_paths"] = [len(pl.paths) for pl in path_lists]
+        paths = np.array([_PATH_VALUES(p) for pl in path_lists for p in pl.paths], PATH_ROW)
+        return cls(bs_id, users, paths)
+
+    @classmethod
+    def concat(cls, bs_id: int, blocks: Sequence["RayRows"]) -> "RayRows":
+        """The rows of ``blocks`` one after another."""
+        return cls(bs_id, np.concatenate([np.empty(0, USER_ROW)] + [b.users for b in blocks]),
+                   np.concatenate([np.empty(0, PATH_ROW)] + [b.paths for b in blocks]))
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """(U + 1,) index of each user's first path row, then P."""
+        starts = np.zeros(len(self.users) + 1, dtype=np.intp)
+        np.cumsum(self.users["n_paths"], out=starts[1:])
+        return starts
+
+    def rows(self, lo: int, hi: int) -> "RayRows":
+        """Users ``lo:hi`` (``hi`` clipped to the user count) and their paths,
+        as views."""
+        hi = min(hi, len(self))
+        return RayRows(self.bs_id, self.users[lo:hi],
+                       self.paths[self.starts[lo]: self.starts[hi]])
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, u: int) -> PathList:
+        u = range(len(self))[u]
+        return PathList(bs_id=self.bs_id, user_index=int(self.users["user_index"][u]),
+                        user_position=tuple(self.users["position"][u].tolist()),
+                        paths=tuple(_path_records(
+                            self.paths[self.starts[u]: self.starts[u + 1]])))
+
+    def __iter__(self) -> Iterator[PathList]:
+        return (self[u] for u in range(len(self)))
 
 
 def mirror_point(p: Sequence[float], axis: int, offset: float) -> np.ndarray:
@@ -414,17 +490,19 @@ def _angles_deg(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return az, el
 
 
-def _trace_records(
+def _trace_rows(
     scene: Scene,
     tx: np.ndarray,
     rx: np.ndarray,
     max_reflections: int,
     max_paths: int,
-) -> tuple[list[tuple[PathRecord, ...]], int, int]:
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Paths from transmitter ``tx`` to each receiver row of ``rx`` (U, 3):
-    strongest first (ties by delay, then bounce sequence), at most
-    ``max_paths`` per receiver; then the number of image nodes searched
-    (those ``_reachable`` keeps) and of those that gave a path."""
+    the (U,) path count of each receiver and the ``PATH_ROW`` rows of all
+    paths, receiver after receiver, strongest first (ties by delay, then
+    bounce sequence), at most ``max_paths`` per receiver; then the number of
+    image nodes searched (those ``_reachable`` keeps) and of those that gave
+    a path."""
     geo = _geometry(scene)
     freq = scene.carrier_freq
     lam = scene.wavelength
@@ -450,29 +528,28 @@ def _trace_records(
         columns.append((rows, np.full(rows.size, rank[k]), aod_az, aod_el, aoa_az, aoa_el,
                         powers, phases, delays, np.full(rows.size, n)))
 
-    records: list[tuple[PathRecord, ...]] = [()] * rx.shape[0]
+    n_paths = np.zeros(rx.shape[0], dtype=np.intp)
+    paths = np.empty(0, PATH_ROW)
     if columns:
         user, node_rank, *fields = (np.concatenate(c) for c in zip(*columns))
         power, delay = fields[4], fields[6]
         by = np.lexsort((node_rank, delay, -power, user))
         first = np.searchsorted(user[by], user[by])   # each user's first path
         by = by[np.arange(by.size) - first < max_paths]
-        paths = [PathRecord(*f) for f in zip(*(c[by].tolist() for c in fields))]
-        bounds = np.searchsorted(user[by], np.arange(rx.shape[0] + 1)).tolist()
-        records = [tuple(paths[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    return records, len(searched), len(columns)
+        paths = np.empty(by.size, PATH_ROW)
+        for name, column in zip(PATH_ROW.names, fields):
+            paths[name] = column[by]
+        n_paths = np.bincount(user[by], minlength=rx.shape[0])
+    return n_paths, paths, len(searched), len(columns)
 
 
-class PathBatch(list):
-    """The ``PathList`` of each receiver of one ``trace_paths_batch`` call,
-    plus the number of image nodes the call searched and of those that gave
-    at least one path."""
+@dataclass(frozen=True, eq=False)
+class PathBatch(RayRows):
+    """The rows of one ``trace_paths_batch`` call, plus the number of image
+    nodes the call searched and of those that gave at least one path."""
 
-    def __init__(self, path_lists: Sequence[PathList], nodes_searched: int,
-                 nodes_yielding: int):
-        super().__init__(path_lists)
-        self.nodes_searched = nodes_searched
-        self.nodes_yielding = nodes_yielding
+    nodes_searched: int = 0
+    nodes_yielding: int = 0
 
 
 def trace_paths_batch(
@@ -483,21 +560,17 @@ def trace_paths_batch(
     max_reflections: int = 4,
     max_paths: int = 25,
 ) -> PathBatch:
-    """Trace all paths between one base station and a batch of receivers."""
+    """Trace all paths between one base station and a batch of receivers;
+    returns their rows, which index and iterate as ``PathList``s."""
     tx = np.asarray(scene.bs_by_id(bs_id).position, dtype=float)
     rx = np.asarray(positions, dtype=float).reshape(-1, 3)
-    if user_indices is None:
-        user_indices = list(range(1, rx.shape[0] + 1))
-    records, searched, yielding = _trace_records(scene, tx, rx, max_reflections, max_paths)
-    return PathBatch([
-        PathList(
-            bs_id=bs_id,
-            user_index=int(user_indices[u]),
-            user_position=tuple(float(x) for x in rx[u]),
-            paths=paths,
-        )
-        for u, paths in enumerate(records)
-    ], searched, yielding)
+    n_paths, paths, searched, yielding = _trace_rows(scene, tx, rx, max_reflections, max_paths)
+    users = np.empty(rx.shape[0], USER_ROW)
+    users["user_index"] = (np.arange(1, rx.shape[0] + 1) if user_indices is None
+                           else user_indices)
+    users["position"] = rx
+    users["n_paths"] = n_paths
+    return PathBatch(bs_id, users, paths, searched, yielding)
 
 
 def trace_paths(
@@ -525,7 +598,8 @@ def trace_between(
     max_paths: int = 25,
 ) -> tuple[PathRecord, ...]:
     """Trace between two arbitrary points (used for reciprocity checks)."""
-    return _trace_records(
+    _, paths, _, _ = _trace_rows(
         scene, np.asarray(tx, dtype=float), np.asarray(rx, dtype=float).reshape(1, 3),
         max_reflections, max_paths,
-    )[0][0]
+    )
+    return tuple(_path_records(paths))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -8,6 +9,7 @@ import pytest
 from mimogen.channel import array_response, channel_matrices_batch
 from mimogen.dataset import Manifest, content_hash, parse_shard, shard_bytes
 from mimogen.params import ParamSet, subcarrier_set
+from mimogen.rayio import MAX_PATHS, RayFileHeader, Violation
 from mimogen.scene import GROUND_MATERIAL, BaseStation, Building, Scene, UserGrid
 from mimogen.tracer import (_EPS_SIDE, _EPS_T, _OTHER_AXES, _RECT_TOL, PathList, PathRecord,
                             mirror_point)
@@ -71,6 +73,54 @@ def random_path_list(rng, bs_id, user_index, max_paths=25):
         user_position=tuple(rng.uniform(-100, 100, 3)),
         paths=tuple(paths),
     )
+
+
+def validate_rayfile_oracle(header: RayFileHeader,
+                            records: Sequence[PathList]) -> list[Violation]:
+    """Ray-file validator oracle: every invariant checked one record and
+    one path field at a time, in file order."""
+    out: list[Violation] = []
+    if header.user_count != len(records):
+        out.append(Violation(-1, "user_count",
+                             f"header says {header.user_count}, file has {len(records)}"))
+    if header.carrier_freq <= 0 or not math.isfinite(header.carrier_freq):
+        out.append(Violation(-1, "carrier_freq", "must be finite and > 0"))
+    prev_index = None
+    for i, pl in enumerate(records):
+        if prev_index is not None and pl.user_index <= prev_index:
+            out.append(Violation(i, "user_index", "must be strictly ascending"))
+        prev_index = pl.user_index
+        if pl.bs_id != header.bs_id:
+            out.append(Violation(i, "bs_id", f"must match header bs_id {header.bs_id}"))
+        if len(pl.paths) > MAX_PATHS:
+            out.append(Violation(i, "paths", f"at most {MAX_PATHS} paths per record"))
+        prev_power = None
+        for j, p in enumerate(pl.paths):
+            f = f"paths[{j}]"
+            for name in ("aod_az", "aod_el", "aoa_az", "aoa_el", "power", "phase", "delay"):
+                if not math.isfinite(getattr(p, name)):
+                    out.append(Violation(i, f"{f}.{name}", "must be finite"))
+            if not math.isfinite(p.power) or not math.isfinite(p.delay):
+                prev_power = p.power
+                continue
+            if p.power <= 0:
+                out.append(Violation(i, f"{f}.power", "power > 0"))
+            if p.delay <= 0:
+                out.append(Violation(i, f"{f}.delay", "delay > 0"))
+            if not -180.0 <= p.aod_az < 180.0:
+                out.append(Violation(i, f"{f}.aod_az", "azimuth in [-180, 180)"))
+            if not -180.0 <= p.aoa_az < 180.0:
+                out.append(Violation(i, f"{f}.aoa_az", "azimuth in [-180, 180)"))
+            if not 0.0 <= p.aod_el <= 180.0:
+                out.append(Violation(i, f"{f}.aod_el", "elevation in [0, 180]"))
+            if not 0.0 <= p.aoa_el <= 180.0:
+                out.append(Violation(i, f"{f}.aoa_el", "elevation in [0, 180]"))
+            if not 0.0 <= p.phase < 2.0 * math.pi + 1e-12:
+                out.append(Violation(i, f"{f}.phase", "phase in [0, 2*pi)"))
+            if prev_power is not None and math.isfinite(prev_power) and p.power > prev_power:
+                out.append(Violation(i, f"{f}.power", "paths sorted by power descending"))
+            prev_power = p.power
+    return out
 
 
 def rewrite_shard(ds_dir: Path, filename: str, edit: Callable[[np.ndarray], None]) -> None:

@@ -1,11 +1,13 @@
 import io
 import json
+import re
 import shutil
 import struct
 from types import SimpleNamespace
 
 import pytest
 
+from mimogen import tracer
 from mimogen.cli import ProgressReporter, build_parser, run
 from mimogen.dataset import content_hash
 from mimogen.rayio import HEADER_SIZE, read_rayfile
@@ -66,9 +68,12 @@ class TestPipeline:
     def test_trace_manifest_counts_image_nodes(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)
         counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
-        assert set(counters) == {f"bs{b:03d}.{key}" for b in (3, 4) for key in (
+        fixed = {f"bs{b:03d}.{key}" for b in (3, 4) for key in (
             "image_nodes", "image_nodes_searched", "image_nodes_yielding",
             "paths", "users_without_paths")}
+        assert fixed <= set(counters)
+        assert all(re.fullmatch(r"bs00[34]\.users_with_\d+_paths", key)
+                   for key in set(counters) - fixed)
         assert counters["bs003.image_nodes"] == 1802
         for b in (3, 4):
             assert (0 < counters[f"bs{b:03d}.image_nodes_yielding"]
@@ -78,6 +83,29 @@ class TestPipeline:
             assert counters[f"bs{b:03d}.paths"] == sum(len(r.paths) for r in records) > 0
             assert counters[f"bs{b:03d}.users_without_paths"] == sum(
                 not r.paths for r in records)
+
+    def test_trace_manifest_histogram_of_paths_per_user(self, tmp_path, scene_file):
+        rays = _trace(tmp_path, scene_file)
+        counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
+        for b in (3, 4):
+            records = read_rayfile((rays / f"rays_bs{b:03d}.drf").open("rb")).records
+            hist = {int(m[1]): n for key, n in counters.items()
+                    if (m := re.fullmatch(rf"bs{b:03d}\.users_with_(\d+)_paths", key))}
+            assert hist and all(n > 0 for n in hist.values())
+            assert sum(hist.values()) == len(records)
+            assert sum(k * n for k, n in hist.items()) == counters[f"bs{b:03d}.paths"]
+            assert hist.get(0, 0) == counters[f"bs{b:03d}.users_without_paths"]
+
+    def test_trace_and_build_make_no_path_records(self, tmp_path, scene_file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PathRecord was built")
+
+        monkeypatch.setattr(tracer, "PathRecord", refuse)
+        rc, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        assert rc == 0
+        assert (ds_dir / "shard_bs004.dmds").exists()
+        with pytest.raises(AssertionError, match="PathRecord"):
+            read_rayfile((tmp_path / "rays" / "rays_bs003.drf").open("rb")).records[0]
 
     def test_full_pipeline(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)

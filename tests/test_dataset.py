@@ -40,6 +40,7 @@ from mimogen.dataset import (
 from mimogen.kvconfig import parse_kv
 from mimogen.params import ParamSet, serialize_params, subcarrier_set
 from mimogen.rayio import RayFile, RayFileHeader
+from mimogen.tracer import RayRows
 from mimogen.scene import build_o1_scene, user_positions
 
 from conftest import (
@@ -81,7 +82,7 @@ def _ray_sources(rng, scene, params, skip=()):
         sources[bs_id] = RayFile(
             header=RayFileHeader(bs_id=bs_id, carrier_freq=scene.carrier_freq,
                                  user_count=len(records), scenario=scene.name),
-            records=tuple(records),
+            rows=RayRows.from_path_lists(records),
         )
     return sources
 
@@ -119,6 +120,22 @@ class TestBuild:
                 got = get_channel(ds, b_ord, u_ord).entries
                 assert np.max(np.abs(got - want)) < 1e-12 * (1 + np.max(np.abs(want)))
 
+    def test_ray_users_outside_the_active_rows_are_skipped(self, rng, tiny_scene):
+        sources = _ray_sources(rng, tiny_scene, _params(active_user_last=2), skip={(3, 5)})
+        p = _params(active_user_first=2, active_user_last=2)
+        source = shard_sources(sources, p, tiny_scene)
+        assert list(source.gaps) == [1, 0]
+        ds = build_dataset(sources, p, tiny_scene)
+        for b_ord, bs_id in enumerate(ds.bs_ids, start=1):
+            by_index = {pl.user_index: pl for pl in sources[bs_id].records}
+            for u_ord in range(1, ds.n_users + 1):
+                gidx = ds.user_for_ordinal(u_ord)
+                want = channel_matrix_oracle(by_index[gidx].paths if gidx in by_index else (),
+                                             p)
+                got = get_channel(ds, b_ord, u_ord).entries
+                assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+        assert [ds.user_for_ordinal(u) for u in (1, 2, 3)] == [4, 5, 6]
+
     def test_locations(self, rng, tiny_scene):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
@@ -143,7 +160,7 @@ class TestBuild:
         sources[5] = RayFile(
             header=RayFileHeader(bs_id=5, carrier_freq=h.carrier_freq,
                                  user_count=h.user_count, scenario="other"),
-            records=sources[5].records,
+            rows=sources[5].rows,
         )
         with pytest.raises(ScenarioMismatchError, match="other"):
             build_dataset(sources, p, tiny_scene)
@@ -171,11 +188,18 @@ class TestBuild:
             "no ray record for bs 5: 1 of 6 users get a zero channel (user 2)",
         ]
 
+    def test_unordered_ray_users_refused(self, rng, tiny_scene):
+        p = _params()
+        sources = _ray_sources(rng, tiny_scene, p)
+        sources[5] = replace(sources[5],
+                             rows=RayRows.from_path_lists(list(sources[5].records)[::-1]))
+        with pytest.raises(DatasetError, match="base station 5.*ascending"):
+            shard_sources(sources, p, tiny_scene)
+
     def test_carrier_mismatch(self, rng, tiny_scene):
         p = _params()
         sources = _ray_sources(rng, tiny_scene, p)
-        sources[3] = RayFile(header=replace(sources[3].header, carrier_freq=28e9),
-                             records=sources[3].records)
+        sources[3] = replace(sources[3], header=replace(sources[3].header, carrier_freq=28e9))
         with pytest.raises(ScenarioMismatchError, match="base station 3.*2.8e"):
             build_dataset(sources, p, tiny_scene)
 

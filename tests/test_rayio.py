@@ -2,9 +2,12 @@ import dataclasses
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimogen.rayio import (
     HEADER_SIZE,
@@ -21,9 +24,9 @@ from mimogen.rayio import (
     validate_rayfile,
     write_rayfile,
 )
-from mimogen.tracer import PathList, PathRecord
+from mimogen.tracer import PATH_ROW, USER_ROW, PathList, PathRecord, RayRows
 
-from conftest import random_path_list, random_path_record
+from conftest import random_path_list, random_path_record, validate_rayfile_oracle
 
 
 def _header(n, bs_id=3, scenario="O1_60"):
@@ -35,6 +38,10 @@ def _write_bytes(path_lists, header=None):
     buf = io.BytesIO()
     write_rayfile(path_lists, header or _header(len(path_lists)), buf)
     return buf.getvalue()
+
+
+def _rayfile(header, path_lists):
+    return RayFile(header, RayRows.from_path_lists(path_lists))
 
 
 def _random_lists(rng, n, bs_id=3):
@@ -63,7 +70,7 @@ class TestLayout:
 class TestRoundTrip:
     def test_empty(self):
         rf = read_rayfile(io.BytesIO(_write_bytes([])))
-        assert rf.records == ()
+        assert list(rf.records) == []
         assert rf.header.scenario == "O1_60"
         assert rf.header.carrier_freq == 60e9
 
@@ -129,6 +136,13 @@ class TestReadErrors:
         with pytest.raises(RayFileFormatError, match="UTF-8"):
             read_rayfile(io.BytesIO(bytes(data)))
 
+    @pytest.mark.parametrize("offset", [60, 61, 63])
+    def test_nonzero_padding(self, rng, offset):
+        data = bytearray(_write_bytes(_random_lists(rng, 2)))
+        data[offset] = 7
+        with pytest.raises(RayFileFormatError, match=f"byte {offset}"):
+            read_rayfile(io.BytesIO(bytes(data)))
+
 
 class TestWriteErrors:
     def test_long_scenario_name(self):
@@ -146,6 +160,11 @@ class TestWriteErrors:
         with pytest.raises(RayFileSemanticError, match="bs_id"):
             write_rayfile([pl], _header(1, bs_id=3), io.BytesIO())
 
+    def test_refuses_mixed_bs(self, rng):
+        pls = [random_path_list(rng, 3, 10), random_path_list(rng, 4, 11)]
+        with pytest.raises(RayFileSemanticError, match=r"base stations \[3, 4\]"):
+            write_rayfile(pls, _header(2, bs_id=3), io.BytesIO())
+
 
 def _valid_record(rng, user_index=5):
     paths = sorted((random_path_record(rng) for _ in range(4)),
@@ -162,7 +181,7 @@ def _with_path_field(pl, j, **changes):
 
 class TestValidator:
     def test_valid_file_passes(self, rng):
-        rf = RayFile(_header(2), tuple(_random_lists(rng, 2)))
+        rf = _rayfile(_header(2), _random_lists(rng, 2))
         assert validate_rayfile(rf) == []
 
     @pytest.mark.parametrize("field,value,rule_bit", [
@@ -178,7 +197,7 @@ class TestValidator:
     ])
     def test_seeded_defects_flagged(self, rng, field, value, rule_bit):
         pl = _with_path_field(_valid_record(rng), 1, **{field: value})
-        rf = RayFile(_header(1), (pl,))
+        rf = _rayfile(_header(1), [pl])
         vios = validate_rayfile(rf)
         assert any(field in v.field for v in vios)
         assert any(rule_bit in v.rule or rule_bit in v.field for v in vios)
@@ -188,17 +207,17 @@ class TestValidator:
                              key=lambda p: -p.power))
         pl = PathList(bs_id=3, user_index=1, user_position=(0.0, 0.0, 0.0),
                       paths=paths)
-        vios = validate_rayfile(RayFile(_header(1), (pl,)))
+        vios = validate_rayfile(_rayfile(_header(1), [pl]))
         assert any(str(MAX_PATHS) in v.rule for v in vios)
 
     def test_unsorted_power_flagged(self, rng):
         pl = _valid_record(rng)
         pl = dataclasses.replace(pl, paths=tuple(reversed(pl.paths)))
-        vios = validate_rayfile(RayFile(_header(1), (pl,)))
+        vios = validate_rayfile(_rayfile(_header(1), [pl]))
         assert any("descending" in v.rule for v in vios)
 
     def test_header_count_mismatch(self, rng):
-        rf = RayFile(_header(5), tuple(_random_lists(rng, 2)))
+        rf = _rayfile(_header(5), _random_lists(rng, 2))
         vios = validate_rayfile(rf)
         assert any(v.field == "user_count" and v.record_index == -1 for v in vios)
 
@@ -206,6 +225,107 @@ class TestValidator:
         from mimogen.rayio import Violation
         assert "record 3" in str(Violation(3, "paths[0].power", "power > 0"))
         assert str(Violation(-1, "user_count", "x")).startswith("file")
+
+
+# Path fields: anything, with the rules' boundaries common.
+_field = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-9, -1.0, 90.0, -180.0, 179.999, 180.0, 180.5,
+                     2 * math.pi, 2 * math.pi + 1e-12, 7.0]),
+)
+_path = st.builds(PathRecord, _field, _field, _field, _field, _field, _field, _field,
+                  st.integers(0, 4))
+_record = st.builds(
+    lambda index, paths: PathList(bs_id=3, user_index=index, user_position=(1.0, 2.0, 3.0),
+                                  paths=tuple(paths)),
+    st.one_of(st.integers(0, 5), st.integers(2**64 - 3, 2**64 - 1)),
+    st.lists(_path, max_size=MAX_PATHS + 1),
+)
+
+
+class TestValidatorOracle:
+    """The columnar validator against the scalar one in conftest: the same
+    violations, in the same order, with the same strings."""
+
+    @staticmethod
+    def _check(header, path_lists):
+        got = validate_rayfile(_rayfile(header, path_lists))
+        assert got == validate_rayfile_oracle(header, path_lists)
+        return got
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(_record, max_size=4), count=st.integers(0, 5),
+           carrier=st.sampled_from([60e9, 0.0, -1.0, math.nan, math.inf]),
+           bs_id=st.sampled_from([3, 4]))
+    def test_any_records(self, records, count, carrier, bs_id):
+        header = RayFileHeader(bs_id=bs_id, carrier_freq=carrier, user_count=count,
+                               scenario="O1_60")
+        self._check(header, records)
+
+    @pytest.mark.parametrize("field,value", [
+        ("power", -1.0), ("power", float("nan")), ("delay", 0.0), ("aod_az", 180.0),
+        ("aoa_az", -180.5), ("aod_el", 181.0), ("aoa_el", -0.1), ("phase", -0.01),
+        ("phase", 7.0), ("delay", float("inf")), ("aoa_el", float("nan")),
+        ("aod_az", float("-inf")),
+    ])
+    def test_seeded_defects(self, rng, field, value):
+        pl = _with_path_field(_valid_record(rng), 1, **{field: value})
+        assert self._check(_header(2), [pl, _valid_record(rng, user_index=9)])
+
+    def test_power_rising_across_users_is_not_flagged(self, rng):
+        a, b = _valid_record(rng, user_index=1), _valid_record(rng, user_index=2)
+        b = _with_path_field(b, 0, power=a.paths[-1].power * 1e3)
+        b = dataclasses.replace(b, paths=tuple(sorted(b.paths, key=lambda p: -p.power)))
+        empty = PathList(bs_id=3, user_index=3, user_position=(0.0, 0.0, 0.0), paths=())
+        c = _with_path_field(_valid_record(rng, user_index=4), 0, power=1.0)
+        assert self._check(_header(4), [a, b, empty, c]) == []
+
+    def test_unsorted_power_within_a_user_is_flagged(self, rng):
+        pl = _valid_record(rng)
+        pl = dataclasses.replace(pl, paths=tuple(reversed(pl.paths)))
+        assert [v.field for v in self._check(_header(1), [pl])] == [
+            "paths[1].power", "paths[2].power", "paths[3].power"]
+
+    def test_26_paths_and_top_user_indices(self, rng):
+        paths = tuple(sorted((random_path_record(rng) for _ in range(26)),
+                             key=lambda p: -p.power))
+        pls = [PathList(bs_id=3, user_index=i, user_position=(0.0, 0.0, 0.0), paths=paths)
+               for i in (2**64 - 2, 2**64 - 1, 2**64 - 1)]
+        assert [(v.record_index, v.field) for v in self._check(_header(3), pls)] == [
+            (0, "paths"), (1, "paths"), (2, "user_index"), (2, "paths")]
+
+
+def _rows(n_users, paths_per_user, rng):
+    """Valid rows: ``n_users`` users with ``paths_per_user`` paths each."""
+    users = np.zeros(n_users, USER_ROW)
+    users["user_index"] = np.arange(1, n_users + 1)
+    users["position"] = rng.uniform(-100, 100, (n_users, 3))
+    users["n_paths"] = paths_per_user
+    paths = np.zeros(n_users * paths_per_user, PATH_ROW)
+    for name, lo, hi in (("aod_az", -180, 180), ("aoa_az", -180, 180), ("aod_el", 0, 180),
+                         ("aoa_el", 0, 180), ("phase", 0, 6.28), ("delay", 1e-9, 1e-5)):
+        paths[name] = rng.uniform(lo, hi, paths.size)
+    paths["power"] = -np.sort(-rng.uniform(1e-14, 1e-6, (n_users, paths_per_user))).ravel()
+    paths["n_reflections"] = rng.integers(0, 5, paths.size)
+    return RayRows(3, users, paths)
+
+
+class TestColumnarMemory:
+    def test_decode_holds_about_the_file_size(self, rng):
+        # The size of one trace-heavy ray file: 1,083 users, 17,328 paths.
+        buf = io.BytesIO()
+        write_rayfile(_rows(1083, 16, rng), _header(1083), buf)
+        data = buf.getvalue()
+        assert 1_000_000 < len(data) < 1_100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rf = read_rayfile(io.BytesIO(data))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rf.rows.paths) == 17_328
+        assert held <= 1.5 * len(data), f"{held} bytes held for a {len(data)}-byte file"
 
 
 class TestMutationFuzz:
@@ -231,3 +351,19 @@ class TestMutationFuzz:
             with pytest.raises(RayFileError):
                 read_rayfile(io.BytesIO(base[:cut]))
 
+    def test_accepted_mutations_reencode_identically(self, rng):
+        base = _write_bytes(_random_lists(rng, 4))
+        accepted = 0
+        for _ in range(2000):
+            data = bytearray(base)
+            for _ in range(int(rng.integers(1, 3))):
+                data[int(rng.integers(0, len(data)))] = int(rng.integers(0, 256))
+            try:
+                rf = read_rayfile(io.BytesIO(bytes(data)))
+            except RayFileError:
+                continue
+            accepted += 1
+            buf = io.BytesIO()
+            write_rayfile(rf.rows, rf.header, buf)
+            assert buf.getvalue() == bytes(data)
+        assert accepted > 100

@@ -136,7 +136,7 @@ class TestFreeSpace:
         buf = io.BytesIO()
         write_rayfile([pl], header, buf)
         rf = read_rayfile(io.BytesIO(buf.getvalue()))
-        assert rf.records == (pl,)
+        assert list(rf.records) == [pl]
         assert validate_rayfile(rf) == []
 
     def test_unknown_bs(self):
@@ -471,7 +471,7 @@ class TestRegionPruning:
                 mp.setattr(tracer, "_reachable",
                            lambda geo, seqs, images, rx: np.ones(len(seqs), dtype=bool))
                 every = trace_paths_batch(scene, 1, rx, **kw)
-        assert repr(pruned) == repr(every)
+        assert repr(list(pruned)) == repr(list(every))
         assert pruned.nodes_yielding == every.nodes_yielding
         assert pruned.nodes_yielding <= pruned.nodes_searched <= every.nodes_searched
         assert every.nodes_searched == image_node_counts(scene, 1, max_reflections)
