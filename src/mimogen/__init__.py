@@ -33,7 +33,7 @@ from .beams import (  # noqa: F401
     Codebook,
     achievable_rate,
     best_beam,
-    build_ml_dataset,
     dft_codebook,
     omni_feature,
+    write_ml_dataset,
 )

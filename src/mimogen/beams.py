@@ -10,16 +10,24 @@ optional conjugate variant behind a config switch.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
+import mmap
+import os
+import sys
+from concurrent.futures import BrokenExecutor, Executor, Future
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import dataset
 from .channel import ChannelMatrix
 from .dataset import (
-    Dataset, DatasetError, Manifest, ManifestEntry, atomic_write, verify_files, write_files,
+    Dataset, DatasetError, DatasetReader, Manifest, ManifestEntry, RayDataset, atomic_write,
+    batch_users, record_dtype, verify_files, write_files,
 )
 
 
@@ -170,34 +178,182 @@ ML_MANIFEST = "ml_manifest.txt"
 
 def _ml_csv(records: Sequence[MlRecord]) -> tuple[bytes, bytes]:
     """The one CSV formatter: the features.csv and labels.csv rows of the
-    records."""
-    feat_lines = []
-    label_lines = []
+    records. Each value is written as ``np.float64(<repr of the float>)``,
+    the text that numpy 2 gives a float64 scalar's ``repr``."""
+    feat_lines: list[str] = []
+    label_lines: list[str] = []
     for rec in records:
         for n, feat in enumerate(rec.features, start=1):
-            for j, c in enumerate(feat, start=1):
-                feat_lines.append(f"{rec.user_index},{n},{j},{c.real!r},{c.imag!r}\n")
+            head = f"{rec.user_index},{n},"
+            feat_lines += [f"{head}{j},np.float64({re!r}),np.float64({im!r})\n"
+                           for j, (re, im) in enumerate(zip(feat.real.tolist(),
+                                                            feat.imag.tolist()), start=1)]
         for n, rates in enumerate(rec.labels, start=1):
-            for p, r in enumerate(rates, start=1):
-                label_lines.append(f"{rec.user_index},{n},{p},{r!r}\n")
+            head = f"{rec.user_index},{n},"
+            label_lines += [f"{head}{p},np.float64({r!r})\n"
+                            for p, r in enumerate(rates.tolist(), start=1)]
     return "".join(feat_lines).encode(), "".join(label_lines).encode()
 
 
-def write_ml_dataset(steps: Iterable[Sequence[MlRecord]], outdir: Path | str) -> Manifest:
-    """Write features.csv and labels.csv in one pass over the steps'
-    records, then ml_manifest.txt with their sizes and content hashes.
+MlSource = Dataset | DatasetReader | RayDataset
 
-    Both files go to temp files that are renamed into place only after the
-    last step, so an error raised while the steps are drawn (such as a
-    shard failing its hash check at its end) leaves neither file and no
-    manifest. Memory is bounded by one step's records and rows.
+
+def worker_count() -> int:
+    """Worker processes for ``write_ml_dataset``: the CPUs this process may
+    run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def ml_plan(source: MlSource) -> tuple[int, int]:
+    """(worker processes, users per shard per step) of ``write_ml_dataset``
+    over ``source``. The producer's own step and the 2 slots per worker of
+    the ring must hold ``_BATCH_BYTES`` of records in all, so the steps
+    shrink with the workers, and the workers are fewer than
+    ``worker_count()`` only when even one-user steps would not fit."""
+    user_bytes = len(source.bs_ids) * record_dtype(source.params).itemsize
+    fit = dataset._BATCH_BYTES // user_bytes       # one-user steps within the budget
+    workers = max(1, min(worker_count(), (fit - 1) // 2))
+    return workers, batch_users(source.params, len(source.bs_ids) * (2 * workers + 1))
+
+
+@dataclass(frozen=True)
+class _Ring:
+    """The slot ring: a shared anonymous mapping of ``slots`` slots, each
+    one step of ``users`` records for each of ``shards`` shards, batch
+    after batch."""
+    buf: mmap.mmap
+    dtype: np.dtype
+    shards: int
+    users: int
+
+    @property
+    def batch_bytes(self) -> int:
+        return self.users * self.dtype.itemsize
+
+    @property
+    def slots(self) -> int:
+        return len(self.buf) // (self.shards * self.batch_bytes)
+
+    def put(self, slot: int, step: Sequence[np.ndarray]) -> None:
+        """Copy a step's batches into ``slot``."""
+        at = slot * self.shards * self.batch_bytes
+        for batch in step:
+            self.buf[at: at + batch.nbytes] = np.ascontiguousarray(batch)
+            at += self.batch_bytes
+
+    def get(self, slot: int, count: int) -> list[np.ndarray]:
+        """Views of the first ``count`` records of each batch in ``slot``."""
+        at = slot * self.shards * self.batch_bytes
+        return [np.frombuffer(self.buf, self.dtype, count, at + b * self.batch_bytes)
+                for b in range(self.shards)]
+
+
+_worker: tuple[_Ring, BeamEvalConfig] | None = None     # set in each worker process
+
+
+def _start_worker(ring: _Ring, cfg: BeamEvalConfig) -> None:
+    global _worker
+    _worker = ring, cfg
+
+
+def _score(slot: int, count: int) -> tuple[list[int], bytes, bytes]:
+    """In a worker: the user indices and the features.csv and labels.csv
+    rows of the step in ``slot``."""
+    ring, cfg = _worker
+    records = ml_records(ring.get(slot, count), cfg)
+    return [rec.user_index for rec in records], *_ml_csv(records)
+
+
+def _result(future: Future) -> tuple[list[int], list[bytes]]:
+    """A step's users and rows from its ``_score`` future; what the worker
+    raised is a ``DatasetError``."""
+    try:
+        users, *chunks = future.result()
+    except BrokenExecutor:
+        raise               # a worker died: ``write_ml_dataset`` reports it
+    except Exception as exc:
+        raise DatasetError(f"a beams worker failed: {type(exc).__name__}: {exc}") from exc
+    return users, chunks
+
+
+def _scored(source: MlSource, ring: _Ring, pool: Executor,
+            progress: Callable[[int, int], None] | None,
+            ) -> Iterator[tuple[list[int], list[bytes]]]:
+    """The ``_result`` of every step of ``source``, in step order. Step n
+    goes to slot n mod S once the result of step n - S, the slot's previous
+    step, has been taken and written."""
+    total = len(source.bs_ids) * source.n_users
+    done = 0
+    pending: collections.deque[Future] = collections.deque()
+
+    def oldest() -> Iterator[tuple[list[int], list[bytes]]]:
+        nonlocal done
+        users, chunks = _result(pending.popleft())
+        yield users, chunks
+        done += len(source.bs_ids) * len(users)
+        if progress is not None:
+            progress(done, total)
+
+    steps = source.steps(ring.users)
+    for n in itertools.count():
+        if len(pending) == ring.slots:
+            yield from oldest()
+        step = next(steps, None)
+        if step is None:
+            break
+        ring.put(n % ring.slots, step)
+        pending.append(pool.submit(_score, n % ring.slots, len(step[0])))
+    while pending:
+        yield from oldest()
+
+
+def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
+                     progress: Callable[[int, int], None] | None = None) -> Manifest:
+    """Write features.csv and labels.csv in one pass over the steps of
+    ``source`` (a ``Dataset``, ``DatasetReader`` or ``RayDataset``), then
+    ml_manifest.txt with their sizes and content hashes;
+    ``progress(done, total)`` counts the (BS, user) pairs written.
+
+    ``ml_plan`` sets the steps and the workers. This process draws every
+    step, so the producer runs all its checks here, and copies it into a
+    slot of a ring shared with a pool of forked worker processes; a worker
+    computes the step's records (``ml_records``) and rows (``_ml_csv``).
+    The results are written in step order, so the bytes do not depend on
+    the number of workers. Both files go to temp files that are renamed
+    into place only after the last step, so an error raised while the
+    steps are drawn or scored (such as a shard failing its hash check at
+    its end, or a worker that fails or dies, a ``DatasetError``) leaves
+    neither file and no manifest. The pool is shut down before this
+    returns or raises.
     """
+    # Imported here: the other subcommands would pay for it at start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    sinks, users = write_files(
-        [outdir / name for name in ML_FILES], _CSV_HEADS, steps,
-        lambda records: ([rec.user_index for rec in records], _ml_csv(records)))
-    manifest = Manifest(tuple(ManifestEntry(name, 0, *users, sink.size, sink.digest)
+    workers, users = ml_plan(source)
+    shards, dtype = len(source.bs_ids), record_dtype(source.params)
+    ring = _Ring(mmap.mmap(-1, 2 * workers * shards * users * dtype.itemsize),
+                 dtype, shards, users)
+    # A worker that writes to stdio must not write again what this process
+    # has buffered.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # fork: the workers inherit the ring, which an anonymous mapping can
+    # only reach that way. They are forked at the first submit, before any
+    # thread of the pool is started.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(ring, cfg))
+    try:
+        sinks, span = write_files([outdir / name for name in ML_FILES], _CSV_HEADS,
+                                  _scored(source, ring, pool, progress), lambda r: r)
+    except BrokenExecutor as exc:   # found by a submit or by a result
+        raise DatasetError(f"a beams worker process ended abruptly: {exc}") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        ring.buf.close()
+    manifest = Manifest(tuple(ManifestEntry(name, 0, *span, sink.size, sink.digest)
                               for name, sink in zip(ML_FILES, sinks)))
     atomic_write(outdir / ML_MANIFEST, manifest.to_text().encode())
     return manifest
@@ -213,23 +369,3 @@ def verify_ml_dataset(outdir: Path | str) -> None:
     if names != ML_FILES:
         raise DatasetError(f"{ML_MANIFEST} lists {names}, expected {ML_FILES}")
     verify_files(outdir, manifest)
-
-
-def export_ml_dataset(
-    records: Sequence[MlRecord],
-    outdir: Path | str,
-) -> Manifest:
-    """Write features.csv / labels.csv plus a manifest with content hashes."""
-    return write_ml_dataset([records], outdir)
-
-
-def build_ml_dataset(
-    ds: Dataset,
-    cfg: BeamEvalConfig,
-    outdir: Path | str | None = None,
-) -> list[MlRecord]:
-    """Build all ML records and optionally export them to CSV files."""
-    records = build_ml_records(ds, cfg)
-    if outdir is not None:
-        export_ml_dataset(records, outdir)
-    return records

@@ -15,6 +15,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .beams import (
     ML_MANIFEST,
     BeamEvalConfig,
     dft_codebook,
-    ml_records,
+    ml_plan,
     verify_ml_dataset,
     write_ml_dataset,
 )
@@ -315,9 +316,9 @@ def _cmd_beams(args: argparse.Namespace) -> int:
     with DatasetReader(args.dataset_dir) as ds:
         codebook = dft_codebook(ds.params.dims, oversampling=args.oversampling)
         cfg = BeamEvalConfig(codebook=codebook, snr=args.snr, conjugate=args.conjugate)
-        users = batch_users(ds.params, len(ds.bs_ids))
-        manifest = write_ml_dataset((ml_records(step, cfg) for step in ds.steps(users)),
-                                    outdir)
+        workers, users = ml_plan(ds)
+        reporter = ProgressReporter("BEAMS", len(ds.bs_ids) * ds.n_users, quiet=args.quiet)
+        manifest = write_ml_dataset(ds, cfg, outdir, progress=reporter.update)
     RunManifest(
         subcommand="beams",
         config_hash=content_hash(f"{args.snr} {args.oversampling} {args.conjugate}".encode()),
@@ -327,9 +328,13 @@ def _cmd_beams(args: argparse.Namespace) -> int:
         counters={
             "pairs": ds.n_users * len(ds.bs_ids),
             "users_per_step": users,
+            "workers": workers,
             "shards_hash_verified": ds.verified,
             "features_bytes": manifest.entries[0].byte_size,
             "labels_bytes": manifest.entries[1].byte_size,
+            # KiB (Linux); the workers have been waited for, so theirs is final
+            "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "workers_peak_rss_kib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
         },
     ).write(outdir / "beams.manifest.json")
     return 0

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -6,6 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
+from mimogen.beams import MlRecord
 from mimogen.channel import array_response, channel_matrices_batch
 from mimogen.dataset import Manifest, content_hash, parse_shard, shard_bytes
 from mimogen.params import ParamSet, subcarrier_set
@@ -18,6 +21,33 @@ from mimogen.tracer import (_EPS_SIDE, _EPS_T, _OTHER_AXES, _RECT_TOL, PathList,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+def _child_pids() -> list[int]:
+    """Live (or unreaped) children of this process, from the kernel's
+    children list of each of its threads; a thread that ends while they are
+    read, or a kernel without these lists, gives none."""
+    pids = []
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            pids += map(int, Path(f"/proc/self/task/{tid}/children").read_text().split())
+        except FileNotFoundError:
+            pass
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, such as a worker
+    of a pool that was not shut down; the leftovers are terminated."""
+    yield
+    left = multiprocessing.active_children()      # reaps those that ended
+    for proc in left:
+        proc.terminate()
+        proc.join(5)
+    pids = _child_pids()
+    if left or pids:
+        pytest.fail(f"child processes left running: {[p.pid for p in left] + pids}")
 
 
 def free_space_scene(bs_position=(0.0, 0.0, 10.0), ground_z=0.0, carrier=60e9):
@@ -297,3 +327,18 @@ def geometry_oracle(scene: Scene) -> list[tuple[int, float, float, list, list]]:
     for (axis, _key_offset, sign), (offset, faces) in sorted(grouped.items()):
         planes.append((axis, float(offset), sign, [f[0] for f in faces], [f[1] for f in faces]))
     return planes
+
+
+def ml_csv_oracle(records: Sequence[MlRecord]) -> tuple[bytes, bytes]:
+    """CSV formatter oracle: the features.csv and labels.csv rows of the
+    records, from the ``repr`` of each numpy scalar."""
+    feat_lines = []
+    label_lines = []
+    for rec in records:
+        for n, feat in enumerate(rec.features, start=1):
+            for j, c in enumerate(feat, start=1):
+                feat_lines.append(f"{rec.user_index},{n},{j},{c.real!r},{c.imag!r}\n")
+        for n, rates in enumerate(rec.labels, start=1):
+            for p, r in enumerate(rates, start=1):
+                label_lines.append(f"{rec.user_index},{n},{p},{r!r}\n")
+    return "".join(feat_lines).encode(), "".join(label_lines).encode()

@@ -1,22 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimogen.beams import (
     BeamEvalConfig,
     Codebook,
+    MlRecord,
+    _ml_csv,
     achievable_rate,
     beam_rates,
     best_beam,
-    build_ml_dataset,
     build_ml_records,
     dft_codebook,
-    export_ml_dataset,
     omni_feature,
+    write_ml_dataset,
 )
 from mimogen.channel import ChannelMatrix
 from mimogen.dataset import active_user_indices, build_dataset
 from mimogen.params import ParamSet
 
+from conftest import ml_csv_oracle
 from test_dataset import _params, _ray_sources, tiny_scene  # noqa: F401
 
 
@@ -186,7 +192,7 @@ class TestMlDataset:
     def test_export_row_counts(self, rng, tiny_scene, tmp_path):
         p, ds = self._dataset(rng, tiny_scene)
         cfg = BeamEvalConfig(dft_codebook(p.dims))
-        build_ml_dataset(ds, cfg, outdir=tmp_path)
+        write_ml_dataset(ds, cfg, tmp_path)
         feats = (tmp_path / "features.csv").read_text().strip().splitlines()
         labels = (tmp_path / "labels.csv").read_text().strip().splitlines()
         n_bs = len(ds.bs_ids)
@@ -197,8 +203,58 @@ class TestMlDataset:
     def test_export_deterministic(self, rng, tiny_scene, tmp_path):
         p, ds = self._dataset(rng, tiny_scene)
         cfg = BeamEvalConfig(dft_codebook(p.dims))
-        recs = build_ml_records(ds, cfg)
-        m1 = export_ml_dataset(recs, tmp_path / "a")
-        m2 = export_ml_dataset(recs, tmp_path / "b")
+        m1 = write_ml_dataset(ds, cfg, tmp_path / "a")
+        m2 = write_ml_dataset(ds, cfg, tmp_path / "b")
         assert [e.content_hash for e in m1.entries] == \
             [e.content_hash for e in m2.entries]
+
+
+def _bits_to_float(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+# Signed zeros, infinities, NaN, the subnormal and normal extremes and both
+# sides of the cut-offs where repr switches to exponent form (1e16, 1e-4).
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                1e16, math.nextafter(1e16, 0.0), -1e16, 1e-4, math.nextafter(1e-4, 0.0),
+                -1e-4, 1e-5, 9999999999999998.0, 0.1, 1.0, 123456789.0]
+
+_values = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits_to_float),                # any bit pattern
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=-5e-308, max_value=5e-308),              # subnormal range
+    st.floats(min_value=1e15, max_value=1e17),
+    st.floats(min_value=1e-5, max_value=1e-3),
+    st.sampled_from(_EDGE_FLOATS),
+)
+
+
+@st.composite
+def _ml_record_lists(draw):
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        n_bs = draw(st.integers(1, 3))
+        k, p = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        features = tuple(
+            np.array(draw(st.lists(_values, min_size=2 * k, max_size=2 * k))).view(complex)
+            for _ in range(n_bs))
+        labels = tuple(np.array(draw(st.lists(_values, min_size=p, max_size=p)), dtype=float)
+                       for _ in range(n_bs))
+        records.append(MlRecord(draw(st.integers(0, 2**64 - 1)), features, labels))
+    return records
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="the oracle's text is numpy 2's float64 scalar repr")
+class TestCsvFormatter:
+    @settings(deadline=None, max_examples=100)
+    @given(_ml_record_lists())
+    def test_equals_oracle(self, records):
+        assert _ml_csv(records) == ml_csv_oracle(records)
+
+    def test_equals_oracle_on_random_bit_patterns(self, rng):
+        bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False)
+        values = np.concatenate([bits.view(np.float64), np.array(_EDGE_FLOATS)])
+        records = [MlRecord(7, (values.view(complex),), (values,))]
+        assert _ml_csv(records) == ml_csv_oracle(records)

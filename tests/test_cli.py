@@ -1,15 +1,19 @@
+import contextlib
 import io
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import signal
 import struct
 from types import SimpleNamespace
 
 import pytest
 
-from mimogen import tracer
+from mimogen import beams, dataset, tracer
 from mimogen.cli import ProgressReporter, build_parser, run
-from mimogen.dataset import content_hash
+from mimogen.dataset import DatasetReader, content_hash, record_dtype
 from mimogen.rayio import HEADER_SIZE, read_rayfile
 
 from conftest import rewrite_shard
@@ -28,6 +32,21 @@ def scene_file(tmp_path):
     rc = run(["scene", "--out", str(out), "--quiet"] + TINY_SCENE_SETS)
     assert rc == 0
     return out
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise ``TimeoutError`` in the block if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _trace(tmp_path, scene_file, bs="3,4"):
@@ -141,17 +160,22 @@ class TestPipeline:
         for d in (scene_file.parent, rays, ds_dir, ml):
             assert not list(d.glob("*.tmp~"))
 
-    def test_beams_manifest_counts_pairs_steps_and_bytes(self, tmp_path, scene_file):
+    def test_beams_manifest_counts_pairs_steps_and_bytes(self, tmp_path, scene_file,
+                                                         monkeypatch):
         _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
         ml = tmp_path / "ml"
+        monkeypatch.setattr(beams, "worker_count", lambda: 2)
         assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
                     "--quiet"]) == 0
         counters = json.loads((ml / "beams.manifest.json").read_text())["counters"]
         assert counters == {
-            "pairs": 2 * 6, "users_per_step": 256, "shards_hash_verified": 2,
+            "pairs": 2 * 6, "users_per_step": 256, "workers": 2, "shards_hash_verified": 2,
             "features_bytes": (ml / "features.csv").stat().st_size,
             "labels_bytes": (ml / "labels.csv").stat().st_size,
+            "peak_rss_kib": counters["peak_rss_kib"],
+            "workers_peak_rss_kib": counters["workers_peak_rss_kib"],
         }
+        assert counters["peak_rss_kib"] > 0 and counters["workers_peak_rss_kib"] > 0
 
     def test_validate_ml_dir(self, tmp_path, scene_file, capsys):
         _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
@@ -286,6 +310,47 @@ class TestErrors:
         assert "violation: DatasetError: shard_bs004.dmds: content hash mismatch" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("failure,message", [
+        ("worker raises", "a beams worker failed: RuntimeError: boom"),
+        ("worker dies", "a beams worker process ended abruptly"),
+        ("hash check", "shard_bs004.dmds: content hash mismatch"),
+    ])
+    def test_beams_failure_leaves_nothing(self, tmp_path, scene_file, capsys, monkeypatch,
+                                          failure, message):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        with DatasetReader(ds_dir) as ds:
+            users = [int(step[0]["global_index"][0]) for step in ds.steps(1)]
+            step_bytes = len(ds.bs_ids) * record_dtype(ds.params).itemsize
+        # 2 workers and one user per step: the 4 slots of the ring are all
+        # in flight when the third user's step fails.
+        monkeypatch.setattr(beams, "worker_count", lambda: 2)
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 5 * step_bytes)
+        scored = beams.ml_records
+
+        def records(batches, cfg):
+            if int(batches[0]["global_index"][0]) == users[2]:
+                if failure == "worker raises":
+                    raise RuntimeError("boom")
+                if failure == "worker dies":
+                    os._exit(3)
+            return scored(batches, cfg)
+
+        monkeypatch.setattr(beams, "ml_records", records)
+        if failure == "hash check":
+            shard = ds_dir / "shard_bs004.dmds"
+            data = bytearray(shard.read_bytes())
+            data[-1] ^= 0x01                     # in its last record
+            shard.write_bytes(bytes(data))
+        ml = tmp_path / "ml"
+        with _deadline(60):
+            assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
+                        "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert sorted(ml.glob("*")) == []        # no ML file, manifest or *.tmp~
+        assert multiprocessing.active_children() == []
+
     def test_unknown_bs_in_trace(self, tmp_path, scene_file):
         rc = run([
             "trace", "--scene", str(scene_file), "--bs", "99",
@@ -404,6 +469,16 @@ class TestProgress:
         # 2 base stations x 2 rows x 3 users per row
         assert lines[0].endswith("/12")
         assert lines[-1] == "BUILD 12/12"
+
+    def test_beams_counts_pairs_written(self, tmp_path, scene_file, capsys):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        capsys.readouterr()
+        assert run(["beams", "--dataset-dir", str(ds_dir),
+                    "--out-dir", str(tmp_path / "ml")]) == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines()
+                 if ln.startswith("BEAMS ")]
+        assert lines[0].endswith("/12")
+        assert lines[-1] == "BEAMS 12/12"
 
 
 class TestParamMerge:

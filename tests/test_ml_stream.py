@@ -1,23 +1,26 @@
-"""The streamed ML export (``DatasetReader`` steps -> ``ml_records`` ->
-``write_ml_dataset``) against the list-based one built from a whole
-``Dataset``."""
+"""The ML export from a shard directory (``DatasetReader``) against the
+one from a whole ``Dataset`` held in memory."""
 
+import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimogen import dataset
+import mimogen
+from mimogen import beams, dataset
 from mimogen.beams import (
     BeamEvalConfig,
-    build_ml_records,
     dft_codebook,
-    export_ml_dataset,
-    ml_records,
+    ml_plan,
     write_ml_dataset,
 )
 from mimogen.dataset import (
@@ -35,7 +38,7 @@ ML_OUTPUTS = ("features.csv", "labels.csv", "ml_manifest.txt")
 
 def _stream(ds_dir: Path, cfg: BeamEvalConfig, outdir: Path):
     with DatasetReader(ds_dir) as reader:
-        manifest = write_ml_dataset((ml_records(s, cfg) for s in reader.steps()), outdir)
+        manifest = write_ml_dataset(reader, cfg, outdir)
         assert reader.verified == len(reader.bs_ids)
     return manifest
 
@@ -72,7 +75,7 @@ class TestStreamedExport:
         with tempfile.TemporaryDirectory() as tmp:
             ds_dir, ref, out = Path(tmp) / "ds", Path(tmp) / "ref", Path(tmp) / "out"
             export_dataset(ds, ds_dir)
-            want = export_ml_dataset(build_ml_records(ds, cfg), ref)
+            want = write_ml_dataset(ds, cfg, ref)
             with mock.patch.object(dataset, "_BATCH_BYTES", budget):
                 step = batch_users(p, len(p.active_bs))
                 assert step == max(1, min(256, budget // (len(p.active_bs)
@@ -101,6 +104,89 @@ class TestStreamedExport:
         assert manifest.entries[0].last_user > manifest.entries[0].first_user
         n_steps = 160 // 8
         assert n_steps == 20
-        # One step of records, its MlRecords and CSV rows; reading the whole
-        # dataset would take 20 steps of records alone.
+        # This process holds one step of records and the rows of the steps
+        # in flight (the ring is an mmap, which tracemalloc does not see);
+        # reading the whole dataset would take 20 steps of records alone.
         assert peak < 3 * step
+
+
+def _write_dataset(rng, directory: Path, users_per_row: int, **params):
+    scene = _small_scene(users_per_row)
+    p = _params(**params)
+    export_dataset(build_dataset(_ray_sources(rng, scene, p), p, scene), directory)
+    return p
+
+
+class TestWorkers:
+    def test_plan_keeps_steps_and_ring_within_budget(self, monkeypatch):
+        p = _params(active_bs=(3, 4, 5))
+        one = 3 * record_dtype(p).itemsize            # one user of each shard
+        source = mock.Mock(params=p, bs_ids=p.active_bs)
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(beams, "worker_count", lambda: cpus)
+            for budget in (0, one, 3 * one - 1, 3 * one, 5 * one, 7 * one, 40 * one,
+                           dataset._BATCH_BYTES):
+                with mock.patch.object(dataset, "_BATCH_BYTES", budget):
+                    workers, users = ml_plan(source)
+                assert 1 <= workers <= cpus and 1 <= users <= 256
+                if budget >= 3 * one:       # a step and 2 slots of one user fit
+                    assert (2 * workers + 1) * users * one <= budget
+                    assert workers == cpus or (2 * workers + 3) * one > budget
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bytes_do_not_depend_on_workers(self, rng, tmp_path, monkeypatch, workers):
+        p = _write_dataset(rng, tmp_path / "ds", 30, active_bs=(3, 4), active_user_last=2)
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 14 * 2 * record_dtype(p).itemsize)
+        cfg = BeamEvalConfig(dft_codebook(p.dims))
+        with DatasetReader(tmp_path / "ds") as reader:
+            want = write_ml_dataset(reader, cfg, tmp_path / "two")
+        monkeypatch.setattr(beams, "worker_count", lambda: workers)
+        with DatasetReader(tmp_path / "ds") as reader:
+            assert ml_plan(reader) == (workers, 14 // (2 * workers + 1))
+            got = write_ml_dataset(reader, cfg, tmp_path / "other")
+        assert got == want
+        for name in ML_OUTPUTS:
+            assert (tmp_path / "other" / name).read_bytes() == \
+                (tmp_path / "two" / name).read_bytes()
+
+    def test_rss_flat_in_steps(self, rng, tmp_path):
+        # `mimogen beams` as a child with a 12-user step (2 workers, a budget
+        # of 5 steps), on 24 and on 240 users of 2 shards: 2 and 20 steps.
+        p = _params(active_bs=(3, 4), active_user_last=2, num_ant_y=8, num_ant_z=4,
+                    num_ofdm=64, ofdm_limit=64)
+        budget = 5 * 12 * 2 * record_dtype(p).itemsize
+        beams_cli = ("import sys; from mimogen import beams, cli, dataset; "
+                     f"dataset._BATCH_BYTES = {budget}; beams.worker_count = lambda: 2; "
+                     "sys.exit(cli.run(sys.argv[1:]))")
+        # A process's peak RSS starts at the RSS of the process it was forked
+        # from and survives exec, so the child is started by a small launcher
+        # and not by this (large) process; the launcher reports its wait4.
+        launcher = ("import os, sys; exe = sys.executable; "
+                    "pid = os.posix_spawn(exe, [exe, *sys.argv[1:]], os.environ); "
+                    "_, status, usage = os.wait4(pid, 0); "
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        src = str(Path(mimogen.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        peaks = []
+        for users_per_row in (12, 120):
+            ds, ml = tmp_path / f"ds{users_per_row}", tmp_path / f"ml{users_per_row}"
+            _write_dataset(rng, ds, users_per_row, **{
+                f: getattr(p, f) for f in ("active_bs", "active_user_last", "num_ant_y",
+                                           "num_ant_z", "num_ofdm", "ofdm_limit")})
+            out = subprocess.run(
+                [sys.executable, "-c", launcher, "-c", beams_cli, "beams", "--dataset-dir",
+                 str(ds), "--out-dir", str(ml), "--quiet"],
+                env=env, capture_output=True, text=True, timeout=120, check=True).stdout
+            rc, maxrss = map(int, out.split())
+            assert rc == 0
+            counters = json.loads((ml / "beams.manifest.json").read_text())["counters"]
+            assert (counters["workers"], counters["users_per_step"]) == (2, 12)
+            assert counters["pairs"] == 2 * 2 * users_per_row
+            # The child's wait4 peak is the larger of its own and its workers'.
+            assert maxrss == max(counters["peak_rss_kib"], counters["workers_peak_rss_kib"])
+            peaks.append((maxrss, counters["peak_rss_kib"], counters["workers_peak_rss_kib"]))
+        # 18 more steps hold 15 MiB more of records: none of it may stay. What
+        # differs is about 1.5 MiB of ring slots that 2 steps do not touch.
+        for two, twenty in zip(*peaks):
+            assert abs(twenty - two) < 4 * 1024, peaks

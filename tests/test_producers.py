@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimogen import dataset
-from mimogen.beams import BeamEvalConfig, dft_codebook, ml_records, write_ml_dataset
+from mimogen.beams import BeamEvalConfig, dft_codebook, write_ml_dataset
 from mimogen.dataset import (
     DatasetReader,
     batch_users,
@@ -100,10 +100,8 @@ class TestOneInterface:
             _same_files(tmp / "rays", tmp / "files", names)
 
             # Rays -> ML without shards: the same files as from the shards.
-            ml_rays = write_ml_dataset((ml_records(s, cfg) for s in rays.steps()),
-                                       tmp / "ml_rays")
+            ml_rays = write_ml_dataset(rays, cfg, tmp / "ml_rays")
             with DatasetReader(tmp / "rays") as reader:
-                ml_files = write_ml_dataset((ml_records(s, cfg) for s in reader.steps()),
-                                            tmp / "ml_files")
+                ml_files = write_ml_dataset(reader, cfg, tmp / "ml_files")
             assert ml_rays == ml_files
             _same_files(tmp / "ml_rays", tmp / "ml_files", ML_OUTPUTS)
