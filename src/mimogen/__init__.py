@@ -27,7 +27,7 @@ from .channel import (  # noqa: F401
     array_response,
     channel_matrix,
 )
-from .dataset import Dataset, build_dataset, export_dataset, get_channel, get_location  # noqa: F401
+from .dataset import Dataset, build_dataset, get_channel, get_location, write_shards  # noqa: F401
 from .beams import (  # noqa: F401
     BeamEvalConfig,
     Codebook,

@@ -164,12 +164,6 @@ def ml_records(batches: Sequence[np.ndarray], cfg: BeamEvalConfig) -> list[MlRec
     ]
 
 
-def build_ml_records(ds: Dataset, cfg: BeamEvalConfig) -> list[MlRecord]:
-    """One record per active user: omni features and per-beam rate labels
-    for every active base station, in active order."""
-    return ml_records(ds.shards, cfg)
-
-
 _CSV_HEADS = (b"user_index,bs_ordinal,k,re,im\n",
               b"user_index,bs_ordinal,beam_index,rate_bps_hz\n")
 ML_FILES = ("features.csv", "labels.csv")
@@ -209,11 +203,14 @@ def ml_plan(source: MlSource) -> tuple[int, int]:
     over ``source``. The producer's own step and the 2 slots per worker of
     the ring must hold ``_BATCH_BYTES`` of records in all, so the steps
     shrink with the workers, and the workers are fewer than
-    ``worker_count()`` only when even one-user steps would not fit."""
+    ``worker_count()`` only when even one-user steps would not fit or
+    ``source`` has fewer steps than that."""
     user_bytes = len(source.bs_ids) * record_dtype(source.params).itemsize
     fit = dataset._BATCH_BYTES // user_bytes       # one-user steps within the budget
     workers = max(1, min(worker_count(), (fit - 1) // 2))
-    return workers, batch_users(source.params, len(source.bs_ids) * (2 * workers + 1))
+    users = batch_users(source.params, len(source.bs_ids) * (2 * workers + 1))
+    steps = -(-source.n_users // users)
+    return max(1, min(workers, steps)), users
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .dataset import (
     write_shards,
 )
 from .kvconfig import ConfigError, KVEntry, merge_kv
-from .params import ParamSet, ParamError, params_from_entries, serialize_params
+from .params import KEYS, ParamSet, ParamError, params_from_entries, serialize_params
 from .rayio import (
     MAX_PATHS,
     RayFileError,
@@ -136,14 +136,7 @@ def _load_scene(path: str) -> Scene:
     return scene_from_json(Path(path).read_text())
 
 
-_PARAM_FLAGS = [
-    "active_BS", "active_user_first", "active_user_last",
-    "num_ant_x", "num_ant_y", "num_ant_z", "ant_spacing", "bandwidth",
-    "num_OFDM", "OFDM_sampling_factor", "OFDM_limit", "num_paths",
-]
-
-
-def _merged_config(args: argparse.Namespace, flags: Sequence[str] = ()) -> dict[str, KVEntry]:
+def _merged_config(args: argparse.Namespace, flags: Iterable[str] = ()) -> dict[str, KVEntry]:
     """``--config`` file < ``--set`` items < the given per-key flags."""
     return merge_kv(
         Path(args.config).read_text() if args.config else None,
@@ -153,7 +146,7 @@ def _merged_config(args: argparse.Namespace, flags: Sequence[str] = ()) -> dict[
 
 
 def _params_from_args(args: argparse.Namespace) -> ParamSet:
-    return params_from_entries(_merged_config(args, _PARAM_FLAGS))
+    return params_from_entries(_merged_config(args, KEYS))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--rays-dir", required=True)
     p_build.add_argument("--config", help="key=value parameter file")
     p_build.add_argument("--set", action="append", metavar="KEY=VALUE")
-    for flag in _PARAM_FLAGS:
-        p_build.add_argument(f"--{flag}")
+    for key in KEYS:
+        p_build.add_argument(f"--{key}")
     p_build.add_argument("--format", choices=("binary", "csv"), default="binary")
     p_build.add_argument("--out-dir", default=_default_outdir())
     p_build.add_argument("--quiet", action="store_true")

@@ -712,14 +712,8 @@ def write_shards(
     return manifest
 
 
-def export_dataset(ds: Dataset, sink: Path | str, fmt: str = "binary") -> Manifest:
-    """Write an in-memory dataset as per-BS shards plus a manifest (see
-    ``write_shards``); returns the manifest."""
-    return write_shards(sink, ds, fmt)
-
-
 def load_dataset(source: Path | str) -> Dataset:
-    """Re-import a binary dataset directory written by export_dataset: one
+    """Re-import a binary dataset directory written by ``write_shards``: one
     ``DatasetReader`` step over all users, so every check of the reader
     applies. The record arrays are read-only."""
     with DatasetReader(source) as reader:

@@ -1,16 +1,15 @@
 """Dataset parameter set: parsing, validation, and derived quantities.
 
-Keys in the parameter file (and the equivalent CLI flags) use the same
-names as the generator's documented interface: ``active_BS``,
-``active_user_first``, ``active_user_last``, ``num_ant_x``, ``num_ant_y``,
-``num_ant_z``, ``ant_spacing``, ``bandwidth`` (GHz), ``num_OFDM``,
-``OFDM_sampling_factor``, ``OFDM_limit``, ``num_paths``.
+Each ``ParamSet`` field declares its key in the parameter file (and the
+equivalent ``build`` flag) and its kind; ``KEYS`` maps the keys, in field
+order, to the fields, and the reader, the writer and the CLI flags all come
+from it. The keys are the generator's documented names (``bandwidth`` in GHz).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import Field, dataclass, field, fields, replace
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -21,20 +20,26 @@ class ParamError(ConfigError):
     """Invalid dataset parameters."""
 
 
+def _param(key: str, kind: str, default: Any) -> Any:
+    """A ``ParamSet`` field read from and written to the file key ``key`` as
+    a value of ``kind`` (a key of ``_READ`` and ``_WRITE``)."""
+    return field(default=default, metadata={"key": key, "kind": kind})
+
+
 @dataclass(frozen=True)
 class ParamSet:
-    active_bs: tuple[int, ...] = (3, 4, 5, 6)
-    active_user_first: int = 1000
-    active_user_last: int = 1300
-    num_ant_x: int = 1
-    num_ant_y: int = 32
-    num_ant_z: int = 8
-    ant_spacing: float = 0.5     # in wavelengths
-    bandwidth: float = 0.5       # GHz
-    num_ofdm: int = 1024
-    ofdm_sampling_factor: int = 1
-    ofdm_limit: int = 64
-    num_paths: int = 5
+    active_bs: tuple[int, ...] = _param("active_BS", "int_list", (3, 4, 5, 6))
+    active_user_first: int = _param("active_user_first", "int", 1000)
+    active_user_last: int = _param("active_user_last", "int", 1300)
+    num_ant_x: int = _param("num_ant_x", "int", 1)
+    num_ant_y: int = _param("num_ant_y", "int", 32)
+    num_ant_z: int = _param("num_ant_z", "int", 8)
+    ant_spacing: float = _param("ant_spacing", "float", 0.5)    # in wavelengths
+    bandwidth: float = _param("bandwidth", "float", 0.5)        # GHz
+    num_ofdm: int = _param("num_OFDM", "int", 1024)
+    ofdm_sampling_factor: int = _param("OFDM_sampling_factor", "int", 1)
+    ofdm_limit: int = _param("OFDM_limit", "int", 64)
+    num_paths: int = _param("num_paths", "int", 5)
 
     def __post_init__(self) -> None:
         if not self.active_bs:
@@ -77,35 +82,22 @@ class ParamSet:
         return (self.num_ant_x, self.num_ant_y, self.num_ant_z)
 
 
-_KEY_MAP = {
-    "active_BS": ("active_bs", "int_list"),
-    "active_user_first": ("active_user_first", "int"),
-    "active_user_last": ("active_user_last", "int"),
-    "num_ant_x": ("num_ant_x", "int"),
-    "num_ant_y": ("num_ant_y", "int"),
-    "num_ant_z": ("num_ant_z", "int"),
-    "ant_spacing": ("ant_spacing", "float"),
-    "bandwidth": ("bandwidth", "float"),
-    "num_OFDM": ("num_ofdm", "int"),
-    "OFDM_sampling_factor": ("ofdm_sampling_factor", "int"),
-    "OFDM_limit": ("ofdm_limit", "int"),
-    "num_paths": ("num_paths", "int"),
-}
+#: File key -> ``ParamSet`` field, in field order.
+KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(ParamSet)}
+
+#: Per kind: how a value is read from a ``KVEntry`` and how it is written.
+_READ = {"int": as_int, "float": as_float, "int_list": lambda e: tuple(as_int_list(e))}
+_WRITE = {"int": str, "float": repr, "int_list": lambda v: ",".join(map(str, v))}
 
 
 def params_from_entries(entries: Mapping[str, KVEntry], base: ParamSet | None = None) -> ParamSet:
     """Apply parsed key=value entries to ``base``. Unspecified keys keep defaults."""
     overrides = {}
     for key, entry in entries.items():
-        if key not in _KEY_MAP:
+        if key not in KEYS:
             raise ParamError(f"{entry.where}: unknown parameter {key!r}")
-        attr, kind = _KEY_MAP[key]
-        if kind == "int":
-            overrides[attr] = as_int(entry)
-        elif kind == "float":
-            overrides[attr] = as_float(entry)
-        else:
-            overrides[attr] = tuple(as_int_list(entry))
+        f = KEYS[key]
+        overrides[f.name] = _READ[f.metadata["kind"]](entry)
     return replace(base or ParamSet(), **overrides)
 
 
@@ -115,22 +107,10 @@ def parse_params(text: str, base: ParamSet | None = None) -> ParamSet:
 
 
 def serialize_params(p: ParamSet) -> str:
-    """Canonical key=value rendering; parse_params round-trips it."""
-    lines = [
-        "active_BS=" + ",".join(str(b) for b in p.active_bs),
-        f"active_user_first={p.active_user_first}",
-        f"active_user_last={p.active_user_last}",
-        f"num_ant_x={p.num_ant_x}",
-        f"num_ant_y={p.num_ant_y}",
-        f"num_ant_z={p.num_ant_z}",
-        f"ant_spacing={p.ant_spacing!r}",
-        f"bandwidth={p.bandwidth!r}",
-        f"num_OFDM={p.num_ofdm}",
-        f"OFDM_sampling_factor={p.ofdm_sampling_factor}",
-        f"OFDM_limit={p.ofdm_limit}",
-        f"num_paths={p.num_paths}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Canonical key=value rendering, one line per key of ``KEYS``;
+    parse_params round-trips it."""
+    return "".join(f"{key}={_WRITE[f.metadata['kind']](getattr(p, f.name))}\n"
+                   for key, f in KEYS.items())
 
 
 def subcarrier_set(p: ParamSet) -> np.ndarray:

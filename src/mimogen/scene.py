@@ -252,9 +252,6 @@ def _default_grids(user_z: float) -> list[UserGrid]:
     return [g1, g2, g3]
 
 
-_GRID_KEYS = ("n_rows", "users_per_row", "spacing_m", "origin_x", "origin_y", "origin_z")
-
-
 def build_o1_scene(cfg: Mapping[str, KVEntry] | None = None) -> Scene:
     """Build the default two-street scene, applying any config overrides.
 
@@ -279,51 +276,28 @@ def build_o1_scene(cfg: Mapping[str, KVEntry] | None = None) -> Scene:
     if bld_h <= 0:
         raise SceneConfigError(f"building_height_m: must be > 0, got {bld_h}")
 
-    grids = _default_grids(user_z)
-    for i in range(len(grids)):
-        g = grids[i]
-        over: dict[str, float] = {}
-        for sub in _GRID_KEYS:
-            e = cfg.pop(f"grid{i + 1}.{sub}", None)
-            if e is not None:
-                over[sub] = as_float(e)
-        if over:
-            origin = (
-                over.get("origin_x", g.origin[0]),
-                over.get("origin_y", g.origin[1]),
-                over.get("origin_z", g.origin[2]),
-            )
-            n_rows = int(over.get("n_rows", g.n_rows))
-            upr = int(over.get("users_per_row", g.users_per_row))
-            if n_rows < 1:
-                raise SceneConfigError(f"grid{i + 1}.n_rows: must be >= 1, got {n_rows}")
-            if upr < 1:
-                raise SceneConfigError(f"grid{i + 1}.users_per_row: must be >= 1, got {upr}")
-            spacing = over.get("spacing_m", g.spacing)
-            if spacing <= 0:
-                raise SceneConfigError(f"grid{i + 1}.spacing_m: must be > 0, got {spacing}")
-            grids[i] = UserGrid(origin, g.row_axis, g.col_axis, n_rows, upr, spacing,
-                                g.first_row_label)
-    # Re-chain row labels after any row-count overrides.
-    label = 1
-    for i, g in enumerate(grids):
-        if g.first_row_label != label:
-            grids[i] = UserGrid(g.origin, g.row_axis, g.col_axis, g.n_rows, g.users_per_row,
-                                g.spacing, label)
-            g = grids[i]
-        label = g.last_row_label + 1
+    grids: list[UserGrid] = []
+    for i, g in enumerate(_default_grids(user_z), start=1):
+        # Every key of the grid is read before any value is checked.
+        n_rows = pop_float(f"grid{i}.n_rows", g.n_rows)
+        upr = pop_float(f"grid{i}.users_per_row", g.users_per_row)
+        spacing = pop_float(f"grid{i}.spacing_m", g.spacing)
+        origin = tuple(pop_float(f"grid{i}.origin_{a}", v) for a, v in zip("xyz", g.origin))
+        n_rows, upr = int(n_rows), int(upr)
+        if n_rows < 1:
+            raise SceneConfigError(f"grid{i}.n_rows: must be >= 1, got {n_rows}")
+        if upr < 1:
+            raise SceneConfigError(f"grid{i}.users_per_row: must be >= 1, got {upr}")
+        if spacing <= 0:
+            raise SceneConfigError(f"grid{i}.spacing_m: must be > 0, got {spacing}")
+        label = grids[-1].last_row_label + 1 if grids else 1
+        grids.append(UserGrid(origin, g.row_axis, g.col_axis, n_rows, upr, spacing, label))
 
-    stations = _default_base_stations(bs_z)
-    for i, bs in enumerate(stations):
-        over_pos = list(bs.position)
-        touched = False
-        for a, sub in enumerate(("x", "y", "z")):
-            e = cfg.pop(f"bs.{bs.id}.{sub}", None)
-            if e is not None:
-                over_pos[a] = as_float(e)
-                touched = True
-        if touched:
-            stations[i] = BaseStation(bs.id, tuple(over_pos), bs.antenna_axis)
+    stations = [
+        BaseStation(bs.id, tuple(pop_float(f"bs.{bs.id}.{a}", v)
+                                 for a, v in zip("xyz", bs.position)), bs.antenna_axis)
+        for bs in _default_base_stations(bs_z)
+    ]
 
     if cfg:
         unknown = sorted(cfg)[0]

@@ -13,8 +13,8 @@ from mimogen.beams import (
     achievable_rate,
     beam_rates,
     best_beam,
-    build_ml_records,
     dft_codebook,
+    ml_records,
     omni_feature,
     write_ml_dataset,
 )
@@ -174,7 +174,7 @@ class TestMlDataset:
     def test_record_counts(self, rng, tiny_scene):
         p, ds = self._dataset(rng, tiny_scene)
         cb = dft_codebook(p.dims)
-        recs = build_ml_records(ds, BeamEvalConfig(cb))
+        recs = ml_records(ds.shards, BeamEvalConfig(cb))
         assert len(recs) == ds.n_users
         for rec in recs:
             assert len(rec.features) == len(ds.bs_ids) == 2
@@ -185,7 +185,7 @@ class TestMlDataset:
         from mimogen.dataset import get_channel
         p, ds = self._dataset(rng, tiny_scene)
         cfg = BeamEvalConfig(dft_codebook(p.dims), snr=2.0)
-        recs = build_ml_records(ds, cfg)
+        recs = ml_records(ds.shards, cfg)
         assert np.allclose(recs[0].labels[1],
                            beam_rates(get_channel(ds, 2, 1), cfg))
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 from mimogen import beams, dataset, tracer
 from mimogen.cli import ProgressReporter, build_parser, run
 from mimogen.dataset import DatasetReader, content_hash, record_dtype
+from mimogen.params import KEYS
 from mimogen.rayio import HEADER_SIZE, read_rayfile
 
 from conftest import rewrite_shard
@@ -98,7 +100,8 @@ class TestPipeline:
             assert (0 < counters[f"bs{b:03d}.image_nodes_yielding"]
                     <= counters[f"bs{b:03d}.image_nodes_searched"]
                     < counters[f"bs{b:03d}.image_nodes"])
-            records = read_rayfile((rays / f"rays_bs{b:03d}.drf").open("rb")).records
+            with (rays / f"rays_bs{b:03d}.drf").open("rb") as fh:
+                records = read_rayfile(fh).records
             assert counters[f"bs{b:03d}.paths"] == sum(len(r.paths) for r in records) > 0
             assert counters[f"bs{b:03d}.users_without_paths"] == sum(
                 not r.paths for r in records)
@@ -107,7 +110,8 @@ class TestPipeline:
         rays = _trace(tmp_path, scene_file)
         counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
         for b in (3, 4):
-            records = read_rayfile((rays / f"rays_bs{b:03d}.drf").open("rb")).records
+            with (rays / f"rays_bs{b:03d}.drf").open("rb") as fh:
+                records = read_rayfile(fh).records
             hist = {int(m[1]): n for key, n in counters.items()
                     if (m := re.fullmatch(rf"bs{b:03d}\.users_with_(\d+)_paths", key))}
             assert hist and all(n > 0 for n in hist.values())
@@ -123,8 +127,9 @@ class TestPipeline:
         rc, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
         assert rc == 0
         assert (ds_dir / "shard_bs004.dmds").exists()
-        with pytest.raises(AssertionError, match="PathRecord"):
-            read_rayfile((tmp_path / "rays" / "rays_bs003.drf").open("rb")).records[0]
+        with (tmp_path / "rays" / "rays_bs003.drf").open("rb") as fh, \
+                pytest.raises(AssertionError, match="PathRecord"):
+            read_rayfile(fh).records[0]
 
     def test_full_pipeline(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)
@@ -169,7 +174,7 @@ class TestPipeline:
                     "--quiet"]) == 0
         counters = json.loads((ml / "beams.manifest.json").read_text())["counters"]
         assert counters == {
-            "pairs": 2 * 6, "users_per_step": 256, "workers": 2, "shards_hash_verified": 2,
+            "pairs": 2 * 6, "users_per_step": 256, "workers": 1, "shards_hash_verified": 2,
             "features_bytes": (ml / "features.csv").stat().st_size,
             "labels_bytes": (ml / "labels.csv").stat().st_size,
             "peak_rss_kib": counters["peak_rss_kib"],
@@ -482,6 +487,14 @@ class TestProgress:
 
 
 class TestParamMerge:
+    def test_build_has_one_flag_per_parameter_key(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        other = {"-h", "--help", "--scene", "--rays-dir", "--config", "--set", "--format",
+                 "--out-dir", "--quiet"}
+        flags = [s for a in sub.choices["build"]._actions for s in a.option_strings]
+        assert [s for s in flags if s not in other] == [f"--{key}" for key in KEYS]
+
     def test_flag_overrides_set(self, tmp_path, scene_file):
         # --num_ant_y flag should win over --set of the same key
         parser = build_parser()

@@ -26,7 +26,6 @@ from mimogen.dataset import (
     batch_users,
     build_dataset,
     content_hash,
-    export_dataset,
     get_channel,
     get_location,
     load_dataset,
@@ -348,7 +347,7 @@ class TestStreamingWrite:
         sources = _ray_sources(np.random.default_rng(seed), scene, p, skip=skip)
         with tempfile.TemporaryDirectory() as tmp:
             ref, out = Path(tmp) / "ref", Path(tmp) / "streamed"
-            want = export_dataset(build_dataset(sources, p, scene), ref)
+            want = write_shards(ref, build_dataset(sources, p, scene))
             with mock.patch.object(dataset, "_BATCH_BYTES", budget):
                 assert batch_users(p) == max(1, min(256, budget // record_dtype(p).itemsize))
                 got = write_shards(out, shard_sources(sources, p, scene))
@@ -406,7 +405,7 @@ class TestStreamingRead:
                                                  monkeypatch):
         p = _params(active_bs=(3, 4, 5))
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        export_dataset(ds, tmp_path)
+        write_shards(tmp_path, ds)
         # Two users per shard per step fit in the budget, three do not.
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 8 * record_dtype(p).itemsize)
         with DatasetReader(tmp_path) as reader:
@@ -420,8 +419,8 @@ class TestStreamingRead:
 
     def test_last_shard_hash_checked_at_its_end(self, rng, tiny_scene, tmp_path):
         p = _params()
-        export_dataset(build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene),
-                       tmp_path)
+        write_shards(tmp_path,
+                     build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene))
         shard = tmp_path / "shard_bs005.dmds"
         data = bytearray(shard.read_bytes())
         data[-1] ^= 0x01                  # last byte of the last record
@@ -437,7 +436,7 @@ class TestStreamingRead:
     def test_shard_file_alone(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        export_dataset(ds, tmp_path)
+        write_shards(tmp_path, ds)
         with (tmp_path / "shard_bs005.dmds").open("rb") as fh:
             reader = ShardReader(fh, "shard_bs005.dmds")
             assert (reader.params, reader.scenario, reader.bs_id, reader.user_count) == \
@@ -451,7 +450,7 @@ class TestLoadConsistency:
     def test_shards_with_different_user_lists(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        export_dataset(ds, tmp_path / "out")
+        write_shards(tmp_path / "out", ds)
 
         def swap_user(records):
             records["global_index"][2] = 99   # first and last user unchanged
@@ -464,7 +463,7 @@ class TestLoadConsistency:
     def test_manifest_line_must_match_shard(self, rng, tiny_scene, tmp_path, field):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        manifest = export_dataset(ds, tmp_path / "out")
+        manifest = write_shards(tmp_path / "out", ds)
         bad = replace(manifest.entries[1], **{field: getattr(manifest.entries[1], field) + 1})
         (tmp_path / "out" / "manifest.txt").write_text(
             Manifest((manifest.entries[0], bad)).to_text())
@@ -476,7 +475,7 @@ class TestExportImport:
     def test_binary_roundtrip(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        manifest = export_dataset(ds, tmp_path / "out")
+        manifest = write_shards(tmp_path / "out", ds)
         assert len(manifest.entries) == 2
         ds2 = load_dataset(tmp_path / "out")
         assert ds2.params == ds.params
@@ -490,7 +489,7 @@ class TestExportImport:
     def test_loaded_channels_are_read_only_views(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        export_dataset(ds, tmp_path / "out")
+        write_shards(tmp_path / "out", ds)
         ds2 = load_dataset(tmp_path / "out")
         H = get_channel(ds2, 2, 3).entries
         assert np.shares_memory(H, ds2.shards[1])
@@ -500,8 +499,8 @@ class TestExportImport:
     def test_export_deterministic(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        m1 = export_dataset(ds, tmp_path / "a")
-        m2 = export_dataset(ds, tmp_path / "b")
+        m1 = write_shards(tmp_path / "a", ds)
+        m2 = write_shards(tmp_path / "b", ds)
         assert [e.content_hash for e in m1.entries] == [e.content_hash for e in m2.entries]
         for e in m1.entries:
             assert (tmp_path / "a" / e.filename).read_bytes() == \
@@ -510,7 +509,7 @@ class TestExportImport:
     def test_tamper_detected(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        export_dataset(ds, tmp_path / "out")
+        write_shards(tmp_path / "out", ds)
         shard = tmp_path / "out" / "shard_bs003.dmds"
         data = bytearray(shard.read_bytes())
         data[-1] ^= 0x01
@@ -525,7 +524,7 @@ class TestExportImport:
     def test_csv_export(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        manifest = export_dataset(ds, tmp_path / "csv", fmt="csv")
+        manifest = write_shards(tmp_path / "csv", ds, fmt="csv")
         f = tmp_path / "csv" / manifest.entries[0].filename
         lines = f.read_text().strip().splitlines()
         # header + one row per (user, k, antenna)
@@ -535,7 +534,7 @@ class TestExportImport:
     def test_csv_fields_rebuild_matrix_exactly(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        manifest = export_dataset(ds, tmp_path / "csv", fmt="csv")
+        manifest = write_shards(tmp_path / "csv", ds, fmt="csv")
         for entry, records in zip(manifest.entries, ds.shards):
             text = (tmp_path / "csv" / entry.filename).read_text()
             rows = [line.split(",") for line in text.splitlines()[1:]]
@@ -560,13 +559,13 @@ class TestExportImport:
         records["global_index"] = range(1, 7)
         ds = Dataset(params=p, scenario_name="O1_60", bs_ids=(1,), shards=(records,))
         with pytest.raises(DatasetError, match="csv export refused"):
-            export_dataset(ds, tmp_path / "big", fmt="csv")
+            write_shards(tmp_path / "big", ds, fmt="csv")
 
     def test_unknown_format(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
         with pytest.raises(ValueError, match="parquet"):
-            export_dataset(ds, tmp_path / "x", fmt="parquet")
+            write_shards(tmp_path / "x", ds, fmt="parquet")
 
     def test_load_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -27,8 +27,8 @@ from mimogen.dataset import (
     DatasetReader,
     batch_users,
     build_dataset,
-    export_dataset,
     record_dtype,
+    write_shards,
 )
 
 from test_dataset import _params, _ray_sources, _small_scene
@@ -74,7 +74,7 @@ class TestStreamedExport:
         ds = build_dataset(_ray_sources(np.random.default_rng(seed), scene, p), p, scene)
         with tempfile.TemporaryDirectory() as tmp:
             ds_dir, ref, out = Path(tmp) / "ds", Path(tmp) / "ref", Path(tmp) / "out"
-            export_dataset(ds, ds_dir)
+            write_shards(ds_dir, ds)
             want = write_ml_dataset(ds, cfg, ref)
             with mock.patch.object(dataset, "_BATCH_BYTES", budget):
                 step = batch_users(p, len(p.active_bs))
@@ -90,7 +90,7 @@ class TestStreamedExport:
         p = _params(active_bs=(3, 4), active_user_last=2, num_ant_y=8, num_ant_z=4,
                     num_ofdm=64, ofdm_limit=64)
         ds = build_dataset(_ray_sources(rng, scene, p), p, scene)
-        export_dataset(ds, tmp_path / "ds")
+        write_shards(tmp_path / "ds", ds)
         del ds
         step = 8 * 2 * record_dtype(p).itemsize      # 8 users of each of 2 shards
         monkeypatch.setattr(dataset, "_BATCH_BYTES", step)
@@ -113,7 +113,7 @@ class TestStreamedExport:
 def _write_dataset(rng, directory: Path, users_per_row: int, **params):
     scene = _small_scene(users_per_row)
     p = _params(**params)
-    export_dataset(build_dataset(_ray_sources(rng, scene, p), p, scene), directory)
+    write_shards(directory, build_dataset(_ray_sources(rng, scene, p), p, scene))
     return p
 
 
@@ -121,7 +121,7 @@ class TestWorkers:
     def test_plan_keeps_steps_and_ring_within_budget(self, monkeypatch):
         p = _params(active_bs=(3, 4, 5))
         one = 3 * record_dtype(p).itemsize            # one user of each shard
-        source = mock.Mock(params=p, bs_ids=p.active_bs)
+        source = mock.Mock(params=p, bs_ids=p.active_bs, n_users=10**6)
         for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(beams, "worker_count", lambda: cpus)
             for budget in (0, one, 3 * one - 1, 3 * one, 5 * one, 7 * one, 40 * one,
@@ -132,6 +132,8 @@ class TestWorkers:
                 if budget >= 3 * one:       # a step and 2 slots of one user fit
                     assert (2 * workers + 1) * users * one <= budget
                     assert workers == cpus or (2 * workers + 3) * one > budget
+        workers, users = ml_plan(mock.Mock(params=p, bs_ids=p.active_bs, n_users=6))
+        assert users >= 6 and workers == 1      # one step: no more workers than steps
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_bytes_do_not_depend_on_workers(self, rng, tmp_path, monkeypatch, workers):

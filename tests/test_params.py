@@ -1,7 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimogen.kvconfig import ConfigError
-from mimogen.params import ParamError, ParamSet, parse_params, serialize_params, subcarrier_set
+from mimogen.params import (
+    KEYS,
+    ParamError,
+    ParamSet,
+    parse_params,
+    serialize_params,
+    subcarrier_set,
+)
 
 
 class TestDefaults:
@@ -60,6 +69,55 @@ class TestParsing:
     def test_serialize_roundtrip(self):
         p = ParamSet(active_bs=(1, 7), ant_spacing=0.37, bandwidth=1.25, num_paths=9)
         assert parse_params(serialize_params(p)) == p
+
+
+_positive = st.floats(min_value=0, exclude_min=True, allow_nan=False, allow_infinity=False)
+_count = st.integers(1, 2**40)
+
+
+@st.composite
+def _param_sets(draw):
+    first = draw(st.integers(1, 10**7))
+    return ParamSet(
+        active_bs=tuple(draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=8,
+                                      unique=True))),
+        active_user_first=first,
+        active_user_last=draw(st.integers(first, 2 * 10**7)),
+        num_ant_x=draw(_count),
+        num_ant_y=draw(_count),
+        num_ant_z=draw(_count),
+        ant_spacing=draw(_positive),
+        bandwidth=draw(_positive),
+        num_ofdm=draw(_count),
+        ofdm_sampling_factor=draw(_count),
+        ofdm_limit=draw(_count),
+        num_paths=draw(st.integers(1, 25)),
+    )
+
+
+class TestSerialization:
+    def test_default_text(self):
+        assert serialize_params(ParamSet()) == (
+            "active_BS=3,4,5,6\n"
+            "active_user_first=1000\n"
+            "active_user_last=1300\n"
+            "num_ant_x=1\n"
+            "num_ant_y=32\n"
+            "num_ant_z=8\n"
+            "ant_spacing=0.5\n"
+            "bandwidth=0.5\n"
+            "num_OFDM=1024\n"
+            "OFDM_sampling_factor=1\n"
+            "OFDM_limit=64\n"
+            "num_paths=5\n"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_param_sets())
+    def test_roundtrip_every_key(self, p):
+        text = serialize_params(p)
+        assert [line.split("=", 1)[0] for line in text.splitlines()] == list(KEYS)
+        assert parse_params(text) == p
 
 
 class TestSubcarrierSet:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mimogen.dataset import content_hash
 from mimogen.kvconfig import ConfigError, parse_kv
 from mimogen.scene import (
     SceneConfigError,
@@ -182,8 +183,18 @@ class TestConfig:
     def test_default_carrier_is_60ghz(self):
         assert build_o1_scene().carrier_freq == 60e9
 
+    def test_grid_keys_checked_in_order(self):
+        # A grid's row count is read before its origin, so it is named first.
+        with pytest.raises(ConfigError) as exc:
+            build_o1_scene(parse_kv("grid1.origin_x=y\ngrid1.n_rows=x"))
+        assert exc.type is ConfigError
+        assert str(exc.value) == "line 2: key 'grid1.n_rows' expects a number, got 'x'"
+
 
 class TestSerialization:
+    def test_default_scene_bytes(self):
+        assert content_hash(scene_to_json(build_o1_scene()).encode()) == "ade46eda4b87cff7"
+
     def test_roundtrip(self):
         sc = small_scene()
         sc2 = scene_from_json(scene_to_json(sc))
