@@ -10,25 +10,19 @@ optional conjugate variant behind a config switch.
 
 from __future__ import annotations
 
-import collections
-import itertools
 import math
-import mmap
-import os
-import sys
-from concurrent.futures import BrokenExecutor, Executor, Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import dataset
 from .channel import ChannelMatrix
 from .dataset import (
     Dataset, DatasetError, DatasetReader, Manifest, ManifestEntry, RayDataset, atomic_write,
-    batch_users, record_dtype, verify_files, write_files,
+    pool_plan, record_dtype, verify_files, write_files,
 )
+from .parallel import Ring, SlotPool
 
 
 @dataclass(frozen=True)
@@ -192,116 +186,19 @@ def _ml_csv(records: Sequence[MlRecord]) -> tuple[bytes, bytes]:
 MlSource = Dataset | DatasetReader | RayDataset
 
 
-def worker_count() -> int:
-    """Worker processes for ``write_ml_dataset``: the CPUs this process may
-    run on."""
-    return len(os.sched_getaffinity(0))
-
-
 def ml_plan(source: MlSource) -> tuple[int, int]:
     """(worker processes, users per shard per step) of ``write_ml_dataset``
-    over ``source``. The producer's own step and the 2 slots per worker of
-    the ring must hold ``_BATCH_BYTES`` of records in all, so the steps
-    shrink with the workers, and the workers are fewer than
-    ``worker_count()`` only when even one-user steps would not fit or
-    ``source`` has fewer steps than that."""
-    user_bytes = len(source.bs_ids) * record_dtype(source.params).itemsize
-    fit = dataset._BATCH_BYTES // user_bytes       # one-user steps within the budget
-    workers = max(1, min(worker_count(), (fit - 1) // 2))
-    users = batch_users(source.params, len(source.bs_ids) * (2 * workers + 1))
-    steps = -(-source.n_users // users)
-    return max(1, min(workers, steps)), users
+    over ``source``: ``pool_plan`` with the producer's own step held in
+    this process."""
+    return pool_plan(source, held=1)
 
 
-@dataclass(frozen=True)
-class _Ring:
-    """The slot ring: a shared anonymous mapping of ``slots`` slots, each
-    one step of ``users`` records for each of ``shards`` shards, batch
-    after batch."""
-    buf: mmap.mmap
-    dtype: np.dtype
-    shards: int
-    users: int
-
-    @property
-    def batch_bytes(self) -> int:
-        return self.users * self.dtype.itemsize
-
-    @property
-    def slots(self) -> int:
-        return len(self.buf) // (self.shards * self.batch_bytes)
-
-    def put(self, slot: int, step: Sequence[np.ndarray]) -> None:
-        """Copy a step's batches into ``slot``."""
-        at = slot * self.shards * self.batch_bytes
-        for batch in step:
-            self.buf[at: at + batch.nbytes] = np.ascontiguousarray(batch)
-            at += self.batch_bytes
-
-    def get(self, slot: int, count: int) -> list[np.ndarray]:
-        """Views of the first ``count`` records of each batch in ``slot``."""
-        at = slot * self.shards * self.batch_bytes
-        return [np.frombuffer(self.buf, self.dtype, count, at + b * self.batch_bytes)
-                for b in range(self.shards)]
-
-
-_worker: tuple[_Ring, BeamEvalConfig] | None = None     # set in each worker process
-
-
-def _start_worker(ring: _Ring, cfg: BeamEvalConfig) -> None:
-    global _worker
-    _worker = ring, cfg
-
-
-def _score(slot: int, count: int) -> tuple[list[int], bytes, bytes]:
+def _score(ring: Ring, cfg: BeamEvalConfig, slot: int,
+           count: int) -> tuple[list[int], bytes, bytes]:
     """In a worker: the user indices and the features.csv and labels.csv
     rows of the step in ``slot``."""
-    ring, cfg = _worker
     records = ml_records(ring.get(slot, count), cfg)
     return [rec.user_index for rec in records], *_ml_csv(records)
-
-
-def _result(future: Future) -> tuple[list[int], list[bytes]]:
-    """A step's users and rows from its ``_score`` future; what the worker
-    raised is a ``DatasetError``."""
-    try:
-        users, *chunks = future.result()
-    except BrokenExecutor:
-        raise               # a worker died: ``write_ml_dataset`` reports it
-    except Exception as exc:
-        raise DatasetError(f"a beams worker failed: {type(exc).__name__}: {exc}") from exc
-    return users, chunks
-
-
-def _scored(source: MlSource, ring: _Ring, pool: Executor,
-            progress: Callable[[int, int], None] | None,
-            ) -> Iterator[tuple[list[int], list[bytes]]]:
-    """The ``_result`` of every step of ``source``, in step order. Step n
-    goes to slot n mod S once the result of step n - S, the slot's previous
-    step, has been taken and written."""
-    total = len(source.bs_ids) * source.n_users
-    done = 0
-    pending: collections.deque[Future] = collections.deque()
-
-    def oldest() -> Iterator[tuple[list[int], list[bytes]]]:
-        nonlocal done
-        users, chunks = _result(pending.popleft())
-        yield users, chunks
-        done += len(source.bs_ids) * len(users)
-        if progress is not None:
-            progress(done, total)
-
-    steps = source.steps(ring.users)
-    for n in itertools.count():
-        if len(pending) == ring.slots:
-            yield from oldest()
-        step = next(steps, None)
-        if step is None:
-            break
-        ring.put(n % ring.slots, step)
-        pending.append(pool.submit(_score, n % ring.slots, len(step[0])))
-    while pending:
-        yield from oldest()
 
 
 def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
@@ -313,43 +210,40 @@ def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
 
     ``ml_plan`` sets the steps and the workers. This process draws every
     step, so the producer runs all its checks here, and copies it into a
-    slot of a ring shared with a pool of forked worker processes; a worker
-    computes the step's records (``ml_records``) and rows (``_ml_csv``).
-    The results are written in step order, so the bytes do not depend on
-    the number of workers. Both files go to temp files that are renamed
-    into place only after the last step, so an error raised while the
-    steps are drawn or scored (such as a shard failing its hash check at
-    its end, or a worker that fails or dies, a ``DatasetError``) leaves
-    neither file and no manifest. The pool is shut down before this
+    slot of the ring of a ``SlotPool``; a worker computes the step's
+    records (``ml_records``) and rows (``_ml_csv``). The results are
+    written in step order, so the bytes do not depend on the number of
+    workers. Both files go to temp files that are renamed into place only
+    after the last step, so an error raised while the steps are drawn or
+    scored (such as a shard failing its hash check at its end, a
+    ``DatasetError``, or a worker that fails or dies, a ``WorkerError``)
+    leaves neither file and no manifest. The pool is shut down before this
     returns or raises.
     """
-    # Imported here: the other subcommands would pay for it at start-up.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     workers, users = ml_plan(source)
-    shards, dtype = len(source.bs_ids), record_dtype(source.params)
-    ring = _Ring(mmap.mmap(-1, 2 * workers * shards * users * dtype.itemsize),
-                 dtype, shards, users)
-    # A worker that writes to stdio must not write again what this process
-    # has buffered.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    # fork: the workers inherit the ring, which an anonymous mapping can
-    # only reach that way. They are forked at the first submit, before any
-    # thread of the pool is started.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(ring, cfg))
-    try:
+    shards = len(source.bs_ids)
+    with SlotPool("beams", workers, record_dtype(source.params), shards, users, cfg) as pool:
+        steps = source.steps(users)
+
+        def next_task(slot: int) -> tuple | None:
+            step = next(steps, None)
+            if step is None:
+                return None
+            pool.ring.put(slot, step)
+            return _score, len(step[0])
+
+        def scored() -> Iterator[tuple[list[int], list[bytes]]]:
+            done = 0
+            for _, (user_indices, *chunks) in pool.in_order(next_task):
+                yield user_indices, chunks
+                done += shards * len(user_indices)
+                if progress is not None:
+                    progress(done, shards * source.n_users)
+
         sinks, span = write_files([outdir / name for name in ML_FILES], _CSV_HEADS,
-                                  _scored(source, ring, pool, progress), lambda r: r)
-    except BrokenExecutor as exc:   # found by a submit or by a result
-        raise DatasetError(f"a beams worker process ended abruptly: {exc}") from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        ring.buf.close()
+                                  scored(), lambda rows: rows)
     manifest = Manifest(tuple(ManifestEntry(name, 0, *span, sink.size, sink.digest)
                               for name, sink in zip(ML_FILES, sinks)))
     atomic_write(outdir / ML_MANIFEST, manifest.to_text().encode())

@@ -43,10 +43,12 @@ from .dataset import (
     batch_users,
     content_hash,
     file_digest,
+    shard_plan,
     shard_sources,
     write_shards,
 )
 from .kvconfig import ConfigError, KVEntry, merge_kv
+from .parallel import WorkerError
 from .params import KEYS, ParamSet, ParamError, params_from_entries, serialize_params
 from .rayio import (
     MAX_PATHS,
@@ -283,11 +285,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
         print(f"error: {ray_file(exc.bs_id)}: {exc}", file=sys.stderr)
         return 1
     outdir = Path(args.out_dir)
+    workers, users = shard_plan(source)
     manifest = write_shards(outdir, source, fmt=args.format)
-    counters = {"users_per_step": batch_users(params, len(source.bs_ids))}
+    counters = {"users_per_step": users, "workers": workers}
     for gaps, entry in zip(source.gaps, manifest.entries):
         counters[f"bs{entry.bs_id:03d}.zero_channel_gaps"] = gaps
         counters[f"bs{entry.bs_id:03d}.shard_bytes"] = entry.byte_size
+    counters.update(_peak_rss_kib())
     RunManifest(
         subcommand="build",
         config_hash=content_hash(serialize_params(params).encode()),
@@ -298,6 +302,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
         counters=counters,
     ).write(outdir / "build.manifest.json")
     return 0
+
+
+def _peak_rss_kib() -> dict[str, int]:
+    """Peak RSS in KiB (Linux) of this process and of its largest child, a
+    worker; read once the pool has shut down, the workers' is final."""
+    return {"peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "workers_peak_rss_kib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}
 
 
 def _cmd_beams(args: argparse.Namespace) -> int:
@@ -325,9 +336,7 @@ def _cmd_beams(args: argparse.Namespace) -> int:
             "shards_hash_verified": ds.verified,
             "features_bytes": manifest.entries[0].byte_size,
             "labels_bytes": manifest.entries[1].byte_size,
-            # KiB (Linux); the workers have been waited for, so theirs is final
-            "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            "workers_peak_rss_kib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+            **_peak_rss_kib(),
         },
     ).write(outdir / "beams.manifest.json")
     return 0
@@ -436,7 +445,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ParamError, SceneConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RayFileError, DatasetError, KeyError, IndexError, OSError) as exc:
+    except (RayFileError, DatasetError, WorkerError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,8 +28,9 @@ computes them from ray files; ``DatasetReader`` reads them from a shard
 directory, one ``ShardReader`` per shard, each checking its SHA-256 as its
 last record is read; ``Dataset`` holds them in memory. ``write_shards``
 drains any of them through ``write_files``, the one atomic writer, so
-memory is bounded by a step, not the dataset; ``build_dataset`` and
-``load_dataset`` take one step over all users.
+memory is bounded by a step, not the dataset; forked workers compute the
+records of a ``RayDataset`` larger than one step (``shard_plan``).
+``build_dataset`` and ``load_dataset`` take one step over all users.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Se
 
 import numpy as np
 
+from . import parallel
 from .channel import ChannelMatrix, channel_matrices_batch
 from .kvconfig import ConfigError
 from .params import ParamSet, parse_params, serialize_params, subcarrier_set
@@ -157,6 +159,34 @@ def batch_users(params: ParamSet, shards: int = 1) -> int:
                       _BATCH_BYTES // (shards * record_dtype(params).itemsize)))
 
 
+def pool_plan(source: Dataset | DatasetReader | RayDataset, held: int) -> tuple[int, int]:
+    """(worker processes, users per shard per step) of a ``SlotPool`` over
+    the steps of ``source``. The 2 ring slots per worker and ``held`` more
+    steps in this process hold ``_BATCH_BYTES`` of records in all, so the
+    steps shrink with the workers, and the workers are fewer than
+    ``worker_count()`` only when even one-user steps would not fit or
+    ``source`` has fewer steps than that."""
+    user_bytes = len(source.bs_ids) * record_dtype(source.params).itemsize
+    fit = _BATCH_BYTES // user_bytes       # one-user steps within the budget
+    workers = max(1, min(parallel.worker_count(), (fit - held) // 2))
+    users = batch_users(source.params, len(source.bs_ids) * (2 * workers + held))
+    steps = -(-source.n_users // users)
+    return max(1, min(workers, steps)), users
+
+
+def shard_plan(source: Dataset | DatasetReader | RayDataset) -> tuple[int, int]:
+    """(worker processes, users per shard per step) of ``write_shards`` over
+    ``source``. The workers compute the records of a ``RayDataset`` whose
+    records exceed one ``_BATCH_BYTES`` step (``pool_plan``, with no step
+    held here); below that a pool costs more than it could share, so
+    this process draws ``source.steps()`` itself and the workers are 0."""
+    shards = len(source.bs_ids)
+    if (isinstance(source, RayDataset)
+            and shards * source.n_users * record_dtype(source.params).itemsize > _BATCH_BYTES):
+        return pool_plan(source, held=0)
+    return 0, batch_users(source.params, shards)
+
+
 def _records(buf: np.ndarray, params: ParamSet, rays: RayRows) -> np.ndarray:
     """Fill the first records of ``buf`` from one base station's ray rows
     ``rays``; returns them."""
@@ -182,19 +212,48 @@ class RayDataset:
     def n_users(self) -> int:
         return len(self.rays[0])
 
-    def steps(self, users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    def steps(self, users: int | None = None,
+              pool: parallel.SlotPool | None = None) -> Iterator[tuple[np.ndarray, ...]]:
         """Every active base station's records, ``users`` per base station
         per step (default ``batch_users(params, len(bs_ids))``), computed as
         the step is drawn; ``progress(done, total)`` follows each step.
-        A step's batches are views that the next step overwrites."""
+        A step's batches are views that the next step overwrites.
+
+        With ``pool``, a ``SlotPool`` over this dataset whose ring slots
+        hold steps of ``users``, the workers compute the steps ahead
+        (``_fill``) and a step's batches are views of its slot, which a
+        later step overwrites once this one has been consumed."""
         users = users or batch_users(self.params, len(self.bs_ids))
-        bufs = [np.empty(min(users, self.n_users), record_dtype(self.params)) for _ in self.rays]
-        for lo in range(0, self.n_users, users):
-            yield tuple(_records(buf, self.params, rays.rows(lo, lo + users))
-                        for buf, rays in zip(bufs, self.rays))
+        if pool is None:
+            bufs = [np.empty(min(users, self.n_users), record_dtype(self.params))
+                    for _ in self.rays]
+            computed = (self._compute(bufs, lo) for lo in range(0, self.n_users, users))
+        else:
+            starts = iter(range(0, self.n_users, users))
+
+            def next_task(slot: int) -> tuple | None:
+                lo = next(starts, None)
+                return None if lo is None else (_fill, lo)
+
+            computed = (pool.ring.get(slot, count) for slot, count in pool.in_order(next_task))
+        done = 0
+        for step in computed:
+            yield step
+            done += len(step[0])
             if self.progress is not None:
-                self.progress(len(self.rays) * min(lo + users, self.n_users),
-                              len(self.rays) * self.n_users)
+                self.progress(len(self.rays) * done, len(self.rays) * self.n_users)
+
+    def _compute(self, bufs: Sequence[np.ndarray], lo: int) -> tuple[np.ndarray, ...]:
+        """The records of the users from ``lo``, as many as each of ``bufs``
+        holds, computed into the first records of ``bufs``."""
+        return tuple(_records(buf, self.params, rays.rows(lo, lo + len(buf)))
+                     for buf, rays in zip(bufs, self.rays))
+
+
+def _fill(ring: parallel.Ring, source: RayDataset, slot: int, lo: int) -> int:
+    """In a worker: compute the step of ``source`` from user ``lo`` into
+    ``slot``; returns its user count."""
+    return len(source._compute(ring.get(slot, ring.users), lo)[0])
 
 
 def shard_sources(
@@ -677,6 +736,14 @@ def write_shards(
     step and not by the dataset, and no file is renamed into place until
     the last step is written.
 
+    ``shard_plan`` sets the steps and the workers. When it gives workers,
+    a pool of forked worker processes computes the records of
+    ``source`` (a ``RayDataset``) into the slots of a shared ring, and
+    this process writes and hashes each slot's records in step order, so
+    the bytes do not depend on the number of workers. A worker that
+    raises or dies is a ``WorkerError`` and leaves no file, as any error
+    does; the pool is shut down before this returns or raises.
+
     ``fmt="csv"`` writes a readable tree instead and is refused above a
     documented size cap (CSV_SIZE_CAP_BYTES). Either is refused, before
     the first step, when its (estimated) size exceeds the free space of
@@ -701,11 +768,16 @@ def write_shards(
     sink.mkdir(parents=True, exist_ok=True)
     name_format, head, encode = _EXPORT_FORMATS[fmt]
     names = [name_format.format(bs_id) for bs_id in source.bs_ids]
-    sinks, users = write_files(
-        [sink / name for name in names],
-        [head(params, scenario, bs_id, n_users) for bs_id in source.bs_ids],
-        source.steps(),
-        lambda step: (step[0]["global_index"], [encode(params, batch) for batch in step]))
+    workers, step_users = shard_plan(source)
+    with contextlib.ExitStack() as stack:
+        pool = stack.enter_context(parallel.SlotPool(
+            "build", workers, record_dtype(params), len(source.bs_ids), step_users,
+            source)) if workers else None
+        sinks, users = write_files(
+            [sink / name for name in names],
+            [head(params, scenario, bs_id, n_users) for bs_id in source.bs_ids],
+            source.steps(step_users, pool) if pool else source.steps(step_users),
+            lambda step: (step[0]["global_index"], [encode(params, batch) for batch in step]))
     manifest = Manifest(tuple(ManifestEntry(name, bs_id, *users, s.size, s.digest)
                               for name, bs_id, s in zip(names, source.bs_ids, sinks)))
     atomic_write(sink / "manifest.txt", manifest.to_text().encode())

@@ -8,6 +8,7 @@ from it. The keys are the generator's documented names (``bandwidth`` in GHz).
 
 from __future__ import annotations
 
+import math
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -54,10 +55,11 @@ class ParamSet:
         for name in ("num_ant_x", "num_ant_y", "num_ant_z"):
             if getattr(self, name) < 1:
                 raise ParamError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if self.ant_spacing <= 0:
-            raise ParamError(f"ant_spacing: must be > 0, got {self.ant_spacing}")
-        if self.bandwidth <= 0:
-            raise ParamError(f"bandwidth: must be > 0, got {self.bandwidth}")
+        for key, value in (("ant_spacing", self.ant_spacing), ("bandwidth", self.bandwidth)):
+            if not value > 0:
+                raise ParamError(f"{key}: must be > 0, got {value}")
+            if not math.isfinite(value):
+                raise ParamError(f"{key}: must be finite, got {value}")
         if self.num_ofdm < 1:
             raise ParamError(f"num_OFDM: must be >= 1, got {self.num_ofdm}")
         if self.ofdm_sampling_factor < 1:

@@ -13,6 +13,7 @@ x in [300, 340], running from y = -240 to y = +200.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -87,7 +88,7 @@ class UserGrid:
             raise SceneConfigError(f"grid n_rows: must be >= 1, got {self.n_rows}")
         if self.users_per_row < 1:
             raise SceneConfigError(f"grid users_per_row: must be >= 1, got {self.users_per_row}")
-        if self.spacing <= 0:
+        if not self.spacing > 0:
             raise SceneConfigError(f"grid spacing_m: must be > 0, got {self.spacing}")
         dot = sum(a * b for a, b in zip(self.row_axis, self.col_axis))
         if abs(dot) > 1e-9:
@@ -273,7 +274,7 @@ def build_o1_scene(cfg: Mapping[str, KVEntry] | None = None) -> Scene:
         BUILDING_MATERIAL: pop_float("material.building.loss_db", DEFAULT_REFLECTION_LOSS_DB),
         GROUND_MATERIAL: pop_float("material.ground.loss_db", DEFAULT_REFLECTION_LOSS_DB),
     }
-    if bld_h <= 0:
+    if not bld_h > 0:
         raise SceneConfigError(f"building_height_m: must be > 0, got {bld_h}")
 
     grids: list[UserGrid] = []
@@ -283,13 +284,14 @@ def build_o1_scene(cfg: Mapping[str, KVEntry] | None = None) -> Scene:
         upr = pop_float(f"grid{i}.users_per_row", g.users_per_row)
         spacing = pop_float(f"grid{i}.spacing_m", g.spacing)
         origin = tuple(pop_float(f"grid{i}.origin_{a}", v) for a, v in zip("xyz", g.origin))
-        n_rows, upr = int(n_rows), int(upr)
-        if n_rows < 1:
-            raise SceneConfigError(f"grid{i}.n_rows: must be >= 1, got {n_rows}")
-        if upr < 1:
-            raise SceneConfigError(f"grid{i}.users_per_row: must be >= 1, got {upr}")
-        if spacing <= 0:
+        for key, count in ((f"grid{i}.n_rows", n_rows), (f"grid{i}.users_per_row", upr)):
+            if not (math.isfinite(count) and count == int(count)):
+                raise SceneConfigError(f"{key}: must be a whole number, got {count}")
+            if count < 1:
+                raise SceneConfigError(f"{key}: must be >= 1, got {int(count)}")
+        if not spacing > 0:
             raise SceneConfigError(f"grid{i}.spacing_m: must be > 0, got {spacing}")
+        n_rows, upr = int(n_rows), int(upr)
         label = grids[-1].last_row_label + 1 if grids else 1
         grids.append(UserGrid(origin, g.row_axis, g.col_axis, n_rows, upr, spacing, label))
 

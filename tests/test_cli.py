@@ -12,10 +12,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from mimogen import beams, dataset, tracer
+from mimogen import beams, dataset, parallel, tracer
 from mimogen.cli import ProgressReporter, build_parser, run
 from mimogen.dataset import DatasetReader, content_hash, record_dtype
-from mimogen.params import KEYS
+from mimogen.params import KEYS, ParamSet
 from mimogen.rayio import HEADER_SIZE, read_rayfile
 
 from conftest import rewrite_shard
@@ -62,7 +62,7 @@ def _trace(tmp_path, scene_file, bs="3,4"):
     return rays
 
 
-def _build(tmp_path, scene_file, rays, active_bs="3,4"):
+def _build(tmp_path, scene_file, rays, active_bs="3,4", quiet=True):
     out = tmp_path / "ds"
     rc = run([
         "build", "--scene", str(scene_file), "--rays-dir", str(rays),
@@ -70,9 +70,14 @@ def _build(tmp_path, scene_file, rays, active_bs="3,4"):
         "--set", "active_user_first=1", "--set", "active_user_last=2",
         "--set", "num_ant_y=4", "--set", "num_ant_z=2",
         "--set", "num_OFDM=16", "--set", "OFDM_limit=8",
-        "--out-dir", str(out), "--quiet",
+        "--out-dir", str(out), *["--quiet"] * quiet,
     ])
     return rc, out
+
+
+# The bytes of one record of the datasets `_build` writes.
+_BUILD_RECORD_BYTES = record_dtype(ParamSet(num_ant_y=4, num_ant_z=2, num_ofdm=16,
+                                            ofdm_limit=8)).itemsize
 
 
 class TestPipeline:
@@ -169,7 +174,7 @@ class TestPipeline:
                                                          monkeypatch):
         _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
         ml = tmp_path / "ml"
-        monkeypatch.setattr(beams, "worker_count", lambda: 2)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
         assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
                     "--quiet"]) == 0
         counters = json.loads((ml / "beams.manifest.json").read_text())["counters"]
@@ -216,7 +221,8 @@ class TestPipeline:
         assert doc["input_hashes"][str(scene_file)] == content_hash(scene_file.read_bytes())
         assert doc["wall_seconds"] >= 0
 
-    def test_build_manifest_counts_gaps_and_bytes(self, tmp_path, scene_file, caplog):
+    def test_build_manifest_counts_gaps_and_bytes(self, tmp_path, scene_file, caplog,
+                                                  monkeypatch):
         rays = tmp_path / "rays"
         assert run(["trace", "--scene", str(scene_file), "--bs", "3,4",
                     "--active_user_first", "1", "--active_user_last", "1",
@@ -224,15 +230,32 @@ class TestPipeline:
         rc, ds_dir = _build(tmp_path, scene_file, rays)    # rows 1-2: row 2 has no rays
         assert rc == 0
         counters = json.loads((ds_dir / "build.manifest.json").read_text())["counters"]
+        # 12 records in one 16 MiB step: this process computes them itself.
         assert counters == {
-            "users_per_step": 256,
+            "users_per_step": 256, "workers": 0,
             "bs003.zero_channel_gaps": 3, "bs004.zero_channel_gaps": 3,
             "bs003.shard_bytes": (ds_dir / "shard_bs003.dmds").stat().st_size,
             "bs004.shard_bytes": (ds_dir / "shard_bs004.dmds").stat().st_size,
+            "peak_rss_kib": counters["peak_rss_kib"],
+            "workers_peak_rss_kib": counters["workers_peak_rss_kib"],
         }
+        assert counters["peak_rss_kib"] > 0
         gaps = [r.getMessage() for r in caplog.records if "no ray record" in r.getMessage()]
         assert gaps == [f"no ray record for bs {b}: 3 of 6 users get a zero channel "
                         f"(user 4, 5, 6)" for b in (3, 4)]
+        # Records beyond one step: 2 workers and the 4 slots of a 4-step
+        # budget, one user per step.
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 4 * 2 * _BUILD_RECORD_BYTES)
+        rc, pooled = _build(tmp_path / "pool", scene_file, rays)
+        assert rc == 0
+        pool_counters = json.loads((pooled / "build.manifest.json").read_text())["counters"]
+        assert pool_counters == {**counters, "users_per_step": 1, "workers": 2,
+                                 "peak_rss_kib": pool_counters["peak_rss_kib"],
+                                 "workers_peak_rss_kib": pool_counters["workers_peak_rss_kib"]}
+        assert pool_counters["workers_peak_rss_kib"] > 0
+        for name in ("shard_bs003.dmds", "shard_bs004.dmds", "manifest.txt"):
+            assert (pooled / name).read_bytes() == (ds_dir / name).read_bytes()
 
 
 class TestErrors:
@@ -328,7 +351,7 @@ class TestErrors:
             step_bytes = len(ds.bs_ids) * record_dtype(ds.params).itemsize
         # 2 workers and one user per step: the 4 slots of the ring are all
         # in flight when the third user's step fails.
-        monkeypatch.setattr(beams, "worker_count", lambda: 2)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 5 * step_bytes)
         scored = beams.ml_records
 
@@ -354,6 +377,45 @@ class TestErrors:
         assert f"error: {message}" in err
         assert "Traceback" not in err
         assert sorted(ml.glob("*")) == []        # no ML file, manifest or *.tmp~
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure,message", [
+        ("worker raises", "a build worker failed: RuntimeError: boom"),
+        ("worker dies", "a build worker process ended abruptly"),
+        ("channel kernel", "a build worker failed: FloatingPointError: kernel failed"),
+    ])
+    def test_build_failure_leaves_nothing(self, tmp_path, scene_file, capsys, monkeypatch,
+                                          failure, message):
+        rays = _trace(tmp_path, scene_file)
+        # 2 workers and one user per step: the 4 slots of the ring are all in
+        # flight when the third user's step fails.
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 4 * 2 * _BUILD_RECORD_BYTES)
+        compute, kernel = dataset.RayDataset._compute, dataset.channel_matrices_batch
+
+        def fail_compute(source, bufs, lo):
+            if lo == 2:
+                if failure == "worker raises":
+                    raise RuntimeError("boom")
+                os._exit(3)
+            return compute(source, bufs, lo)
+
+        def fail_kernel(rays, params):
+            if rays.users["user_index"][0] == 3:
+                raise FloatingPointError("kernel failed")
+            return kernel(rays, params)
+
+        if failure == "channel kernel":
+            monkeypatch.setattr(dataset, "channel_matrices_batch", fail_kernel)
+        else:
+            monkeypatch.setattr(dataset.RayDataset, "_compute", fail_compute)
+        with _deadline(60):
+            rc, ds_dir = _build(tmp_path, scene_file, rays)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert sorted(ds_dir.glob("*")) == []    # no shard, manifest or *.tmp~
         assert multiprocessing.active_children() == []
 
     def test_unknown_bs_in_trace(self, tmp_path, scene_file):
@@ -449,6 +511,21 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "rays").exists()
 
+    @pytest.mark.parametrize("item,message", [
+        ("grid1.n_rows=inf", "grid1.n_rows: must be a whole number, got inf"),
+        ("grid1.n_rows=nan", "grid1.n_rows: must be a whole number, got nan"),
+        ("grid3.n_rows=7.9", "grid3.n_rows: must be a whole number, got 7.9"),
+        ("grid2.users_per_row=1e400", "grid2.users_per_row: must be a whole number, got inf"),
+        ("grid1.spacing_m=nan", "grid1.spacing_m: must be > 0, got nan"),
+        ("building_height_m=nan", "building_height_m: must be > 0, got nan"),
+    ])
+    def test_scene_bad_value_exit_2(self, tmp_path, capsys, item, message):
+        out = tmp_path / "scene.json"
+        assert run(["scene", "--out", str(out), "--quiet", "--set", item]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_param_value_exit_2(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file, bs="3")
         rc = run([
@@ -474,6 +551,18 @@ class TestProgress:
         # 2 base stations x 2 rows x 3 users per row
         assert lines[0].endswith("/12")
         assert lines[-1] == "BUILD 12/12"
+
+    def test_build_lines_follow_the_steps_written(self, tmp_path, scene_file, capsys,
+                                                  monkeypatch):
+        rays = _trace(tmp_path, scene_file)
+        # 2 workers computing one user per step, 2 pairs per step.
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 4 * 2 * _BUILD_RECORD_BYTES)
+        capsys.readouterr()
+        assert _build(tmp_path, scene_file, rays, quiet=False)[0] == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines()
+                 if ln.startswith("BUILD ")]
+        assert lines == [f"BUILD {2 * k}/12" for k in range(1, 7)]
 
     def test_beams_counts_pairs_written(self, tmp_path, scene_file, capsys):
         _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))

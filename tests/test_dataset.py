@@ -1,4 +1,5 @@
 import logging
+import os
 import struct
 import tempfile
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mimogen import dataset
+from mimogen import dataset, parallel
 from mimogen.dataset import (
     Dataset,
     DatasetError,
@@ -20,6 +21,7 @@ from mimogen.dataset import (
     Manifest,
     ManifestEntry,
     MissingRaySourceError,
+    RayDataset,
     ScenarioMismatchError,
     ShardReader,
     active_user_indices,
@@ -32,11 +34,13 @@ from mimogen.dataset import (
     parse_shard,
     record_dtype,
     shard_bytes,
+    shard_plan,
     shard_size_bytes,
     shard_sources,
     write_shards,
 )
 from mimogen.kvconfig import parse_kv
+from mimogen.parallel import WorkerError
 from mimogen.params import ParamSet, serialize_params, subcarrier_set
 from mimogen.rayio import RayFile, RayFileHeader
 from mimogen.tracer import RayRows
@@ -355,6 +359,40 @@ class TestStreamingWrite:
             for name in [e.filename for e in want.entries] + ["manifest.txt"]:
                 assert (out / name).read_bytes() == (ref / name).read_bytes()
 
+    # n_users, and the plan of a ray dataset whose records exceed the budget
+    # by one byte: the 2 slots per worker hold at most the whole budget.
+    @pytest.mark.parametrize("n_users,pooled", [(1, (1, 1)), (7, (2, 1)), (1000, (2, 249))])
+    def test_pool_only_for_ray_records_beyond_one_step(self, monkeypatch, n_users, pooled):
+        p = _params(active_bs=(3, 4, 5))
+        one = 3 * record_dtype(p).itemsize                 # one user of each shard
+        rays = mock.Mock(spec=RayDataset, params=p, bs_ids=p.active_bs, n_users=n_users)
+        ds = mock.Mock(spec=Dataset, params=p, bs_ids=p.active_bs, n_users=n_users)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", n_users * one)
+        assert shard_plan(rays) == shard_plan(ds) == (0, min(n_users, 256))
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", n_users * one - 1)
+        assert shard_plan(rays) == pooled
+        assert shard_plan(ds)[0] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_do_not_depend_on_workers(self, rng, tmp_path, monkeypatch, workers):
+        scene = _small_scene(30)
+        p = _params(active_bs=(3, 4))
+        source = shard_sources(_ray_sources(rng, scene, p), p, scene)
+        # In this process, 5 users per step.
+        with mock.patch.object(dataset, "_MAX_BATCH_USERS", 5):
+            assert shard_plan(source) == (0, 5)
+            want = write_shards(tmp_path / "in_process", source)
+        # A budget of 14 users of both shards: 7 // workers users per step.
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 14 * 2 * record_dtype(p).itemsize)
+        assert shard_plan(source) == (workers, 7 // workers)
+        assert write_shards(tmp_path / "pool", source) == want
+        assert want.entries[0].last_user - want.entries[0].first_user + 1 == 60
+        for name in [e.filename for e in want.entries] + ["manifest.txt"]:
+            assert (tmp_path / "pool" / name).read_bytes() == \
+                (tmp_path / "in_process" / name).read_bytes()
+
     def test_memory_bounded_by_batch(self, rng, tmp_path, monkeypatch):
         scene = _small_scene(160)
         p = _params(active_bs=(3,), active_user_last=2, num_ant_y=8, num_ant_z=2,
@@ -383,21 +421,43 @@ class TestStreamingWrite:
                                                 monkeypatch, active_bs, calls_made):
         p = _params(active_bs=active_bs)
         source = shard_sources(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        monkeypatch.setattr(dataset, "_BATCH_BYTES", 1)     # one user per batch
-        calls = []
         real = dataset.channel_matrices_batch
+        log = tmp_path / "calls.txt"            # (pid, bs, users) of each kernel call
+
+        def calls():
+            return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
         def fail_third_batch(path_lists, params):
-            calls.append((path_lists[0].bs_id, len(path_lists)))
-            if calls.count((active_bs[-1], 1)) == 3:     # the last BS's third batch
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {path_lists[0].bs_id} {len(path_lists)}\n")
+            if [c[1:] for c in calls()].count((active_bs[-1], 1)) == 3:  # the last BS's third
                 raise RuntimeError("disk on fire")
             return real(path_lists, params)
 
         monkeypatch.setattr(dataset, "channel_matrices_batch", fail_third_batch)
+        out = tmp_path / "out"
+        # In this process: every record fits in one step, of one user here.
+        monkeypatch.setattr(dataset, "_MAX_BATCH_USERS", 1)
+        assert shard_plan(source) == (0, 1)
         with pytest.raises(RuntimeError, match="disk on fire"):
-            write_shards(tmp_path, source)
-        assert calls == calls_made
-        assert sorted(f.name for f in tmp_path.iterdir()) == []
+            write_shards(out, source)
+        assert calls() == [(os.getpid(), *c) for c in calls_made]
+        assert sorted(f.name for f in out.iterdir()) == []
+        # In the one worker of a pool (a 1-byte budget: one user per step):
+        # the failure is a WorkerError, and the worker may have computed the
+        # step after the failed one before the pool was shut down.
+        log.unlink()
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 1)
+        assert shard_plan(source) == (1, 1)
+        with pytest.raises(WorkerError,
+                           match="^a build worker failed: RuntimeError: disk on fire$"):
+            write_shards(out, source)
+        pids, *made = zip(*calls())
+        assert len(set(pids)) == 1 and os.getpid() not in pids
+        made = list(zip(*made))
+        assert made[:len(calls_made)] == calls_made
+        assert len(made) <= len(calls_made) + len(active_bs)
+        assert sorted(f.name for f in out.iterdir()) == []
 
 
 class TestStreamingRead:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mimogen
-from mimogen import beams, dataset
+from mimogen import dataset, parallel
 from mimogen.beams import (
     BeamEvalConfig,
     dft_codebook,
@@ -30,6 +30,9 @@ from mimogen.dataset import (
     record_dtype,
     write_shards,
 )
+from mimogen.params import serialize_params
+from mimogen.rayio import write_rayfile
+from mimogen.scene import scene_to_json
 
 from test_dataset import _params, _ray_sources, _small_scene
 
@@ -123,7 +126,7 @@ class TestWorkers:
         one = 3 * record_dtype(p).itemsize            # one user of each shard
         source = mock.Mock(params=p, bs_ids=p.active_bs, n_users=10**6)
         for cpus in (1, 2, 3, 8):
-            monkeypatch.setattr(beams, "worker_count", lambda: cpus)
+            monkeypatch.setattr(parallel, "worker_count", lambda: cpus)
             for budget in (0, one, 3 * one - 1, 3 * one, 5 * one, 7 * one, 40 * one,
                            dataset._BATCH_BYTES):
                 with mock.patch.object(dataset, "_BATCH_BYTES", budget):
@@ -142,7 +145,7 @@ class TestWorkers:
         cfg = BeamEvalConfig(dft_codebook(p.dims))
         with DatasetReader(tmp_path / "ds") as reader:
             want = write_ml_dataset(reader, cfg, tmp_path / "two")
-        monkeypatch.setattr(beams, "worker_count", lambda: workers)
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         with DatasetReader(tmp_path / "ds") as reader:
             assert ml_plan(reader) == (workers, 14 // (2 * workers + 1))
             got = write_ml_dataset(reader, cfg, tmp_path / "other")
@@ -157,31 +160,14 @@ class TestWorkers:
         p = _params(active_bs=(3, 4), active_user_last=2, num_ant_y=8, num_ant_z=4,
                     num_ofdm=64, ofdm_limit=64)
         budget = 5 * 12 * 2 * record_dtype(p).itemsize
-        beams_cli = ("import sys; from mimogen import beams, cli, dataset; "
-                     f"dataset._BATCH_BYTES = {budget}; beams.worker_count = lambda: 2; "
-                     "sys.exit(cli.run(sys.argv[1:]))")
-        # A process's peak RSS starts at the RSS of the process it was forked
-        # from and survives exec, so the child is started by a small launcher
-        # and not by this (large) process; the launcher reports its wait4.
-        launcher = ("import os, sys; exe = sys.executable; "
-                    "pid = os.posix_spawn(exe, [exe, *sys.argv[1:]], os.environ); "
-                    "_, status, usage = os.wait4(pid, 0); "
-                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-        src = str(Path(mimogen.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         peaks = []
         for users_per_row in (12, 120):
             ds, ml = tmp_path / f"ds{users_per_row}", tmp_path / f"ml{users_per_row}"
             _write_dataset(rng, ds, users_per_row, **{
                 f: getattr(p, f) for f in ("active_bs", "active_user_last", "num_ant_y",
                                            "num_ant_z", "num_ofdm", "ofdm_limit")})
-            out = subprocess.run(
-                [sys.executable, "-c", launcher, "-c", beams_cli, "beams", "--dataset-dir",
-                 str(ds), "--out-dir", str(ml), "--quiet"],
-                env=env, capture_output=True, text=True, timeout=120, check=True).stdout
-            rc, maxrss = map(int, out.split())
-            assert rc == 0
+            maxrss = _spawn_cli(budget, ["beams", "--dataset-dir", str(ds),
+                                         "--out-dir", str(ml), "--quiet"])
             counters = json.loads((ml / "beams.manifest.json").read_text())["counters"]
             assert (counters["workers"], counters["users_per_step"]) == (2, 12)
             assert counters["pairs"] == 2 * 2 * users_per_row
@@ -192,3 +178,61 @@ class TestWorkers:
         # differs is about 1.5 MiB of ring slots that 2 steps do not touch.
         for two, twenty in zip(*peaks):
             assert abs(twenty - two) < 4 * 1024, peaks
+
+    def test_build_rss_flat_in_steps(self, rng, tmp_path):
+        # `mimogen build` as a child with a 12-user step (2 workers, a budget
+        # of their 4 slots), on 60 and on 240 users of 2 base stations: 5 and
+        # 20 steps. (Records of 4 steps or fewer fit in one budget step, so
+        # this process would compute them without a pool.)
+        p = _params(active_bs=(3, 4), active_user_last=2, num_ant_y=8, num_ant_z=4,
+                    num_ofdm=64, ofdm_limit=64)
+        budget = 4 * 12 * 2 * record_dtype(p).itemsize
+        config = tmp_path / "params.cfg"
+        config.write_text(serialize_params(p))
+        peaks = []
+        for users_per_row in (30, 120):
+            scene, work = _small_scene(users_per_row), tmp_path / f"users{users_per_row}"
+            (work / "rays").mkdir(parents=True)
+            (work / "scene.json").write_text(scene_to_json(scene))
+            for bs_id, rays in _ray_sources(rng, scene, p).items():
+                with (work / "rays" / f"rays_bs{bs_id:03d}.drf").open("wb") as fh:
+                    write_rayfile(rays.rows, rays.header, fh)
+            maxrss = _spawn_cli(budget, [
+                "build", "--scene", str(work / "scene.json"), "--rays-dir", str(work / "rays"),
+                "--config", str(config), "--out-dir", str(work / "ds"), "--quiet"])
+            counters = json.loads((work / "ds" / "build.manifest.json").read_text())["counters"]
+            assert (counters["workers"], counters["users_per_step"]) == (2, 12)
+            assert counters["bs003.shard_bytes"] > users_per_row * 2 * record_dtype(p).itemsize
+            assert maxrss == max(counters["peak_rss_kib"], counters["workers_peak_rss_kib"])
+            peaks.append((maxrss, counters["peak_rss_kib"], counters["workers_peak_rss_kib"]))
+        # 15 more steps hold 12 MiB more of records: none of it may stay. What
+        # differs is at most the 3 MiB ring, whose slots a worker touches
+        # only for the steps it computes.
+        for five, twenty in zip(*peaks):
+            assert abs(twenty - five) < 4 * 1024, peaks
+
+
+# A process's peak RSS starts at the RSS of the process it was forked from
+# and survives exec, so the child is started by a small launcher and not by
+# this (large) process; the launcher reports its wait4.
+_LAUNCHER = ("import os, sys; exe = sys.executable; "
+             "pid = os.posix_spawn(exe, [exe, *sys.argv[1:]], os.environ); "
+             "_, status, usage = os.wait4(pid, 0); "
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def _spawn_cli(budget: int, argv: list[str]) -> int:
+    """Run ``mimogen argv`` with a ``budget``-byte step budget and 2
+    workers, in a child that the launcher starts; returns the child's wait4
+    peak RSS in KiB."""
+    cli = ("import sys; from mimogen import cli, dataset, parallel; "
+           f"dataset._BATCH_BYTES = {budget}; parallel.worker_count = lambda: 2; "
+           "sys.exit(cli.run(sys.argv[1:]))")
+    src = str(Path(mimogen.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", _LAUNCHER, "-c", cli, *argv], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    rc, maxrss = map(int, out.split())
+    assert rc == 0
+    return maxrss

@@ -62,6 +62,16 @@ class TestParsing:
         with pytest.raises(ParamError, match="num_paths"):
             parse_params("num_paths=26")
 
+    @pytest.mark.parametrize("key", ["ant_spacing", "bandwidth"])
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "must be > 0, got nan"), ("-inf", "must be > 0, got -inf"),
+        ("inf", "must be finite, got inf"), ("0", "must be > 0, got 0.0"),
+    ])
+    def test_spacing_and_bandwidth_positive_and_finite(self, key, value, message):
+        with pytest.raises(ParamError) as exc:
+            parse_params(f"{key}={value}")
+        assert str(exc.value) == f"{key}: {message}"
+
     def test_row_order_rejected(self):
         with pytest.raises(ParamError, match="active_user_first"):
             parse_params("active_user_first=200\nactive_user_last=100")

@@ -163,6 +163,21 @@ class TestConfig:
         with pytest.raises(SceneConfigError, match="grid2.spacing_m"):
             build_o1_scene(parse_kv("grid2.spacing_m=-0.5"))
 
+    @pytest.mark.parametrize("key", ["grid1.n_rows", "grid3.n_rows", "grid2.users_per_row"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "7.9"])
+    def test_grid_counts_must_be_whole_numbers(self, key, value):
+        with pytest.raises(SceneConfigError) as exc:
+            build_o1_scene(parse_kv(f"{key}={value}"))
+        assert str(exc.value) == f"{key}: must be a whole number, got {float(value)}"
+
+    def test_whole_number_written_as_a_float(self):
+        assert build_o1_scene(parse_kv("grid3.n_rows=7.0")).grids[2].n_rows == 7
+
+    @pytest.mark.parametrize("key", ["grid2.spacing_m", "building_height_m"])
+    def test_nan_length_rejected(self, key):
+        with pytest.raises(SceneConfigError, match=f"^{key}: must be > 0, got nan$"):
+            build_o1_scene(parse_kv(f"{key}=nan"))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(SceneConfigError, match="no_such_key"):
             build_o1_scene(parse_kv("no_such_key=3"))
