@@ -6,6 +6,11 @@ rate of beam f against channel matrix H averages
 ``log2(1 + snr * |f^T h_k|^2)`` over the sampled subcarriers; note the
 plain transpose (no conjugation) in the beamforming product, with an
 optional conjugate variant behind a config switch.
+
+``write_ml_dataset`` writes the beam-prediction CSVs, one feature vector
+and one rate per beam for each (BS, user) pair, from any producer of
+records. Forked workers score each step (``ml_records``, then
+``_ml_csv``) in ``dataset.write_steps``, the step loop ``build`` shares.
 """
 
 from __future__ import annotations
@@ -13,16 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .channel import ChannelMatrix
 from .dataset import (
     Dataset, DatasetError, DatasetReader, Manifest, ManifestEntry, RayDataset, atomic_write,
-    pool_plan, record_dtype, verify_files, write_files,
+    verify_files, write_steps,
 )
-from .parallel import Ring, SlotPool
 
 
 @dataclass(frozen=True)
@@ -186,64 +190,28 @@ def _ml_csv(records: Sequence[MlRecord]) -> tuple[bytes, bytes]:
 MlSource = Dataset | DatasetReader | RayDataset
 
 
-def ml_plan(source: MlSource) -> tuple[int, int]:
-    """(worker processes, users per shard per step) of ``write_ml_dataset``
-    over ``source``: ``pool_plan`` with the producer's own step held in
-    this process."""
-    return pool_plan(source, held=1)
-
-
-def _score(ring: Ring, cfg: BeamEvalConfig, slot: int,
-           count: int) -> tuple[list[int], bytes, bytes]:
-    """In a worker: the user indices and the features.csv and labels.csv
-    rows of the step in ``slot``."""
-    records = ml_records(ring.get(slot, count), cfg)
-    return [rec.user_index for rec in records], *_ml_csv(records)
-
-
 def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
-                     progress: Callable[[int, int], None] | None = None) -> Manifest:
+                     progress: Callable[[int, int], None] | None = None,
+                     counters: dict[str, int] | None = None) -> Manifest:
     """Write features.csv and labels.csv in one pass over the steps of
     ``source`` (a ``Dataset``, ``DatasetReader`` or ``RayDataset``), then
-    ml_manifest.txt with their sizes and content hashes;
-    ``progress(done, total)`` counts the (BS, user) pairs written.
+    ml_manifest.txt with their sizes and content hashes.
 
-    ``ml_plan`` sets the steps and the workers. This process draws every
-    step, so the producer runs all its checks here, and copies it into a
-    slot of the ring of a ``SlotPool``; a worker computes the step's
-    records (``ml_records``) and rows (``_ml_csv``). The results are
-    written in step order, so the bytes do not depend on the number of
-    workers. Both files go to temp files that are renamed into place only
-    after the last step, so an error raised while the steps are drawn or
-    scored (such as a shard failing its hash check at its end, a
+    ``dataset.write_steps`` runs the steps, with its ``progress`` and
+    ``counters``; its workers compute each step's records (``ml_records``)
+    and rows (``_ml_csv``), which are written in step order, so the bytes
+    do not depend on the number of workers. Both files are renamed into
+    place only after the last step, so an error raised while the steps are
+    drawn or scored (such as a shard failing its hash check at its end, a
     ``DatasetError``, or a worker that fails or dies, a ``WorkerError``)
-    leaves neither file and no manifest. The pool is shut down before this
-    returns or raises.
+    leaves neither file and no manifest.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers, users = ml_plan(source)
-    shards = len(source.bs_ids)
-    with SlotPool("beams", workers, record_dtype(source.params), shards, users, cfg) as pool:
-        steps = source.steps(users)
-
-        def next_task(slot: int) -> tuple | None:
-            step = next(steps, None)
-            if step is None:
-                return None
-            pool.ring.put(slot, step)
-            return _score, len(step[0])
-
-        def scored() -> Iterator[tuple[list[int], list[bytes]]]:
-            done = 0
-            for _, (user_indices, *chunks) in pool.in_order(next_task):
-                yield user_indices, chunks
-                done += shards * len(user_indices)
-                if progress is not None:
-                    progress(done, shards * source.n_users)
-
-        sinks, span = write_files([outdir / name for name in ML_FILES], _CSV_HEADS,
-                                  scored(), lambda rows: rows)
+    sinks, span = write_steps(
+        "beams", source, [outdir / name for name in ML_FILES], _CSV_HEADS,
+        lambda _, rows: rows, lambda batches: _ml_csv(ml_records(batches, cfg)),
+        progress, counters)
     manifest = Manifest(tuple(ManifestEntry(name, 0, *span, sink.size, sink.digest)
                               for name, sink in zip(ML_FILES, sinks)))
     atomic_write(outdir / ML_MANIFEST, manifest.to_text().encode())

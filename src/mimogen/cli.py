@@ -29,7 +29,6 @@ from .beams import (
     ML_MANIFEST,
     BeamEvalConfig,
     dft_codebook,
-    ml_plan,
     verify_ml_dataset,
     write_ml_dataset,
 )
@@ -43,7 +42,6 @@ from .dataset import (
     batch_users,
     content_hash,
     file_digest,
-    shard_plan,
     shard_sources,
     write_shards,
 )
@@ -280,18 +278,18 @@ def _cmd_build(args: argparse.Namespace) -> int:
     total = len(params.active_bs) * active_user_indices(scene, params).size
     reporter = ProgressReporter("BUILD", total, quiet=args.quiet)
     try:
-        source = shard_sources(sources, params, scene, progress=reporter.update)
+        source = shard_sources(sources, params, scene)
     except ScenarioMismatchError as exc:
         print(f"error: {ray_file(exc.bs_id)}: {exc}", file=sys.stderr)
         return 1
     outdir = Path(args.out_dir)
-    workers, users = shard_plan(source)
-    manifest = write_shards(outdir, source, fmt=args.format)
-    counters = {"users_per_step": users, "workers": workers}
+    counters: dict[str, int] = {}
+    manifest = write_shards(outdir, source, fmt=args.format, progress=reporter.update,
+                            counters=counters)
     for gaps, entry in zip(source.gaps, manifest.entries):
         counters[f"bs{entry.bs_id:03d}.zero_channel_gaps"] = gaps
         counters[f"bs{entry.bs_id:03d}.shard_bytes"] = entry.byte_size
-    counters.update(_peak_rss_kib())
+    counters["peak_rss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     RunManifest(
         subcommand="build",
         config_hash=content_hash(serialize_params(params).encode()),
@@ -304,13 +302,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _peak_rss_kib() -> dict[str, int]:
-    """Peak RSS in KiB (Linux) of this process and of its largest child, a
-    worker; read once the pool has shut down, the workers' is final."""
-    return {"peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            "workers_peak_rss_kib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}
-
-
 def _cmd_beams(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     for flag, value in (("--snr", args.snr), ("--oversampling", args.oversampling)):
@@ -320,9 +311,10 @@ def _cmd_beams(args: argparse.Namespace) -> int:
     with DatasetReader(args.dataset_dir) as ds:
         codebook = dft_codebook(ds.params.dims, oversampling=args.oversampling)
         cfg = BeamEvalConfig(codebook=codebook, snr=args.snr, conjugate=args.conjugate)
-        workers, users = ml_plan(ds)
         reporter = ProgressReporter("BEAMS", len(ds.bs_ids) * ds.n_users, quiet=args.quiet)
-        manifest = write_ml_dataset(ds, cfg, outdir, progress=reporter.update)
+        counters: dict[str, int] = {}
+        manifest = write_ml_dataset(ds, cfg, outdir, progress=reporter.update,
+                                    counters=counters)
     RunManifest(
         subcommand="beams",
         config_hash=content_hash(f"{args.snr} {args.oversampling} {args.conjugate}".encode()),
@@ -330,13 +322,12 @@ def _cmd_beams(args: argparse.Namespace) -> int:
         outputs=[str(outdir / e.filename) for e in manifest.entries],
         wall_seconds=time.monotonic() - t0,
         counters={
+            **counters,
             "pairs": ds.n_users * len(ds.bs_ids),
-            "users_per_step": users,
-            "workers": workers,
             "shards_hash_verified": ds.verified,
             "features_bytes": manifest.entries[0].byte_size,
             "labels_bytes": manifest.entries[1].byte_size,
-            **_peak_rss_kib(),
+            "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         },
     ).write(outdir / "beams.manifest.json")
     return 0

@@ -27,9 +27,9 @@ users, within ``_BATCH_BYTES`` in all. ``shard_sources``' ``RayDataset``
 computes them from ray files; ``DatasetReader`` reads them from a shard
 directory, one ``ShardReader`` per shard, each checking its SHA-256 as its
 last record is read; ``Dataset`` holds them in memory. ``write_shards``
-drains any of them through ``write_files``, the one atomic writer, so
-memory is bounded by a step, not the dataset; forked workers compute the
-records of a ``RayDataset`` larger than one step (``shard_plan``).
+and ``beams.write_ml_dataset`` drain any of them with ``write_steps``, the
+one step loop (planned by ``pool_plan``), into ``write_files``, the one
+atomic writer, so memory is bounded by a step, not the dataset.
 ``build_dataset`` and ``load_dataset`` take one step over all users.
 """
 
@@ -159,32 +159,27 @@ def batch_users(params: ParamSet, shards: int = 1) -> int:
                       _BATCH_BYTES // (shards * record_dtype(params).itemsize)))
 
 
-def pool_plan(source: Dataset | DatasetReader | RayDataset, held: int) -> tuple[int, int]:
-    """(worker processes, users per shard per step) of a ``SlotPool`` over
-    the steps of ``source``. The 2 ring slots per worker and ``held`` more
-    steps in this process hold ``_BATCH_BYTES`` of records in all, so the
-    steps shrink with the workers, and the workers are fewer than
+def pool_plan(source: Dataset | DatasetReader | RayDataset, scored: bool) -> tuple[int, int]:
+    """(worker processes, users per shard per step) of ``write_steps`` over
+    ``source``, ``scored`` if the workers score its steps. Unscored, only
+    the records of a ``RayDataset`` beyond one ``_BATCH_BYTES`` step are
+    worth a pool; otherwise the workers are 0. The 2 ring slots per worker,
+    and the step this process draws from a source other than a
+    ``RayDataset``, hold ``_BATCH_BYTES`` of records in all, so the steps
+    shrink with the workers, and the workers are fewer than
     ``worker_count()`` only when even one-user steps would not fit or
     ``source`` has fewer steps than that."""
-    user_bytes = len(source.bs_ids) * record_dtype(source.params).itemsize
+    shards = len(source.bs_ids)
+    user_bytes = shards * record_dtype(source.params).itemsize
+    computed = isinstance(source, RayDataset)
+    if not (scored or computed and source.n_users * user_bytes > _BATCH_BYTES):
+        return 0, batch_users(source.params, shards)
+    held = 0 if computed else 1            # steps drawn in this process
     fit = _BATCH_BYTES // user_bytes       # one-user steps within the budget
     workers = max(1, min(parallel.worker_count(), (fit - held) // 2))
-    users = batch_users(source.params, len(source.bs_ids) * (2 * workers + held))
+    users = batch_users(source.params, shards * (2 * workers + held))
     steps = -(-source.n_users // users)
     return max(1, min(workers, steps)), users
-
-
-def shard_plan(source: Dataset | DatasetReader | RayDataset) -> tuple[int, int]:
-    """(worker processes, users per shard per step) of ``write_shards`` over
-    ``source``. The workers compute the records of a ``RayDataset`` whose
-    records exceed one ``_BATCH_BYTES`` step (``pool_plan``, with no step
-    held here); below that a pool costs more than it could share, so
-    this process draws ``source.steps()`` itself and the workers are 0."""
-    shards = len(source.bs_ids)
-    if (isinstance(source, RayDataset)
-            and shards * source.n_users * record_dtype(source.params).itemsize > _BATCH_BYTES):
-        return pool_plan(source, held=0)
-    return 0, batch_users(source.params, shards)
 
 
 def _records(buf: np.ndarray, params: ParamSet, rays: RayRows) -> np.ndarray:
@@ -206,61 +201,34 @@ class RayDataset:
     bs_ids: tuple[int, ...]                    # active order
     rays: tuple[RayRows, ...]                  # per active BS: a user row per active user
     gaps: tuple[int, ...]                      # per active BS: users without a ray record
-    progress: Callable[[int, int], None] | None = None
 
     @property
     def n_users(self) -> int:
         return len(self.rays[0])
 
-    def steps(self, users: int | None = None,
-              pool: parallel.SlotPool | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    def steps(self, users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
         """Every active base station's records, ``users`` per base station
         per step (default ``batch_users(params, len(bs_ids))``), computed as
-        the step is drawn; ``progress(done, total)`` follows each step.
-        A step's batches are views that the next step overwrites.
-
-        With ``pool``, a ``SlotPool`` over this dataset whose ring slots
-        hold steps of ``users``, the workers compute the steps ahead
-        (``_fill``) and a step's batches are views of its slot, which a
-        later step overwrites once this one has been consumed."""
+        the step is drawn. A step's batches are views that the next step
+        overwrites."""
         users = users or batch_users(self.params, len(self.bs_ids))
-        if pool is None:
-            bufs = [np.empty(min(users, self.n_users), record_dtype(self.params))
-                    for _ in self.rays]
-            computed = (self._compute(bufs, lo) for lo in range(0, self.n_users, users))
-        else:
-            starts = iter(range(0, self.n_users, users))
-
-            def next_task(slot: int) -> tuple | None:
-                lo = next(starts, None)
-                return None if lo is None else (_fill, lo)
-
-            computed = (pool.ring.get(slot, count) for slot, count in pool.in_order(next_task))
-        done = 0
-        for step in computed:
-            yield step
-            done += len(step[0])
-            if self.progress is not None:
-                self.progress(len(self.rays) * done, len(self.rays) * self.n_users)
+        bufs = [np.empty(min(users, self.n_users), record_dtype(self.params))
+                for _ in self.rays]
+        for lo in range(0, self.n_users, users):
+            yield self._compute(bufs, lo)
 
     def _compute(self, bufs: Sequence[np.ndarray], lo: int) -> tuple[np.ndarray, ...]:
         """The records of the users from ``lo``, as many as each of ``bufs``
-        holds, computed into the first records of ``bufs``."""
+        holds, computed into the first records of ``bufs`` (in a
+        ``SlotPool`` worker, its slot)."""
         return tuple(_records(buf, self.params, rays.rows(lo, lo + len(buf)))
                      for buf, rays in zip(bufs, self.rays))
-
-
-def _fill(ring: parallel.Ring, source: RayDataset, slot: int, lo: int) -> int:
-    """In a worker: compute the step of ``source`` from user ``lo`` into
-    ``slot``; returns its user count."""
-    return len(source._compute(ring.get(slot, ring.users), lo)[0])
 
 
 def shard_sources(
     ray_sources: Mapping[int, RayFile],
     params: ParamSet,
     scene: Scene,
-    progress: Callable[[int, int], None] | None = None,
 ) -> RayDataset:
     """Check the ray files against the scene; returns the dataset they give,
     whose records are computed only as its steps are drawn.
@@ -301,8 +269,7 @@ def shard_sources(
                         ", ..." if len(missing) > _GAPS_SHOWN else "")
         rays.append(active)
         gaps.append(len(missing))
-    return RayDataset(params, scene.name, tuple(params.active_bs), tuple(rays), tuple(gaps),
-                      progress)
+    return RayDataset(params, scene.name, tuple(params.active_bs), tuple(rays), tuple(gaps))
 
 
 def _active_rows(rows: RayRows, indices: np.ndarray,
@@ -342,6 +309,10 @@ def _check_positions(rays: RayRows, bs_id: int, positions: np.ndarray) -> None:
             f"{_xyz(got[j])}, but the scene puts it at {_xyz(positions[j])}", bs_id=bs_id)
 
 
+def _ids(bs_ids: Iterable[int]) -> str:
+    return ",".join(map(str, bs_ids))
+
+
 def _xyz(p: np.ndarray) -> str:
     return "(" + ", ".join(f"{float(x):.6g}" for x in p) + ") m"
 
@@ -350,11 +321,10 @@ def build_dataset(
     ray_sources: Mapping[int, RayFile],
     params: ParamSet,
     scene: Scene,
-    progress: Callable[[int, int], None] | None = None,
 ) -> Dataset:
     """Assemble the dataset in memory from one ray file per active base
     station: ``shard_sources``' dataset gathered in one step."""
-    return _gather(shard_sources(ray_sources, params, scene, progress))
+    return _gather(shard_sources(ray_sources, params, scene))
 
 
 def _gather(source: RayDataset | DatasetReader) -> Dataset:
@@ -443,17 +413,20 @@ def write_files(
     heads: Sequence[bytes],
     steps: Iterable[T],
     encode: Callable[[T], tuple[Sequence[int], Sequence[bytes | memoryview]]] | None,
+    progress: Callable[[int], None] | None = None,
 ) -> tuple[list[HashingSink], tuple[int, int]]:
     """The one atomic writer: to a temp file beside each path, its head,
     then per step one chunk, from ``encode(step)``: the indices of the
-    step's users and one chunk per path. Only after the last step is every
-    temp file renamed over its path; when anything raises, every temp file
-    is removed and the paths are left as they were. Returns one
+    step's users and one chunk per path; ``progress(done)`` follows each
+    step with the users written. Only after the last step is every temp
+    file renamed over its path; when anything raises, every temp file is
+    removed and the paths are left as they were. Returns one
     ``HashingSink`` per path (byte count and ``content_hash``) and the first
     and last user of the steps, (0, 0) when they hold none.
     """
     tmps = [path.with_name(path.name + ".tmp~") for path in paths]
     first = last = None
+    done = 0
     try:
         with contextlib.ExitStack() as files:
             sinks = [HashingSink(files.enter_context(tmp.open("wb"))) for tmp in tmps]
@@ -466,6 +439,9 @@ def write_files(
                 if len(users):
                     first = int(users[0]) if first is None else first
                     last = int(users[-1])
+                done += len(users)
+                if progress is not None:
+                    progress(done)
         for tmp, path in zip(tmps, paths):
             tmp.replace(path)
     except BaseException:
@@ -638,11 +614,13 @@ class DatasetReader:
     """A dataset directory opened for one pass over its records.
 
     Opening reads ``manifest.txt`` and every shard's head, and checks that
-    each shard matches its manifest line and that all shards agree on the
-    parameter set, scenario and user count. ``steps`` then yields, per step,
-    one batch of records per shard, in manifest order, holding the same
-    users; it checks that they are the same users, and raises on the step
-    after the last if any shard fails its first/last user or hash check.
+    each shard matches its manifest line, that all shards agree on the
+    parameter set, scenario and user count, and that the manifest lists
+    one shard per base station of their ``active_BS``, in that order.
+    ``steps`` then yields, per step, one batch of records per shard, in
+    manifest order, holding the same users; it checks that they are the
+    same users, and raises on the step after the last if any shard fails
+    its first/last user or hash check.
     Use it as a context manager, which closes the shard files.
     """
 
@@ -663,6 +641,10 @@ class DatasetReader:
                     raise ScenarioMismatchError(f"{shard.name}: inconsistent shard metadata")
                 if shard.user_count != head.user_count:
                     raise DatasetError(f"{shard.name}: user list differs from {head.name}")
+            listed = [shard.bs_id for shard in self.shards]
+            if listed != list(head.params.active_bs):
+                raise DatasetError(f"manifest.txt lists base stations {_ids(listed)}, but "
+                                   f"the shards' active_BS is {_ids(head.params.active_bs)}")
         except BaseException:
             self._files.close()
             raise
@@ -725,25 +707,62 @@ _EXPORT_FORMATS = {
 }
 
 
+def write_steps(
+    name: str,
+    source: Dataset | DatasetReader | RayDataset,
+    paths: Sequence[Path],
+    heads: Sequence[bytes],
+    encode: Callable[[tuple[np.ndarray, ...], T], Sequence[bytes | memoryview]],
+    score: Callable[[tuple[np.ndarray, ...]], T] | None = None,
+    progress: Callable[[int, int], None] | None = None,
+    counters: dict[str, int] | None = None,
+) -> tuple[list[HashingSink], tuple[int, int]]:
+    """The one step loop of the writers: ``write_files`` over the steps of
+    ``source``, each step written as ``encode(batches, score)``. With the
+    workers of ``pool_plan``, a ``SlotPool`` named ``name`` fills each step
+    (it computes a ``RayDataset``'s records in the workers, or copies in
+    the step this process draws, so a ``DatasetReader`` checks its shards
+    here) and scores it with ``score``; it is shut down before this
+    returns or raises. Without workers this process draws
+    ``source.steps()`` and the score is None. ``progress(done, total)``
+    counts the (BS, user) pairs written; ``counters`` gets ``workers``,
+    ``users_per_step`` and ``workers_peak_rss_kib`` (0 without workers).
+    """
+    shards, n_users = len(source.bs_ids), source.n_users
+    workers, users = pool_plan(source, score is not None)
+    computed = isinstance(source, RayDataset)
+    pool = parallel.SlotPool(name, workers, record_dtype(source.params), shards, users,
+                             source._compute if computed else None, score) if workers else None
+    with pool or contextlib.nullcontext():
+        if pool:
+            steps = pool.steps(n_users, None if computed else source.steps(users))
+        else:
+            steps = ((step, None) for step in source.steps(users))
+        written = write_files(
+            paths, heads, steps, lambda step: (step[0][0]["global_index"], encode(*step)),
+            None if progress is None else lambda done: progress(shards * done, shards * n_users))
+    if counters is not None:
+        counters.update(workers=workers, users_per_step=users,
+                        workers_peak_rss_kib=pool.peak_rss_kib if pool else 0)
+    return written
+
+
 def write_shards(
     sink: Path | str,
     source: Dataset | DatasetReader | RayDataset,
     fmt: str = "binary",
+    progress: Callable[[int, int], None] | None = None,
+    counters: dict[str, int] | None = None,
 ) -> Manifest:
     """Write one file per active base station of ``source`` in one pass
-    over its steps, then the manifest; returns the manifest. Each step is
+    over its steps (``write_steps``, with its ``progress`` and
+    ``counters``), then the manifest; returns the manifest. Each step is
     encoded, written and hashed, then dropped, so memory is bounded by a
     step and not by the dataset, and no file is renamed into place until
     the last step is written.
 
-    ``shard_plan`` sets the steps and the workers. When it gives workers,
-    a pool of forked worker processes computes the records of
-    ``source`` (a ``RayDataset``) into the slots of a shared ring, and
-    this process writes and hashes each slot's records in step order, so
-    the bytes do not depend on the number of workers. A worker that
-    raises or dies is a ``WorkerError`` and leaves no file, as any error
-    does; the pool is shut down before this returns or raises.
-
+    A ``source`` whose base stations are not its ``active_BS``, in that
+    order, is refused, as ``DatasetReader`` would refuse its shards.
     ``fmt="csv"`` writes a readable tree instead and is refused above a
     documented size cap (CSV_SIZE_CAP_BYTES). Either is refused, before
     the first step, when its (estimated) size exceeds the free space of
@@ -753,6 +772,9 @@ def write_shards(
     if fmt not in _EXPORT_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
     params, scenario, n_users = source.params, source.scenario_name, source.n_users
+    if list(source.bs_ids) != list(params.active_bs):
+        raise DatasetError(f"the dataset's base stations {_ids(source.bs_ids)} are not "
+                           f"its active_BS {_ids(params.active_bs)}")
     size = sum(shard_size_bytes(params, n_users, scenario, bs_id) for bs_id in source.bs_ids)
     if fmt == "csv":
         size *= 3
@@ -768,16 +790,11 @@ def write_shards(
     sink.mkdir(parents=True, exist_ok=True)
     name_format, head, encode = _EXPORT_FORMATS[fmt]
     names = [name_format.format(bs_id) for bs_id in source.bs_ids]
-    workers, step_users = shard_plan(source)
-    with contextlib.ExitStack() as stack:
-        pool = stack.enter_context(parallel.SlotPool(
-            "build", workers, record_dtype(params), len(source.bs_ids), step_users,
-            source)) if workers else None
-        sinks, users = write_files(
-            [sink / name for name in names],
-            [head(params, scenario, bs_id, n_users) for bs_id in source.bs_ids],
-            source.steps(step_users, pool) if pool else source.steps(step_users),
-            lambda step: (step[0]["global_index"], [encode(params, batch) for batch in step]))
+    sinks, users = write_steps(
+        "build", source, [sink / name for name in names],
+        [head(params, scenario, bs_id, n_users) for bs_id in source.bs_ids],
+        lambda batches, _: [encode(params, batch) for batch in batches],
+        progress=progress, counters=counters)
     manifest = Manifest(tuple(ManifestEntry(name, bs_id, *users, s.size, s.digest)
                               for name, bs_id, s in zip(names, source.bs_ids, sinks)))
     atomic_write(sink / "manifest.txt", manifest.to_text().encode())

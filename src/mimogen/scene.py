@@ -84,10 +84,11 @@ class UserGrid:
     first_row_label: int
 
     def __post_init__(self) -> None:
-        if self.n_rows < 1:
-            raise SceneConfigError(f"grid n_rows: must be >= 1, got {self.n_rows}")
-        if self.users_per_row < 1:
-            raise SceneConfigError(f"grid users_per_row: must be >= 1, got {self.users_per_row}")
+        for key, count in (("n_rows", self.n_rows), ("users_per_row", self.users_per_row)):
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise SceneConfigError(f"grid {key}: must be an integer, got {count!r}")
+            if count < 1:
+                raise SceneConfigError(f"grid {key}: must be >= 1, got {count}")
         if not self.spacing > 0:
             raise SceneConfigError(f"grid spacing_m: must be > 0, got {self.spacing}")
         dot = sum(a * b for a, b in zip(self.row_axis, self.col_axis))

@@ -237,7 +237,7 @@ class TestPipeline:
             "bs003.shard_bytes": (ds_dir / "shard_bs003.dmds").stat().st_size,
             "bs004.shard_bytes": (ds_dir / "shard_bs004.dmds").stat().st_size,
             "peak_rss_kib": counters["peak_rss_kib"],
-            "workers_peak_rss_kib": counters["workers_peak_rss_kib"],
+            "workers_peak_rss_kib": 0,
         }
         assert counters["peak_rss_kib"] > 0
         gaps = [r.getMessage() for r in caplog.records if "no ray record" in r.getMessage()]
@@ -478,6 +478,40 @@ class TestErrors:
         assert run(["beams", "--dataset-dir", str(ds_dir),
                     "--out-dir", str(tmp_path / "ml"), "--quiet"]) == 1
         assert "error: manifest line 4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,listed", [
+        ("append bs003", "3,4,3"), ("drop bs004", "3"), ("swap", "4,3"),
+    ])
+    def test_manifest_must_list_the_active_bs_in_order(self, tmp_path, scene_file, capsys,
+                                                       edit, listed):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        manifest = ds_dir / "manifest.txt"
+        head, bs3, bs4 = manifest.read_text().splitlines(True)
+        manifest.write_text(head + {"append bs003": bs3 + bs4 + bs3, "drop bs004": bs3,
+                                    "swap": bs4 + bs3}[edit])
+        message = f"manifest.txt lists base stations {listed}, but the shards' active_BS is 3,4"
+        assert run(["validate", str(ds_dir), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"violation: DatasetError: {message}\n"
+        ml = tmp_path / "ml"
+        assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
+                    "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ml.exists()
+
+    def test_fractional_grid_count_in_scene_file(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        assert run(["scene", "--out", str(scene), "--quiet"]) == 0
+        doc = json.loads(scene.read_text())
+        doc["grids"][2]["n_rows"] = 7.9
+        scene.write_text(json.dumps(doc))
+        message = "grid n_rows: must be an integer, got 7.9"
+        assert run(["validate", str(scene), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"violation: SceneConfigError: {message}\n"
+        assert run(["trace", "--scene", str(scene), "--bs", "3",
+                    "--active_user_first", "3853", "--active_user_last", "3853",
+                    "--out-dir", str(tmp_path / "rays"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "rays").exists()
 
     @pytest.mark.parametrize("flag,value", [("--snr", "0"), ("--snr", "nan"),
                                             ("--oversampling", "0")])

@@ -32,9 +32,9 @@ from mimogen.dataset import (
     get_location,
     load_dataset,
     parse_shard,
+    pool_plan,
     record_dtype,
     shard_bytes,
-    shard_plan,
     shard_size_bytes,
     shard_sources,
     write_shards,
@@ -230,12 +230,18 @@ class TestBuild:
         ds = build_dataset(sources, p, shifted)
         assert tuple(ds.shards[0]["location"][0]) == sources[3].records[0].user_position
 
-    def test_progress_reaches_total(self, rng, tiny_scene):
+    def test_progress_reaches_total(self, rng, tiny_scene, tmp_path, monkeypatch):
         p = _params()
+        source = shard_sources(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
         calls = []
-        build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene,
-                      progress=lambda d, t: calls.append((d, t)))
-        assert calls[-1] == (12, 12)
+        write_shards(tmp_path / "one_step", source, progress=lambda d, t: calls.append((d, t)))
+        assert calls == [(12, 12)]
+        # A pool's one-user steps are counted as they are written.
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 1)
+        calls.clear()
+        write_shards(tmp_path / "pool", source, progress=lambda d, t: calls.append((d, t)))
+        assert calls == [(2 * k, 12) for k in range(1, 7)]
+
 
 
 class TestShard:
@@ -343,6 +349,17 @@ def _stream_cases(draw):
 
 
 class TestStreamingWrite:
+    def test_base_stations_must_be_the_active_bs(self, rng, tiny_scene, tmp_path):
+        # The reader refuses shards listed out of their active_BS order, so
+        # the writer does not write them.
+        p = _params()
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        swapped = replace(ds, bs_ids=(5, 3), shards=ds.shards[::-1])
+        with pytest.raises(DatasetError, match="^the dataset's base stations 5,3 are not "
+                                               "its active_BS 3,5$"):
+            write_shards(tmp_path / "out", swapped)
+        assert not (tmp_path / "out").exists()
+
     @settings(deadline=None, max_examples=60)
     @given(_stream_cases())
     def test_streamed_files_equal_in_memory_export(self, case):
@@ -369,10 +386,11 @@ class TestStreamingWrite:
         ds = mock.Mock(spec=Dataset, params=p, bs_ids=p.active_bs, n_users=n_users)
         monkeypatch.setattr(parallel, "worker_count", lambda: 2)
         monkeypatch.setattr(dataset, "_BATCH_BYTES", n_users * one)
-        assert shard_plan(rays) == shard_plan(ds) == (0, min(n_users, 256))
+        assert (pool_plan(rays, scored=False) == pool_plan(ds, scored=False)
+                == (0, min(n_users, 256)))
         monkeypatch.setattr(dataset, "_BATCH_BYTES", n_users * one - 1)
-        assert shard_plan(rays) == pooled
-        assert shard_plan(ds)[0] == 0
+        assert pool_plan(rays, scored=False) == pooled
+        assert pool_plan(ds, scored=False)[0] == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bytes_do_not_depend_on_workers(self, rng, tmp_path, monkeypatch, workers):
@@ -381,12 +399,12 @@ class TestStreamingWrite:
         source = shard_sources(_ray_sources(rng, scene, p), p, scene)
         # In this process, 5 users per step.
         with mock.patch.object(dataset, "_MAX_BATCH_USERS", 5):
-            assert shard_plan(source) == (0, 5)
+            assert pool_plan(source, scored=False) == (0, 5)
             want = write_shards(tmp_path / "in_process", source)
         # A budget of 14 users of both shards: 7 // workers users per step.
         monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 14 * 2 * record_dtype(p).itemsize)
-        assert shard_plan(source) == (workers, 7 // workers)
+        assert pool_plan(source, scored=False) == (workers, 7 // workers)
         assert write_shards(tmp_path / "pool", source) == want
         assert want.entries[0].last_user - want.entries[0].first_user + 1 == 60
         for name in [e.filename for e in want.entries] + ["manifest.txt"]:
@@ -438,7 +456,7 @@ class TestStreamingWrite:
         out = tmp_path / "out"
         # In this process: every record fits in one step, of one user here.
         monkeypatch.setattr(dataset, "_MAX_BATCH_USERS", 1)
-        assert shard_plan(source) == (0, 1)
+        assert pool_plan(source, scored=False) == (0, 1)
         with pytest.raises(RuntimeError, match="disk on fire"):
             write_shards(out, source)
         assert calls() == [(os.getpid(), *c) for c in calls_made]
@@ -448,7 +466,7 @@ class TestStreamingWrite:
         # step after the failed one before the pool was shut down.
         log.unlink()
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 1)
-        assert shard_plan(source) == (1, 1)
+        assert pool_plan(source, scored=False) == (1, 1)
         with pytest.raises(WorkerError,
                            match="^a build worker failed: RuntimeError: disk on fire$"):
             write_shards(out, source)

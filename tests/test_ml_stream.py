@@ -20,14 +20,15 @@ from mimogen import dataset, parallel
 from mimogen.beams import (
     BeamEvalConfig,
     dft_codebook,
-    ml_plan,
     write_ml_dataset,
 )
 from mimogen.dataset import (
     DatasetReader,
     batch_users,
     build_dataset,
+    pool_plan,
     record_dtype,
+    shard_sources,
     write_shards,
 )
 from mimogen.params import serialize_params
@@ -130,29 +131,61 @@ class TestWorkers:
             for budget in (0, one, 3 * one - 1, 3 * one, 5 * one, 7 * one, 40 * one,
                            dataset._BATCH_BYTES):
                 with mock.patch.object(dataset, "_BATCH_BYTES", budget):
-                    workers, users = ml_plan(source)
+                    workers, users = pool_plan(source, scored=True)
                 assert 1 <= workers <= cpus and 1 <= users <= 256
                 if budget >= 3 * one:       # a step and 2 slots of one user fit
                     assert (2 * workers + 1) * users * one <= budget
                     assert workers == cpus or (2 * workers + 3) * one > budget
-        workers, users = ml_plan(mock.Mock(params=p, bs_ids=p.active_bs, n_users=6))
+        workers, users = pool_plan(mock.Mock(params=p, bs_ids=p.active_bs, n_users=6),
+                                   scored=True)
         assert users >= 6 and workers == 1      # one step: no more workers than steps
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bytes_do_not_depend_on_workers(self, rng, tmp_path, monkeypatch, workers):
-        p = _write_dataset(rng, tmp_path / "ds", 30, active_bs=(3, 4), active_user_last=2)
+        scene = _small_scene(30)
+        p = _params(active_bs=(3, 4), active_user_last=2)
+        rays = shard_sources(_ray_sources(rng, scene, p), p, scene)
+        write_shards(tmp_path / "ds", rays)
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 14 * 2 * record_dtype(p).itemsize)
         cfg = BeamEvalConfig(dft_codebook(p.dims))
         with DatasetReader(tmp_path / "ds") as reader:
-            want = write_ml_dataset(reader, cfg, tmp_path / "two")
+            want = write_ml_dataset(reader, cfg, tmp_path / "machine")
         monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         with DatasetReader(tmp_path / "ds") as reader:
-            assert ml_plan(reader) == (workers, 14 // (2 * workers + 1))
-            got = write_ml_dataset(reader, cfg, tmp_path / "other")
-        assert got == want
+            assert pool_plan(reader, scored=True) == (workers, 14 // (2 * workers + 1))
+            assert write_ml_dataset(reader, cfg, tmp_path / "shards") == want
+        # From the ray files, with no step drawn in this process.
+        assert pool_plan(rays, scored=True) == (workers, 14 // (2 * workers))
+        assert write_ml_dataset(rays, cfg, tmp_path / "rays") == want
+        assert want.entries[0].last_user - want.entries[0].first_user + 1 == 60
         for name in ML_OUTPUTS:
-            assert (tmp_path / "other" / name).read_bytes() == \
-                (tmp_path / "two" / name).read_bytes()
+            for got in ("shards", "rays"):
+                assert (tmp_path / got / name).read_bytes() == \
+                    (tmp_path / "machine" / name).read_bytes()
+
+    def test_rays_to_ml_computes_in_the_workers(self, rng, tmp_path, monkeypatch):
+        scene = _small_scene(30)
+        p = _params(active_bs=(3, 4), active_user_last=2)
+        rays = shard_sources(_ray_sources(rng, scene, p), p, scene)
+        log = tmp_path / "calls.txt"            # (pid, bs, users) of each kernel call
+        kernel = dataset.channel_matrices_batch
+
+        def logged(batch, params):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {batch.bs_id} {len(batch)}\n")
+            return kernel(batch, params)
+
+        monkeypatch.setattr(dataset, "channel_matrices_batch", logged)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 14 * 2 * record_dtype(p).itemsize)
+        assert pool_plan(rays, scored=True) == (2, 3)
+        write_ml_dataset(rays, BeamEvalConfig(dft_codebook(p.dims)), tmp_path / "ml")
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        pids = {pid for pid, _, _ in calls}
+        assert os.getpid() not in pids and 1 <= len(pids) <= 2
+        # Every record is computed once: 20 steps of 3 users for each BS.
+        assert sorted(bs for _, bs, _ in calls) == [3] * 20 + [4] * 20
+        assert [users for _, _, users in calls] == [3] * 40
 
     def test_rss_flat_in_steps(self, rng, tmp_path):
         # `mimogen beams` as a child with a 12-user step (2 workers, a budget

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,15 @@ class TestSerialization:
         assert sc2.base_stations == sc.base_stations
         assert sc2.grids == sc.grids
         assert sc2.carrier_freq == sc.carrier_freq
+
+    @pytest.mark.parametrize("key", ["n_rows", "users_per_row"])
+    @pytest.mark.parametrize("value", [7.9, 7.0, True, "7", None])
+    def test_file_grid_counts_must_be_integers(self, key, value):
+        doc = json.loads(scene_to_json(small_scene()))
+        doc["grids"][2][key] = value
+        with pytest.raises(SceneConfigError,
+                           match=f"^grid {key}: must be an integer, got {re.escape(repr(value))}$"):
+            scene_from_json(json.dumps(doc))
 
     def test_bad_json(self):
         with pytest.raises(SceneConfigError, match="not a scene file"):
