@@ -12,10 +12,9 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import io
+import collections
 import json
 import os
-import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .beams import (
     ML_MANIFEST,
     BeamEvalConfig,
@@ -43,17 +42,20 @@ from .dataset import (
     content_hash,
     file_digest,
     shard_sources,
+    write_files,
     write_shards,
 )
 from .kvconfig import ConfigError, KVEntry, merge_kv
-from .parallel import WorkerError
+from .parallel import OrderedPool, WorkerError, peak_rss_kib
 from .params import KEYS, ParamSet, ParamError, params_from_entries, serialize_params
 from .rayio import (
     MAX_PATHS,
     RayFileError,
     RayFileHeader,
+    check_follows,
+    encode_head,
+    encode_rows,
     read_rayfile,
-    write_rayfile,
 )
 from .scene import (
     Scene,
@@ -64,7 +66,7 @@ from .scene import (
     user_positions,
     users_in_row_range,
 )
-from .tracer import RayRows, image_node_counts, trace_paths_batch
+from .tracer import image_node_counts, trace_paths_batch
 
 _TRACE_CHUNK = 1024
 
@@ -207,42 +209,46 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    total = len(bs_ids) * indices.size
-    reporter = ProgressReporter("TRACE", total, quiet=args.quiet)
-    done = 0
-    outputs = []
-    counters: dict[str, int] = {}
-    for bs_id in bs_ids:
-        chunks = []
-        searched = yielding = 0
-        for lo in range(0, indices.size, _TRACE_CHUNK):
-            chunk = trace_paths_batch(
-                scene, bs_id, positions[lo: lo + _TRACE_CHUNK],
-                user_indices=indices[lo: lo + _TRACE_CHUNK],
-                max_reflections=args.max_reflections, max_paths=args.max_paths,
-            )
-            chunks.append(chunk)
-            searched += chunk.nodes_searched
-            yielding += chunk.nodes_yielding
-            done += len(chunk)
-            reporter.update(done)
-        rays = RayRows.concat(bs_id, chunks)
-        counters[f"bs{bs_id:03d}.image_nodes"] = image_node_counts(
-            scene, bs_id, args.max_reflections)
-        counters[f"bs{bs_id:03d}.image_nodes_searched"] = searched
-        counters[f"bs{bs_id:03d}.image_nodes_yielding"] = yielding
-        counters[f"bs{bs_id:03d}.paths"] = len(rays.paths)
-        users_with = np.bincount(rays.users["n_paths"], minlength=1).tolist()
-        counters[f"bs{bs_id:03d}.users_without_paths"] = users_with[0]
-        counters.update({f"bs{bs_id:03d}.users_with_{k}_paths": n
-                         for k, n in enumerate(users_with) if n})
-        header = RayFileHeader(bs_id=bs_id, carrier_freq=scene.carrier_freq,
-                               user_count=len(rays), scenario=scene.name)
-        out = outdir / f"rays_bs{bs_id:03d}.drf"
-        buf = io.BytesIO()
-        write_rayfile(rays, header, buf)
-        atomic_write(out, buf.getvalue())
-        outputs.append(str(out))
+    def trace(lo: int, bs_id: int) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+        """Base station ``bs_id``'s user indices, encoded records and
+        counters for the ``_TRACE_CHUNK`` users from ``lo``."""
+        batch = trace_paths_batch(scene, bs_id, positions[lo: lo + _TRACE_CHUNK],
+                                  user_indices=indices[lo: lo + _TRACE_CHUNK],
+                                  max_reflections=args.max_reflections, max_paths=args.max_paths)
+        with_k = np.bincount(batch.users["n_paths"]).tolist()
+        key = f"bs{bs_id:03d}."
+        return batch.users["user_index"], encode_rows(batch, bs_id, lo), {
+            key + "image_nodes_searched": batch.nodes_searched,
+            key + "image_nodes_yielding": batch.nodes_yielding,
+            key + "paths": len(batch.paths), key + "users_without_paths": with_k[0],
+            **{key + f"users_with_{k}_paths": n for k, n in enumerate(with_k) if n}}
+
+    # Summed over the steps; the tree sizes also build the workers' geometry.
+    counters = collections.Counter({f"bs{b:03d}.image_nodes": image_node_counts(
+        scene, b, args.max_reflections) for b in bs_ids})
+    last: dict[int, int | None] = dict.fromkeys(bs_ids)
+
+    def write(step: tuple[int, list]) -> tuple[np.ndarray, list[np.ndarray]]:
+        lo, chunks = step
+        for bs_id, (index, _, counts) in zip(bs_ids, chunks):
+            check_follows(last[bs_id], index, lo)
+            last[bs_id] = int(index[-1])
+            counters.update(counts)
+        return indices[lo: lo + _TRACE_CHUNK], [chunk for _, chunk, _ in chunks]
+
+    starts = range(0, indices.size, _TRACE_CHUNK)
+    reporter = ProgressReporter("TRACE", len(bs_ids) * indices.size, quiet=args.quiet)
+    outputs = [outdir / f"rays_bs{bs_id:03d}.drf" for bs_id in bs_ids]
+    heads = [encode_head(RayFileHeader(bs_id, scene.carrier_freq, indices.size, scene.name))
+             for bs_id in bs_ids]
+    # Workers only for more than one step: one step would wait for them.
+    workers = min(parallel.worker_count(), len(starts)) if len(starts) > 1 else 0
+    with OrderedPool("trace", workers) as pool:
+        traced = pool.map(trace, ((lo, bs_id) for lo in starts for bs_id in bs_ids))
+        steps = ((lo, [next(traced) for _ in bs_ids]) for lo in starts)
+        write_files(outputs, heads, steps, write, lambda done: reporter.update(len(bs_ids) * done))
+    counters.update(workers=workers, users_per_step=_TRACE_CHUNK,
+                    workers_peak_rss_kib=pool.peak_rss_kib, peak_rss_kib=peak_rss_kib())
     RunManifest(
         subcommand="trace",
         config_hash=content_hash(
@@ -250,7 +256,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{args.max_reflections} {args.max_paths}".encode()
         ),
         input_hashes={args.scene: _file_hash(Path(args.scene))},
-        outputs=outputs,
+        outputs=[str(out) for out in outputs],
         wall_seconds=time.monotonic() - t0,
         counters=counters,
     ).write(outdir / "trace.manifest.json")
@@ -289,7 +295,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     for gaps, entry in zip(source.gaps, manifest.entries):
         counters[f"bs{entry.bs_id:03d}.zero_channel_gaps"] = gaps
         counters[f"bs{entry.bs_id:03d}.shard_bytes"] = entry.byte_size
-    counters["peak_rss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    counters["peak_rss_kib"] = peak_rss_kib()
     RunManifest(
         subcommand="build",
         config_hash=content_hash(serialize_params(params).encode()),
@@ -327,7 +333,7 @@ def _cmd_beams(args: argparse.Namespace) -> int:
             "shards_hash_verified": ds.verified,
             "features_bytes": manifest.entries[0].byte_size,
             "labels_bytes": manifest.entries[1].byte_size,
-            "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "peak_rss_kib": peak_rss_kib(),
         },
     ).write(outdir / "beams.manifest.json")
     return 0

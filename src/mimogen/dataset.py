@@ -27,9 +27,11 @@ users, within ``_BATCH_BYTES`` in all. ``shard_sources``' ``RayDataset``
 computes them from ray files; ``DatasetReader`` reads them from a shard
 directory, one ``ShardReader`` per shard, each checking its SHA-256 as its
 last record is read; ``Dataset`` holds them in memory. ``write_shards``
-and ``beams.write_ml_dataset`` drain any of them with ``write_steps``, the
-one step loop (planned by ``pool_plan``), into ``write_files``, the one
-atomic writer, so memory is bounded by a step, not the dataset.
+and ``beams.write_ml_dataset`` drain any of them with ``write_steps``
+(planned by ``pool_plan``): the ordered pool of ``parallel`` over a ring
+of record slots, into ``write_files``, the one atomic writer, so memory is
+bounded by a step, not the dataset. ``trace`` runs the same pool and
+writer over its ray-file chunks.
 ``build_dataset`` and ``load_dataset`` take one step over all users.
 """
 
@@ -219,8 +221,8 @@ class RayDataset:
 
     def _compute(self, bufs: Sequence[np.ndarray], lo: int) -> tuple[np.ndarray, ...]:
         """The records of the users from ``lo``, as many as each of ``bufs``
-        holds, computed into the first records of ``bufs`` (in a
-        ``SlotPool`` worker, its slot)."""
+        holds, computed into the first records of ``bufs`` (in ``write_steps``, a
+        ring slot)."""
         return tuple(_records(buf, self.params, rays.rows(lo, lo + len(buf)))
                      for buf, rays in zip(bufs, self.rays))
 
@@ -717,33 +719,42 @@ def write_steps(
     progress: Callable[[int, int], None] | None = None,
     counters: dict[str, int] | None = None,
 ) -> tuple[list[HashingSink], tuple[int, int]]:
-    """The one step loop of the writers: ``write_files`` over the steps of
-    ``source``, each step written as ``encode(batches, score)``. With the
-    workers of ``pool_plan``, a ``SlotPool`` named ``name`` fills each step
-    (it computes a ``RayDataset``'s records in the workers, or copies in
-    the step this process draws, so a ``DatasetReader`` checks its shards
-    here) and scores it with ``score``; it is shut down before this
-    returns or raises. Without workers this process draws
-    ``source.steps()`` and the score is None. ``progress(done, total)``
+    """The step loop of ``build`` and ``beams``: ``write_files`` over the
+    steps of ``source``, each written as ``encode(batches, score)``. An
+    ``OrderedPool`` named ``name``, with ``pool_plan``'s workers, runs a
+    task per step on the step's ``Ring`` slot: it computes a
+    ``RayDataset``'s records there, or finds the step this process drew
+    and copied in (so a ``DatasetReader`` checks its shards here), and
+    scores them with ``score`` (None without it). ``progress(done, total)``
     counts the (BS, user) pairs written; ``counters`` gets ``workers``,
     ``users_per_step`` and ``workers_peak_rss_kib`` (0 without workers).
     """
     shards, n_users = len(source.bs_ids), source.n_users
     workers, users = pool_plan(source, score is not None)
-    computed = isinstance(source, RayDataset)
-    pool = parallel.SlotPool(name, workers, record_dtype(source.params), shards, users,
-                             source._compute if computed else None, score) if workers else None
-    with pool or contextlib.nullcontext():
-        if pool:
-            steps = pool.steps(n_users, None if computed else source.steps(users))
-        else:
-            steps = ((step, None) for step in source.steps(users))
+    with parallel.OrderedPool(name, workers) as pool:
+        ring = parallel.Ring(pool.window, record_dtype(source.params), shards, users)
+        computed = isinstance(source, RayDataset)
+
+        def task(n: int, count: int) -> tuple[int, T | None]:
+            batches = ring.get(n, count)
+            if computed:
+                batches = source._compute(batches, n * users)
+            return count, None if score is None else score(batches)
+
+        def drawn() -> Iterator[tuple[int, int]]:
+            for n, step in enumerate(source.steps(users)):
+                ring.put(n, step)
+                yield n, len(step[0])
+
+        tasks = (((n, min(users, n_users - lo)) for n, lo in enumerate(range(0, n_users, users)))
+                 if computed else drawn())
+        steps = ((ring.get(n, count), s) for n, (count, s) in enumerate(pool.map(task, tasks)))
         written = write_files(
             paths, heads, steps, lambda step: (step[0][0]["global_index"], encode(*step)),
             None if progress is None else lambda done: progress(shards * done, shards * n_users))
     if counters is not None:
         counters.update(workers=workers, users_per_step=users,
-                        workers_peak_rss_kib=pool.peak_rss_kib if pool else 0)
+                        workers_peak_rss_kib=pool.peak_rss_kib)
     return written
 
 

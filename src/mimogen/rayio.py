@@ -13,13 +13,17 @@ Layout (all little-endian):
 
 In memory a file's payload is a ``tracer.RayRows``: its user rows in the
 ``USER_ROW`` layout and its path rows in the ``PATH_ROW`` layout. The one
-encoder scatters both into one buffer; the one decoder scans the users'
-offsets and gathers both back with ``np.frombuffer``; the one validator
-checks the invariants column by column.
+encoder comes in two parts, so a file can be written a step of users at a
+time: ``encode_head`` packs the header and ``encode_rows`` checks a block
+of records and scatters both row kinds into one buffer (``write_rayfile``
+is one head and one block). The one decoder scans the users' offsets and
+gathers both back with ``np.frombuffer``; the one validator checks the
+invariants column by column.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass
@@ -37,6 +41,7 @@ MAX_PATHS = 25
 _HEADER = struct.Struct("<4sIId Q32s")
 _N_PATHS = struct.Struct("<H")
 _N_PATHS_AT = USER_ROW.fields["n_paths"][1]     # offset of n_paths in a user row
+_ASCENDING = "must be strictly ascending"
 
 
 class RayFileError(Exception):
@@ -75,8 +80,7 @@ class RayFile:
 
     @property
     def records(self) -> RayRows:
-        """The rows, which index and iterate as each user's ``PathList``,
-        built from the rows as it is asked for."""
+        """The rows, by their older name."""
         return self.rows
 
 
@@ -93,30 +97,34 @@ class Violation:
 
 def validate_rayfile(rf: RayFile) -> list[Violation]:
     """Check every invariant; returns an empty list iff the file is valid.
-
-    File-level violations come first, then each record's: its user index,
-    base station and path count, then each path's, in path order, with
-    every non-finite field before the range and order rules. The range and
-    order rules skip a path whose power or delay is not finite.
+    File-level violations come first, then each record's (``row_violations``).
     """
-    out: list[Violation] = []
-    users, paths = rf.rows.users, rf.rows.paths
-    if rf.header.user_count != len(users):
-        out.append(Violation(-1, "user_count",
-                             f"header says {rf.header.user_count}, file has {len(users)}"))
-    if rf.header.carrier_freq <= 0 or not math.isfinite(rf.header.carrier_freq):
-        out.append(Violation(-1, "carrier_freq", "must be finite and > 0"))
+    header, rows = rf.header, rf.rows
+    out = [] if header.user_count == len(rows) else [Violation(
+        -1, "user_count", f"header says {header.user_count}, file has {len(rows)}")]
+    return out + _head_violations(header) + row_violations(rows, header.bs_id)
 
+
+def _head_violations(header: RayFileHeader) -> list[Violation]:
+    finite = math.isfinite(header.carrier_freq) and header.carrier_freq > 0
+    return [] if finite else [Violation(-1, "carrier_freq", "must be finite and > 0")]
+
+
+def row_violations(rows: RayRows, bs_id: int, first: int = 0) -> list[Violation]:
+    """The violations of records ``first``... of a file of base station
+    ``bs_id``, whose rows are ``rows``: each record's user index (from the
+    second on; ``check_follows`` checks the first), base station and path
+    count, then each path's, in path order, non-finite fields first; the
+    range and order rules skip a path whose power or delay is not finite."""
+    users, paths = rows.users, rows.paths
     index = users["user_index"]
     record_rules = [
-        ("user_index", "must be strictly ascending",
-         np.concatenate([[False], index[1:] <= index[:-1]])),
-        ("bs_id", f"must match header bs_id {rf.header.bs_id}",
-         np.full(len(users), rf.rows.bs_id != rf.header.bs_id)),
+        ("user_index", _ASCENDING, np.concatenate([[False], index[1:] <= index[:-1]])),
+        ("bs_id", f"must match header bs_id {bs_id}", np.full(len(users), rows.bs_id != bs_id)),
         ("paths", f"at most {MAX_PATHS} paths per record", users["n_paths"] > MAX_PATHS),
     ]
     record = np.repeat(np.arange(len(users)), users["n_paths"])   # of each path
-    place = np.arange(len(paths)) - rf.rows.starts[record]         # in its record
+    place = np.arange(len(paths)) - rows.starts[record]           # in its record
     power, delay = paths["power"], paths["delay"]
     prev = np.concatenate([[np.nan], power[:-1]])
     ranged = np.isfinite(power) & np.isfinite(delay)
@@ -141,30 +149,68 @@ def validate_rayfile(rf: RayFile) -> list[Violation]:
     # Order the violations as one pass over records, then paths, would.
     keyed: list[tuple[tuple[int, int, int, int], Violation]] = []
     for k, (name, rule, mask) in enumerate(record_rules):
-        keyed += [((i, 0, 0, k), Violation(i, name, rule)) for i in np.flatnonzero(mask).tolist()]
+        keyed += [((i, 0, 0, k), Violation(first + i, name, rule))
+                  for i in np.flatnonzero(mask).tolist()]
     for k, (name, rule, mask) in enumerate(path_rules):
         for i, j in zip(record[mask].tolist(), place[mask].tolist()):
-            keyed.append(((i, 1, j, k), Violation(i, f"paths[{j}].{name}", rule)))
+            keyed.append(((i, 1, j, k), Violation(first + i, f"paths[{j}].{name}", rule)))
     keyed.sort(key=lambda kv: kv[0])
-    return out + [v for _, v in keyed]
+    return [v for _, v in keyed]
 
 
-def _user_bytes(n_paths: np.ndarray) -> np.ndarray:
-    """(U, user row size) byte offsets of each user row in a file whose
-    users have ``n_paths`` paths."""
+def check_follows(before: int | None, index: np.ndarray, first: int) -> None:
+    """Refuse the user indices ``index`` of records ``first``... unless the
+    first exceeds ``before``, the user index of record ``first - 1`` (None
+    at the file's start): the user-index rule across a step boundary."""
+    if before is not None and len(index) and index[0] <= before:
+        _refuse([Violation(first, "user_index", _ASCENDING)])
+
+
+def _refuse(violations: list[Violation]) -> None:
+    if violations:
+        raise RayFileSemanticError(
+            "refusing to write invalid ray data: " + "; ".join(str(v) for v in violations[:5]))
+
+
+def _layout(n_paths: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (U, user row size) byte offsets of each user row in a
+    ``size``-byte payload whose users have ``n_paths`` paths, and the mask
+    of its path-row bytes, the others."""
     path_bytes = PATH_ROW.itemsize * n_paths.astype(np.intp)
-    start = (HEADER_SIZE + USER_ROW.itemsize * np.arange(n_paths.size)
-             + np.cumsum(path_bytes) - path_bytes)
-    return start[:, None] + np.arange(USER_ROW.itemsize)
+    start = USER_ROW.itemsize * np.arange(n_paths.size) + np.cumsum(path_bytes) - path_bytes
+    user_bytes = start[:, None] + np.arange(USER_ROW.itemsize)
+    path_mask = np.ones(size, dtype=bool)
+    path_mask[user_bytes] = False
+    return user_bytes, path_mask
 
 
-def _path_bytes(size: int, user_bytes: np.ndarray) -> np.ndarray:
-    """Mask of a ``size``-byte file's path-row bytes: neither the header's
-    nor a user row's."""
-    mask = np.ones(size, dtype=bool)
-    mask[:HEADER_SIZE] = False
-    mask[user_bytes] = False
-    return mask
+def encode_head(header: RayFileHeader) -> bytes:
+    """The header of a file of ``header.user_count`` users. A carrier
+    frequency that is not finite and > 0 is refused, as is a scenario name
+    that does not encode in 32 bytes of UTF-8."""
+    _refuse(_head_violations(header))
+    try:
+        scenario = header.scenario.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise RayFileFormatError(f"scenario name not encodable: {exc}") from None
+    if len(scenario) > 32:
+        raise RayFileFormatError("scenario name longer than 32 bytes")
+    return _HEADER.pack(MAGIC, VERSION, header.bs_id, header.carrier_freq,
+                        header.user_count, scenario) + bytes(HEADER_SIZE - _HEADER.size)
+
+
+def encode_rows(rows: RayRows, bs_id: int, first: int = 0) -> np.ndarray:
+    """The payload bytes of the records ``rows``, records ``first``... of a
+    file of base station ``bs_id``: each user row, then its path rows.
+    Rows that break an invariant (``row_violations``) are refused with a
+    ``RayFileSemanticError``."""
+    _refuse(row_violations(rows, bs_id, first))
+    data = np.empty(len(rows) * USER_ROW.itemsize + len(rows.paths) * PATH_ROW.itemsize,
+                    dtype=np.uint8)
+    user_bytes, path_bytes = _layout(rows.users["n_paths"], data.size)
+    data[user_bytes] = np.ascontiguousarray(rows.users).view(np.uint8).reshape(user_bytes.shape)
+    data[path_bytes] = np.ascontiguousarray(rows.paths).view(np.uint8)
+    return data
 
 
 def write_rayfile(
@@ -172,42 +218,20 @@ def write_rayfile(
     header: RayFileHeader,
     sink: BinaryIO,
 ) -> int:
-    """Serialize to the binary layout; returns the byte count written.
-
-    The input is validated first; an unsorted or invariant-breaking input
-    raises :class:`RayFileSemanticError`.
+    """Serialize to the binary layout, ``encode_head`` with the user count
+    of ``rays`` and one ``encode_rows`` block; returns the byte count
+    written. Invariant-breaking input raises :class:`RayFileSemanticError`.
     """
     if not isinstance(rays, RayRows):
         try:
             rays = RayRows.from_path_lists(rays)
         except ValueError as exc:
             raise RayFileSemanticError(f"refusing to write invalid ray data: {exc}") from None
-    rf = RayFile(header=RayFileHeader(
-        bs_id=header.bs_id, carrier_freq=header.carrier_freq,
-        user_count=len(rays), scenario=header.scenario,
-    ), rows=rays)
-    violations = validate_rayfile(rf)
-    if violations:
-        raise RayFileSemanticError(
-            "refusing to write invalid ray data: " + "; ".join(str(v) for v in violations[:5])
-        )
-    try:
-        scenario = header.scenario.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise RayFileFormatError(f"scenario name not encodable: {exc}") from None
-    if len(scenario) > 32:
-        raise RayFileFormatError("scenario name longer than 32 bytes")
-
-    head = _HEADER.pack(MAGIC, VERSION, header.bs_id, header.carrier_freq,
-                        len(rays), scenario)
-    size = HEADER_SIZE + len(rays) * USER_ROW.itemsize + len(rays.paths) * PATH_ROW.itemsize
-    data = np.zeros(size, dtype=np.uint8)
-    data[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    user_bytes = _user_bytes(rays.users["n_paths"])
-    data[user_bytes] = np.ascontiguousarray(rays.users).view(np.uint8).reshape(user_bytes.shape)
-    data[_path_bytes(size, user_bytes)] = np.ascontiguousarray(rays.paths).view(np.uint8)
+    head = encode_head(dataclasses.replace(header, user_count=len(rays)))
+    data = encode_rows(rays, header.bs_id)
+    sink.write(head)
     sink.write(memoryview(data))
-    return size
+    return len(head) + data.size
 
 
 def read_rayfile(source: BinaryIO) -> RayFile:
@@ -262,10 +286,11 @@ def read_rayfile(source: BinaryIO) -> RayFile:
             f"{len(data) - offset} trailing bytes after last record (offset {offset})"
         )
 
-    raw = np.frombuffer(data, dtype=np.uint8)
-    user_bytes = _user_bytes(n_paths)
+    raw = np.frombuffer(data, dtype=np.uint8, offset=HEADER_SIZE)
+    user_bytes, path_bytes = _layout(n_paths, raw.size)
     rows = RayRows(bs_id, raw[user_bytes].view(USER_ROW).reshape(user_count),
-                   raw[_path_bytes(len(data), user_bytes)].view(PATH_ROW))
+                   raw[path_bytes].view(PATH_ROW))
+    del user_bytes, path_bytes      # a byte each of the file: not held while validating
     rf = RayFile(
         header=RayFileHeader(bs_id=bs_id, carrier_freq=carrier_freq,
                              user_count=user_count, scenario=scenario),

@@ -101,12 +101,6 @@ class RayRows:
         paths = np.array([_PATH_VALUES(p) for pl in path_lists for p in pl.paths], PATH_ROW)
         return cls(bs_id, users, paths)
 
-    @classmethod
-    def concat(cls, bs_id: int, blocks: Sequence["RayRows"]) -> "RayRows":
-        """The rows of ``blocks`` one after another."""
-        return cls(bs_id, np.concatenate([np.empty(0, USER_ROW)] + [b.users for b in blocks]),
-                   np.concatenate([np.empty(0, PATH_ROW)] + [b.paths for b in blocks]))
-
     @functools.cached_property
     def starts(self) -> np.ndarray:
         """(U + 1,) index of each user's first path row, then P."""
@@ -389,7 +383,7 @@ def _segments_blocked(
     a = p0[ui]
     bmin = boxes[bi, 0, :]
     bmax = boxes[bi, 1, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t1 = (bmin - a) / d
         t2 = (bmax - a) / d
     tlo = np.fmin(t1, t2)

@@ -243,7 +243,7 @@ def dense_segments_blocked(p0: np.ndarray, p1: np.ndarray, boxes: np.ndarray) ->
     bmin = boxes[None, :, 0, :]                    # (1, B, 3)
     bmax = boxes[None, :, 1, :]
     a = p0[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t1 = (bmin - a) / d[:, None, :]
         t2 = (bmax - a) / d[:, None, :]
     tlo = np.fmin(t1, t2)

@@ -233,9 +233,9 @@ def test_criterion_8_roundtrip_and_fuzz(rng):
             write_rayfile(pls, header, buf)
             data = buf.getvalue()
             rf = read_rayfile(io.BytesIO(data))
-            assert list(rf.records) == pls
+            assert list(rf.rows) == pls
             buf2 = io.BytesIO()
-            write_rayfile(list(rf.records), rf.header, buf2)
+            write_rayfile(list(rf.rows), rf.header, buf2)
             assert buf2.getvalue() == data
             if len(ray_corpus) < 4:
                 ray_corpus.append(data)

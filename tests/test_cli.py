@@ -8,15 +8,18 @@ import re
 import shutil
 import signal
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from mimogen import beams, dataset, parallel, tracer
+from mimogen import beams, cli, dataset, parallel, tracer
 from mimogen.cli import ProgressReporter, build_parser, run
 from mimogen.dataset import DatasetReader, content_hash, record_dtype
 from mimogen.params import KEYS, ParamSet
-from mimogen.rayio import HEADER_SIZE, read_rayfile
+from mimogen.rayio import HEADER_SIZE, MAX_PATHS, read_rayfile
+from mimogen.scene import scene_from_json, users_in_row_range
 
 from conftest import rewrite_shard
 
@@ -97,16 +100,21 @@ class TestPipeline:
         fixed = {f"bs{b:03d}.{key}" for b in (3, 4) for key in (
             "image_nodes", "image_nodes_searched", "image_nodes_yielding",
             "paths", "users_without_paths")}
-        assert fixed <= set(counters)
+        run_keys = {"workers", "users_per_step", "workers_peak_rss_kib", "peak_rss_kib"}
+        assert fixed | run_keys <= set(counters)
         assert all(re.fullmatch(r"bs00[34]\.users_with_\d+_paths", key)
-                   for key in set(counters) - fixed)
+                   for key in set(counters) - fixed - run_keys)
+        # One step of 6 users: traced in this process.
+        assert (counters["workers"], counters["users_per_step"],
+                counters["workers_peak_rss_kib"]) == (0, 1024, 0)
+        assert counters["peak_rss_kib"] > 0
         assert counters["bs003.image_nodes"] == 1802
         for b in (3, 4):
             assert (0 < counters[f"bs{b:03d}.image_nodes_yielding"]
                     <= counters[f"bs{b:03d}.image_nodes_searched"]
                     < counters[f"bs{b:03d}.image_nodes"])
             with (rays / f"rays_bs{b:03d}.drf").open("rb") as fh:
-                records = read_rayfile(fh).records
+                records = read_rayfile(fh).rows
             assert counters[f"bs{b:03d}.paths"] == sum(len(r.paths) for r in records) > 0
             assert counters[f"bs{b:03d}.users_without_paths"] == sum(
                 not r.paths for r in records)
@@ -116,7 +124,7 @@ class TestPipeline:
         counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
         for b in (3, 4):
             with (rays / f"rays_bs{b:03d}.drf").open("rb") as fh:
-                records = read_rayfile(fh).records
+                records = read_rayfile(fh).rows
             hist = {int(m[1]): n for key, n in counters.items()
                     if (m := re.fullmatch(rf"bs{b:03d}\.users_with_(\d+)_paths", key))}
             assert hist and all(n > 0 for n in hist.values())
@@ -134,7 +142,7 @@ class TestPipeline:
         assert (ds_dir / "shard_bs004.dmds").exists()
         with (tmp_path / "rays" / "rays_bs003.drf").open("rb") as fh, \
                 pytest.raises(AssertionError, match="PathRecord"):
-            read_rayfile(fh).records[0]
+            read_rayfile(fh).rows[0]
 
     def test_full_pipeline(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)
@@ -158,6 +166,44 @@ class TestPipeline:
         assert run(["validate", str(rays / "rays_bs003.drf"), "--quiet"]) == 0
         assert run(["validate", str(ds_dir / "shard_bs003.dmds"), "--quiet"]) == 0
         assert run(["validate", str(ds_dir), "--quiet"]) == 0
+
+    def test_trace_holds_a_few_steps(self, tmp_path, monkeypatch):
+        # 4,000 users of 2 base stations, 25 paths each (a synthetic tracer),
+        # in 80 steps of 50 users traced by 2 workers: this process holds
+        # the window's 4 chunks and the step it writes, about 0.4 MB, not
+        # the 12 MB of ray files.
+        scene = tmp_path / "scene.json"
+        sets = [s.replace("users_per_row=3", "users_per_row=2000") for s in TINY_SCENE_SETS]
+        assert run(["scene", "--out", str(scene), "--quiet", *sets]) == 0
+
+        def many_paths(scene, bs_id, positions, user_indices, max_reflections, max_paths):
+            users = np.zeros(len(user_indices), tracer.USER_ROW)
+            users["user_index"] = user_indices
+            users["position"] = positions
+            users["n_paths"] = MAX_PATHS
+            paths = np.zeros(len(users) * MAX_PATHS, tracer.PATH_ROW)
+            paths["power"] = np.tile(np.geomspace(1e-6, 1e-9, MAX_PATHS), len(users))
+            paths["delay"] = 1e-7
+            return tracer.PathBatch(bs_id, users, paths)
+
+        monkeypatch.setattr(cli, "trace_paths_batch", many_paths)
+        monkeypatch.setattr(cli, "_TRACE_CHUNK", 50)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        rays = tmp_path / "rays"
+        tracemalloc.start()
+        try:
+            assert run(["trace", "--scene", str(scene), "--bs", "3,4",
+                        "--active_user_first", "1", "--active_user_last", "2",
+                        "--out-dir", str(rays), "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
+        assert (counters["workers"], counters["users_per_step"]) == (2, 50)
+        assert counters["bs003.users_with_25_paths"] == 4000
+        size = sum(path.stat().st_size for path in rays.glob("rays_bs*.drf"))
+        assert size > 11_000_000
+        assert peak < size / 4
 
     def test_no_leftover_temp_files(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file, bs="3")
@@ -418,6 +464,49 @@ class TestErrors:
         assert sorted(ds_dir.glob("*")) == []    # no shard, manifest or *.tmp~
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("failure,message", [
+        ("tracer raises", "'unknown base station id 4'"),
+        ("worker raises", "a trace worker failed: RuntimeError: boom"),
+        ("worker dies", "a trace worker process ended abruptly"),
+        ("users out of order", "refusing to write invalid ray data: "
+                               "record 4: user_index: must be strictly ascending"),
+    ])
+    def test_trace_failure_leaves_nothing(self, tmp_path, scene_file, capsys, monkeypatch,
+                                          failure, message):
+        last = int(users_in_row_range(scene_from_json(scene_file.read_text()), 1, 2)[-1])
+        # In this process, one step of the 6 users; in 2 workers, 3 steps of
+        # 2 users. The failure comes in the last step, base station 4 (or 3
+        # for the user order, checked here as the steps are taken), after
+        # every other chunk has been traced.
+        if failure != "tracer raises":
+            monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+            monkeypatch.setattr(cli, "_TRACE_CHUNK", 2)
+        traced = cli.trace_paths_batch
+
+        def fail_last(scene, bs_id, positions, user_indices, **kw):
+            batch = traced(scene, bs_id, positions, user_indices=user_indices, **kw)
+            if user_indices[-1] == last and failure == "users out of order":
+                batch.users["user_index"] -= 1      # the first repeats the step before's last
+            elif user_indices[-1] == last and bs_id == 4:
+                if failure == "tracer raises":
+                    raise KeyError("unknown base station id 4")
+                if failure == "worker raises":
+                    raise RuntimeError("boom")
+                os._exit(3)
+            return batch
+
+        monkeypatch.setattr(cli, "trace_paths_batch", fail_last)
+        rays = tmp_path / "rays"
+        with _deadline(60):
+            assert run(["trace", "--scene", str(scene_file), "--bs", "3,4",
+                        "--active_user_first", "1", "--active_user_last", "2",
+                        "--out-dir", str(rays), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert sorted(rays.glob("*")) == []      # no ray file, manifest or *.tmp~
+        assert multiprocessing.active_children() == []
+
     def test_unknown_bs_in_trace(self, tmp_path, scene_file):
         rc = run([
             "trace", "--scene", str(scene_file), "--bs", "99",
@@ -442,7 +531,7 @@ class TestErrors:
         f = _trace(tmp_path, scene_file, bs="3") / "rays_bs003.drf"
         data = bytearray(f.read_bytes())
         with f.open("rb") as fh:
-            records = read_rayfile(fh).records
+            records = read_rayfile(fh).rows
         # The power of the first path: 8 + 3 * 8 + 2 bytes of user head, then
         # four angles, before it in the first user's record that has paths.
         offset = HEADER_SIZE

@@ -116,7 +116,7 @@ class TestBuild:
         sources = _ray_sources(rng, tiny_scene, p)
         ds = build_dataset(sources, p, tiny_scene)
         for b_ord, bs_id in enumerate(ds.bs_ids, start=1):
-            by_index = {pl.user_index: pl for pl in sources[bs_id].records}
+            by_index = {pl.user_index: pl for pl in sources[bs_id].rows}
             for u_ord in range(1, ds.n_users + 1):
                 gidx = ds.user_for_ordinal(u_ord)
                 want = channel_matrix_oracle(by_index[gidx].paths, p)
@@ -130,7 +130,7 @@ class TestBuild:
         assert list(source.gaps) == [1, 0]
         ds = build_dataset(sources, p, tiny_scene)
         for b_ord, bs_id in enumerate(ds.bs_ids, start=1):
-            by_index = {pl.user_index: pl for pl in sources[bs_id].records}
+            by_index = {pl.user_index: pl for pl in sources[bs_id].rows}
             for u_ord in range(1, ds.n_users + 1):
                 gidx = ds.user_for_ordinal(u_ord)
                 want = channel_matrix_oracle(by_index[gidx].paths if gidx in by_index else (),
@@ -195,7 +195,7 @@ class TestBuild:
         p = _params()
         sources = _ray_sources(rng, tiny_scene, p)
         sources[5] = replace(sources[5],
-                             rows=RayRows.from_path_lists(list(sources[5].records)[::-1]))
+                             rows=RayRows.from_path_lists(list(sources[5].rows)[::-1]))
         with pytest.raises(DatasetError, match="base station 5.*ascending"):
             shard_sources(sources, p, tiny_scene)
 
@@ -228,7 +228,7 @@ class TestBuild:
             "grid3.n_rows=1\ngrid3.users_per_row=1\n"
         ))
         ds = build_dataset(sources, p, shifted)
-        assert tuple(ds.shards[0]["location"][0]) == sources[3].records[0].user_position
+        assert tuple(ds.shards[0]["location"][0]) == sources[3].rows[0].user_position
 
     def test_progress_reaches_total(self, rng, tiny_scene, tmp_path, monkeypatch):
         p = _params()

@@ -20,7 +20,11 @@ from mimogen.rayio import (
     RayFileHeader,
     RayFileSemanticError,
     RayFileVersionError,
+    check_follows,
+    encode_head,
+    encode_rows,
     read_rayfile,
+    row_violations,
     validate_rayfile,
     write_rayfile,
 )
@@ -70,7 +74,7 @@ class TestLayout:
 class TestRoundTrip:
     def test_empty(self):
         rf = read_rayfile(io.BytesIO(_write_bytes([])))
-        assert list(rf.records) == []
+        assert list(rf.rows) == []
         assert rf.header.scenario == "O1_60"
         assert rf.header.carrier_freq == 60e9
 
@@ -79,9 +83,9 @@ class TestRoundTrip:
             pls = _random_lists(rng, int(rng.integers(0, 12)))
             data = _write_bytes(pls)
             rf = read_rayfile(io.BytesIO(data))
-            assert list(rf.records) == pls
+            assert list(rf.rows) == pls
             # serialization is canonical: re-writing reproduces the bytes
-            assert _write_bytes(list(rf.records)) == data
+            assert _write_bytes(list(rf.rows)) == data
 
     def test_float_fidelity(self):
         p = PathRecord(aod_az=-179.999999999, aod_el=1e-300, aoa_az=0.1 + 0.2,
@@ -90,9 +94,9 @@ class TestRoundTrip:
         pl = PathList(bs_id=1, user_index=7, user_position=(0.1, -0.2, 1e300),
                       paths=(p,))
         rf = read_rayfile(io.BytesIO(_write_bytes([pl], _header(1, bs_id=1))))
-        got = rf.records[0].paths[0]
+        got = rf.rows[0].paths[0]
         assert got == p
-        assert rf.records[0].user_position == pl.user_position
+        assert rf.rows[0].user_position == pl.user_position
 
 
 class TestReadErrors:
@@ -293,6 +297,71 @@ class TestValidatorOracle:
                for i in (2**64 - 2, 2**64 - 1, 2**64 - 1)]
         assert [(v.record_index, v.field) for v in self._check(_header(3), pls)] == [
             (0, "paths"), (1, "paths"), (2, "user_index"), (2, "paths")]
+
+
+def _steps(n, cuts):
+    """(first, end) of each step of ``n`` records cut before each of ``cuts``."""
+    starts = sorted({0, *(c for c in cuts if 0 < c < n)}) if n else []
+    return list(zip(starts, starts[1:] + [n]))
+
+
+class TestStreamedWrite:
+    """A file written as ``trace`` writes it: the head, then one chunk of
+    records per step, each step's rows checked on their own and its first
+    user index against the step before's last."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 12), cuts=st.lists(st.integers(0, 12), max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_write_rayfile(self, n, cuts, seed):
+        rows = RayRows.from_path_lists(_random_lists(np.random.default_rng(seed), n))
+        data = [encode_head(_header(n))]
+        before = None
+        for lo, hi in _steps(n, cuts):
+            step = rows.rows(lo, hi)
+            check_follows(before, step.users["user_index"], lo)
+            data.append(encode_rows(step, 3, lo).tobytes())
+            before = int(step.users["user_index"][-1])
+        assert b"".join(data) == _write_bytes(rows, _header(n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(_record, max_size=6), cuts=st.lists(st.integers(0, 6), max_size=4),
+           bs_id=st.sampled_from([3, 4]))
+    def test_step_checks_equal_the_oracle(self, records, cuts, bs_id):
+        # Each step's violations, numbered from its first record, are the
+        # oracle's for those records, but for the user index of a step's
+        # first record, which only the boundary check sees.
+        rows = RayRows.from_path_lists(records)
+        steps = _steps(len(records), cuts)
+        want = [v for v in validate_rayfile_oracle(_header(len(records), bs_id), records)
+                if v.record_index >= 0]
+        boundary = [v for v in want if v.field == "user_index"
+                    and v.record_index in {lo for lo, _ in steps}]
+        got, refused, before = [], [], None
+        for lo, hi in steps:
+            step = rows.rows(lo, hi)
+            got += row_violations(step, bs_id, lo)
+            try:
+                check_follows(before, step.users["user_index"], lo)
+            except RayFileSemanticError as exc:
+                refused.append(str(exc))
+            before = int(step.users["user_index"][-1])
+        assert got == [v for v in want if v not in boundary]
+        assert refused == [f"refusing to write invalid ray data: {v}" for v in boundary]
+
+    def test_boundary_break_is_refused(self, rng):
+        rows = RayRows.from_path_lists(_random_lists(rng, 4))
+        index = rows.users["user_index"]
+        check_follows(None, index, 0)               # no record before the first
+        check_follows(int(index[1]), index[2:], 2)
+        with pytest.raises(RayFileSemanticError, match=r"^refusing to write invalid ray data: "
+                           r"record 2: user_index: must be strictly ascending$"):
+            check_follows(int(index[2]), index[2:], 2)
+        pl = _valid_record(rng)
+        unsorted = RayRows.from_path_lists([dataclasses.replace(pl, paths=pl.paths[::-1])])
+        with pytest.raises(RayFileSemanticError, match=r"^refusing to write invalid ray data: "
+                           r"record 4: paths\[1\]\.power: paths sorted by power descending;"):
+            encode_rows(unsorted, 3, 4)
 
 
 def _rows(n_users, paths_per_user, rng):

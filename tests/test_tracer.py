@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ class TestFreeSpace:
         buf = io.BytesIO()
         write_rayfile([pl], header, buf)
         rf = read_rayfile(io.BytesIO(buf.getvalue()))
-        assert list(rf.records) == [pl]
+        assert list(rf.rows) == [pl]
         assert validate_rayfile(rf) == []
 
     def test_unknown_bs(self):
@@ -537,3 +538,15 @@ class TestOcclusionPrefilter:
         got = _segments_blocked(p0, p1, boxes)
         np.testing.assert_array_equal(got, dense_segments_blocked(p0, p1, boxes))
         assert got.tolist() == [True, True, False, False, False, True]
+
+    def test_subnormal_direction_does_not_warn(self):
+        # 1e-310 is subnormal: the slab divide overflows to -inf/inf, which
+        # the test reads as it reads an axis-parallel segment's.
+        boxes = np.array([[[-1.0, -1.0, -1.0], [2.0, 2.0, 2.0]]])
+        p0, p1 = np.array([[0.0, 0.0, 0.0]]), np.array([[1e-310, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _segments_blocked(p0, p1, boxes)
+            want = dense_segments_blocked(p0, p1, boxes)
+        np.testing.assert_array_equal(got, want)
+        assert got.tolist() == [True]
