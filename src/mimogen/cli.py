@@ -69,6 +69,7 @@ from .scene import (
 from .tracer import image_node_counts, trace_paths_batch
 
 _TRACE_CHUNK = 1024
+_TRACE_POOL_STEPS = 5      # the fewest trace steps that fork workers (measured: README)
 
 
 class ProgressReporter:
@@ -241,8 +242,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     outputs = [outdir / f"rays_bs{bs_id:03d}.drf" for bs_id in bs_ids]
     heads = [encode_head(RayFileHeader(bs_id, scene.carrier_freq, indices.size, scene.name))
              for bs_id in bs_ids]
-    # Workers only for more than one step: one step would wait for them.
-    workers = min(parallel.worker_count(), len(starts)) if len(starts) > 1 else 0
+    workers = min(parallel.worker_count(), len(starts)) if len(starts) >= _TRACE_POOL_STEPS else 0
     with OrderedPool("trace", workers) as pool:
         traced = pool.map(trace, ((lo, bs_id) for lo in starts for bs_id in bs_ids))
         steps = ((lo, [next(traced) for _ in bs_ids]) for lo in starts)

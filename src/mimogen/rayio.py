@@ -23,10 +23,9 @@ invariants column by column.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -78,10 +77,7 @@ class RayFile:
     header: RayFileHeader
     rows: RayRows
 
-    @property
-    def records(self) -> RayRows:
-        """The rows, by their older name."""
-        return self.rows
+    records = property(lambda self: self.rows)     # their older name, read by bench/gate.py
 
 
 @dataclass(frozen=True)
@@ -205,6 +201,10 @@ def encode_rows(rows: RayRows, bs_id: int, first: int = 0) -> np.ndarray:
     Rows that break an invariant (``row_violations``) are refused with a
     ``RayFileSemanticError``."""
     _refuse(row_violations(rows, bs_id, first))
+    return _pack(rows)
+
+
+def _pack(rows: RayRows) -> np.ndarray:
     data = np.empty(len(rows) * USER_ROW.itemsize + len(rows.paths) * PATH_ROW.itemsize,
                     dtype=np.uint8)
     user_bytes, path_bytes = _layout(rows.users["n_paths"], data.size)
@@ -218,17 +218,17 @@ def write_rayfile(
     header: RayFileHeader,
     sink: BinaryIO,
 ) -> int:
-    """Serialize to the binary layout, ``encode_head`` with the user count
-    of ``rays`` and one ``encode_rows`` block; returns the byte count
-    written. Invariant-breaking input raises :class:`RayFileSemanticError`.
-    """
+    """Serialize to the binary layout, ``encode_head`` with the user count of
+    ``rays`` and one block of records; returns the byte count written. Input
+    that breaks an invariant raises :class:`RayFileSemanticError` first."""
     if not isinstance(rays, RayRows):
         try:
             rays = RayRows.from_path_lists(rays)
         except ValueError as exc:
             raise RayFileSemanticError(f"refusing to write invalid ray data: {exc}") from None
-    head = encode_head(dataclasses.replace(header, user_count=len(rays)))
-    data = encode_rows(rays, header.bs_id)
+    header = replace(header, user_count=len(rays))
+    _refuse(validate_rayfile(RayFile(header, rays)))
+    head, data = encode_head(header), _pack(rays)
     sink.write(head)
     sink.write(memoryview(data))
     return len(head) + data.size

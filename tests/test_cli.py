@@ -119,6 +119,25 @@ class TestPipeline:
             assert counters[f"bs{b:03d}.users_without_paths"] == sum(
                 not r.paths for r in records)
 
+    @pytest.mark.parametrize("chunk,workers", [(2, 0), (1, 2)])
+    def test_trace_forks_from_five_steps(self, tmp_path, scene_file, monkeypatch,
+                                         chunk, workers):
+        # The 6 users in 3 steps stay in this process, in 6 steps go to 2
+        # workers; either way the files and the per-user counters are those
+        # of one step (the tree searches are counted per step).
+        whole = _trace(tmp_path / "whole", scene_file)
+        monkeypatch.setattr(cli, "_TRACE_CHUNK", chunk)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        rays = _trace(tmp_path, scene_file)
+        counters, expected = (json.loads((d / "trace.manifest.json").read_text())["counters"]
+                              for d in (rays, whole))
+        assert (counters["workers"], counters["users_per_step"]) == (workers, chunk)
+        per_user = {k for k in expected if k.startswith("bs") and "_nodes_" not in k}
+        assert {k: counters[k] for k in per_user} == {k: expected[k] for k in per_user}
+        for b in (3, 4):
+            name = f"rays_bs{b:03d}.drf"
+            assert (rays / name).read_bytes() == (whole / name).read_bytes()
+
     def test_trace_manifest_histogram_of_paths_per_user(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file)
         counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
@@ -167,11 +186,12 @@ class TestPipeline:
         assert run(["validate", str(ds_dir / "shard_bs003.dmds"), "--quiet"]) == 0
         assert run(["validate", str(ds_dir), "--quiet"]) == 0
 
-    def test_trace_holds_a_few_steps(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_trace_holds_a_few_steps(self, tmp_path, monkeypatch, workers):
         # 4,000 users of 2 base stations, 25 paths each (a synthetic tracer),
-        # in 80 steps of 50 users traced by 2 workers: this process holds
-        # the window's 4 chunks and the step it writes, about 0.4 MB, not
-        # the 12 MB of ray files.
+        # in 80 steps of 50 users traced by 2 workers or in this process:
+        # it holds the window's chunks (4, or 1) and the step it writes,
+        # about 0.4 MB, not the 12 MB of ray files.
         scene = tmp_path / "scene.json"
         sets = [s.replace("users_per_row=3", "users_per_row=2000") for s in TINY_SCENE_SETS]
         assert run(["scene", "--out", str(scene), "--quiet", *sets]) == 0
@@ -188,7 +208,7 @@ class TestPipeline:
 
         monkeypatch.setattr(cli, "trace_paths_batch", many_paths)
         monkeypatch.setattr(cli, "_TRACE_CHUNK", 50)
-        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         rays = tmp_path / "rays"
         tracemalloc.start()
         try:
@@ -199,7 +219,7 @@ class TestPipeline:
         finally:
             tracemalloc.stop()
         counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
-        assert (counters["workers"], counters["users_per_step"]) == (2, 50)
+        assert (counters["workers"], counters["users_per_step"]) == (workers, 50)
         assert counters["bs003.users_with_25_paths"] == 4000
         size = sum(path.stat().st_size for path in rays.glob("rays_bs*.drf"))
         assert size > 11_000_000
@@ -469,18 +489,18 @@ class TestErrors:
         ("worker raises", "a trace worker failed: RuntimeError: boom"),
         ("worker dies", "a trace worker process ended abruptly"),
         ("users out of order", "refusing to write invalid ray data: "
-                               "record 4: user_index: must be strictly ascending"),
+                               "record 5: user_index: must be strictly ascending"),
     ])
     def test_trace_failure_leaves_nothing(self, tmp_path, scene_file, capsys, monkeypatch,
                                           failure, message):
         last = int(users_in_row_range(scene_from_json(scene_file.read_text()), 1, 2)[-1])
-        # In this process, one step of the 6 users; in 2 workers, 3 steps of
-        # 2 users. The failure comes in the last step, base station 4 (or 3
+        # In this process, one step of the 6 users; in 2 workers, 6 steps of
+        # 1 user. The failure comes in the last step, base station 4 (or 3
         # for the user order, checked here as the steps are taken), after
         # every other chunk has been traced.
         if failure != "tracer raises":
             monkeypatch.setattr(parallel, "worker_count", lambda: 2)
-            monkeypatch.setattr(cli, "_TRACE_CHUNK", 2)
+            monkeypatch.setattr(cli, "_TRACE_CHUNK", 1)
         traced = cli.trace_paths_batch
 
         def fail_last(scene, bs_id, positions, user_indices, **kw):

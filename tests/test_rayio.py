@@ -75,6 +75,7 @@ class TestRoundTrip:
     def test_empty(self):
         rf = read_rayfile(io.BytesIO(_write_bytes([])))
         assert list(rf.rows) == []
+        assert rf.records is rf.rows        # the older name, still read by bench/gate.py
         assert rf.header.scenario == "O1_60"
         assert rf.header.carrier_freq == 60e9
 
@@ -158,6 +159,17 @@ class TestWriteErrors:
         b = random_path_list(rng, 3, 5)
         with pytest.raises(RayFileSemanticError, match="ascending"):
             write_rayfile([a, b], _header(2), io.BytesIO())
+
+    def test_record_violations_come_before_format_errors(self, rng):
+        # Descending user indices with a 33-byte scenario name and a zero
+        # carrier: the records' and the carrier's violations, in one message.
+        pls = [random_path_list(rng, 3, 10), random_path_list(rng, 3, 5)]
+        header = dataclasses.replace(_header(2, scenario="x" * 33), carrier_freq=0.0)
+        with pytest.raises(RayFileSemanticError) as info:
+            write_rayfile(pls, header, io.BytesIO())
+        assert str(info.value) == ("refusing to write invalid ray data: file: carrier_freq: "
+                                   "must be finite and > 0; record 1: user_index: "
+                                   "must be strictly ascending")
 
     def test_refuses_mismatched_bs(self, rng):
         pl = random_path_list(rng, 4, 10)
