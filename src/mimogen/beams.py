@@ -202,7 +202,7 @@ def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
     and rows (``_ml_csv``), which are written in step order, so the bytes
     do not depend on the number of workers. Both files are renamed into
     place only after the last step, so an error raised while the steps are
-    drawn or scored (such as a shard failing its hash check at its end, a
+    filled or scored (such as a shard failing its hash check at its end, a
     ``DatasetError``, or a worker that fails or dies, a ``WorkerError``)
     leaves neither file and no manifest.
     """
@@ -223,7 +223,7 @@ def verify_ml_dataset(outdir: Path | str) -> None:
     features.csv and labels.csv, and each has the listed byte size and
     content hash (read a chunk at a time)."""
     outdir = Path(outdir)
-    manifest = Manifest.from_text((outdir / ML_MANIFEST).read_text())
+    manifest = Manifest.read(outdir / ML_MANIFEST)
     names = tuple(e.filename for e in manifest.entries)
     if names != ML_FILES:
         raise DatasetError(f"{ML_MANIFEST} lists {names}, expected {ML_FILES}")

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__, parallel
+from . import __version__, dataset, parallel
 from .beams import (
     ML_MANIFEST,
     BeamEvalConfig,
@@ -34,18 +34,19 @@ from .beams import (
 from .dataset import (
     DatasetError,
     DatasetReader,
+    Manifest,
     ScenarioMismatchError,
     ShardReader,
     active_user_indices,
     atomic_write,
-    batch_users,
     content_hash,
     file_digest,
     shard_sources,
+    verify_files,
     write_files,
     write_shards,
 )
-from .kvconfig import ConfigError, KVEntry, merge_kv
+from .kvconfig import ConfigError, KVEntry, merge_kv, read_text
 from .parallel import OrderedPool, WorkerError, peak_rss_kib
 from .params import KEYS, ParamSet, ParamError, params_from_entries, serialize_params
 from .rayio import (
@@ -135,14 +136,14 @@ def _default_outdir() -> str:
     return os.environ.get("MIMOGEN_OUT_DIR", ".")
 
 
-def _load_scene(path: str) -> Scene:
-    return scene_from_json(Path(path).read_text())
+def _load_scene(path: str | Path) -> Scene:
+    return scene_from_json(read_text(path, SceneConfigError))
 
 
 def _merged_config(args: argparse.Namespace, flags: Iterable[str] = ()) -> dict[str, KVEntry]:
     """``--config`` file < ``--set`` items < the given per-key flags."""
     return merge_kv(
-        Path(args.config).read_text() if args.config else None,
+        read_text(args.config) if args.config else None,
         args.set or (),
         {f: getattr(args, f) for f in flags if getattr(args, f) is not None},
     )
@@ -346,9 +347,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         if (path / ML_MANIFEST).is_file():
             verify_ml_dataset(path)
         elif path.is_dir():
-            with DatasetReader(path) as ds:
-                for _ in ds.steps():
-                    pass
+            manifest = Manifest.read(path / "manifest.txt")
+            if manifest.entries and all(e.filename.endswith(".csv") for e in manifest.entries):
+                verify_files(path, manifest)        # a `build --format csv` export
+            else:
+                with DatasetReader(path) as ds:
+                    for _ in dataset.steps(ds):
+                        pass
         else:
             with path.open("rb") as fh:
                 head = fh.read(4)
@@ -357,11 +362,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                     read_rayfile(fh)        # raises on any violation
             elif head == b"DMDS":
                 with path.open("rb") as fh:
-                    shard = ShardReader(fh, path.name)
-                    for _ in shard.batches(batch_users(shard.params)):
-                        pass
+                    ShardReader(fh, path.name)      # a shard alone has no hash to check
             else:
-                scene_from_json(path.read_text())
+                _load_scene(path)
     except (RayFileError, DatasetError, SceneConfigError, ConfigError, ParamError,
             OSError, UnicodeDecodeError) as exc:
         problems.append(f"{type(exc).__name__}: {exc}")

@@ -21,18 +21,19 @@ buffer. The manifest has one line per shard:
 first 16 hex digits of the shard's SHA-256.
 
 Three producers serve the same records through one surface: ``params``,
-``scenario_name``, ``bs_ids``, ``n_users`` and ``steps(users=None)``, one
-``record_dtype`` batch per active base station per step, all of the same
-users, within ``_BATCH_BYTES`` in all. ``shard_sources``' ``RayDataset``
-computes them from ray files; ``DatasetReader`` reads them from a shard
-directory, one ``ShardReader`` per shard, each checking its SHA-256 as its
-last record is read; ``Dataset`` holds them in memory. ``write_shards``
-and ``beams.write_ml_dataset`` drain any of them with ``write_steps``
-(planned by ``pool_plan``): the ordered pool of ``parallel`` over a ring
-of record slots, into ``write_files``, the one atomic writer, so memory is
-bounded by a step, not the dataset. ``trace`` runs the same pool and
-writer over its ray-file chunks.
-``build_dataset`` and ``load_dataset`` take one step over all users.
+``scenario_name``, ``bs_ids``, ``n_users`` and ``fill(batches, lo)``, which
+writes the records of the users from ``lo`` into the caller's arrays, one
+``record_dtype`` batch per active base station. ``shard_sources``'
+``RayDataset`` computes them from ray files; ``DatasetReader`` reads them
+in order from a shard directory, each ``ShardReader`` checking its SHA-256
+as its last record is read; ``Dataset`` copies them from memory.
+``write_shards`` and ``beams.write_ml_dataset`` drain any of them with
+``write_steps`` (planned by ``pool_plan``): the ordered pool of
+``parallel`` over a shared ring of record slots that the producer fills,
+into ``write_files``, the one atomic writer, so memory is bounded by a
+step, not the dataset. ``trace`` runs the same pool and writer over its
+ray-file chunks. ``steps`` fills reused buffers step by step;
+``build_dataset`` and ``load_dataset`` fill whole arrays at once.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import contextlib
 import hashlib
 import io
 import logging
+import mmap
 import shutil
 import struct
 from dataclasses import dataclass
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import parallel
 from .channel import ChannelMatrix, channel_matrices_batch
-from .kvconfig import ConfigError
+from .kvconfig import ConfigError, read_text
 from .params import ParamSet, parse_params, serialize_params, subcarrier_set
 from .rayio import RayFile
 from .scene import Scene, user_positions, users_in_row_range
@@ -125,12 +127,11 @@ class Dataset:
             )
         return int(self.shards[0]["global_index"][u_ord - 1])
 
-    def steps(self, users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
-        """Views of the shards, ``users`` per shard per step (default
-        ``batch_users(params, len(bs_ids))``)."""
-        users = users or batch_users(self.params, len(self.bs_ids))
-        for lo in range(0, self.n_users, users):
-            yield tuple(records[lo: lo + users] for records in self.shards)
+    def fill(self, batches: Sequence[np.ndarray], lo: int) -> None:
+        """Copy the records of the users from ``lo`` into ``batches``, one
+        per shard, as many as each holds."""
+        for batch, records in zip(batches, self.shards, strict=True):
+            batch[:] = records[lo: lo + len(batch)]
 
 
 def get_channel(ds: Dataset, b_ord: int, u_ord: int) -> ChannelMatrix:
@@ -161,13 +162,28 @@ def batch_users(params: ParamSet, shards: int = 1) -> int:
                       _BATCH_BYTES // (shards * record_dtype(params).itemsize)))
 
 
+def steps(source: Dataset | DatasetReader | RayDataset,
+          users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """``source``'s records, ``users`` per active base station per step
+    (default ``batch_users(params, len(bs_ids))``), each step filled into
+    one set of buffers that the next step overwrites."""
+    users = users or batch_users(source.params, len(source.bs_ids))
+    bufs = [np.empty(min(users, source.n_users), record_dtype(source.params))
+            for _ in source.bs_ids]
+    for lo in range(0, source.n_users, users):
+        batches = tuple(buf[: source.n_users - lo] for buf in bufs)
+        source.fill(batches, lo)
+        yield batches
+
+
 def pool_plan(source: Dataset | DatasetReader | RayDataset, scored: bool) -> tuple[int, int]:
     """(worker processes, users per shard per step) of ``write_steps`` over
     ``source``, ``scored`` if the workers score its steps. Unscored, only
     the records of a ``RayDataset`` beyond one ``_BATCH_BYTES`` step are
-    worth a pool; otherwise the workers are 0. The 2 ring slots per worker,
-    and the step this process draws from a source other than a
-    ``RayDataset``, hold ``_BATCH_BYTES`` of records in all, so the steps
+    worth a pool; otherwise the workers are 0. The 2 ring slots per worker
+    hold ``_BATCH_BYTES`` of records in all, less one step's share
+    (``held``) when this process fills the steps of ``source``, which keeps
+    such a ring at 2W / (2W + 1) of the budget for W workers. The steps
     shrink with the workers, and the workers are fewer than
     ``worker_count()`` only when even one-user steps would not fit or
     ``source`` has fewer steps than that."""
@@ -176,7 +192,7 @@ def pool_plan(source: Dataset | DatasetReader | RayDataset, scored: bool) -> tup
     computed = isinstance(source, RayDataset)
     if not (scored or computed and source.n_users * user_bytes > _BATCH_BYTES):
         return 0, batch_users(source.params, shards)
-    held = 0 if computed else 1            # steps drawn in this process
+    held = 0 if computed else 1            # this process fills the ring
     fit = _BATCH_BYTES // user_bytes       # one-user steps within the budget
     workers = max(1, min(parallel.worker_count(), (fit - held) // 2))
     users = batch_users(source.params, shards * (2 * workers + held))
@@ -184,20 +200,10 @@ def pool_plan(source: Dataset | DatasetReader | RayDataset, scored: bool) -> tup
     return max(1, min(workers, steps)), users
 
 
-def _records(buf: np.ndarray, params: ParamSet, rays: RayRows) -> np.ndarray:
-    """Fill the first records of ``buf`` from one base station's ray rows
-    ``rays``; returns them."""
-    block = buf[: len(rays)]          # every field is assigned below
-    block["global_index"] = rays.users["user_index"]
-    block["location"] = rays.users["position"]
-    block["channel"] = channel_matrices_batch(rays, params).transpose(0, 2, 1)
-    return block
-
-
 @dataclass(frozen=True)
 class RayDataset:
     """The dataset that one ray file per active base station gives, checked
-    by ``shard_sources``; its records are computed only as steps are drawn."""
+    by ``shard_sources``; its records are computed only as they are filled."""
     params: ParamSet
     scenario_name: str
     bs_ids: tuple[int, ...]                    # active order
@@ -208,23 +214,15 @@ class RayDataset:
     def n_users(self) -> int:
         return len(self.rays[0])
 
-    def steps(self, users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
-        """Every active base station's records, ``users`` per base station
-        per step (default ``batch_users(params, len(bs_ids))``), computed as
-        the step is drawn. A step's batches are views that the next step
-        overwrites."""
-        users = users or batch_users(self.params, len(self.bs_ids))
-        bufs = [np.empty(min(users, self.n_users), record_dtype(self.params))
-                for _ in self.rays]
-        for lo in range(0, self.n_users, users):
-            yield self._compute(bufs, lo)
-
-    def _compute(self, bufs: Sequence[np.ndarray], lo: int) -> tuple[np.ndarray, ...]:
-        """The records of the users from ``lo``, as many as each of ``bufs``
-        holds, computed into the first records of ``bufs`` (in ``write_steps``, a
-        ring slot)."""
-        return tuple(_records(buf, self.params, rays.rows(lo, lo + len(buf)))
-                     for buf, rays in zip(bufs, self.rays))
+    def fill(self, batches: Sequence[np.ndarray], lo: int) -> None:
+        """Compute the records of the users from ``lo`` into ``batches``, one
+        per active base station, as many as each holds, from the ray rows
+        of just those users."""
+        for batch, rays in zip(batches, self.rays, strict=True):
+            rays = rays.rows(lo, lo + len(batch))
+            batch["global_index"] = rays.users["user_index"]
+            batch["location"] = rays.users["position"]
+            batch["channel"] = channel_matrices_batch(rays, self.params).transpose(0, 2, 1)
 
 
 def shard_sources(
@@ -233,7 +231,7 @@ def shard_sources(
     scene: Scene,
 ) -> RayDataset:
     """Check the ray files against the scene; returns the dataset they give,
-    whose records are computed only as its steps are drawn.
+    whose records are computed only as they are filled.
 
     A ray file traced for another scenario or carrier frequency, or one
     that puts a user more than ``_POSITION_TOL`` from where the scene puts
@@ -325,17 +323,17 @@ def build_dataset(
     scene: Scene,
 ) -> Dataset:
     """Assemble the dataset in memory from one ray file per active base
-    station: ``shard_sources``' dataset gathered in one step."""
+    station: ``shard_sources``' dataset gathered in one call."""
     return _gather(shard_sources(ray_sources, params, scene))
 
 
 def _gather(source: RayDataset | DatasetReader) -> Dataset:
-    """All of ``source``'s records in memory: one step over every user."""
-    steps = list(source.steps(max(1, source.n_users)))
-    shards = steps[0] if steps else [np.empty(0, record_dtype(source.params))
-                                     for _ in source.bs_ids]
+    """All of ``source``'s records in memory, filled in one call."""
+    shards = tuple(np.empty(source.n_users, record_dtype(source.params))
+                   for _ in source.bs_ids)
+    source.fill(shards, 0)
     return Dataset(params=source.params, scenario_name=source.scenario_name,
-                   bs_ids=tuple(source.bs_ids), shards=tuple(shards))
+                   bs_ids=tuple(source.bs_ids), shards=shards)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +362,10 @@ class Manifest:
                 f"{e.byte_size} {e.content_hash}"
             )
         return "\n".join(lines) + "\n"
+
+    @classmethod
+    def read(cls, path: Path) -> "Manifest":
+        return cls.from_text(read_text(path, DatasetError))
 
     @classmethod
     def from_text(cls, text: str) -> "Manifest":
@@ -518,15 +520,15 @@ def shard_size_bytes(params: ParamSet, n_users: int, scenario: str, bs_id: int) 
 
 
 class ShardReader:
-    """One shard read front to back in batches of records.
+    """One shard read front to back.
 
     Opening reads the preamble and echo block and checks them: magic,
     version, a parsable echo, and a byte size that is exactly the head plus
     ``user_count`` records; given the shard's manifest line, also its byte
-    size and ``bs_id``. ``batches`` then reads the records, and with a
-    manifest line checks the first and last user and, once the last record
-    is read, the SHA-256 of the whole file. Error messages start with
-    ``name``.
+    size and ``bs_id``. ``read_into`` then reads the records in order, and
+    with a manifest line, once the last record is read, checks the first
+    and last user and the SHA-256 of the whole file. Error messages start
+    with ``name``.
     """
 
     def __init__(self, fh: BinaryIO, name: str = "", entry: ManifestEntry | None = None):
@@ -558,6 +560,10 @@ class ShardReader:
                        f"records of {self.dtype.itemsize} bytes")
         if entry is not None and self.bs_id != entry.bs_id:
             self._fail(f"bs_id {self.bs_id}, manifest says {entry.bs_id}")
+        self._read = 0
+        self._span = (0, 0)         # first and last user read; (0, 0) for none
+        if not self.user_count:
+            self.read_into(np.empty(0, self.dtype))     # the end checks, at once
 
     def _fail(self, message: str) -> NoReturn:
         raise DatasetError(f"{self.name}: {message}" if self.name else message)
@@ -587,26 +593,23 @@ class ShardReader:
             self._fail(f"negative user_count {user_count}")
         return params, scenario, bs_id, user_count
 
-    def batches(self, users: int) -> Iterator[np.ndarray]:
-        """The records, ``users`` at a time (the last batch may be shorter).
-        Each batch is a view of one buffer that the next batch overwrites."""
-        buf = np.empty(min(users, self.user_count), self.dtype)
-        raw = buf.view(np.uint8)
-        first = last = 0            # a shard without users lists (0, 0)
-        for lo in range(0, self.user_count, users):
-            batch = buf[: min(users, self.user_count - lo)]
-            chunk = raw[: batch.nbytes]
-            if self._fh.readinto(chunk) != chunk.size:
-                self._fail("shard ended early")      # the file shrank while read
-            self._sha.update(chunk)
-            first = int(batch["global_index"][0]) if lo == 0 else first
-            last = int(batch["global_index"][-1])
-            yield batch
+    def read_into(self, batch: np.ndarray) -> None:
+        """Read the next ``len(batch)`` records into ``batch``, a contiguous
+        ``dtype`` array; with a manifest line, the read that reaches the last
+        record runs the first/last user and hash checks."""
+        raw = batch.view(np.uint8)
+        if self._fh.readinto(raw) != raw.size:
+            self._fail("shard ended early")      # the file shrank while read
+        self._sha.update(raw)
+        if len(batch):
+            index = batch["global_index"]
+            self._span = (self._span[0] if self._read else int(index[0]), int(index[-1]))
+        self._read += len(batch)
         entry = self._entry
-        if entry is None:
+        if entry is None or self._read < self.user_count:
             return
-        if (first, last) != (entry.first_user, entry.last_user):
-            self._fail(f"first/last user {(first, last)}, manifest says "
+        if self._span != (entry.first_user, entry.last_user):
+            self._fail(f"first/last user {self._span}, manifest says "
                        f"{(entry.first_user, entry.last_user)}")
         if _hex16(self._sha) != entry.content_hash:
             self._fail("content hash mismatch")
@@ -619,16 +622,13 @@ class DatasetReader:
     each shard matches its manifest line, that all shards agree on the
     parameter set, scenario and user count, and that the manifest lists
     one shard per base station of their ``active_BS``, in that order.
-    ``steps`` then yields, per step, one batch of records per shard, in
-    manifest order, holding the same users; it checks that they are the
-    same users, and raises on the step after the last if any shard fails
-    its first/last user or hash check.
-    Use it as a context manager, which closes the shard files.
+    ``fill`` then reads the records in order. Use it as a context manager,
+    which closes the shard files.
     """
 
     def __init__(self, source: Path | str):
         source = Path(source)
-        manifest = Manifest.from_text((source / "manifest.txt").read_text())
+        manifest = Manifest.read(source / "manifest.txt")
         if not manifest.entries:
             raise DatasetError("empty manifest")
         self._files = contextlib.ExitStack()
@@ -654,7 +654,7 @@ class DatasetReader:
         self.scenario_name = head.scenario
         self.bs_ids = tuple(shard.bs_id for shard in self.shards)
         self.n_users = head.user_count
-        self.verified = 0          # shards whose hash has been checked
+        self._next = 0             # the user the next fill starts from
 
     def __enter__(self) -> "DatasetReader":
         return self
@@ -662,29 +662,34 @@ class DatasetReader:
     def __exit__(self, *exc) -> None:
         self._files.close()
 
-    def steps(self, users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
-        """Every shard's records, ``users`` per shard per step (default
-        ``batch_users(params, len(shards))``). A step's batches are views
-        that the next step overwrites. Every shard's hash is checked once
-        the last step has been taken, so consume the steps to the end."""
-        users = users or batch_users(self.params, len(self.shards))
+    @property
+    def verified(self) -> int:
+        """Shards whose hash has been checked: all, once every record is read."""
+        return len(self.shards) if self._next == self.n_users else 0
+
+    def fill(self, batches: Sequence[np.ndarray], lo: int) -> None:
+        """Read the records of the users from ``lo``, where the last fill
+        ended (else ``ValueError``), into ``batches``, one per shard in
+        manifest order. The shards must hold the same users; each runs its
+        first/last user and hash checks as it reads its last record."""
+        if lo != self._next:
+            raise ValueError(f"records are read in order: the next fill is from "
+                             f"user {self._next}, not {lo}")
+        for shard, batch in zip(self.shards, batches, strict=True):
+            shard.read_into(batch)
         head = self.shards[0]
-        # strict: when one shard ends, every other shard is read to its end
-        # too, so each runs its hash check.
-        for step in zip(*(shard.batches(users) for shard in self.shards), strict=True):
-            for shard, batch in zip(self.shards[1:], step[1:]):
-                if not np.array_equal(batch["global_index"], step[0]["global_index"]):
-                    raise DatasetError(f"{shard.name}: user list differs from {head.name}")
-            yield step
-        self.verified = len(self.shards)
+        for shard, batch in zip(self.shards[1:], batches[1:]):
+            if not np.array_equal(batch["global_index"], batches[0]["global_index"]):
+                raise DatasetError(f"{shard.name}: user list differs from {head.name}")
+        self._next = lo + len(batches[0])
 
 
 def parse_shard(data: bytes) -> tuple[ParamSet, str, int, np.ndarray]:
     """Decode a shard held in memory: its parameter set, scenario, bs_id and
     ``record_dtype`` records."""
     reader = ShardReader(io.BytesIO(data))
-    records = np.concatenate([np.empty(0, reader.dtype),
-                              *reader.batches(max(1, reader.user_count))])
+    records = np.empty(reader.user_count, reader.dtype)
+    reader.read_into(records)
     return reader.params, reader.scenario, reader.bs_id, records
 
 
@@ -720,37 +725,41 @@ def write_steps(
     counters: dict[str, int] | None = None,
 ) -> tuple[list[HashingSink], tuple[int, int]]:
     """The step loop of ``build`` and ``beams``: ``write_files`` over the
-    steps of ``source``, each written as ``encode(batches, score)``. An
-    ``OrderedPool`` named ``name``, with ``pool_plan``'s workers, runs a
-    task per step on the step's ``Ring`` slot: it computes a
-    ``RayDataset``'s records there, or finds the step this process drew
-    and copied in (so a ``DatasetReader`` checks its shards here), and
-    scores them with ``score`` (None without it). ``progress(done, total)``
+    steps of ``source``, each written as ``encode(batches, score)``. Step n
+    has slot n mod window of a shared ring, one slot per step pending in an
+    ``OrderedPool`` named ``name`` with ``pool_plan``'s workers. Its task
+    fills a ``RayDataset``'s step there; this process fills any other
+    source's just before submitting it, after step n - window is written
+    (so a ``DatasetReader`` checks its shards here). The task then scores
+    the step with ``score`` (None without it). ``progress(done, total)``
     counts the (BS, user) pairs written; ``counters`` gets ``workers``,
     ``users_per_step`` and ``workers_peak_rss_kib`` (0 without workers).
     """
     shards, n_users = len(source.bs_ids), source.n_users
     workers, users = pool_plan(source, score is not None)
+    computed = isinstance(source, RayDataset)
     with parallel.OrderedPool(name, workers) as pool:
-        ring = parallel.Ring(pool.window, record_dtype(source.params), shards, users)
-        computed = isinstance(source, RayDataset)
+        dtype = record_dtype(source.params)
+        ring = np.frombuffer(mmap.mmap(-1, pool.window * shards * users * dtype.itemsize),
+                             dtype).reshape(pool.window, shards, users)
 
-        def task(n: int, count: int) -> tuple[int, T | None]:
-            batches = ring.get(n, count)
+        def slot(n: int) -> tuple[np.ndarray, ...]:
+            return tuple(ring[n % len(ring), :, : min(users, n_users - n * users)])
+
+        def task(n: int) -> T | None:
             if computed:
-                batches = source._compute(batches, n * users)
-            return count, None if score is None else score(batches)
+                source.fill(slot(n), n * users)
+            return None if score is None else score(slot(n))
 
-        def drawn() -> Iterator[tuple[int, int]]:
-            for n, step in enumerate(source.steps(users)):
-                ring.put(n, step)
-                yield n, len(step[0])
+        def submitted() -> Iterator[tuple[int]]:
+            for n in range(-(-n_users // users)):
+                if not computed:
+                    source.fill(slot(n), n * users)
+                yield n,
 
-        tasks = (((n, min(users, n_users - lo)) for n, lo in enumerate(range(0, n_users, users)))
-                 if computed else drawn())
-        steps = ((ring.get(n, count), s) for n, (count, s) in enumerate(pool.map(task, tasks)))
+        taken = ((slot(n), s) for n, s in enumerate(pool.map(task, submitted())))
         written = write_files(
-            paths, heads, steps, lambda step: (step[0][0]["global_index"], encode(*step)),
+            paths, heads, taken, lambda step: (step[0][0]["global_index"], encode(*step)),
             None if progress is None else lambda done: progress(shards * done, shards * n_users))
     if counters is not None:
         counters.update(workers=workers, users_per_step=users,
@@ -814,10 +823,9 @@ def write_shards(
 
 def load_dataset(source: Path | str) -> Dataset:
     """Re-import a binary dataset directory written by ``write_shards``: one
-    ``DatasetReader`` step over all users, so every check of the reader
+    ``DatasetReader`` fill of all users, so every check of the reader
     applies. The record arrays are read-only."""
     with DatasetReader(source) as reader:
-        # A single step's buffers are not reused, so they are the shards.
         ds = _gather(reader)
     for records in ds.shards:
         records.flags.writeable = False

@@ -8,11 +8,20 @@ ignored. Used for both scene configs and dataset parameter files, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
+
+
+def read_text(path: Path | str, error: type[Exception] = ConfigError) -> str:
+    """The text of the UTF-8 file ``path``; other bytes are an ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -5,23 +5,21 @@
 worker pending, and this process takes the results, pickled back,
 strictly in step order, so what it writes does not depend on the number
 of workers. Without workers the same tasks run here as they are drawn.
-``trace``'s results are its encoded ray-file chunks; the records of
-``build`` and ``beams``, too large to pickle, stay in a ``Ring`` of
-shared slots, one per pending step, which the pool's window keeps from
-being reused before its step has been taken.
+A task is drawn only after the result ``window`` tasks before it has been
+taken, so a caller can keep each pending step's data in one of ``window``
+slots that the workers reach through the fork: ``trace``'s results are its
+encoded ray-file chunks, pickled back; ``dataset.write_steps`` keeps the
+records of ``build`` and ``beams``, too large to pickle, in such a ring.
 """
 
 from __future__ import annotations
 
 import collections
-import mmap
 import os
 import resource
 import sys
 from concurrent.futures import BrokenExecutor, Future
-from typing import Any, Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Any, Callable, Iterable, Iterator
 
 
 class WorkerError(Exception):
@@ -36,26 +34,6 @@ def worker_count() -> int:
 def peak_rss_kib() -> int:
     """This process's peak RSS in KiB (Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-class Ring:
-    """The slot ring: ``slots`` slots of a shared anonymous mapping, each
-    one step of ``users`` records of ``dtype`` for each of ``shards``
-    shards. Step n has slot n mod ``slots``."""
-
-    def __init__(self, slots: int, dtype: np.dtype, shards: int, users: int):
-        self.records = np.frombuffer(mmap.mmap(-1, slots * shards * users * dtype.itemsize),
-                                     dtype).reshape(slots, shards, users)
-
-    def put(self, step: int, batches: Sequence[np.ndarray]) -> None:
-        """Copy step ``step``'s batches into its slot."""
-        for records, batch in zip(self.records[step % len(self.records)], batches):
-            records[:len(batch)] = batch
-
-    def get(self, step: int, count: int) -> tuple[np.ndarray, ...]:
-        """Writable views of the first ``count`` records of each batch in
-        step ``step``'s slot."""
-        return tuple(self.records[step % len(self.records), :, :count])
 
 
 _task: Callable[..., Any] | None = None      # in each worker process
@@ -107,9 +85,9 @@ class OrderedPool:
 
         sys.stdout.flush()          # a worker must not write again what is buffered
         sys.stderr.flush()
-        # fork: the workers inherit ``task`` and what it reaches, such as a
-        # ring, which an anonymous mapping can only reach that way. They are
-        # forked at the first submit, before any thread of the pool starts.
+        # fork: the workers inherit ``task`` and what it reaches, such as an
+        # anonymous shared mapping, which they can only reach that way. They
+        # are forked at the first submit, before any thread of the pool starts.
         self._executor = ProcessPoolExecutor(
             self.workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=(task,))

@@ -65,14 +65,14 @@ def _trace(tmp_path, scene_file, bs="3,4"):
     return rays
 
 
-def _build(tmp_path, scene_file, rays, active_bs="3,4", quiet=True):
+def _build(tmp_path, scene_file, rays, active_bs="3,4", quiet=True, fmt="binary"):
     out = tmp_path / "ds"
     rc = run([
         "build", "--scene", str(scene_file), "--rays-dir", str(rays),
         "--set", f"active_BS={active_bs}",
         "--set", "active_user_first=1", "--set", "active_user_last=2",
         "--set", "num_ant_y=4", "--set", "num_ant_z=2",
-        "--set", "num_OFDM=16", "--set", "OFDM_limit=8",
+        "--set", "num_OFDM=16", "--set", "OFDM_limit=8", "--format", fmt,
         "--out-dir", str(out), *["--quiet"] * quiet,
     ])
     return rc, out
@@ -413,7 +413,7 @@ class TestErrors:
                                           failure, message):
         _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
         with DatasetReader(ds_dir) as ds:
-            users = [int(step[0]["global_index"][0]) for step in ds.steps(1)]
+            users = [int(step[0]["global_index"][0]) for step in dataset.steps(ds, 1)]
             step_bytes = len(ds.bs_ids) * record_dtype(ds.params).itemsize
         # 2 workers and one user per step: the 4 slots of the ring are all
         # in flight when the third user's step fails.
@@ -457,14 +457,14 @@ class TestErrors:
         # flight when the third user's step fails.
         monkeypatch.setattr(parallel, "worker_count", lambda: 2)
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 4 * 2 * _BUILD_RECORD_BYTES)
-        compute, kernel = dataset.RayDataset._compute, dataset.channel_matrices_batch
+        fill, kernel = dataset.RayDataset.fill, dataset.channel_matrices_batch
 
-        def fail_compute(source, bufs, lo):
+        def fail_fill(source, batches, lo):
             if lo == 2:
                 if failure == "worker raises":
                     raise RuntimeError("boom")
                 os._exit(3)
-            return compute(source, bufs, lo)
+            return fill(source, batches, lo)
 
         def fail_kernel(rays, params):
             if rays.users["user_index"][0] == 3:
@@ -474,7 +474,7 @@ class TestErrors:
         if failure == "channel kernel":
             monkeypatch.setattr(dataset, "channel_matrices_batch", fail_kernel)
         else:
-            monkeypatch.setattr(dataset.RayDataset, "_compute", fail_compute)
+            monkeypatch.setattr(dataset.RayDataset, "fill", fail_fill)
         with _deadline(60):
             rc, ds_dir = _build(tmp_path, scene_file, rays)
         assert rc == 1
@@ -575,6 +575,19 @@ class TestErrors:
         assert run(["validate", str(ds_dir), "--quiet"]) == 1
         assert "violation: DatasetError: shard_bs004.dmds: user list differs" \
             in capsys.readouterr().err
+
+    def test_validate_csv_export(self, tmp_path, scene_file, capsys):
+        rc, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file), fmt="csv")
+        assert rc == 0
+        assert run(["validate", str(ds_dir)]) == 0
+        assert capsys.readouterr().err == f"{ds_dir}: valid\n"
+        csv = ds_dir / "bs004_channels.csv"
+        data = bytearray(csv.read_bytes())
+        data[-2] ^= 0x01                  # a digit of the last value
+        csv.write_bytes(bytes(data))
+        assert run(["validate", str(ds_dir), "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            "violation: DatasetError: bs004_channels.csv: content hash mismatch\n"
 
     def test_malformed_manifest_line(self, tmp_path, scene_file, capsys):
         _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
@@ -677,6 +690,35 @@ class TestErrors:
             "--out-dir", str(tmp_path / "d"), "--quiet",
         ])
         assert rc == 2
+
+    # Scene and config files are usage errors (exit 2); a manifest is a
+    # dataset that fails its checks (exit 1).
+    @pytest.mark.parametrize("case,code", [
+        ("trace --scene", 2), ("build --scene", 2), ("scene --config", 2),
+        ("build --config", 2), ("beams manifest.txt", 1),
+    ])
+    def test_input_that_is_not_utf8(self, tmp_path, scene_file, capsys, case, code):
+        bad = tmp_path / "manifest.txt"
+        bad.write_bytes(b"\xff\xfe\x00")
+        out = tmp_path / "out"
+        scene = str(bad if case.endswith("--scene") else scene_file)
+        argv = {
+            "trace --scene": ["trace", "--scene", scene, "--bs", "3", "--active_user_first",
+                              "1", "--active_user_last", "2", "--out-dir", str(out)],
+            "build --scene": ["build", "--scene", scene, "--rays-dir", str(tmp_path),
+                              "--out-dir", str(out)],
+            "scene --config": ["scene", "--config", str(bad), "--out", str(out / "s.json")],
+            "build --config": ["build", "--scene", scene, "--rays-dir", str(tmp_path),
+                               "--config", str(bad), "--out-dir", str(out)],
+            "beams manifest.txt": ["beams", "--dataset-dir", str(tmp_path),
+                                   "--out-dir", str(out)],
+        }[case]
+        capsys.readouterr()
+        assert run(argv) == code
+        assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8 text: 'utf-8' codec "
+                                           "can't decode byte 0xff in position 0: "
+                                           "invalid start byte\n")
+        assert not out.exists()
 
 
 class TestProgress:

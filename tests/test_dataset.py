@@ -488,7 +488,7 @@ class TestStreamingRead:
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 8 * record_dtype(p).itemsize)
         with DatasetReader(tmp_path) as reader:
             assert (reader.params, reader.bs_ids, reader.n_users) == (p, (3, 4, 5), 6)
-            steps = [tuple(b.copy() for b in step) for step in reader.steps()]
+            steps = [tuple(b.copy() for b in step) for step in dataset.steps(reader)]
             assert reader.verified == 3
         assert [len(step[0]) for step in steps] == [2, 2, 2]
         for b, records in enumerate(ds.shards):
@@ -504,12 +504,67 @@ class TestStreamingRead:
         data[-1] ^= 0x01                  # last byte of the last record
         shard.write_bytes(bytes(data))
         with DatasetReader(tmp_path) as reader:
-            steps = reader.steps(1)
-            for _ in range(reader.n_users):
-                next(steps)                 # every record reads without complaint...
+            steps = dataset.steps(reader, 1)
+            for _ in range(reader.n_users - 1):
+                next(steps)                 # every record but the last reads without complaint...
             with pytest.raises(DatasetError, match="shard_bs005.dmds: content hash mismatch"):
-                next(steps)                 # ...until the shards end
+                next(steps)                 # ...until the last one is read
             assert reader.verified == 0
+
+    def test_fill_reads_into_the_callers_arrays_in_order(self, rng, tiny_scene, tmp_path):
+        p = _params(active_bs=(3, 4, 5))
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        write_shards(tmp_path, ds)
+        records = np.zeros((3, ds.n_users), record_dtype(p))
+        with DatasetReader(tmp_path) as reader:
+            reader.fill(tuple(records[:, :4]), 0)
+            for lo in (0, 2, 5):            # only from where the last fill ended
+                with pytest.raises(ValueError, match="the next fill is from user 4, not"):
+                    reader.fill(tuple(records[:, 4:5]), lo)
+            assert reader.verified == 0
+            reader.fill(tuple(records[:, 4:]), 4)
+            assert reader.verified == 3
+        for row, shard in zip(records, ds.shards):
+            assert row.tobytes() == shard.tobytes()
+        # dataset.steps fills one set of buffers, reused from step to step.
+        with DatasetReader(tmp_path) as reader:
+            steps = dataset.steps(reader, 2)
+            first = next(steps)
+            assert all(np.shares_memory(a, b) for a, b in zip(first, next(steps)))
+
+    def test_no_step_held_outside_the_ring(self, rng, tiny_scene, tmp_path, monkeypatch):
+        p = _params(active_bs=(3, 4, 5), num_ant_x=2, num_ant_y=8, num_ant_z=4,
+                    num_ofdm=64, ofdm_limit=64)
+        write_shards(tmp_path / "ds",
+                     build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene))
+        step = 2 * 3 * record_dtype(p).itemsize        # 2 users of each of 3 shards
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", step)
+        with DatasetReader(tmp_path / "ds") as reader:
+            assert pool_plan(reader, scored=False) == (0, 2)
+            tracemalloc.start()
+            try:
+                manifest = write_shards(tmp_path / "copy", reader)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert reader.verified == 3
+        assert manifest.entries[0].last_user > manifest.entries[0].first_user
+        # The reader fills the ring, an mmap that tracemalloc does not see;
+        # a step read into a buffer of its own would be all of ``step``.
+        assert peak < step
+
+    def test_shard_without_users_checks_its_hash(self, tmp_path):
+        p = _params()
+        empty = tuple(np.empty(0, record_dtype(p)) for _ in p.active_bs)
+        manifest = write_shards(tmp_path, Dataset(p, "s", p.active_bs, empty))
+        assert load_dataset(tmp_path).n_users == 0
+        bad = replace(manifest.entries[1], content_hash="0" * 16)
+        (tmp_path / "manifest.txt").write_text(Manifest((manifest.entries[0], bad)).to_text())
+        # No step reads a record, so opening the shard checks it.
+        with pytest.raises(DatasetError, match="shard_bs005.dmds: content hash mismatch"):
+            with DatasetReader(tmp_path) as reader:
+                write_shards(tmp_path / "copy", reader)
+        assert sorted((tmp_path / "copy").glob("*")) == []
 
     def test_shard_file_alone(self, rng, tiny_scene, tmp_path):
         p = _params()
@@ -519,7 +574,11 @@ class TestStreamingRead:
             reader = ShardReader(fh, "shard_bs005.dmds")
             assert (reader.params, reader.scenario, reader.bs_id, reader.user_count) == \
                 (p, tiny_scene.name, 5, 6)
-            got = [b["global_index"].tolist() for b in reader.batches(4)]
+            batch = np.empty(4, reader.dtype)
+            got = []
+            for count in (4, 2):
+                reader.read_into(batch[:count])
+                got.append(batch[:count]["global_index"].tolist())
         assert got == [ds.shards[1]["global_index"][:4].tolist(),
                        ds.shards[1]["global_index"][4:].tolist()]
 

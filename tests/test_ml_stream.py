@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -23,9 +24,12 @@ from mimogen.beams import (
     write_ml_dataset,
 )
 from mimogen.dataset import (
+    DatasetError,
     DatasetReader,
+    Manifest,
     batch_users,
     build_dataset,
+    load_dataset,
     pool_plan,
     record_dtype,
     shard_sources,
@@ -112,6 +116,36 @@ class TestStreamedExport:
         # in flight (the ring is an mmap, which tracemalloc does not see);
         # reading the whole dataset would take 20 steps of records alone.
         assert peak < 3 * step
+
+
+class TestShardChecks:
+    @pytest.mark.parametrize("check", ["hash", "first_user", "last_user"])
+    def test_failed_check_leaves_no_output(self, rng, tmp_path, monkeypatch, check):
+        scene = _small_scene(5)
+        p = _params(active_user_last=3)
+        ds_dir = tmp_path / "ds"
+        manifest = write_shards(ds_dir, build_dataset(_ray_sources(rng, scene, p), p, scene))
+        if check == "hash":
+            shard = ds_dir / "shard_bs005.dmds"
+            data = bytearray(shard.read_bytes())
+            data[-1] ^= 0x01                  # in its last record
+            shard.write_bytes(bytes(data))
+            message = "shard_bs005.dmds: content hash mismatch"
+        else:
+            bad = replace(manifest.entries[1], **{check: getattr(manifest.entries[1], check) + 1})
+            (ds_dir / "manifest.txt").write_text(Manifest((manifest.entries[0], bad)).to_text())
+            message = r"shard_bs005.dmds: first/last user \(1, 11\), manifest says"
+        # 2 users per step: the failure comes in the last of 6 steps.
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 2 * 2 * record_dtype(p).itemsize)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(ds_dir)
+        cfg = BeamEvalConfig(dft_codebook(p.dims))
+        out = tmp_path / "out"
+        for write in (lambda r: write_shards(out, r), lambda r: write_ml_dataset(r, cfg, out)):
+            with DatasetReader(ds_dir) as reader, pytest.raises(DatasetError, match=message):
+                write(reader)
+            assert sorted(out.glob("*")) == []   # no file, manifest or *.tmp~
 
 
 def _write_dataset(rng, directory: Path, users_per_row: int, **params):

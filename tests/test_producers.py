@@ -1,7 +1,8 @@
-"""The one ``steps()`` surface. The dataset that ray files give
+"""The one ``fill`` surface. The dataset that ray files give
 (``shard_sources``), the one a shard directory holds (``DatasetReader``)
-and the one held in memory (``Dataset``) yield the same steps, and each
-writer fed from any of them writes the same bytes."""
+and the one held in memory (``Dataset``) give the same steps through
+``dataset.steps``, and each writer fed from any of them writes the same
+bytes."""
 
 import tempfile
 from pathlib import Path
@@ -50,7 +51,7 @@ def _cases(draw):
 
 
 def _steps(source):
-    return [tuple(batch.tobytes() for batch in step) for step in source.steps()]
+    return [tuple(batch.tobytes() for batch in step) for step in dataset.steps(source)]
 
 
 def _same_files(a: Path, b: Path, names) -> None:
@@ -88,7 +89,7 @@ class TestOneInterface:
             assert from_files == from_rays
             users = batch_users(p, n_bs)
             assert sum(len(step[0]) for step in from_rays) == ds.n_users * itemsize
-            for step in rays.steps():
+            for step in dataset.steps(rays):
                 assert len(step) == n_bs
                 assert len(step[0]) <= users
                 assert sum(b.nbytes for b in step) <= max(budget, n_bs * itemsize)
