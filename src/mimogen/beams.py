@@ -24,8 +24,8 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .dataset import (
-    Dataset, DatasetError, DatasetReader, Manifest, ManifestEntry, RayDataset, atomic_write,
-    verify_files, write_steps,
+    ML_MANIFEST, Dataset, DatasetError, DatasetReader, Manifest, ManifestEntry, RayDataset,
+    atomic_write, verify_files, write_steps,
 )
 
 
@@ -165,7 +165,6 @@ def ml_records(batches: Sequence[np.ndarray], cfg: BeamEvalConfig) -> list[MlRec
 _CSV_HEADS = (b"user_index,bs_ordinal,k,re,im\n",
               b"user_index,bs_ordinal,beam_index,rate_bps_hz\n")
 ML_FILES = ("features.csv", "labels.csv")
-ML_MANIFEST = "ml_manifest.txt"
 
 
 def _ml_csv(records: Sequence[MlRecord]) -> tuple[bytes, bytes]:

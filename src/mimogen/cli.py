@@ -21,53 +21,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-import numpy as np
-
-from . import __version__, dataset, parallel
-from .beams import (
-    ML_MANIFEST,
-    BeamEvalConfig,
-    dft_codebook,
-    verify_ml_dataset,
-    write_ml_dataset,
-)
-from .dataset import (
-    DatasetError,
-    DatasetReader,
-    Manifest,
-    ScenarioMismatchError,
-    ShardReader,
-    active_user_indices,
-    atomic_write,
-    content_hash,
-    file_digest,
-    shard_sources,
-    verify_files,
-    write_files,
-    write_shards,
+from . import __version__, parallel
+from .files import (
+    DatasetError, RayFileError, atomic_write, content_hash, file_digest, write_files,
 )
 from .kvconfig import ConfigError, KVEntry, merge_kv, read_text
-from .parallel import OrderedPool, WorkerError, peak_rss_kib
 from .params import KEYS, ParamSet, ParamError, params_from_entries, serialize_params
-from .rayio import (
-    MAX_PATHS,
-    RayFileError,
-    RayFileHeader,
-    check_follows,
-    encode_head,
-    encode_rows,
-    read_rayfile,
-)
-from .scene import (
-    Scene,
-    SceneConfigError,
-    build_o1_scene,
-    scene_from_json,
-    scene_to_json,
-    user_positions,
-    users_in_row_range,
-)
-from .tracer import image_node_counts, trace_paths_batch
+from .parallel import OrderedPool, WorkerError, peak_rss_kib
+from .scene import Scene, SceneConfigError, build_o1_scene, scene_from_json, scene_to_json
+
+# numpy and the stage modules are imported by the subcommands that run
+# them, so `--version`, `scene` and `validate <scene file>` start without
+# numpy (README, "Start-up"). Each is imported before any pool forks.
 
 _TRACE_CHUNK = 1024
 _TRACE_POOL_STEPS = 5      # the fewest trace steps that fork workers (measured: README)
@@ -190,6 +155,11 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    import numpy as np
+    from .rayio import MAX_PATHS, RayFileHeader, check_follows, encode_head, encode_rows
+    from .scene import user_positions, users_in_row_range
+    from .tracer import image_node_counts, trace_paths_batch
+
     t0 = time.monotonic()
     try:
         bs_ids = [int(s) for s in args.bs.split(",") if s]
@@ -265,6 +235,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .dataset import ScenarioMismatchError, active_user_indices, shard_sources, write_shards
+    from .rayio import read_rayfile
+
     t0 = time.monotonic()
     scene = _load_scene(args.scene)
     params = _params_from_args(args)
@@ -310,6 +283,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_beams(args: argparse.Namespace) -> int:
+    from .beams import BeamEvalConfig, dft_codebook, write_ml_dataset
+    from .dataset import DatasetReader
+
     t0 = time.monotonic()
     for flag, value in (("--snr", args.snr), ("--oversampling", args.oversampling)):
         if not value > 0:
@@ -340,27 +316,56 @@ def _cmd_beams(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_build_outputs(directory: Path, listed: set[str]) -> None:
+    """With the ``build.manifest.json`` that ``build`` writes beside them,
+    the files ``manifest.txt`` lists (``listed``) must be that run's outputs."""
+    record = directory / "build.manifest.json"
+    if not record.is_file():
+        return
+    try:
+        outputs = {Path(out).name for out in json.loads(read_text(record, DatasetError))["outputs"]}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DatasetError(f"{record.name}: malformed run manifest: {exc!r}") from None
+    if outputs != listed:
+        raise DatasetError("; ".join(
+            [f"{name}: an output in {record.name} that manifest.txt does not list"
+             for name in sorted(outputs - listed)]
+            + [f"{name}: listed in manifest.txt but not an output in {record.name}"
+               for name in sorted(listed - outputs)]))
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.path)
     problems: list[str] = []
     try:
-        if (path / ML_MANIFEST).is_file():
-            verify_ml_dataset(path)
-        elif path.is_dir():
-            manifest = Manifest.read(path / "manifest.txt")
-            if manifest.entries and all(e.filename.endswith(".csv") for e in manifest.entries):
-                verify_files(path, manifest)        # a `build --format csv` export
+        if path.is_dir():
+            from . import dataset
+
+            if (path / dataset.ML_MANIFEST).is_file():
+                from .beams import verify_ml_dataset
+
+                verify_ml_dataset(path)
             else:
-                with DatasetReader(path) as ds:
-                    for _ in dataset.steps(ds):
-                        pass
+                manifest = dataset.Manifest.read(path / "manifest.txt")
+                if manifest.entries and all(e.filename.endswith(".csv")
+                                            for e in manifest.entries):
+                    dataset.verify_files(path, manifest)    # a `build --format csv` export
+                else:
+                    with dataset.DatasetReader(path) as ds:
+                        for _ in dataset.steps(ds):
+                            pass
+                _check_build_outputs(path, {e.filename for e in manifest.entries})
         else:
             with path.open("rb") as fh:
                 head = fh.read(4)
             if head == b"DMRF":
+                from .rayio import read_rayfile
+
                 with path.open("rb") as fh:
                     read_rayfile(fh)        # raises on any violation
             elif head == b"DMDS":
+                from .dataset import ShardReader
+
                 with path.open("rb") as fh:
                     ShardReader(fh, path.name)      # a shard alone has no hash to check
             else:
@@ -445,7 +450,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ParamError, SceneConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RayFileError, DatasetError, WorkerError, KeyError, IndexError, OSError) as exc:
+    except KeyError as exc:         # its str() is the repr of its argument
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 1
+    except (RayFileError, DatasetError, WorkerError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ as its last record is read; ``Dataset`` copies them from memory.
 ``write_shards`` and ``beams.write_ml_dataset`` drain any of them with
 ``write_steps`` (planned by ``pool_plan``): the ordered pool of
 ``parallel`` over a shared ring of record slots that the producer fills,
-into ``write_files``, the one atomic writer, so memory is bounded by a
+into ``files.write_files``, the one atomic writer, so memory is bounded by a
 step, not the dataset. ``trace`` runs the same pool and writer over its
 ray-file chunks. ``steps`` fills reused buffers step by step;
 ``build_dataset`` and ``load_dataset`` fill whole arrays at once.
@@ -53,6 +53,9 @@ import numpy as np
 
 from . import parallel
 from .channel import ChannelMatrix, channel_matrices_batch
+from .files import (  # noqa: F401  (content_hash: re-exported)
+    DatasetError, HashingSink, atomic_write, content_hash, file_digest, hex16, write_files,
+)
 from .kvconfig import ConfigError, read_text
 from .params import ParamSet, parse_params, serialize_params, subcarrier_set
 from .rayio import RayFile
@@ -65,17 +68,13 @@ T = TypeVar("T")
 SHARD_MAGIC = b"DMDS"
 SHARD_VERSION = 1
 CSV_SIZE_CAP_BYTES = 64 * 1024 * 1024  # refuse CSV export above this estimate
+ML_MANIFEST = "ml_manifest.txt"        # the manifest of a `beams` output directory
 
 _BATCH_BYTES = 16 * 2**20        # record bytes per channel-construction batch...
 _MAX_BATCH_USERS = 256           # ...and at most this many users in it
 _GAPS_SHOWN = 5                  # users named in a base station's gap warning
 _POSITION_TOL = 1e-6             # m a ray record's user may sit from the scene's
-_READ_BYTES = 2**16              # chunk size when hashing a whole file
 _PREAMBLE = struct.Struct("<4sII")    # magic, version, echo block length
-
-
-class DatasetError(Exception):
-    pass
 
 
 class MissingRaySourceError(DatasetError):
@@ -385,94 +384,6 @@ class Manifest:
         return cls(tuple(entries))
 
 
-def _hex16(sha: hashlib._Hash) -> str:
-    return sha.hexdigest()[:16]
-
-
-def content_hash(data: bytes) -> str:
-    """64-bit content hash: first 16 hex digits of SHA-256."""
-    return _hex16(hashlib.sha256(data))
-
-
-class HashingSink:
-    """A file being written: counts and SHA-256-hashes what goes into it."""
-
-    def __init__(self, fh: BinaryIO):
-        self._fh = fh
-        self._sha = hashlib.sha256()
-        self.size = 0
-
-    def write(self, chunk: bytes | memoryview | np.ndarray) -> None:
-        self.size += self._fh.write(chunk)
-        self._sha.update(chunk)
-
-    @property
-    def digest(self) -> str:
-        """The ``content_hash`` of what was written."""
-        return _hex16(self._sha)
-
-
-def write_files(
-    paths: Sequence[Path],
-    heads: Sequence[bytes],
-    steps: Iterable[T],
-    encode: Callable[[T], tuple[Sequence[int], Sequence[bytes | memoryview]]] | None,
-    progress: Callable[[int], None] | None = None,
-) -> tuple[list[HashingSink], tuple[int, int]]:
-    """The one atomic writer: to a temp file beside each path, its head,
-    then per step one chunk, from ``encode(step)``: the indices of the
-    step's users and one chunk per path; ``progress(done)`` follows each
-    step with the users written. Only after the last step is every temp
-    file renamed over its path; when anything raises, every temp file is
-    removed and the paths are left as they were. Returns one
-    ``HashingSink`` per path (byte count and ``content_hash``) and the first
-    and last user of the steps, (0, 0) when they hold none.
-    """
-    tmps = [path.with_name(path.name + ".tmp~") for path in paths]
-    first = last = None
-    done = 0
-    try:
-        with contextlib.ExitStack() as files:
-            sinks = [HashingSink(files.enter_context(tmp.open("wb"))) for tmp in tmps]
-            for sink, head in zip(sinks, heads, strict=True):
-                sink.write(head)
-            for step in steps:
-                users, chunks = encode(step)
-                for sink, chunk in zip(sinks, chunks, strict=True):
-                    sink.write(chunk)
-                if len(users):
-                    first = int(users[0]) if first is None else first
-                    last = int(users[-1])
-                done += len(users)
-                if progress is not None:
-                    progress(done)
-        for tmp, path in zip(tmps, paths):
-            tmp.replace(path)
-    except BaseException:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
-        raise
-    return sinks, (0, 0) if first is None else (first, last)
-
-
-def atomic_write(path: Path, data: bytes) -> tuple[int, str]:
-    """Write ``data`` to ``path`` through ``write_files``. Returns the byte
-    count and the ``content_hash`` of what was written."""
-    (sink,), _ = write_files([path], [data], (), None)
-    return sink.size, sink.digest
-
-
-def file_digest(path: Path) -> tuple[int, str]:
-    """Byte count and ``content_hash`` of a file, read a chunk at a time."""
-    sha = hashlib.sha256()
-    size = 0
-    with path.open("rb") as fh:
-        while chunk := fh.read(_READ_BYTES):
-            sha.update(chunk)
-            size += len(chunk)
-    return size, _hex16(sha)
-
-
 def verify_files(directory: Path, manifest: Manifest) -> None:
     """Check every file a manifest lists against its byte size and hash."""
     for e in manifest.entries:
@@ -611,7 +522,7 @@ class ShardReader:
         if self._span != (entry.first_user, entry.last_user):
             self._fail(f"first/last user {self._span}, manifest says "
                        f"{(entry.first_user, entry.last_user)}")
-        if _hex16(self._sha) != entry.content_hash:
+        if hex16(self._sha) != entry.content_hash:
             self._fail("content hash mismatch")
 
 

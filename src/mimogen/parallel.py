@@ -18,8 +18,10 @@ import collections
 import os
 import resource
 import sys
-from concurrent.futures import BrokenExecutor, Future
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 
 class WorkerError(Exception):
@@ -80,8 +82,8 @@ class OrderedPool:
         if not self.workers:
             yield from (task(*a) for a in args)
             return
-        import multiprocessing      # here: runs without workers skip the import
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing      # here: runs without workers skip the imports
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         sys.stdout.flush()          # a worker must not write again what is buffered
         sys.stderr.flush()
@@ -92,23 +94,24 @@ class OrderedPool:
             self.workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=(task,))
         pending: collections.deque[Future] = collections.deque()
+
+        def take() -> Any:
+            try:
+                result, peak_rss_kib = pending.popleft().result()
+            except BrokenExecutor:
+                raise
+            except Exception as exc:
+                raise WorkerError(
+                    f"a {self.name} worker failed: {type(exc).__name__}: {exc}") from exc
+            self.peak_rss_kib = max(self.peak_rss_kib, peak_rss_kib)
+            return result
+
         try:
             for a in args:
                 pending.append(self._executor.submit(_run, *a))
                 if len(pending) == self.window:
-                    yield self._take(pending)
+                    yield take()
             while pending:
-                yield self._take(pending)
+                yield take()
         except BrokenExecutor as exc:   # found by a submit or by a result
             raise WorkerError(f"a {self.name} worker process ended abruptly: {exc}") from exc
-
-    def _take(self, pending: collections.deque[Future]) -> Any:
-        try:
-            result, peak_rss_kib = pending.popleft().result()
-        except BrokenExecutor:
-            raise
-        except Exception as exc:
-            raise WorkerError(
-                f"a {self.name} worker failed: {type(exc).__name__}: {exc}") from exc
-        self.peak_rss_kib = max(self.peak_rss_kib, peak_rss_kib)
-        return result

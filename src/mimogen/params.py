@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import Field, dataclass, field, fields, replace
-from typing import Any, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .kvconfig import ConfigError, KVEntry, as_float, as_int, as_int_list, parse_kv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ParamError(ConfigError):
@@ -117,6 +118,8 @@ def serialize_params(p: ParamSet) -> str:
 
 def subcarrier_set(p: ParamSet) -> np.ndarray:
     """The 1-based subcarrier indices {1, 1+f, 1+2f, ...}, `OFDM_limit` of them."""
+    import numpy as np      # here: the CLI reads ``KEYS`` without numpy
+
     last = 1 + (p.ofdm_limit - 1) * p.ofdm_sampling_factor
     if last > p.num_ofdm:
         raise ParamError(

@@ -30,6 +30,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from .files import RayFileError
 from .tracer import PATH_FIELDS, PATH_ROW, USER_ROW, PathList, RayRows
 
 MAGIC = b"DMRF"
@@ -41,10 +42,6 @@ _HEADER = struct.Struct("<4sIId Q32s")
 _N_PATHS = struct.Struct("<H")
 _N_PATHS_AT = USER_ROW.fields["n_paths"][1]     # offset of n_paths in a user row
 _ASCENDING = "must be strictly ascending"
-
-
-class RayFileError(Exception):
-    """Base class for every ray-file read/write failure."""
 
 
 class RayFileFormatError(RayFileError):

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .kvconfig import ConfigError, KVEntry, as_float
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -333,6 +334,8 @@ def grid_start_indices(scene: Scene) -> list[int]:
 
 def enumerate_users(scene: Scene) -> Iterator[UserRecord]:
     """Yield every user in deterministic order: grids, then rows, then columns."""
+    import numpy as np      # here and below: `scene` and `validate <scene>` run without it
+
     idx = 1
     for g in scene.grids:
         o = np.asarray(g.origin)
@@ -348,6 +351,8 @@ def enumerate_users(scene: Scene) -> Iterator[UserRecord]:
 
 def users_in_row_range(scene: Scene, first_row: int, last_row: int) -> np.ndarray:
     """Global indices of all users whose row label is in [first_row, last_row]."""
+    import numpy as np
+
     lo, hi = 1, scene.total_rows
     if not (lo <= first_row <= last_row <= hi):
         raise IndexError(
@@ -370,6 +375,8 @@ def users_in_row_range(scene: Scene, first_row: int, last_row: int) -> np.ndarra
 
 def user_positions(scene: Scene, indices: np.ndarray) -> np.ndarray:
     """Positions (N, 3) for the given global user indices; vectorized."""
+    import numpy as np
+
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size and (indices.min() < 1 or indices.max() > scene.total_users):
         raise IndexError(

@@ -206,7 +206,7 @@ class TestPipeline:
             paths["delay"] = 1e-7
             return tracer.PathBatch(bs_id, users, paths)
 
-        monkeypatch.setattr(cli, "trace_paths_batch", many_paths)
+        monkeypatch.setattr(tracer, "trace_paths_batch", many_paths)
         monkeypatch.setattr(cli, "_TRACE_CHUNK", 50)
         monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         rays = tmp_path / "rays"
@@ -485,7 +485,7 @@ class TestErrors:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("failure,message", [
-        ("tracer raises", "'unknown base station id 4'"),
+        ("tracer raises", "unknown base station id 4"),
         ("worker raises", "a trace worker failed: RuntimeError: boom"),
         ("worker dies", "a trace worker process ended abruptly"),
         ("users out of order", "refusing to write invalid ray data: "
@@ -501,7 +501,7 @@ class TestErrors:
         if failure != "tracer raises":
             monkeypatch.setattr(parallel, "worker_count", lambda: 2)
             monkeypatch.setattr(cli, "_TRACE_CHUNK", 1)
-        traced = cli.trace_paths_batch
+        traced = tracer.trace_paths_batch
 
         def fail_last(scene, bs_id, positions, user_indices, **kw):
             batch = traced(scene, bs_id, positions, user_indices=user_indices, **kw)
@@ -515,7 +515,7 @@ class TestErrors:
                 os._exit(3)
             return batch
 
-        monkeypatch.setattr(cli, "trace_paths_batch", fail_last)
+        monkeypatch.setattr(tracer, "trace_paths_batch", fail_last)
         rays = tmp_path / "rays"
         with _deadline(60):
             assert run(["trace", "--scene", str(scene_file), "--bs", "3,4",
@@ -527,13 +527,15 @@ class TestErrors:
         assert sorted(rays.glob("*")) == []      # no ray file, manifest or *.tmp~
         assert multiprocessing.active_children() == []
 
-    def test_unknown_bs_in_trace(self, tmp_path, scene_file):
+    def test_unknown_bs_in_trace(self, tmp_path, scene_file, capsys):
         rc = run([
             "trace", "--scene", str(scene_file), "--bs", "99",
             "--active_user_first", "1", "--active_user_last", "1",
             "--out-dir", str(tmp_path / "r"), "--quiet",
         ])
         assert rc == 1
+        # The message, not the repr that str() gives a KeyError.
+        assert capsys.readouterr().err == "error: unknown base station id 99 (valid: 1..18)\n"
 
     def test_validate_garbage_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "junk.bin"
@@ -588,6 +590,17 @@ class TestErrors:
         assert run(["validate", str(ds_dir), "--quiet"]) == 1
         assert capsys.readouterr().err == \
             "violation: DatasetError: bs004_channels.csv: content hash mismatch\n"
+
+    def test_validate_csv_export_with_a_file_unlisted(self, tmp_path, scene_file, capsys):
+        rc, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file), fmt="csv")
+        assert rc == 0
+        manifest = ds_dir / "manifest.txt"
+        manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                    if not line.startswith("bs004_channels.csv ")))
+        assert run(["validate", str(ds_dir), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "violation: DatasetError: bs004_channels.csv: an output in build.manifest.json "
+            "that manifest.txt does not list\n")
 
     def test_malformed_manifest_line(self, tmp_path, scene_file, capsys):
         _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
