@@ -9,8 +9,9 @@ optional conjugate variant behind a config switch.
 
 ``write_ml_dataset`` writes the beam-prediction CSVs, one feature vector
 and one rate per beam for each (BS, user) pair, from any producer of
-records. Forked workers score each step (``ml_records``, then
-``_ml_csv``) in ``dataset.write_steps``, the step loop ``build`` shares.
+records. Forked workers score each step in ``dataset.write_steps``, the
+step loop ``build`` shares: ``ml_arrays`` gives the step's features
+(users, BS, |K|) and labels (users, BS, P), and ``_ml_csv`` formats them.
 """
 
 from __future__ import annotations
@@ -70,30 +71,21 @@ class BeamEvalConfig:
     conjugate: bool = False      # use f^H h instead of f^T h
 
     def __post_init__(self) -> None:
-        if self.snr <= 0:
-            raise ValueError(f"snr must be > 0, got {self.snr}")
+        if not 0 < self.snr < math.inf:
+            raise ValueError(f"snr must be finite and > 0, got {self.snr}")
 
 
 def _entries(H: ChannelMatrix | np.ndarray) -> np.ndarray:
     return H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
 
 
-def _rates(beams: np.ndarray, mat: np.ndarray, snr: float, conjugate: bool,
-           work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _rates(beams: np.ndarray, channels: np.ndarray, snr: float, conjugate: bool) -> np.ndarray:
     """The one rate kernel: mean over subcarriers of log2(1 + snr * |f^T h_k|^2)
-    for each beam f, the last axis of ``beams`` (one beam or a (P, M) stack).
-
-    ``work`` is a complex and a float buffer of the per-subcarrier shape
-    ((|K|,) or (P, |K|)), which the kernel overwrites; a caller that
-    evaluates many channels passes the same pair each time.
-    """
+    for each beam f, the last axis of ``beams`` (one beam or a (P, M) stack),
+    against each (M, |K|) channel matrix of ``channels`` (one or a
+    (..., M, |K|) stack); the rates have shape (..., P), without P for one beam."""
     fv = np.conj(beams) if conjugate else beams
-    if work is None:
-        shape = fv.shape[:-1] + mat.shape[-1:]
-        work = np.empty(shape, dtype=complex), np.empty(shape)
-    prod, gains = work
-    np.matmul(fv, mat, out=prod)
-    np.abs(prod, out=gains)
+    gains = np.abs(fv @ channels)
     np.square(gains, out=gains)
     np.multiply(snr, gains, out=gains)
     np.add(1.0, gains, out=gains)
@@ -115,11 +107,9 @@ def achievable_rate(
     return float(_rates(f, mat, snr, conjugate))
 
 
-def beam_rates(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig,
-               work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Achievable rate of every codebook beam, as a length-P vector
-    (``work``: the kernel's (P, |K|) buffers, as in ``_rates``)."""
-    return _rates(cfg.codebook.vectors, _entries(H), cfg.snr, cfg.conjugate, work)
+def beam_rates(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig) -> np.ndarray:
+    """Achievable rate of every codebook beam, as a length-P vector."""
+    return _rates(cfg.codebook.vectors, _entries(H), cfg.snr, cfg.conjugate)
 
 
 def best_beam(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig) -> tuple[int, float]:
@@ -132,34 +122,24 @@ def best_beam(H: ChannelMatrix | np.ndarray, cfg: BeamEvalConfig) -> tuple[int, 
 
 
 def omni_feature(H: ChannelMatrix | np.ndarray) -> np.ndarray:
-    """The received sequence at the first antenna element: row 1 of H."""
-    return _entries(H)[0, :].copy()
+    """The received sequence at the first antenna element: row 1 of H, or
+    of each matrix of a (..., M, |K|) stack."""
+    return _entries(H)[..., 0, :].copy()
 
 
-@dataclass(frozen=True)
-class MlRecord:
-    user_index: int
-    features: tuple[np.ndarray, ...]   # per active BS: complex |K|-vector
-    labels: tuple[np.ndarray, ...]     # per active BS: P rates
-
-
-def ml_records(batches: Sequence[np.ndarray], cfg: BeamEvalConfig) -> list[MlRecord]:
-    """The per-step kernel: one record per user of ``batches``, which hold,
-    per active base station in active order, the ``record_dtype`` records of
-    the same users. Features and labels are copies, so the records outlive
-    the batches. Every rate evaluation of the step shares one pair of
-    kernel buffers."""
-    channels = [b["channel"] for b in batches]
-    shape = (cfg.codebook.n_beams, channels[0].shape[1])
-    work = np.empty(shape, dtype=complex), np.empty(shape)
-    return [
-        MlRecord(
-            user_index=int(g),
-            features=tuple(omni_feature(ch[i].T) for ch in channels),
-            labels=tuple(beam_rates(ch[i].T, cfg, work) for ch in channels),
-        )
-        for i, g in enumerate(batches[0]["global_index"])
-    ]
+def ml_arrays(batches: Sequence[np.ndarray],
+              cfg: BeamEvalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-step kernel. ``batches`` hold, per active base station in
+    active order, the ``record_dtype`` records of the same U users. Returns
+    their global indices (U,), features (U, S, |K|) and labels (U, S, P)
+    for the S base stations: each pair's omni feature and the rate of each
+    codebook beam, from one rate-kernel call per base station. The arrays
+    are copies, so they outlive the batches."""
+    channels = [b["channel"].transpose(0, 2, 1) for b in batches]
+    features = np.stack([omni_feature(ch) for ch in channels], axis=1)
+    labels = np.stack([_rates(cfg.codebook.vectors, ch, cfg.snr, cfg.conjugate)
+                       for ch in channels], axis=1)
+    return batches[0]["global_index"].copy(), features, labels
 
 
 _CSV_HEADS = (b"user_index,bs_ordinal,k,re,im\n",
@@ -167,23 +147,25 @@ _CSV_HEADS = (b"user_index,bs_ordinal,k,re,im\n",
 ML_FILES = ("features.csv", "labels.csv")
 
 
-def _ml_csv(records: Sequence[MlRecord]) -> tuple[bytes, bytes]:
+def _ml_csv(users: np.ndarray, features: np.ndarray,
+            labels: np.ndarray) -> tuple[bytes, bytes]:
     """The one CSV formatter: the features.csv and labels.csv rows of the
-    records. Each value is written as ``np.float64(<repr of the float>)``,
+    ``ml_arrays`` arrays, by user, then base station, then subcarrier or
+    beam. Each value is written as ``np.float64(<repr of the float>)``,
     the text that numpy 2 gives a float64 scalar's ``repr``."""
-    feat_lines: list[str] = []
-    label_lines: list[str] = []
-    for rec in records:
-        for n, feat in enumerate(rec.features, start=1):
-            head = f"{rec.user_index},{n},"
-            feat_lines += [f"{head}{j},np.float64({re!r}),np.float64({im!r})\n"
-                           for j, (re, im) in enumerate(zip(feat.real.tolist(),
-                                                            feat.imag.tolist()), start=1)]
-        for n, rates in enumerate(rec.labels, start=1):
-            head = f"{rec.user_index},{n},"
-            label_lines += [f"{head}{p},np.float64({r!r})\n"
-                            for p, r in enumerate(rates.tolist(), start=1)]
-    return "".join(feat_lines).encode(), "".join(label_lines).encode()
+    n_users, n_bs, n_k = features.shape
+    n_beams = labels.shape[2]
+    ids = users.tolist()
+    feat_keys = [f"{n},{j}," for n in range(1, n_bs + 1) for j in range(1, n_k + 1)]
+    label_keys = [f"{n},{p}," for n in range(1, n_bs + 1) for p in range(1, n_beams + 1)]
+    feats = features.reshape(n_users, n_bs * n_k)
+    feat_rows = [f"{g},{key}np.float64({re!r}),np.float64({im!r})\n"
+                 for g, res, ims in zip(ids, feats.real.tolist(), feats.imag.tolist())
+                 for key, re, im in zip(feat_keys, res, ims)]
+    label_rows = [f"{g},{key}np.float64({r!r})\n"
+                  for g, rates in zip(ids, labels.reshape(n_users, n_bs * n_beams).tolist())
+                  for key, r in zip(label_keys, rates)]
+    return "".join(feat_rows).encode(), "".join(label_rows).encode()
 
 
 MlSource = Dataset | DatasetReader | RayDataset
@@ -197,7 +179,7 @@ def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
     ml_manifest.txt with their sizes and content hashes.
 
     ``dataset.write_steps`` runs the steps, with its ``progress`` and
-    ``counters``; its workers compute each step's records (``ml_records``)
+    ``counters``; its workers compute each step's arrays (``ml_arrays``)
     and rows (``_ml_csv``), which are written in step order, so the bytes
     do not depend on the number of workers. Both files are renamed into
     place only after the last step, so an error raised while the steps are
@@ -209,7 +191,7 @@ def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
     outdir.mkdir(parents=True, exist_ok=True)
     sinks, span = write_steps(
         "beams", source, [outdir / name for name in ML_FILES], _CSV_HEADS,
-        lambda _, rows: rows, lambda batches: _ml_csv(ml_records(batches, cfg)),
+        lambda _, rows: rows, lambda batches: _ml_csv(*ml_arrays(batches, cfg)),
         progress, counters)
     manifest = Manifest(tuple(ManifestEntry(name, 0, *span, sink.size, sink.digest)
                               for name, sink in zip(ML_FILES, sinks)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import collections
 import json
+import math
 import os
 import sys
 import time
@@ -76,7 +77,6 @@ class RunManifest:
     input_hashes: dict[str, str]
     outputs: list[str]
     wall_seconds: float
-    tool_version: str = ""
     counters: dict[str, int] = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
@@ -86,7 +86,7 @@ class RunManifest:
             "input_hashes": self.input_hashes,
             "outputs": self.outputs,
             "wall_seconds": self.wall_seconds,
-            "tool_version": self.tool_version or __version__,
+            "tool_version": __version__,
         }
         if self.counters:
             doc["counters"] = self.counters
@@ -235,7 +235,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    from .dataset import ScenarioMismatchError, active_user_indices, shard_sources, write_shards
+    from .dataset import ScenarioMismatchError, shard_sources, write_shards
     from .rayio import read_rayfile
 
     t0 = time.monotonic()
@@ -255,13 +255,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
             return 1
         with path.open("rb") as fh:
             sources[bs_id] = read_rayfile(fh)
-    total = len(params.active_bs) * active_user_indices(scene, params).size
-    reporter = ProgressReporter("BUILD", total, quiet=args.quiet)
     try:
         source = shard_sources(sources, params, scene)
     except ScenarioMismatchError as exc:
         print(f"error: {ray_file(exc.bs_id)}: {exc}", file=sys.stderr)
         return 1
+    reporter = ProgressReporter("BUILD", len(source.bs_ids) * source.n_users, quiet=args.quiet)
     outdir = Path(args.out_dir)
     counters: dict[str, int] = {}
     manifest = write_shards(outdir, source, fmt=args.format, progress=reporter.update,
@@ -287,9 +286,10 @@ def _cmd_beams(args: argparse.Namespace) -> int:
     from .dataset import DatasetReader
 
     t0 = time.monotonic()
-    for flag, value in (("--snr", args.snr), ("--oversampling", args.oversampling)):
-        if not value > 0:
-            return _usage_error(f"{flag} must be > 0, got {value}")
+    if not 0 < args.snr < math.inf:
+        return _usage_error(f"--snr must be finite and > 0, got {args.snr}")
+    if not args.oversampling > 0:
+        return _usage_error(f"--oversampling must be > 0, got {args.oversampling}")
     outdir = Path(args.out_dir)
     with DatasetReader(args.dataset_dir) as ds:
         codebook = dft_codebook(ds.params.dims, oversampling=args.oversampling)

@@ -35,6 +35,17 @@ class SceneConfigError(ConfigError):
     """Invalid scene configuration; the message names the offending field."""
 
 
+class RowRangeError(ConfigError, IndexError):
+    """A row range that is not within the scene's rows: a usage error, and an
+    ``IndexError`` like any other index out of range."""
+
+
+def _require_finite(name: str, value: float | tuple[float, ...]) -> None:
+    """Refuse a NaN or infinity in ``value``, one number or a tuple."""
+    if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+        raise SceneConfigError(f"{name}: must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Building:
     """Axis-aligned solid box."""
@@ -44,6 +55,7 @@ class Building:
     material_id: str = BUILDING_MATERIAL
 
     def __post_init__(self) -> None:
+        _require_finite("building corners", self.min_corner + self.max_corner)
         for a in range(3):
             if not self.min_corner[a] < self.max_corner[a]:
                 raise SceneConfigError(
@@ -64,6 +76,7 @@ class BaseStation:
     antenna_axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self) -> None:
+        _require_finite(f"bs.{self.id} position", self.position)
         if self.position[2] <= 0:
             raise SceneConfigError(f"bs.{self.id}.z: height must be > 0")
 
@@ -92,6 +105,9 @@ class UserGrid:
                 raise SceneConfigError(f"grid {key}: must be >= 1, got {count}")
         if not self.spacing > 0:
             raise SceneConfigError(f"grid spacing_m: must be > 0, got {self.spacing}")
+        _require_finite("grid spacing_m", self.spacing)
+        for key in ("origin", "row_axis", "col_axis"):
+            _require_finite(f"grid {key}", getattr(self, key))
         dot = sum(a * b for a, b in zip(self.row_axis, self.col_axis))
         if abs(dot) > 1e-9:
             raise SceneConfigError("grid axes: row_axis and col_axis must be perpendicular")
@@ -117,8 +133,12 @@ class Scene:
     name: str = "custom"
 
     def __post_init__(self) -> None:
+        _require_finite("carrier_freq_hz", self.carrier_freq)
         if self.carrier_freq <= 0:
             raise SceneConfigError(f"carrier_freq_hz: must be > 0, got {self.carrier_freq}")
+        _require_finite("ground_z_m", self.ground_z)
+        for material, loss in self.material_losses.items():
+            _require_finite(f"material {material!r} loss_db", loss)
         ids = [bs.id for bs in self.base_stations]
         if sorted(ids) != list(range(1, len(ids) + 1)):
             raise SceneConfigError("base station ids must be unique and contiguous from 1")
@@ -355,7 +375,7 @@ def users_in_row_range(scene: Scene, first_row: int, last_row: int) -> np.ndarra
 
     lo, hi = 1, scene.total_rows
     if not (lo <= first_row <= last_row <= hi):
-        raise IndexError(
+        raise RowRangeError(
             f"row range R{first_row}..R{last_row} invalid: rows must satisfy "
             f"R{lo} <= first <= last <= R{hi}"
         )

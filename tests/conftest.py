@@ -8,7 +8,6 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from mimogen.beams import MlRecord
 from mimogen.channel import array_response, channel_matrices_batch
 from mimogen.dataset import Manifest, content_hash, parse_shard, shard_bytes
 from mimogen.params import ParamSet, subcarrier_set
@@ -329,16 +328,18 @@ def geometry_oracle(scene: Scene) -> list[tuple[int, float, float, list, list]]:
     return planes
 
 
-def ml_csv_oracle(records: Sequence[MlRecord]) -> tuple[bytes, bytes]:
+def ml_csv_oracle(users: np.ndarray, features: np.ndarray,
+                  labels: np.ndarray) -> tuple[bytes, bytes]:
     """CSV formatter oracle: the features.csv and labels.csv rows of the
-    records, from the ``repr`` of each numpy scalar."""
+    ``ml_arrays`` arrays users (U,), features (U, S, K) and labels (U, S, P),
+    from the ``repr`` of each numpy scalar."""
     feat_lines = []
     label_lines = []
-    for rec in records:
-        for n, feat in enumerate(rec.features, start=1):
+    for g, feats, rates in zip(users, features, labels):
+        for n, feat in enumerate(feats, start=1):
             for j, c in enumerate(feat, start=1):
-                feat_lines.append(f"{rec.user_index},{n},{j},{c.real!r},{c.imag!r}\n")
-        for n, rates in enumerate(rec.labels, start=1):
-            for p, r in enumerate(rates, start=1):
-                label_lines.append(f"{rec.user_index},{n},{p},{r!r}\n")
+                feat_lines.append(f"{int(g)},{n},{j},{c.real!r},{c.imag!r}\n")
+        for n, rate in enumerate(rates, start=1):
+            for p, r in enumerate(rate, start=1):
+                label_lines.append(f"{int(g)},{n},{p},{r!r}\n")
     return "".join(feat_lines).encode(), "".join(label_lines).encode()

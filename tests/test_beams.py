@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from mimogen.beams import (
     BeamEvalConfig,
     Codebook,
-    MlRecord,
     _ml_csv,
     achievable_rate,
     beam_rates,
     best_beam,
     dft_codebook,
-    ml_records,
+    ml_arrays,
     omni_feature,
     write_ml_dataset,
 )
@@ -150,8 +149,9 @@ class TestBestBeam:
             best_beam(np.zeros((4, 2), complex), BeamEvalConfig(cb))
 
     def test_bad_snr(self):
-        with pytest.raises(ValueError, match="snr"):
-            BeamEvalConfig(dft_codebook((1, 2, 1)), snr=0.0)
+        for snr in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="snr must be finite and > 0"):
+                BeamEvalConfig(dft_codebook((1, 2, 1)), snr=snr)
 
 
 class TestOmniFeature:
@@ -165,6 +165,10 @@ class TestOmniFeature:
         f[0] = 99.0
         assert mat[0, 0] != 99.0
 
+    def test_stack_is_first_row_of_each(self, rng):
+        stack = rng.normal(size=(5, 4, 8)) + 1j * rng.normal(size=(5, 4, 8))
+        assert np.array_equal(omni_feature(stack), [omni_feature(mat) for mat in stack])
+
 
 class TestMlDataset:
     def _dataset(self, rng, tiny_scene):
@@ -174,20 +178,30 @@ class TestMlDataset:
     def test_record_counts(self, rng, tiny_scene):
         p, ds = self._dataset(rng, tiny_scene)
         cb = dft_codebook(p.dims)
-        recs = ml_records(ds.shards, BeamEvalConfig(cb))
-        assert len(recs) == ds.n_users
-        for rec in recs:
-            assert len(rec.features) == len(ds.bs_ids) == 2
-            assert all(f.shape == (p.ofdm_limit,) for f in rec.features)
-            assert all(l.shape == (cb.n_beams,) for l in rec.labels)
+        users, features, labels = ml_arrays(ds.shards, BeamEvalConfig(cb))
+        assert np.array_equal(users, ds.shards[0]["global_index"])
+        assert len(ds.bs_ids) == 2
+        assert features.shape == (ds.n_users, 2, p.ofdm_limit)
+        assert labels.shape == (ds.n_users, 2, cb.n_beams)
 
     def test_labels_match_beam_rates(self, rng, tiny_scene):
         from mimogen.dataset import get_channel
         p, ds = self._dataset(rng, tiny_scene)
         cfg = BeamEvalConfig(dft_codebook(p.dims), snr=2.0)
-        recs = ml_records(ds.shards, cfg)
-        assert np.allclose(recs[0].labels[1],
-                           beam_rates(get_channel(ds, 2, 1), cfg))
+        _, _, labels = ml_arrays(ds.shards, cfg)
+        assert np.allclose(labels[0, 1], beam_rates(get_channel(ds, 2, 1), cfg))
+
+    def test_arrays_equal_per_pair_kernel_calls(self, rng, tiny_scene):
+        # The stacked kernel call gives each pair the bits its own call gives.
+        from mimogen.dataset import get_channel
+        p, ds = self._dataset(rng, tiny_scene)
+        cfg = BeamEvalConfig(dft_codebook(p.dims, oversampling=2), snr=3.0, conjugate=True)
+        _, features, labels = ml_arrays(ds.shards, cfg)
+        for u in range(ds.n_users):
+            for b in range(len(ds.bs_ids)):
+                H = get_channel(ds, b + 1, u + 1)
+                assert np.array_equal(labels[u, b], beam_rates(H, cfg))
+                assert np.array_equal(features[u, b], omni_feature(H))
 
     def test_export_row_counts(self, rng, tiny_scene, tmp_path):
         p, ds = self._dataset(rng, tiny_scene)
@@ -232,17 +246,17 @@ _values = st.one_of(
 
 @st.composite
 def _ml_record_lists(draw):
-    records = []
-    for _ in range(draw(st.integers(0, 3))):
-        n_bs = draw(st.integers(1, 3))
-        k, p = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-        features = tuple(
-            np.array(draw(st.lists(_values, min_size=2 * k, max_size=2 * k))).view(complex)
-            for _ in range(n_bs))
-        labels = tuple(np.array(draw(st.lists(_values, min_size=p, max_size=p)), dtype=float)
-                       for _ in range(n_bs))
-        records.append(MlRecord(draw(st.integers(0, 2**64 - 1)), features, labels))
-    return records
+    """``ml_arrays`` output: users (U,), features (U, S, K), labels (U, S, P)."""
+    u, s = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    k, p = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def values(n: int) -> np.ndarray:
+        return np.array(draw(st.lists(_values, min_size=n, max_size=n)), dtype=float)
+
+    users = np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=u, max_size=u)),
+                     dtype=np.uint64)
+    features = values(2 * u * s * k).view(complex).reshape(u, s, k)
+    return users, features, values(u * s * p).reshape(u, s, p)
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
@@ -250,11 +264,11 @@ def _ml_record_lists(draw):
 class TestCsvFormatter:
     @settings(deadline=None, max_examples=100)
     @given(_ml_record_lists())
-    def test_equals_oracle(self, records):
-        assert _ml_csv(records) == ml_csv_oracle(records)
+    def test_equals_oracle(self, arrays):
+        assert _ml_csv(*arrays) == ml_csv_oracle(*arrays)
 
     def test_equals_oracle_on_random_bit_patterns(self, rng):
         bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False)
         values = np.concatenate([bits.view(np.float64), np.array(_EDGE_FLOATS)])
-        records = [MlRecord(7, (values.view(complex),), (values,))]
-        assert _ml_csv(records) == ml_csv_oracle(records)
+        arrays = np.array([7], np.uint64), values.view(complex)[None, None], values[None, None]
+        assert _ml_csv(*arrays) == ml_csv_oracle(*arrays)

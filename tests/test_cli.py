@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -419,9 +420,9 @@ class TestErrors:
         # in flight when the third user's step fails.
         monkeypatch.setattr(parallel, "worker_count", lambda: 2)
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 5 * step_bytes)
-        scored = beams.ml_records
+        scored = beams.ml_arrays
 
-        def records(batches, cfg):
+        def arrays(batches, cfg):
             if int(batches[0]["global_index"][0]) == users[2]:
                 if failure == "worker raises":
                     raise RuntimeError("boom")
@@ -429,7 +430,7 @@ class TestErrors:
                     os._exit(3)
             return scored(batches, cfg)
 
-        monkeypatch.setattr(beams, "ml_records", records)
+        monkeypatch.setattr(beams, "ml_arrays", arrays)
         if failure == "hash check":
             shard = ds_dir / "shard_bs004.dmds"
             data = bytearray(shard.read_bytes())
@@ -648,15 +649,17 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "rays").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--snr", "0"), ("--snr", "nan"),
-                                            ("--oversampling", "0")])
-    def test_beams_bad_value_exit_2(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--snr", "0", "--snr must be finite and > 0, got 0.0"),
+        ("--snr", "nan", "--snr must be finite and > 0, got nan"),
+        ("--snr", "inf", "--snr must be finite and > 0, got inf"),
+        ("--oversampling", "0", "--oversampling must be > 0, got 0"),
+    ], ids=["--snr-0", "--snr-nan", "--snr-inf", "--oversampling-0"])
+    def test_beams_bad_value_exit_2(self, tmp_path, capsys, flag, value, message):
         # Refused before the dataset is opened: this one does not exist.
         assert run(["beams", "--dataset-dir", str(tmp_path / "nowhere"),
                     "--out-dir", str(tmp_path / "ml"), flag, value]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {flag} must be > 0, got " in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "ml").exists()
 
     @pytest.mark.parametrize("flag,value,message", [
@@ -687,6 +690,16 @@ class TestErrors:
         ("grid2.users_per_row=1e400", "grid2.users_per_row: must be a whole number, got inf"),
         ("grid1.spacing_m=nan", "grid1.spacing_m: must be > 0, got nan"),
         ("building_height_m=nan", "building_height_m: must be > 0, got nan"),
+        ("building_height_m=inf",
+         "building corners: must be finite, got (0.0, -60.0, 0.0, 30.0, 0.0, inf)"),
+        ("grid1.origin_x=nan", "grid origin: must be finite, got (nan, 2.0, 2.0)"),
+        ("grid2.spacing_m=inf", "grid spacing_m: must be finite, got inf"),
+        ("user_height_m=nan", "grid origin: must be finite, got (15.0, 2.0, nan)"),
+        ("bs.3.z=nan", "bs.3 position: must be finite, got (200.0, 0.5, nan)"),
+        ("bs_height_m=-inf", "bs.1 position: must be finite, got (100.0, 0.5, -inf)"),
+        ("carrier_freq_hz=inf", "carrier_freq_hz: must be finite, got inf"),
+        ("ground_z_m=nan", "ground_z_m: must be finite, got nan"),
+        ("material.ground.loss_db=nan", "material 'ground' loss_db: must be finite, got nan"),
     ])
     def test_scene_bad_value_exit_2(self, tmp_path, capsys, item, message):
         out = tmp_path / "scene.json"
@@ -694,6 +707,55 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("first,last", [(5, 3), (1, 99999), (5, 5)])
+    def test_row_range_outside_scene_exit_2(self, tmp_path, scene_file, capsys, first, last):
+        # The tiny scene has rows R1..R4.
+        message = (f"error: row range R{first}..R{last} invalid: rows must satisfy "
+                   f"R1 <= first <= last <= R4\n")
+        out = tmp_path / "out"
+        assert run(["trace", "--scene", str(scene_file), "--bs", "3",
+                    "--active_user_first", str(first), "--active_user_last", str(last),
+                    "--out-dir", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        if first > last:        # a parameter error before the scene is consulted
+            return
+        rays = _trace(tmp_path, scene_file, bs="3")
+        assert run(["build", "--scene", str(scene_file), "--rays-dir", str(rays),
+                    "--set", "active_BS=3", "--set", f"active_user_first={first}",
+                    "--set", f"active_user_last={last}", "--out-dir", str(out),
+                    "--quiet"]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("carrier_freq",), math.nan, "carrier_freq_hz: must be finite, got nan"),
+        (("ground_z",), math.inf, "ground_z_m: must be finite, got inf"),
+        (("material_losses", "ground"), math.nan,
+         "material 'ground' loss_db: must be finite, got nan"),
+        (("base_stations", 0, "position", 2), math.nan,
+         "bs.1 position: must be finite, got (100.0, 0.5, nan)"),
+        (("grids", 0, "row_axis", 0), -math.inf,
+         "grid row_axis: must be finite, got (-inf, 0.0, 0.0)"),
+    ])
+    def test_non_finite_number_in_scene_file(self, tmp_path, capsys, path, value, message):
+        scene = tmp_path / "scene.json"
+        assert run(["scene", "--out", str(scene), "--quiet"]) == 0
+        doc = json.loads(scene.read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        scene.write_text(json.dumps(doc))       # as the token NaN, Infinity or -Infinity
+        assert run(["validate", str(scene), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"violation: SceneConfigError: {message}\n"
+        assert run(["trace", "--scene", str(scene), "--bs", "3",
+                    "--active_user_first", "1", "--active_user_last", "1",
+                    "--out-dir", str(tmp_path / "rays"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "rays").exists()
 
     def test_bad_param_value_exit_2(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file, bs="3")
