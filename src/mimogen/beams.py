@@ -172,7 +172,7 @@ MlSource = Dataset | DatasetReader | RayDataset
 
 
 def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
-                     progress: Callable[[int, int], None] | None = None,
+                     progress: Callable[[int], None] | None = None,
                      counters: dict[str, int] | None = None) -> Manifest:
     """Write features.csv and labels.csv in one pass over the steps of
     ``source`` (a ``Dataset``, ``DatasetReader`` or ``RayDataset``), then

@@ -1,9 +1,13 @@
 """Command-line pipeline: scene -> trace -> build -> beams, plus validate.
 
 Exit codes: 0 success, 1 validation/pipeline failure, 2 usage error.
-All diagnostics and progress go to stderr; declared output files are
-written atomically (temp file + rename), so an interrupted run never
-leaves a partial output under its final name.
+A subcommand raises on failure; ``run`` alone turns the exception into
+one ``error:`` line and its exit code (a ``ConfigError`` is a usage
+error). ``validate`` prints its ``violation:`` lines itself. Each stage
+writes its run manifest with ``_write_run``. All diagnostics and
+progress go to stderr; declared output files are written atomically
+(temp file + rename), so an interrupted run never leaves a partial
+output under its final name.
 
 The default output directory can be set with the MIMOGEN_OUT_DIR
 environment variable.
@@ -18,16 +22,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from . import __version__, parallel
 from .files import (
     DatasetError, RayFileError, atomic_write, content_hash, file_digest, write_files,
 )
 from .kvconfig import ConfigError, KVEntry, merge_kv, read_text
-from .params import KEYS, ParamSet, ParamError, params_from_entries, serialize_params
+from .params import KEYS, ParamSet, params_from_entries, serialize_params
 from .parallel import OrderedPool, WorkerError, peak_rss_kib
 from .scene import Scene, SceneConfigError, build_o1_scene, scene_from_json, scene_to_json
 
@@ -41,7 +44,8 @@ _TRACE_POOL_STEPS = 5      # the fewest trace steps that fork workers (measured:
 
 class ProgressReporter:
     """Machine-readable progress lines ``STAGE done/total`` on stderr,
-    rate-limited to one line per whole-percent increment plus a final line."""
+    rate-limited to one line per whole-percent increment; the line at 100%
+    is the one with ``done == total``."""
 
     def __init__(self, stage: str, total: int, stream: TextIO | None = None,
                  quiet: bool = False):
@@ -50,51 +54,34 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self.quiet = quiet
         self._last_pct = -1
-        self._final_emitted = False
 
-    def update(self, done: int, total: int | None = None) -> None:
-        if total is not None:
-            self.total = total
-        if done > self.total:
-            done = self.total
+    def update(self, done: int) -> None:
         if self.quiet:
             return
         pct = 100 if self.total == 0 else int(100 * done / self.total)
-        if done == self.total:
-            if not self._final_emitted:
-                self.stream.write(f"{self.stage} {done}/{self.total}\n")
-                self._final_emitted = True
-            return
         if pct > self._last_pct:
             self._last_pct = pct
             self.stream.write(f"{self.stage} {done}/{self.total}\n")
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    config_hash: str
-    input_hashes: dict[str, str]
-    outputs: list[str]
-    wall_seconds: float
-    counters: dict[str, int] = field(default_factory=dict)
-
-    def write(self, path: Path) -> None:
-        doc = {
-            "subcommand": self.subcommand,
-            "config_hash": self.config_hash,
-            "input_hashes": self.input_hashes,
-            "outputs": self.outputs,
-            "wall_seconds": self.wall_seconds,
-            "tool_version": __version__,
-        }
-        if self.counters:
-            doc["counters"] = self.counters
-        atomic_write(path, (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode())
-
-
-def _file_hash(path: Path) -> str:
-    return file_digest(path)[1]
+def _write_run(path: Path, subcommand: str, t0: float, config: str,
+               inputs: Mapping[str, str | Path], outputs: Iterable[str | Path],
+               counters: dict[str, int] | None = None) -> None:
+    """Write a stage's run manifest to ``path``: the hash of its ``config``
+    text and of each input (``inputs`` maps the name recorded to the file
+    hashed), its outputs, the seconds since ``t0`` and, when ``counters``
+    are given, those with this process's ``peak_rss_kib``."""
+    doc = {
+        "subcommand": subcommand,
+        "config_hash": content_hash(config.encode()),
+        "input_hashes": {name: file_digest(Path(file))[1] for name, file in inputs.items()},
+        "outputs": [str(out) for out in outputs],
+        "wall_seconds": time.monotonic() - t0,
+        "tool_version": __version__,
+    }
+    if counters is not None:
+        doc["counters"] = {**counters, "peak_rss_kib": peak_rss_kib()}
+    atomic_write(path, (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode())
 
 
 def _default_outdir() -> str:
@@ -125,21 +112,15 @@ def _params_from_args(args: argparse.Namespace) -> ParamSet:
 def _cmd_scene(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     if args.preset != "o1":
-        return _usage_error(f"unknown preset {args.preset!r}")
+        raise ConfigError(f"unknown preset {args.preset!r}")
     overrides = _merged_config(args)
     scene = build_o1_scene(overrides)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write(out, scene_to_json(scene).encode())
-    inputs = {args.config: _file_hash(Path(args.config))} if args.config else {}
-    RunManifest(
-        subcommand="scene",
-        config_hash=content_hash(
-            "\n".join(sorted(f"{k}={e.value}" for k, e in overrides.items())).encode()),
-        input_hashes=inputs,
-        outputs=[str(out)],
-        wall_seconds=time.monotonic() - t0,
-    ).write(out.with_name(out.name + ".manifest.json"))
+    _write_run(out.with_name(out.name + ".manifest.json"), "scene", t0,
+               "\n".join(sorted(f"{k}={e.value}" for k, e in overrides.items())),
+               {args.config: args.config} if args.config else {}, [out])
     if not args.quiet:
         print(
             f"scene: {len(scene.base_stations)} base stations, "
@@ -147,11 +128,6 @@ def _cmd_scene(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -164,15 +140,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         bs_ids = [int(s) for s in args.bs.split(",") if s]
     except ValueError:
-        return _usage_error(f"--bs must be comma-separated integers, got {args.bs!r}")
+        raise ConfigError(f"--bs must be comma-separated integers, got {args.bs!r}") from None
     if not bs_ids:
-        return _usage_error(f"--bs names no base station, got {args.bs!r}")
+        raise ConfigError(f"--bs names no base station, got {args.bs!r}")
     if len(set(bs_ids)) < len(bs_ids):
-        return _usage_error(f"--bs names a base station twice, got {args.bs!r}")
+        raise ConfigError(f"--bs names a base station twice, got {args.bs!r}")
     if args.max_reflections < 0:
-        return _usage_error(f"--max-reflections must be >= 0, got {args.max_reflections}")
+        raise ConfigError(f"--max-reflections must be >= 0, got {args.max_reflections}")
     if not 1 <= args.max_paths <= MAX_PATHS:
-        return _usage_error(f"--max-paths must be in 1..{MAX_PATHS}, got {args.max_paths}")
+        raise ConfigError(f"--max-paths must be in 1..{MAX_PATHS}, got {args.max_paths}")
     scene = _load_scene(args.scene)
     for bs_id in bs_ids:
         scene.bs_by_id(bs_id)  # fail early on unknown ids
@@ -219,18 +195,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         steps = ((lo, [next(traced) for _ in bs_ids]) for lo in starts)
         write_files(outputs, heads, steps, write, lambda done: reporter.update(len(bs_ids) * done))
     counters.update(workers=workers, users_per_step=_TRACE_CHUNK,
-                    workers_peak_rss_kib=pool.peak_rss_kib, peak_rss_kib=peak_rss_kib())
-    RunManifest(
-        subcommand="trace",
-        config_hash=content_hash(
-            f"{args.bs} {args.active_user_first} {args.active_user_last} "
-            f"{args.max_reflections} {args.max_paths}".encode()
-        ),
-        input_hashes={args.scene: _file_hash(Path(args.scene))},
-        outputs=[str(out) for out in outputs],
-        wall_seconds=time.monotonic() - t0,
-        counters=counters,
-    ).write(outdir / "trace.manifest.json")
+                    workers_peak_rss_kib=pool.peak_rss_kib)
+    _write_run(outdir / "trace.manifest.json", "trace", t0,
+               f"{args.bs} {args.active_user_first} {args.active_user_last} "
+               f"{args.max_reflections} {args.max_paths}",
+               {args.scene: args.scene}, outputs, counters)
     return 0
 
 
@@ -250,16 +219,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
     for bs_id in params.active_bs:
         path = ray_file(bs_id)
         if not path.exists():
-            print(f"error: missing ray file for active base station {bs_id}: {path}",
-                  file=sys.stderr)
-            return 1
+            raise DatasetError(f"missing ray file for active base station {bs_id}: {path}")
         with path.open("rb") as fh:
             sources[bs_id] = read_rayfile(fh)
     try:
         source = shard_sources(sources, params, scene)
     except ScenarioMismatchError as exc:
-        print(f"error: {ray_file(exc.bs_id)}: {exc}", file=sys.stderr)
-        return 1
+        raise DatasetError(f"{ray_file(exc.bs_id)}: {exc}") from None
     reporter = ProgressReporter("BUILD", len(source.bs_ids) * source.n_users, quiet=args.quiet)
     outdir = Path(args.out_dir)
     counters: dict[str, int] = {}
@@ -268,16 +234,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     for gaps, entry in zip(source.gaps, manifest.entries):
         counters[f"bs{entry.bs_id:03d}.zero_channel_gaps"] = gaps
         counters[f"bs{entry.bs_id:03d}.shard_bytes"] = entry.byte_size
-    counters["peak_rss_kib"] = peak_rss_kib()
-    RunManifest(
-        subcommand="build",
-        config_hash=content_hash(serialize_params(params).encode()),
-        input_hashes={args.scene: _file_hash(Path(args.scene)),
-                      **{str(ray_file(b)): _file_hash(ray_file(b)) for b in params.active_bs}},
-        outputs=[str(outdir / e.filename) for e in manifest.entries],
-        wall_seconds=time.monotonic() - t0,
-        counters=counters,
-    ).write(outdir / "build.manifest.json")
+    _write_run(outdir / "build.manifest.json", "build", t0, serialize_params(params),
+               {str(f): f for f in [args.scene, *map(ray_file, params.active_bs)]},
+               [outdir / e.filename for e in manifest.entries], counters)
     return 0
 
 
@@ -287,9 +246,9 @@ def _cmd_beams(args: argparse.Namespace) -> int:
 
     t0 = time.monotonic()
     if not 0 < args.snr < math.inf:
-        return _usage_error(f"--snr must be finite and > 0, got {args.snr}")
+        raise ConfigError(f"--snr must be finite and > 0, got {args.snr}")
     if not args.oversampling > 0:
-        return _usage_error(f"--oversampling must be > 0, got {args.oversampling}")
+        raise ConfigError(f"--oversampling must be > 0, got {args.oversampling}")
     outdir = Path(args.out_dir)
     with DatasetReader(args.dataset_dir) as ds:
         codebook = dft_codebook(ds.params.dims, oversampling=args.oversampling)
@@ -298,21 +257,13 @@ def _cmd_beams(args: argparse.Namespace) -> int:
         counters: dict[str, int] = {}
         manifest = write_ml_dataset(ds, cfg, outdir, progress=reporter.update,
                                     counters=counters)
-    RunManifest(
-        subcommand="beams",
-        config_hash=content_hash(f"{args.snr} {args.oversampling} {args.conjugate}".encode()),
-        input_hashes={args.dataset_dir: _file_hash(Path(args.dataset_dir) / "manifest.txt")},
-        outputs=[str(outdir / e.filename) for e in manifest.entries],
-        wall_seconds=time.monotonic() - t0,
-        counters={
-            **counters,
-            "pairs": ds.n_users * len(ds.bs_ids),
-            "shards_hash_verified": ds.verified,
-            "features_bytes": manifest.entries[0].byte_size,
-            "labels_bytes": manifest.entries[1].byte_size,
-            "peak_rss_kib": peak_rss_kib(),
-        },
-    ).write(outdir / "beams.manifest.json")
+    counters.update(pairs=ds.n_users * len(ds.bs_ids), shards_hash_verified=ds.verified,
+                    features_bytes=manifest.entries[0].byte_size,
+                    labels_bytes=manifest.entries[1].byte_size)
+    _write_run(outdir / "beams.manifest.json", "beams", t0,
+               f"{args.snr} {args.oversampling} {args.conjugate}",
+               {args.dataset_dir: Path(args.dataset_dir) / "manifest.txt"},
+               [outdir / e.filename for e in manifest.entries], counters)
     return 0
 
 
@@ -370,8 +321,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                     ShardReader(fh, path.name)      # a shard alone has no hash to check
             else:
                 _load_scene(path)
-    except (RayFileError, DatasetError, SceneConfigError, ConfigError, ParamError,
-            OSError, UnicodeDecodeError) as exc:
+    except (RayFileError, DatasetError, ConfigError, OSError, UnicodeDecodeError) as exc:
         problems.append(f"{type(exc).__name__}: {exc}")
     for p in problems:
         print(f"violation: {p}", file=sys.stderr)
@@ -447,15 +397,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ParamError, SceneConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:         # its str() is the repr of its argument
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 1
-    except (RayFileError, DatasetError, WorkerError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ConfigError, KeyError, RayFileError, DatasetError, WorkerError, IndexError,
+            OSError) as exc:
+        # A KeyError's str() is the repr of its argument.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def main() -> None:

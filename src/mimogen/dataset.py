@@ -232,9 +232,10 @@ def shard_sources(
     """Check the ray files against the scene; returns the dataset they give,
     whose records are computed only as they are filled.
 
-    A ray file traced for another scenario or carrier frequency, or one
-    that puts a user more than ``_POSITION_TOL`` from where the scene puts
-    it, is a ``ScenarioMismatchError``. A (bs, user) pair absent from its
+    A ray file traced from another base station, or for another scenario
+    or carrier frequency, or one that puts a user more than
+    ``_POSITION_TOL`` from where the scene puts it, is a
+    ``ScenarioMismatchError``. A (bs, user) pair absent from its
     ray file yields an all-zero channel; each base station with such gaps
     logs one warning with their count and first few users. Each ray file's
     user indices must be strictly ascending, as ``read_rayfile`` checks;
@@ -248,6 +249,9 @@ def shard_sources(
             raise DatasetError(f"rays for base station {bs_id}: user indices are not "
                                f"strictly ascending")
         header = ray_sources[bs_id].header
+        if header.bs_id != bs_id:
+            raise ScenarioMismatchError(f"rays for base station {bs_id} were traced from "
+                                        f"base station {header.bs_id}", bs_id=bs_id)
         if (header.scenario, header.carrier_freq) != (scene.name, scene.carrier_freq):
             raise ScenarioMismatchError(
                 f"rays for base station {bs_id} were traced in scenario "
@@ -632,7 +636,7 @@ def write_steps(
     heads: Sequence[bytes],
     encode: Callable[[tuple[np.ndarray, ...], T], Sequence[bytes | memoryview]],
     score: Callable[[tuple[np.ndarray, ...]], T] | None = None,
-    progress: Callable[[int, int], None] | None = None,
+    progress: Callable[[int], None] | None = None,
     counters: dict[str, int] | None = None,
 ) -> tuple[list[HashingSink], tuple[int, int]]:
     """The step loop of ``build`` and ``beams``: ``write_files`` over the
@@ -642,8 +646,8 @@ def write_steps(
     fills a ``RayDataset``'s step there; this process fills any other
     source's just before submitting it, after step n - window is written
     (so a ``DatasetReader`` checks its shards here). The task then scores
-    the step with ``score`` (None without it). ``progress(done, total)``
-    counts the (BS, user) pairs written; ``counters`` gets ``workers``,
+    the step with ``score`` (None without it). ``progress(done)`` gets the
+    (BS, user) pairs written after each step; ``counters`` gets ``workers``,
     ``users_per_step`` and ``workers_peak_rss_kib`` (0 without workers).
     """
     shards, n_users = len(source.bs_ids), source.n_users
@@ -671,7 +675,7 @@ def write_steps(
         taken = ((slot(n), s) for n, s in enumerate(pool.map(task, submitted())))
         written = write_files(
             paths, heads, taken, lambda step: (step[0][0]["global_index"], encode(*step)),
-            None if progress is None else lambda done: progress(shards * done, shards * n_users))
+            None if progress is None else lambda done: progress(shards * done))
     if counters is not None:
         counters.update(workers=workers, users_per_step=users,
                         workers_peak_rss_kib=pool.peak_rss_kib)
@@ -682,7 +686,7 @@ def write_shards(
     sink: Path | str,
     source: Dataset | DatasetReader | RayDataset,
     fmt: str = "binary",
-    progress: Callable[[int, int], None] | None = None,
+    progress: Callable[[int], None] | None = None,
     counters: dict[str, int] | None = None,
 ) -> Manifest:
     """Write one file per active base station of ``source`` in one pass

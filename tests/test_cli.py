@@ -288,6 +288,36 @@ class TestPipeline:
         assert doc["input_hashes"][str(scene_file)] == content_hash(scene_file.read_bytes())
         assert doc["wall_seconds"] >= 0
 
+    @pytest.mark.parametrize("stage", ["scene", "trace", "build", "beams"])
+    def test_run_manifest_hashes_each_input(self, tmp_path, scene_file, stage):
+        config = tmp_path / "scene.cfg"
+        config.write_text("".join(f"{item}\n" for item in TINY_SCENE_SETS[1::2]))
+        scene = tmp_path / "configured.json"
+        assert run(["scene", "--config", str(config), "--out", str(scene), "--quiet"]) == 0
+        rays = _trace(tmp_path, scene_file)
+        _, ds_dir = _build(tmp_path, scene_file, rays)
+        ml = tmp_path / "ml"
+        assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
+                    "--quiet"]) == 0
+        ray_files = [rays / f"rays_bs{b:03d}.drf" for b in (3, 4)]
+        record, inputs = {
+            "scene": (tmp_path / "configured.json.manifest.json", {str(config): config}),
+            "trace": (rays / "trace.manifest.json", {str(scene_file): scene_file}),
+            "build": (ds_dir / "build.manifest.json",
+                      {str(f): f for f in [scene_file, *ray_files]}),
+            "beams": (ml / "beams.manifest.json", {str(ds_dir): ds_dir / "manifest.txt"}),
+        }[stage]
+        doc = json.loads(record.read_text())
+        assert set(doc) - {"counters"} == {"subcommand", "config_hash", "input_hashes",
+                                           "outputs", "wall_seconds", "tool_version"}
+        assert doc["subcommand"] == stage
+        assert doc["input_hashes"] == {name: content_hash(file.read_bytes())
+                                       for name, file in inputs.items()}
+        if stage == "scene":
+            assert "counters" not in doc
+        else:
+            assert doc["counters"]["peak_rss_kib"] > 0
+
     def test_build_manifest_counts_gaps_and_bytes(self, tmp_path, scene_file, caplog,
                                                   monkeypatch):
         rays = tmp_path / "rays"
@@ -374,6 +404,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"error: {rays / 'rays_bs003.drf'}: rays for base station 3 put user 2 " \
             "at (15, 2.2, 2) m, but the scene puts it at (15, 2.25, 2) m" in err
+        assert not ds_dir.exists()
+
+    def test_rays_of_another_base_station(self, tmp_path, scene_file, capsys):
+        rays = _trace(tmp_path, scene_file)
+        bs3, bs4 = rays / "rays_bs003.drf", rays / "rays_bs004.drf"
+        traced3 = bs3.read_bytes()
+        bs3.write_bytes(bs4.read_bytes())
+        bs4.write_bytes(traced3)
+        rc, ds_dir = _build(tmp_path, scene_file, rays)
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {bs3}: rays for base station 3 were traced from base station 4\n"
         assert not ds_dir.exists()
 
     def test_build_refused_when_the_disk_is_too_small(self, tmp_path, scene_file,

@@ -206,6 +206,15 @@ class TestBuild:
         with pytest.raises(ScenarioMismatchError, match="base station 3.*2.8e"):
             build_dataset(sources, p, tiny_scene)
 
+    def test_ray_file_of_another_base_station(self, rng, tiny_scene):
+        p = _params(active_bs=(3, 4))
+        rf = _ray_sources(rng, tiny_scene, p)
+        with pytest.raises(ScenarioMismatchError,
+                           match="^rays for base station 3 were traced from base station 4$"
+                           ) as exc:
+            shard_sources({3: rf[4], 4: rf[3]}, p, tiny_scene)
+        assert exc.value.bs_id == 3
+
     def test_ray_positions_must_match_scene(self, rng, tiny_scene):
         # Same grids and user indices, but grid 1 moved by 0.5 m along x.
         moved = build_o1_scene(parse_kv(
@@ -234,13 +243,13 @@ class TestBuild:
         p = _params()
         source = shard_sources(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
         calls = []
-        write_shards(tmp_path / "one_step", source, progress=lambda d, t: calls.append((d, t)))
-        assert calls == [(12, 12)]
+        write_shards(tmp_path / "one_step", source, progress=calls.append)
+        assert calls == [12]
         # A pool's one-user steps are counted as they are written.
         monkeypatch.setattr(dataset, "_BATCH_BYTES", 1)
         calls.clear()
-        write_shards(tmp_path / "pool", source, progress=lambda d, t: calls.append((d, t)))
-        assert calls == [(2 * k, 12) for k in range(1, 7)]
+        write_shards(tmp_path / "pool", source, progress=calls.append)
+        assert calls == [2, 4, 6, 8, 10, 12]
 
 
 
