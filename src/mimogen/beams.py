@@ -56,12 +56,7 @@ def dft_codebook(dims: tuple[int, int, int], oversampling: int = 1) -> Codebook:
         v = np.exp(2j * np.pi * np.outer(grid, np.arange(m)) / g) / math.sqrt(m)
         per_axis.append(v)
     mx, my, mz = per_axis
-    vectors = []
-    for vz in mz:
-        for vy in my:
-            for vx in mx:
-                vectors.append(np.kron(vz, np.kron(vy, vx)))
-    return Codebook(vectors=np.array(vectors), dims=dims, oversampling=oversampling)
+    return Codebook(vectors=np.kron(mz, np.kron(my, mx)), dims=dims, oversampling=oversampling)
 
 
 @dataclass(frozen=True)

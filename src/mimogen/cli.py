@@ -169,7 +169,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             key + "image_nodes_searched": batch.nodes_searched,
             key + "image_nodes_yielding": batch.nodes_yielding,
             key + "paths": len(batch.paths), key + "users_without_paths": with_k[0],
-            **{key + f"users_with_{k}_paths": n for k, n in enumerate(with_k) if n}}
+            **{key + f"users_with_{k}_paths": n for k, n in enumerate(with_k) if k and n}}
 
     # Summed over the steps; the tree sizes also build the workers' geometry.
     counters = collections.Counter({f"bs{b:03d}.image_nodes": image_node_counts(
@@ -205,7 +205,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     from .dataset import ScenarioMismatchError, shard_sources, write_shards
-    from .rayio import read_rayfile
+    from .rayio import RayFile, read_rayfile
 
     t0 = time.monotonic()
     scene = _load_scene(args.scene)
@@ -215,15 +215,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
     def ray_file(bs_id: int) -> Path:
         return rays_dir / f"rays_bs{bs_id:03d}.drf"
 
-    sources = {}
-    for bs_id in params.active_bs:
+    def load(bs_id: int) -> RayFile:
         path = ray_file(bs_id)
         if not path.exists():
             raise DatasetError(f"missing ray file for active base station {bs_id}: {path}")
         with path.open("rb") as fh:
-            sources[bs_id] = read_rayfile(fh)
-    try:
-        source = shard_sources(sources, params, scene)
+            return read_rayfile(fh)
+
+    try:    # no ray file outlives this call, so the forked workers inherit none
+        source = shard_sources({b: load(b) for b in params.active_bs}, params, scene)
     except ScenarioMismatchError as exc:
         raise DatasetError(f"{ray_file(exc.bs_id)}: {exc}") from None
     reporter = ProgressReporter("BUILD", len(source.bs_ids) * source.n_users, quiet=args.quiet)

@@ -15,14 +15,16 @@ In memory a file's payload is a ``tracer.RayRows``: its user rows in the
 ``USER_ROW`` layout and its path rows in the ``PATH_ROW`` layout. The one
 encoder comes in two parts, so a file can be written a step of users at a
 time: ``encode_head`` packs the header and ``encode_rows`` checks a block
-of records and scatters both row kinds into one buffer (``write_rayfile``
-is one head and one block). The one decoder scans the users' offsets and
-gathers both back with ``np.frombuffer``; the one validator checks the
-invariants column by column.
+of records and writes both row kinds through one user-row mask
+(``write_rayfile`` is one head and one block). The one decoder scans the
+users' path counts, gathers both through that mask and drops the file's
+bytes; the one validator then checks the invariants column by column,
+for the first 10 records (``_SHOWN``) that break any.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -42,6 +44,8 @@ _HEADER = struct.Struct("<4sIId Q32s")
 _N_PATHS = struct.Struct("<H")
 _N_PATHS_AT = USER_ROW.fields["n_paths"][1]     # offset of n_paths in a user row
 _ASCENDING = "must be strictly ascending"
+_SHOWN = 10     # records a check lists the violations of; violations a message shows
+_WORD = np.dtype(np.uint16)     # both row sizes are even: a payload splits on 2-byte words
 
 
 class RayFileFormatError(RayFileError):
@@ -90,7 +94,7 @@ class Violation:
 
 def validate_rayfile(rf: RayFile) -> list[Violation]:
     """Check every invariant; returns an empty list iff the file is valid.
-    File-level violations come first, then each record's (``row_violations``).
+    File-level violations come first, then the first bad records' (``row_violations``).
     """
     header, rows = rf.header, rf.rows
     out = [] if header.user_count == len(rows) else [Violation(
@@ -104,22 +108,25 @@ def _head_violations(header: RayFileHeader) -> list[Violation]:
 
 
 def row_violations(rows: RayRows, bs_id: int, first: int = 0) -> list[Violation]:
-    """The violations of records ``first``... of a file of base station
-    ``bs_id``, whose rows are ``rows``: each record's user index (from the
-    second on; ``check_follows`` checks the first), base station and path
-    count, then each path's, in path order, non-finite fields first; the
-    range and order rules skip a path whose power or delay is not finite."""
-    users, paths = rows.users, rows.paths
+    """The violations of the first ``_SHOWN`` records that have any, of
+    records ``first``... of a file of base station ``bs_id`` with rows
+    ``rows``: each record's user index (from the second on; ``check_follows``
+    checks the first), base station and path count, then each path's, in
+    path order, non-finite fields first; the range and order rules skip a
+    path whose power or delay is not finite."""
+    users, paths, starts = rows.users, rows.paths, rows.starts
     index = users["user_index"]
+    descends = np.zeros(len(users), dtype=bool)
+    descends[1:] = index[1:] <= index[:-1]
     record_rules = [
-        ("user_index", _ASCENDING, np.concatenate([[False], index[1:] <= index[:-1]])),
+        ("user_index", _ASCENDING, descends),
         ("bs_id", f"must match header bs_id {bs_id}", np.full(len(users), rows.bs_id != bs_id)),
         ("paths", f"at most {MAX_PATHS} paths per record", users["n_paths"] > MAX_PATHS),
     ]
-    record = np.repeat(np.arange(len(users)), users["n_paths"])   # of each path
-    place = np.arange(len(paths)) - rows.starts[record]           # in its record
+    later = np.ones(len(paths), dtype=bool)         # not its record's first path
+    later[starts[:-1][users["n_paths"] > 0]] = False
     power, delay = paths["power"], paths["delay"]
-    prev = np.concatenate([[np.nan], power[:-1]])
+    prev = np.roll(power, 1)
     ranged = np.isfinite(power) & np.isfinite(delay)
 
     def outside(name: str, lo: float, hi: float, closed: bool) -> np.ndarray:
@@ -136,19 +143,22 @@ def row_violations(rows: RayRows, bs_id: int, first: int = 0) -> list[Violation]
         ("aoa_el", "elevation in [0, 180]", outside("aoa_el", 0.0, 180.0, True)),
         ("phase", "phase in [0, 2*pi)", outside("phase", 0.0, 2.0 * math.pi + 1e-12, False)),
         ("power", "paths sorted by power descending",
-         ranged & (place > 0) & np.isfinite(prev) & (power > prev)),
+         ranged & later & np.isfinite(prev) & (power > prev)),
     ]
 
-    # Order the violations as one pass over records, then paths, would.
-    keyed: list[tuple[tuple[int, int, int, int], Violation]] = []
-    for k, (name, rule, mask) in enumerate(record_rules):
-        keyed += [((i, 0, 0, k), Violation(first + i, name, rule))
-                  for i in np.flatnonzero(mask).tolist()]
-    for k, (name, rule, mask) in enumerate(path_rules):
-        for i, j in zip(record[mask].tolist(), place[mask].tolist()):
-            keyed.append(((i, 1, j, k), Violation(first + i, f"paths[{j}].{name}", rule)))
-    keyed.sort(key=lambda kv: kv[0])
-    return [v for _, v in keyed]
+    # Walk the records that break a rule in order, each record's rules and
+    # then its paths', but only as far as the first _SHOWN of them.
+    bad = functools.reduce(np.logical_or, [mask for _, _, mask in record_rules])
+    bad_path = functools.reduce(np.logical_or, [mask for _, _, mask in path_rules])
+    bad[np.searchsorted(starts, np.flatnonzero(bad_path), side="right") - 1] = True
+    out = []
+    for i in np.flatnonzero(bad)[:_SHOWN].tolist():
+        out += [Violation(first + i, name, rule) for name, rule, mask in record_rules if mask[i]]
+        lo = starts[i]
+        for j in np.flatnonzero(bad_path[lo: starts[i + 1]]).tolist():
+            out += [Violation(first + i, f"paths[{j}].{name}", rule)
+                    for name, rule, mask in path_rules if mask[lo + j]]
+    return out
 
 
 def check_follows(before: int | None, index: np.ndarray, first: int) -> None:
@@ -165,16 +175,12 @@ def _refuse(violations: list[Violation]) -> None:
             "refusing to write invalid ray data: " + "; ".join(str(v) for v in violations[:5]))
 
 
-def _layout(n_paths: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (U, user row size) byte offsets of each user row in a
-    ``size``-byte payload whose users have ``n_paths`` paths, and the mask
-    of its path-row bytes, the others."""
-    path_bytes = PATH_ROW.itemsize * n_paths.astype(np.intp)
-    start = USER_ROW.itemsize * np.arange(n_paths.size) + np.cumsum(path_bytes) - path_bytes
-    user_bytes = start[:, None] + np.arange(USER_ROW.itemsize)
-    path_mask = np.ones(size, dtype=bool)
-    path_mask[user_bytes] = False
-    return user_bytes, path_mask
+def _user_words(n_paths: np.ndarray) -> np.ndarray:
+    """The mask of the user-row words (``_WORD``) of a payload whose users
+    have ``n_paths`` paths, each user's row followed by its path rows."""
+    sizes = np.column_stack([np.full(n_paths.size, USER_ROW.itemsize),    # a user's row,
+                             PATH_ROW.itemsize * n_paths.astype(np.intp)])  # then its paths
+    return np.repeat(np.tile([True, False], n_paths.size), sizes.ravel() // _WORD.itemsize)
 
 
 def encode_head(header: RayFileHeader) -> bytes:
@@ -202,12 +208,11 @@ def encode_rows(rows: RayRows, bs_id: int, first: int = 0) -> np.ndarray:
 
 
 def _pack(rows: RayRows) -> np.ndarray:
-    data = np.empty(len(rows) * USER_ROW.itemsize + len(rows.paths) * PATH_ROW.itemsize,
-                    dtype=np.uint8)
-    user_bytes, path_bytes = _layout(rows.users["n_paths"], data.size)
-    data[user_bytes] = np.ascontiguousarray(rows.users).view(np.uint8).reshape(user_bytes.shape)
-    data[path_bytes] = np.ascontiguousarray(rows.paths).view(np.uint8)
-    return data
+    user_words = _user_words(rows.users["n_paths"])
+    data = np.empty(user_words.size, dtype=_WORD)
+    data[user_words] = np.ascontiguousarray(rows.users).view(_WORD)
+    data[~user_words] = np.ascontiguousarray(rows.paths).view(_WORD)
+    return data.view(np.uint8)
 
 
 def write_rayfile(
@@ -242,9 +247,7 @@ def read_rayfile(source: BinaryIO) -> RayFile:
         raise RayFileCorruptionError(
             f"truncated header: got {len(data)} bytes, need {HEADER_SIZE}"
         )
-    magic, version, bs_id, carrier_freq, user_count, scenario_raw = _HEADER.unpack(
-        data[: _HEADER.size]
-    )
+    magic, version, bs_id, carrier_freq, user_count, scenario_raw = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise RayFileFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
@@ -283,17 +286,14 @@ def read_rayfile(source: BinaryIO) -> RayFile:
             f"{len(data) - offset} trailing bytes after last record (offset {offset})"
         )
 
-    raw = np.frombuffer(data, dtype=np.uint8, offset=HEADER_SIZE)
-    user_bytes, path_bytes = _layout(n_paths, raw.size)
-    rows = RayRows(bs_id, raw[user_bytes].view(USER_ROW).reshape(user_count),
-                   raw[path_bytes].view(PATH_ROW))
-    del user_bytes, path_bytes      # a byte each of the file: not held while validating
-    rf = RayFile(
-        header=RayFileHeader(bs_id=bs_id, carrier_freq=carrier_freq,
-                             user_count=user_count, scenario=scenario),
-        rows=rows,
-    )
+    raw = np.frombuffer(data, dtype=_WORD, offset=HEADER_SIZE)
+    user_words = _user_words(n_paths)
+    users = raw[user_words].view(USER_ROW)
+    paths = raw[np.logical_not(user_words, out=user_words)].view(PATH_ROW)
+    del data, raw, user_words       # the file's bytes and the mask: not held while checking
+    rf = RayFile(RayFileHeader(bs_id, carrier_freq, user_count, scenario),
+                 RayRows(bs_id, users, paths))
     violations = validate_rayfile(rf)
     if violations:
-        raise RayFileSemanticError("; ".join(str(v) for v in violations[:10]))
+        raise RayFileSemanticError("; ".join(str(v) for v in violations[:_SHOWN]))
     return rf

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from mimogen import beams, cli, dataset, parallel, tracer
 from mimogen.cli import ProgressReporter, build_parser, run
 from mimogen.dataset import DatasetReader, content_hash, record_dtype
 from mimogen.params import KEYS, ParamSet
-from mimogen.rayio import HEADER_SIZE, MAX_PATHS, read_rayfile
+from mimogen.rayio import HEADER_SIZE, MAX_PATHS, RayFile, read_rayfile
 from mimogen.scene import scene_from_json, users_in_row_range
 
 from conftest import rewrite_shard
@@ -147,10 +148,22 @@ class TestPipeline:
                 records = read_rayfile(fh).rows
             hist = {int(m[1]): n for key, n in counters.items()
                     if (m := re.fullmatch(rf"bs{b:03d}\.users_with_(\d+)_paths", key))}
-            assert hist and all(n > 0 for n in hist.values())
-            assert sum(hist.values()) == len(records)
+            assert hist and all(k > 0 and n > 0 for k, n in hist.items())
+            without = counters[f"bs{b:03d}.users_without_paths"]
+            assert sum(hist.values()) + without == len(records)
             assert sum(k * n for k, n in hist.items()) == counters[f"bs{b:03d}.paths"]
-            assert hist.get(0, 0) == counters[f"bs{b:03d}.users_without_paths"]
+
+    def test_build_workers_inherit_no_ray_file(self, tmp_path, scene_file, monkeypatch):
+        rays = _trace(tmp_path, scene_file)
+        write_shards = dataset.write_shards
+
+        def no_ray_file_alive(*args, **kwargs):
+            gc.collect()
+            assert not [o for o in gc.get_objects() if isinstance(o, RayFile)]
+            return write_shards(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "write_shards", no_ray_file_alive)
+        assert _build(tmp_path, scene_file, rays)[0] == 0
 
     def test_trace_and_build_make_no_path_records(self, tmp_path, scene_file, monkeypatch):
         def refuse(*args, **kwargs):

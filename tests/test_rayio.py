@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimogen import rayio
 from mimogen.rayio import (
     HEADER_SIZE,
     MAGIC,
@@ -20,6 +21,7 @@ from mimogen.rayio import (
     RayFileHeader,
     RayFileSemanticError,
     RayFileVersionError,
+    Violation,
     check_follows,
     encode_head,
     encode_rows,
@@ -402,11 +404,41 @@ class TestColumnarMemory:
         try:
             before = tracemalloc.get_traced_memory()[0]
             rf = read_rayfile(io.BytesIO(data))
-            held = tracemalloc.get_traced_memory()[0] - before
+            held, peak = (n - before for n in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         assert len(rf.rows.paths) == 17_328
         assert held <= 1.5 * len(data), f"{held} bytes held for a {len(data)}-byte file"
+        # At the peak: the rows and the user-row mask, a bool per 2-byte word.
+        assert peak <= 1.75 * len(data), f"{peak} bytes at peak for a {len(data)}-byte file"
+
+
+class TestReportedViolations:
+    def test_only_the_records_shown_are_walked(self, rng, monkeypatch):
+        # Every path's phase out of range: 32,000 violations in 2,000 records.
+        rows = _rows(2000, 16, rng)
+        buf = io.BytesIO()
+        write_rayfile(rows, _header(2000), buf)
+        data = np.frombuffer(buf.getvalue(), dtype=np.uint8).copy()
+        u, j = np.divmod(np.arange(len(rows.paths)), 16)
+        at = (HEADER_SIZE + (u + 1) * USER_ROW.itemsize + (16 * u + j) * PATH_ROW.itemsize
+              + PATH_ROW.fields["phase"][1])
+        data[at[:, None] + np.arange(8)] = np.frombuffer(struct.pack("<d", 7.0), np.uint8)
+        bad = rows.paths.copy()
+        bad["phase"] = 7.0
+        want = validate_rayfile_oracle(_header(2000), RayRows(3, rows.users, bad))
+
+        built = []
+
+        def violation(record_index, field, rule):
+            built.append(record_index)
+            return Violation(record_index, field, rule)
+
+        monkeypatch.setattr(rayio, "Violation", violation)
+        with pytest.raises(RayFileSemanticError) as exc:
+            read_rayfile(io.BytesIO(data.tobytes()))
+        assert str(exc.value) == "; ".join(map(str, want[:10]))
+        assert len(want) == 32_000 and set(built) == set(range(10))
 
 
 class TestMutationFuzz:
