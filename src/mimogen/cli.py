@@ -267,16 +267,21 @@ def _cmd_beams(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_outputs(record: Path) -> list[str]:
+    """The file names of the outputs that the run manifest ``record`` lists."""
+    try:
+        return [Path(out).name for out in json.loads(read_text(record, DatasetError))["outputs"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DatasetError(f"{record.name}: malformed run manifest: {exc!r}") from None
+
+
 def _check_build_outputs(directory: Path, listed: set[str]) -> None:
     """With the ``build.manifest.json`` that ``build`` writes beside them,
     the files ``manifest.txt`` lists (``listed``) must be that run's outputs."""
     record = directory / "build.manifest.json"
     if not record.is_file():
         return
-    try:
-        outputs = {Path(out).name for out in json.loads(read_text(record, DatasetError))["outputs"]}
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DatasetError(f"{record.name}: malformed run manifest: {exc!r}") from None
+    outputs = set(_run_outputs(record))
     if outputs != listed:
         raise DatasetError("; ".join(
             [f"{name}: an output in {record.name} that manifest.txt does not list"
@@ -296,6 +301,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 from .beams import verify_ml_dataset
 
                 verify_ml_dataset(path)
+            elif (path / "trace.manifest.json").is_file() and not (path / "manifest.txt").exists():
+                from .rayio import read_rayfile
+
+                for name in _run_outputs(path / "trace.manifest.json"):
+                    with (path / name).open("rb") as fh:
+                        try:
+                            read_rayfile(fh)
+                        except RayFileError as exc:
+                            raise type(exc)(f"{name}: {exc}") from None
             else:
                 manifest = dataset.Manifest.read(path / "manifest.txt")
                 if manifest.entries and all(e.filename.endswith(".csv")

@@ -33,6 +33,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .files import RayFileError
+from .scene import NAME_BYTES
 from .tracer import PATH_FIELDS, PATH_ROW, USER_ROW, PathList, RayRows
 
 MAGIC = b"DMRF"
@@ -40,7 +41,7 @@ VERSION = 1
 HEADER_SIZE = 64
 MAX_PATHS = 25
 
-_HEADER = struct.Struct("<4sIId Q32s")
+_HEADER = struct.Struct(f"<4sIId Q{NAME_BYTES}s")
 _N_PATHS = struct.Struct("<H")
 _N_PATHS_AT = USER_ROW.fields["n_paths"][1]     # offset of n_paths in a user row
 _ASCENDING = "must be strictly ascending"
@@ -70,7 +71,6 @@ class RayFileHeader:
     carrier_freq: float
     user_count: int
     scenario: str
-    version: int = VERSION
 
 
 @dataclass(frozen=True)
@@ -186,14 +186,14 @@ def _user_words(n_paths: np.ndarray) -> np.ndarray:
 def encode_head(header: RayFileHeader) -> bytes:
     """The header of a file of ``header.user_count`` users. A carrier
     frequency that is not finite and > 0 is refused, as is a scenario name
-    that does not encode in 32 bytes of UTF-8."""
+    that does not encode in ``NAME_BYTES`` of UTF-8."""
     _refuse(_head_violations(header))
     try:
         scenario = header.scenario.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise RayFileFormatError(f"scenario name not encodable: {exc}") from None
-    if len(scenario) > 32:
-        raise RayFileFormatError("scenario name longer than 32 bytes")
+    if len(scenario) > NAME_BYTES:
+        raise RayFileFormatError(f"scenario name longer than {NAME_BYTES} bytes")
     return _HEADER.pack(MAGIC, VERSION, header.bs_id, header.carrier_freq,
                         header.user_count, scenario) + bytes(HEADER_SIZE - _HEADER.size)
 

@@ -12,10 +12,12 @@ x in [300, 340], running from y = -240 to y = +200.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+import sys
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from .kvconfig import ConfigError, KVEntry, as_float
 
@@ -30,6 +32,9 @@ GROUND_MATERIAL = "ground"
 #: Default loss per specular bounce when a material has no explicit entry.
 DEFAULT_REFLECTION_LOSS_DB = 6.0
 
+#: The longest scene name, in UTF-8 bytes, that a ray-file header carries.
+NAME_BYTES = 32
+
 
 class SceneConfigError(ConfigError):
     """Invalid scene configuration; the message names the offending field."""
@@ -38,6 +43,13 @@ class SceneConfigError(ConfigError):
 class RowRangeError(ConfigError, IndexError):
     """A row range that is not within the scene's rows: a usage error, and an
     ``IndexError`` like any other index out of range."""
+
+
+def _key(key: str, kind: str | type | None, optional: bool = False, **field_kw: Any) -> Any:
+    """A field kept under the scene-file key ``key`` as a value of ``kind``: a
+    key of ``_KINDS``, a class for a list of its objects, or None for a value
+    the class checks. Only an ``optional`` key may be missing from a file."""
+    return field(metadata={"key": key, "kind": kind, "optional": optional}, **field_kw)
 
 
 def _require_finite(name: str, value: float | tuple[float, ...]) -> None:
@@ -50,18 +62,16 @@ def _require_finite(name: str, value: float | tuple[float, ...]) -> None:
 class Building:
     """Axis-aligned solid box."""
 
-    min_corner: tuple[float, float, float]
-    max_corner: tuple[float, float, float]
-    material_id: str = BUILDING_MATERIAL
+    min_corner: tuple[float, float, float] = _key("min", "3 numbers")
+    max_corner: tuple[float, float, float] = _key("max", "3 numbers")
+    material_id: str = _key("material", "a string", default=BUILDING_MATERIAL)
 
     def __post_init__(self) -> None:
         _require_finite("building corners", self.min_corner + self.max_corner)
         for a in range(3):
             if not self.min_corner[a] < self.max_corner[a]:
-                raise SceneConfigError(
-                    f"building corner axis {a}: min {self.min_corner[a]} must be "
-                    f"< max {self.max_corner[a]}"
-                )
+                raise SceneConfigError(f"building corner axis {a}: min {self.min_corner[a]} "
+                                       f"must be < max {self.max_corner[a]}")
 
     def contains(self, p: Sequence[float], margin: float = 0.0) -> bool:
         return all(
@@ -71,9 +81,10 @@ class Building:
 
 @dataclass(frozen=True)
 class BaseStation:
-    id: int
-    position: tuple[float, float, float]
-    antenna_axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    id: int = _key("id", "an integer")
+    position: tuple[float, float, float] = _key("position", "3 numbers")
+    antenna_axis: tuple[float, float, float] = _key("antenna_axis", "3 numbers",
+                                                    default=(0.0, 0.0, 1.0))
 
     def __post_init__(self) -> None:
         _require_finite(f"bs.{self.id} position", self.position)
@@ -89,13 +100,13 @@ class UserGrid:
     ``origin + (r-1)*spacing*row_axis + (c-1)*spacing*col_axis``.
     """
 
-    origin: tuple[float, float, float]
-    row_axis: tuple[float, float, float]
-    col_axis: tuple[float, float, float]
-    n_rows: int
-    users_per_row: int
-    spacing: float
-    first_row_label: int
+    origin: tuple[float, float, float] = _key("origin", "3 numbers")
+    row_axis: tuple[float, float, float] = _key("row_axis", "3 numbers")
+    col_axis: tuple[float, float, float] = _key("col_axis", "3 numbers")
+    n_rows: int = _key("n_rows", None)                  # the counts: checked below
+    users_per_row: int = _key("users_per_row", None)
+    spacing: float = _key("spacing", "a number")
+    first_row_label: int = _key("first_row_label", "an integer")
 
     def __post_init__(self) -> None:
         for key, count in (("n_rows", self.n_rows), ("users_per_row", self.users_per_row)):
@@ -124,15 +135,23 @@ class UserGrid:
 # eq=False: identity-based hashing so per-scene tracer geometry can be cached.
 @dataclass(frozen=True, eq=False)
 class Scene:
-    buildings: tuple[Building, ...]
-    base_stations: tuple[BaseStation, ...]
-    grids: tuple[UserGrid, ...]
-    carrier_freq: float
-    ground_z: float = 0.0
-    material_losses: Mapping[str, float] = field(default_factory=dict)
-    name: str = "custom"
+    buildings: tuple[Building, ...] = _key("buildings", Building)
+    base_stations: tuple[BaseStation, ...] = _key("base_stations", BaseStation)
+    grids: tuple[UserGrid, ...] = _key("grids", UserGrid)
+    carrier_freq: float = _key("carrier_freq", "a number")
+    ground_z: float = _key("ground_z", "a number", default=0.0)
+    material_losses: Mapping[str, float] = _key("material_losses", "an object of numbers",
+                                                default_factory=dict)
+    name: str = _key("name", "a string", optional=True, default="custom")
 
     def __post_init__(self) -> None:
+        # Every artifact carries the name: a ray-file header in NAME_BYTES of
+        # UTF-8, a shard's echo block on one line.
+        raw = self.name.encode("utf-8", "replace")     # a lone surrogate becomes "?"
+        if (len(raw) > NAME_BYTES or raw.decode() != self.name or "\0" in self.name
+                or "".join(self.name.splitlines()) != self.name):
+            raise SceneConfigError(f"name: must be one line of at most {NAME_BYTES} bytes "
+                                   f"of UTF-8 without NUL, got {self.name!r}")
         _require_finite("carrier_freq_hz", self.carrier_freq)
         if self.carrier_freq <= 0:
             raise SceneConfigError(f"carrier_freq_hz: must be > 0, got {self.carrier_freq}")
@@ -143,19 +162,15 @@ class Scene:
         if sorted(ids) != list(range(1, len(ids) + 1)):
             raise SceneConfigError("base station ids must be unique and contiguous from 1")
         for bs in self.base_stations:
-            for b in self.buildings:
-                if b.contains(bs.position):
-                    raise SceneConfigError(
-                        f"bs.{bs.id}: position {bs.position} lies inside a building"
-                    )
-        label = None
-        for i, g in enumerate(self.grids):
-            if label is not None and g.first_row_label != label + 1:
+            if any(b.contains(bs.position) for b in self.buildings):
+                raise SceneConfigError(f"bs.{bs.id}: position {bs.position} lies inside "
+                                       "a building")
+        for i, (g, h) in enumerate(zip(self.grids, self.grids[1:]), start=2):
+            if h.first_row_label != g.last_row_label + 1:
                 raise SceneConfigError(
-                    f"grid {i + 1}: first_row_label {g.first_row_label} breaks contiguous "
-                    f"row labelling (expected {label + 1})"
+                    f"grid {i}: first_row_label {h.first_row_label} breaks contiguous "
+                    f"row labelling (expected {g.last_row_label + 1})"
                 )
-            label = g.last_row_label
 
     @property
     def total_users(self) -> int:
@@ -319,23 +334,16 @@ def build_o1_scene(cfg: Mapping[str, KVEntry] | None = None) -> Scene:
 
     stations = [
         BaseStation(bs.id, tuple(pop_float(f"bs.{bs.id}.{a}", v)
-                                 for a, v in zip("xyz", bs.position)), bs.antenna_axis)
+                                 for a, v in zip("xyz", bs.position)))
         for bs in _default_base_stations(bs_z)
     ]
 
     if cfg:
-        unknown = sorted(cfg)[0]
-        raise SceneConfigError(f"unknown scene config key {unknown!r}")
+        raise SceneConfigError(f"unknown scene config key {min(cfg)!r}")
 
-    return Scene(
-        buildings=tuple(_default_buildings(bld_h)),
-        base_stations=tuple(stations),
-        grids=tuple(grids),
-        carrier_freq=carrier,
-        ground_z=ground_z,
-        material_losses=losses,
-        name="o1",
-    )
+    return Scene(buildings=tuple(_default_buildings(bld_h)), base_stations=tuple(stations),
+                 grids=tuple(grids), carrier_freq=carrier, ground_z=ground_z,
+                 material_losses=losses, name="o1")
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +352,7 @@ def build_o1_scene(cfg: Mapping[str, KVEntry] | None = None) -> Scene:
 
 def grid_start_indices(scene: Scene) -> list[int]:
     """Global index of the first user of each grid (1-based)."""
-    starts = []
-    acc = 1
-    for g in scene.grids:
-        starts.append(acc)
-        acc += g.user_count
-    return starts
+    return list(itertools.accumulate([g.user_count for g in scene.grids], initial=1))[:-1]
 
 
 def enumerate_users(scene: Scene) -> Iterator[UserRecord]:
@@ -358,9 +361,7 @@ def enumerate_users(scene: Scene) -> Iterator[UserRecord]:
 
     idx = 1
     for g in scene.grids:
-        o = np.asarray(g.origin)
-        ra = np.asarray(g.row_axis)
-        ca = np.asarray(g.col_axis)
+        o, ra, ca = map(np.asarray, (g.origin, g.row_axis, g.col_axis))
         for r in range(g.n_rows):
             base = o + r * g.spacing * ra
             for c in range(g.users_per_row):
@@ -399,9 +400,7 @@ def user_positions(scene: Scene, indices: np.ndarray) -> np.ndarray:
 
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size and (indices.min() < 1 or indices.max() > scene.total_users):
-        raise IndexError(
-            f"user index out of range: valid range is 1..{scene.total_users}"
-        )
+        raise IndexError(f"user index out of range: valid range is 1..{scene.total_users}")
     out = np.empty((indices.size, 3), dtype=float)
     for g, start in zip(scene.grids, grid_start_indices(scene)):
         sel = (indices >= start) & (indices < start + g.user_count)
@@ -410,9 +409,7 @@ def user_positions(scene: Scene, indices: np.ndarray) -> np.ndarray:
         local = indices[sel] - start
         row = local // g.users_per_row
         col = local % g.users_per_row
-        o = np.asarray(g.origin)
-        ra = np.asarray(g.row_axis)
-        ca = np.asarray(g.col_axis)
+        o, ra, ca = map(np.asarray, (g.origin, g.row_axis, g.col_axis))
         out[sel] = o + row[:, None] * g.spacing * ra + col[:, None] * g.spacing * ca
     return out
 
@@ -425,65 +422,65 @@ SCENE_FORMAT = "mimogen-scene"
 SCENE_VERSION = 1
 
 
+def _is_number(v: Any) -> bool:
+    """A JSON number that a float holds; ``bool`` is none."""
+    return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+
+
+#: The test of a value of each kind that ``_key`` names with a string.
+_KINDS = {
+    "3 numbers": lambda v: type(v) is list and len(v) == 3 and all(map(_is_number, v)),
+    "a number": _is_number,
+    "an integer": lambda v: type(v) is int,
+    "a string": lambda v: type(v) is str,
+    "an object of numbers": lambda v: type(v) is dict and all(map(_is_number, v.values())),
+}
+
+
+def _to_doc(obj: Any) -> dict:
+    """The scene-file object of the dataclass ``obj``: each field's value
+    under its key, a list of objects as a list of their ``_to_doc``."""
+    return {f.metadata["key"]: [_to_doc(v) for v in getattr(obj, f.name)]
+            if isinstance(f.metadata["kind"], type) else getattr(obj, f.name)
+            for f in fields(obj)}
+
+
+def _from_doc(cls: type, doc: Any, where: str = "") -> Any:
+    """The ``cls`` that the scene-file object ``doc`` at JSON path ``where``
+    holds: each value is checked against its field's kind, then ``cls``
+    checks the rest."""
+    if type(doc) is not dict:
+        raise SceneConfigError(f"{where}: expected an object, got {json.dumps(doc)}")
+    values = {}
+    for f in fields(cls):
+        key, kind = f.metadata["key"], f.metadata["kind"]
+        path = f"{where}.{key}" if where else key
+        if key not in doc:
+            if not f.metadata["optional"]:
+                raise SceneConfigError(f"{path}: missing")
+            continue
+        value = doc[key]
+        if isinstance(kind, type) and type(value) is list:
+            value = tuple(_from_doc(kind, item, f"{path}[{i}]") for i, item in enumerate(value))
+        elif isinstance(kind, type) or kind and not _KINDS[kind](value):
+            expected = "a list of objects" if isinstance(kind, type) else kind
+            raise SceneConfigError(f"{path}: expected {expected}, got {json.dumps(value)}")
+        values[f.name] = tuple(value) if kind == "3 numbers" else value
+    return cls(**values)
+
+
 def scene_to_json(scene: Scene) -> str:
-    doc = {
-        "format": SCENE_FORMAT,
-        "version": SCENE_VERSION,
-        "name": scene.name,
-        "carrier_freq": scene.carrier_freq,
-        "ground_z": scene.ground_z,
-        "material_losses": dict(scene.material_losses),
-        "buildings": [
-            {"min": list(b.min_corner), "max": list(b.max_corner), "material": b.material_id}
-            for b in scene.buildings
-        ],
-        "base_stations": [
-            {"id": bs.id, "position": list(bs.position), "antenna_axis": list(bs.antenna_axis)}
-            for bs in scene.base_stations
-        ],
-        "grids": [
-            {
-                "origin": list(g.origin), "row_axis": list(g.row_axis),
-                "col_axis": list(g.col_axis), "n_rows": g.n_rows,
-                "users_per_row": g.users_per_row, "spacing": g.spacing,
-                "first_row_label": g.first_row_label,
-            }
-            for g in scene.grids
-        ],
-    }
+    doc = {"format": SCENE_FORMAT, "version": SCENE_VERSION, **_to_doc(scene)}
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def scene_from_json(text: str) -> Scene:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:     # ValueError: an integer of 4,300+ digits
         raise SceneConfigError(f"not a scene file: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != SCENE_FORMAT:
         raise SceneConfigError("not a scene file: missing format marker")
-    if doc.get("version") != SCENE_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != SCENE_VERSION:  # not true, 1.0
         raise SceneConfigError(f"unsupported scene file version {doc.get('version')!r}")
-    try:
-        return Scene(
-            buildings=tuple(
-                Building(tuple(b["min"]), tuple(b["max"]), b["material"])
-                for b in doc["buildings"]
-            ),
-            base_stations=tuple(
-                BaseStation(bs["id"], tuple(bs["position"]), tuple(bs["antenna_axis"]))
-                for bs in doc["base_stations"]
-            ),
-            grids=tuple(
-                UserGrid(
-                    tuple(g["origin"]), tuple(g["row_axis"]), tuple(g["col_axis"]),
-                    g["n_rows"], g["users_per_row"], g["spacing"], g["first_row_label"],
-                )
-                for g in doc["grids"]
-            ),
-            carrier_freq=doc["carrier_freq"],
-            ground_z=doc["ground_z"],
-            material_losses=doc["material_losses"],
-            name=doc.get("name", "custom"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SceneConfigError(f"malformed scene file: {exc!r}") from None
+    return _from_doc(Scene, doc)

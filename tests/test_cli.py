@@ -153,6 +153,37 @@ class TestPipeline:
             assert sum(hist.values()) + without == len(records)
             assert sum(k * n for k, n in hist.items()) == counters[f"bs{b:03d}.paths"]
 
+    def test_trace_manifest_counts_users_without_paths(self, tmp_path):
+        # The last row of the o1 scene's grid 2 at one reflection: some users
+        # of the cross street see no path from BS 3.
+        scene, rays = tmp_path / "scene.json", tmp_path / "rays"
+        assert run(["scene", "--out", str(scene), "--quiet"]) == 0
+        assert run(["trace", "--scene", str(scene), "--bs", "3", "--active_user_first", "3852",
+                    "--active_user_last", "3852", "--max-reflections", "1",
+                    "--out-dir", str(rays), "--quiet"]) == 0
+        counters = json.loads((rays / "trace.manifest.json").read_text())["counters"]
+        hist = {key: n for key, n in counters.items()
+                if re.fullmatch(r"bs003\.users_with_\d+_paths", key)}
+        assert hist == {"bs003.users_with_1_paths": 128}
+        assert counters["bs003.users_without_paths"] == 53
+        assert sum(hist.values()) + counters["bs003.users_without_paths"] == 181
+
+    def test_validate_trace_output_dir(self, tmp_path, scene_file, capsys):
+        rays = _trace(tmp_path, scene_file)
+        assert run(["validate", str(rays)]) == 0
+        assert capsys.readouterr().err == f"{rays}: valid\n"
+        data = bytearray((rays / "rays_bs004.drf").read_bytes())
+        data[HEADER_SIZE - 1] ^= 1                  # a byte of the header's padding
+        (rays / "rays_bs004.drf").write_bytes(bytes(data))
+        assert run(["validate", str(rays), "--quiet"]) == 1
+        assert capsys.readouterr().err == ("violation: RayFileFormatError: rays_bs004.drf: "
+                                           f"non-zero header padding at byte {HEADER_SIZE - 1}\n")
+        (rays / "rays_bs004.drf").unlink()
+        assert run(["validate", str(rays), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("violation: FileNotFoundError: ") and "rays_bs004.drf" in err
+        assert err.count("\n") == 1
+
     def test_build_workers_inherit_no_ray_file(self, tmp_path, scene_file, monkeypatch):
         rays = _trace(tmp_path, scene_file)
         write_shards = dataset.write_shards
@@ -703,6 +734,45 @@ class TestErrors:
                     "--out-dir", str(tmp_path / "rays"), "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "rays").exists()
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("name",), 5, "name: expected a string, got 5"),
+        (("material_losses",), [6.0, 6.0],
+         "material_losses: expected an object of numbers, got [6.0, 6.0]"),
+        (("grids", 0, "origin"), [15.0, 2.0],
+         "grids[0].origin: expected 3 numbers, got [15.0, 2.0]"),
+        (("base_stations", 2, "position"), [200.0, 0.5],
+         "base_stations[2].position: expected 3 numbers, got [200.0, 0.5]"),
+        (("buildings",), {}, "buildings: expected a list of objects, got {}"),
+        (("name",), "a\nb",
+         "name: must be one line of at most 32 bytes of UTF-8 without NUL, got 'a\\nb'"),
+        (("name",), "x" * 40, "name: must be one line of at most 32 bytes of UTF-8 without "
+                               f"NUL, got '{'x' * 40}'"),
+        (("name",), "o1\0", "name: must be one line of at most 32 bytes of UTF-8 without "
+                             "NUL, got 'o1\\x00'"),
+    ], ids=["name-int", "losses-list", "origin-2", "position-2", "buildings-object",
+            "name-2-lines", "name-40-bytes", "name-nul"])
+    def test_malformed_scene_file(self, tmp_path, capsys, path, value, message):
+        scene = tmp_path / "scene.json"
+        assert run(["scene", "--out", str(scene), "--quiet"]) == 0
+        doc = json.loads(scene.read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        scene.write_text(json.dumps(doc))
+        assert run(["validate", str(scene), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"violation: SceneConfigError: {message}\n"
+        assert run(["trace", "--scene", str(scene), "--bs", "3",
+                    "--active_user_first", "1000", "--active_user_last", "1000",
+                    "--out-dir", str(tmp_path / "rays"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "rays").exists()
+        assert run(["build", "--scene", str(scene), "--rays-dir", str(tmp_path / "rays"),
+                    "--set", "active_BS=3", "--out-dir", str(tmp_path / "ds"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--snr", "0", "--snr must be finite and > 0, got 0.0"),

@@ -1,12 +1,18 @@
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mimogen.dataset import content_hash
+from mimogen.dataset import content_hash, parse_shard, record_dtype, shard_bytes
 from mimogen.kvconfig import ConfigError, parse_kv
+from mimogen.params import ParamSet
+from mimogen.rayio import RayFileHeader, encode_head, read_rayfile
 from mimogen.scene import (
+    NAME_BYTES,
     SceneConfigError,
     build_o1_scene,
     enumerate_users,
@@ -236,3 +242,128 @@ class TestSerialization:
             scene_from_json("{}")
         with pytest.raises(SceneConfigError):
             scene_from_json("not json at all")
+
+    # One value of each kind, and a list of objects, made malformed: the
+    # message names the value's JSON path.
+    @pytest.mark.parametrize("path,value,message", [
+        (("name",), 5, "name: expected a string, got 5"),
+        (("material_losses",), [6.0, 6.0],
+         "material_losses: expected an object of numbers, got [6.0, 6.0]"),
+        (("material_losses", "ground"), True,
+         'material_losses: expected an object of numbers, got {"building_wall": 6.0, '
+         '"ground": true}'),
+        (("grids", 0, "origin"), [15.0, 2.0],
+         "grids[0].origin: expected 3 numbers, got [15.0, 2.0]"),
+        (("base_stations", 2, "position"), [200.0, 0.5],
+         "base_stations[2].position: expected 3 numbers, got [200.0, 0.5]"),
+        (("base_stations", 0, "id"), 1.0, "base_stations[0].id: expected an integer, got 1.0"),
+        (("grids", 1, "spacing"), "0.2", 'grids[1].spacing: expected a number, got "0.2"'),
+        (("carrier_freq",), 10**400, "carrier_freq: expected a number, got 1" + "0" * 400),
+        (("buildings",), {}, "buildings: expected a list of objects, got {}"),
+        (("buildings", 1), None, "buildings[1]: expected an object, got null"),
+    ])
+    def test_malformed_value_names_its_path(self, path, value, message):
+        doc = json.loads(scene_to_json(small_scene()))
+        _put(doc, path, value)
+        with pytest.raises(SceneConfigError) as exc:
+            scene_from_json(json.dumps(doc))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("path,message", [
+        (("ground_z",), "ground_z: missing"),
+        (("grids", 2, "first_row_label"), "grids[2].first_row_label: missing"),
+        (("buildings", 0, "material"), "buildings[0].material: missing"),
+    ])
+    def test_every_key_but_the_name_is_required(self, path, message):
+        doc = json.loads(scene_to_json(small_scene()))
+        *parents, last = path
+        value = _get(doc, parents).pop(last)
+        with pytest.raises(SceneConfigError, match=f"^{re.escape(message)}$"):
+            scene_from_json(json.dumps(doc))
+        _put(doc, path, value)
+        del doc["name"]
+        assert scene_from_json(json.dumps(doc)).name == "custom"
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+    def test_version_must_be_the_integer_1(self, version):
+        doc = json.loads(scene_to_json(small_scene()))
+        doc["version"] = version
+        with pytest.raises(SceneConfigError,
+                           match=f"^unsupported scene file version {re.escape(repr(version))}$"):
+            scene_from_json(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_mutated_value_gives_a_scene_or_a_scene_config_error(self, data):
+        doc = json.loads(_SMALL)
+        path = data.draw(st.sampled_from(_PATHS))
+        _put(doc, path, data.draw(_JSON_VALUES))
+        try:
+            scene = scene_from_json(json.dumps(doc))
+        except SceneConfigError:
+            return
+        assert scene_to_json(scene_from_json(scene_to_json(scene))) == scene_to_json(scene)
+
+
+class TestName:
+    """Every artifact carries the scene's name: a ray-file header in
+    ``NAME_BYTES`` of UTF-8, a shard's echo block on one line."""
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\r", "x\u2028y", "x\x1cy", "x\x85",
+                                      "tail\0", "x" * (NAME_BYTES + 1), "\u00e9" * 17,
+                                      "\ud800"])
+    def test_refused(self, name):
+        doc = json.loads(scene_to_json(small_scene()))
+        doc["name"] = name
+        with pytest.raises(SceneConfigError, match=f"^name: must be one line of at most "
+                                                   f"{NAME_BYTES} bytes of UTF-8 without NUL"):
+            scene_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["", "x" * NAME_BYTES, "\u00e9" * 16, " a#b=c\t "])
+    def test_carried_by_a_ray_file_and_a_shard(self, name):
+        doc = json.loads(scene_to_json(small_scene()))
+        doc["name"] = name
+        scene = scene_from_json(json.dumps(doc))
+        head = encode_head(RayFileHeader(3, scene.carrier_freq, 0, scene.name))
+        assert read_rayfile(io.BytesIO(head)).header.scenario == name
+        params = ParamSet(active_bs=(3,), num_ant_y=1, num_ant_z=1, num_ofdm=1, ofdm_limit=1)
+        records = np.zeros(0, record_dtype(params))
+        assert parse_shard(shard_bytes(params, scene.name, 3, records))[1] == name
+
+
+_SMALL = scene_to_json(small_scene(rows=(1, 1, 1), users=(1, 1, 1)))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _put(doc, path, value):
+    *parents, last = path
+    _get(doc, parents)[last] = value
+
+
+def _paths(value, path=()):
+    """The path of every value in ``value``, in a list its first item's only."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        yield path + (0,)
+        yield from _paths(value[0], path + (0,))
+
+
+_PATHS = sorted(set(_paths(json.loads(_SMALL))), key=repr)
+
+#: Any JSON value: of the wrong type, a list of the wrong length, a bool,
+#: null, a nested object or list, or an integer no float holds.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=40)
+    | st.sampled_from([10**400, -(10**400)]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
