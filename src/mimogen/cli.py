@@ -38,6 +38,7 @@ from .scene import Scene, SceneConfigError, build_o1_scene, scene_from_json, sce
 # them, so `--version`, `scene` and `validate <scene file>` start without
 # numpy (README, "Start-up"). Each is imported before any pool forks.
 
+_RAY_FILE = "rays_bs{:03d}.drf"     # a base station's ray file: `trace` writes, `build` reads
 _TRACE_CHUNK = 1024
 _TRACE_POOL_STEPS = 5      # the fewest trace steps that fork workers (measured: README)
 
@@ -186,7 +187,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     starts = range(0, indices.size, _TRACE_CHUNK)
     reporter = ProgressReporter("TRACE", len(bs_ids) * indices.size, quiet=args.quiet)
-    outputs = [outdir / f"rays_bs{bs_id:03d}.drf" for bs_id in bs_ids]
+    outputs = [outdir / _RAY_FILE.format(bs_id) for bs_id in bs_ids]
     heads = [encode_head(RayFileHeader(bs_id, scene.carrier_freq, indices.size, scene.name))
              for bs_id in bs_ids]
     workers = min(parallel.worker_count(), len(starts)) if len(starts) >= _TRACE_POOL_STEPS else 0
@@ -204,28 +205,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    from .dataset import ScenarioMismatchError, shard_sources, write_shards
+    from .dataset import shard_sources, write_shards
     from .rayio import RayFile, read_rayfile
 
     t0 = time.monotonic()
     scene = _load_scene(args.scene)
     params = _params_from_args(args)
-    rays_dir = Path(args.rays_dir)
+    ray_files = {b: Path(args.rays_dir) / _RAY_FILE.format(b) for b in params.active_bs}
 
-    def ray_file(bs_id: int) -> Path:
-        return rays_dir / f"rays_bs{bs_id:03d}.drf"
-
-    def load(bs_id: int) -> RayFile:
-        path = ray_file(bs_id)
+    def load(bs_id: int, path: Path) -> RayFile:
         if not path.exists():
             raise DatasetError(f"missing ray file for active base station {bs_id}: {path}")
         with path.open("rb") as fh:
             return read_rayfile(fh)
 
-    try:    # no ray file outlives this call, so the forked workers inherit none
-        source = shard_sources({b: load(b) for b in params.active_bs}, params, scene)
-    except ScenarioMismatchError as exc:
-        raise DatasetError(f"{ray_file(exc.bs_id)}: {exc}") from None
+    # No ray file outlives this call, so the forked workers inherit none.
+    source = shard_sources({b: load(b, f) for b, f in ray_files.items()}, params, scene)
     reporter = ProgressReporter("BUILD", len(source.bs_ids) * source.n_users, quiet=args.quiet)
     outdir = Path(args.out_dir)
     counters: dict[str, int] = {}
@@ -235,7 +230,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         counters[f"bs{entry.bs_id:03d}.zero_channel_gaps"] = gaps
         counters[f"bs{entry.bs_id:03d}.shard_bytes"] = entry.byte_size
     _write_run(outdir / "build.manifest.json", "build", t0, serialize_params(params),
-               {str(f): f for f in [args.scene, *map(ray_file, params.active_bs)]},
+               {str(f): f for f in [args.scene, *ray_files.values()]},
                [outdir / e.filename for e in manifest.entries], counters)
     return 0
 
@@ -306,10 +301,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
                 for name in _run_outputs(path / "trace.manifest.json"):
                     with (path / name).open("rb") as fh:
-                        try:
-                            read_rayfile(fh)
-                        except RayFileError as exc:
-                            raise type(exc)(f"{name}: {exc}") from None
+                        read_rayfile(fh)
             else:
                 manifest = dataset.Manifest.read(path / "manifest.txt")
                 if manifest.entries and all(e.filename.endswith(".csv")

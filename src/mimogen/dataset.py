@@ -78,15 +78,11 @@ _PREAMBLE = struct.Struct("<4sII")    # magic, version, echo block length
 
 
 class MissingRaySourceError(DatasetError):
-    def __init__(self, bs_id: int):
-        super().__init__(f"no ray source provided for active base station {bs_id}")
-        self.bs_id = bs_id
+    """No ray file for an active base station."""
 
 
 class ScenarioMismatchError(DatasetError):
-    def __init__(self, message: str, bs_id: int | None = None):
-        super().__init__(message)
-        self.bs_id = bs_id      # the base station whose ray file disagrees, if any
+    """Ray files traced for another base station, scenario or layout."""
 
 
 def record_dtype(params: ParamSet) -> np.dtype:
@@ -180,21 +176,18 @@ def pool_plan(source: Dataset | DatasetReader | RayDataset, scored: bool) -> tup
     ``source``, ``scored`` if the workers score its steps. Unscored, only
     the records of a ``RayDataset`` beyond one ``_BATCH_BYTES`` step are
     worth a pool; otherwise the workers are 0. The 2 ring slots per worker
-    hold ``_BATCH_BYTES`` of records in all, less one step's share
-    (``held``) when this process fills the steps of ``source``, which keeps
-    such a ring at 2W / (2W + 1) of the budget for W workers. The steps
-    shrink with the workers, and the workers are fewer than
-    ``worker_count()`` only when even one-user steps would not fit or
+    hold ``_BATCH_BYTES`` of records in all: every producer fills its slot
+    in place. The steps shrink with the workers, and the workers are fewer
+    than ``worker_count()`` only when even one-user steps would not fit or
     ``source`` has fewer steps than that."""
     shards = len(source.bs_ids)
     user_bytes = shards * record_dtype(source.params).itemsize
-    computed = isinstance(source, RayDataset)
-    if not (scored or computed and source.n_users * user_bytes > _BATCH_BYTES):
+    if not (scored or isinstance(source, RayDataset)
+            and source.n_users * user_bytes > _BATCH_BYTES):
         return 0, batch_users(source.params, shards)
-    held = 0 if computed else 1            # this process fills the ring
     fit = _BATCH_BYTES // user_bytes       # one-user steps within the budget
-    workers = max(1, min(parallel.worker_count(), (fit - held) // 2))
-    users = batch_users(source.params, shards * (2 * workers + held))
+    workers = max(1, min(parallel.worker_count(), fit // 2))
+    users = batch_users(source.params, shards * 2 * workers)
     steps = -(-source.n_users // users)
     return max(1, min(workers, steps)), users
 
@@ -239,31 +232,36 @@ def shard_sources(
     ray file yields an all-zero channel; each base station with such gaps
     logs one warning with their count and first few users. Each ray file's
     user indices must be strictly ascending, as ``read_rayfile`` checks;
-    otherwise it is a ``DatasetError``.
+    otherwise it is a ``DatasetError``. Each message names the ray file.
     """
-    for bs_id in params.active_bs:
-        if bs_id not in ray_sources:
-            raise MissingRaySourceError(bs_id)
-        index = ray_sources[bs_id].rows.users["user_index"]
-        if np.any(index[1:] <= index[:-1]):
-            raise DatasetError(f"rays for base station {bs_id}: user indices are not "
-                               f"strictly ascending")
-        header = ray_sources[bs_id].header
-        if header.bs_id != bs_id:
-            raise ScenarioMismatchError(f"rays for base station {bs_id} were traced from "
-                                        f"base station {header.bs_id}", bs_id=bs_id)
-        if (header.scenario, header.carrier_freq) != (scene.name, scene.carrier_freq):
-            raise ScenarioMismatchError(
-                f"rays for base station {bs_id} were traced in scenario "
-                f"{header.scenario!r} at {header.carrier_freq:g} Hz, but the scene is "
-                f"{scene.name!r} at {scene.carrier_freq:g} Hz", bs_id=bs_id)
-
     indices = active_user_indices(scene, params)
     positions = user_positions(scene, indices)
     rays, gaps = [], []
     for bs_id in params.active_bs:
-        active, found = _active_rows(ray_sources[bs_id].rows, indices, positions)
-        _check_positions(active, bs_id, positions)
+        if bs_id not in ray_sources:
+            raise MissingRaySourceError(f"no ray source provided for active base station {bs_id}")
+        rf = ray_sources[bs_id]
+        index = rf.rows.users["user_index"]
+        if np.any(index[1:] <= index[:-1]):
+            raise rf.error(DatasetError, f"rays for base station {bs_id}: user indices are "
+                                         f"not strictly ascending")
+        header = rf.header
+        if header.bs_id != bs_id:
+            raise rf.error(ScenarioMismatchError, f"rays for base station {bs_id} were traced "
+                                                  f"from base station {header.bs_id}")
+        if (header.scenario, header.carrier_freq) != (scene.name, scene.carrier_freq):
+            raise rf.error(ScenarioMismatchError,
+                           f"rays for base station {bs_id} were traced in scenario "
+                           f"{header.scenario!r} at {header.carrier_freq:g} Hz, but the scene "
+                           f"is {scene.name!r} at {scene.carrier_freq:g} Hz")
+        active, found = _active_rows(rf.rows, indices, positions)
+        got = active.users["position"]
+        bad = np.flatnonzero(~(np.abs(got - positions).max(axis=1) <= _POSITION_TOL))  # NaN too
+        if bad.size:
+            j = int(bad[0])
+            raise rf.error(ScenarioMismatchError, f"rays for base station {bs_id} put user "
+                           f"{int(active.users['user_index'][j])} at {_xyz(got[j])}, but the "
+                           f"scene puts it at {_xyz(positions[j])}")
         missing = indices[~found].tolist()
         if missing:
             log.warning("no ray record for bs %d: %d of %d users get a zero channel "
@@ -298,18 +296,6 @@ def _active_rows(rows: RayRows, indices: np.ndarray,
         first = np.repeat(rows.starts[take] - (np.cumsum(counts) - counts), counts)
         paths = rows.paths[first + np.arange(first.size)]
     return RayRows(rows.bs_id, users, paths), found
-
-
-def _check_positions(rays: RayRows, bs_id: int, positions: np.ndarray) -> None:
-    """Raise ``ScenarioMismatchError`` on the first ray record whose user
-    position is not within ``_POSITION_TOL`` of the scene's ``positions``."""
-    got = rays.users["position"]
-    bad = np.flatnonzero(~(np.abs(got - positions).max(axis=1) <= _POSITION_TOL))  # NaN too
-    if bad.size:
-        j = int(bad[0])
-        raise ScenarioMismatchError(
-            f"rays for base station {bs_id} put user {int(rays.users['user_index'][j])} at "
-            f"{_xyz(got[j])}, but the scene puts it at {_xyz(positions[j])}", bs_id=bs_id)
 
 
 def _ids(bs_ids: Iterable[int]) -> str:

@@ -77,8 +77,18 @@ class RayFileHeader:
 class RayFile:
     header: RayFileHeader
     rows: RayRows
+    name: str | None = None     # the file it was read from; None for one without a name
 
     records = property(lambda self: self.rows)     # their older name, read by bench/gate.py
+
+    def error(self, kind: type[Exception], message: str) -> Exception:
+        """The error ``kind`` with ``message``, which names this file."""
+        return kind(_named(self.name, message))
+
+
+def _named(name: str | None, message: object) -> str:
+    """``message`` after the name of the ray file it is about, if it has one."""
+    return str(message) if name is None else f"{name}: {message}"
 
 
 @dataclass(frozen=True)
@@ -237,11 +247,19 @@ def write_rayfile(
 
 
 def read_rayfile(source: BinaryIO) -> RayFile:
-    """Parse and fully validate a binary ray file.
-
-    Raises a :class:`RayFileError` subclass on any defect; never returns a
-    partially initialized structure.
+    """Parse and fully validate a binary ray file, named ``source.name``
+    if that is a string (a file opened by path). Raises a :class:`RayFileError`
+    subclass, after the name, on any defect; never returns a partial file.
     """
+    name = source.name if isinstance(getattr(source, "name", None), str) else None
+    try:
+        return replace(_parse(source), name=name)
+    except RayFileError as exc:
+        raise type(exc)(_named(name, exc)) from None
+
+
+def _parse(source: BinaryIO) -> RayFile:
+    """``read_rayfile`` of an unnamed ``source``."""
     data = source.read()
     if len(data) < HEADER_SIZE:
         raise RayFileCorruptionError(

@@ -165,6 +165,9 @@ class Scene:
             if any(b.contains(bs.position) for b in self.buildings):
                 raise SceneConfigError(f"bs.{bs.id}: position {bs.position} lies inside "
                                        "a building")
+        if self.total_users > 2**63 - 1:       # the int64 user indices of users_in_row_range
+            raise SceneConfigError(f"grids: {self.total_users} users in all, more than a "
+                                   f"user index holds ({2**63 - 1})")
         for i, (g, h) in enumerate(zip(self.grids, self.grids[1:]), start=2):
             if h.first_row_label != g.last_row_label + 1:
                 raise SceneConfigError(

@@ -176,8 +176,9 @@ class TestPipeline:
         data[HEADER_SIZE - 1] ^= 1                  # a byte of the header's padding
         (rays / "rays_bs004.drf").write_bytes(bytes(data))
         assert run(["validate", str(rays), "--quiet"]) == 1
-        assert capsys.readouterr().err == ("violation: RayFileFormatError: rays_bs004.drf: "
-                                           f"non-zero header padding at byte {HEADER_SIZE - 1}\n")
+        assert capsys.readouterr().err == (
+            f"violation: RayFileFormatError: {rays}/rays_bs004.drf: "
+            f"non-zero header padding at byte {HEADER_SIZE - 1}\n")
         (rays / "rays_bs004.drf").unlink()
         assert run(["validate", str(rays), "--quiet"]) == 1
         err = capsys.readouterr().err
@@ -412,6 +413,26 @@ class TestErrors:
         assert run(["scene", "--set", "grid1.n_rows=zero",
                     "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_user_count_beyond_the_index_type(self, tmp_path, scene_file, capsys):
+        # 1e30 rows of grid 3: refused when the scene is built, before any array.
+        big = tmp_path / "big.json"
+        assert run(["scene", "--set", "grid3.n_rows=1e30", "--out", str(big)]) == 2
+        assert not big.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: grids: ") and err.count("\n") == 1
+        doc = json.loads(scene_file.read_text())
+        doc["grids"][2]["n_rows"] = 10**30
+        big.write_text(json.dumps(doc))
+        assert run(["validate", str(big)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("violation: SceneConfigError: grids: ") and err.count("\n") == 1
+        assert run(["trace", "--scene", str(big), "--bs", "3", "--active_user_first", "4",
+                    "--active_user_last", str(10**20), "--out-dir", str(tmp_path / "rays"),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: grids: {10**30 + 7} users in all, more than a user index " \
+            f"holds ({2**63 - 1})\n"
+
     def test_missing_rayfile_names_bs(self, tmp_path, scene_file, capsys):
         rays = _trace(tmp_path, scene_file, bs="3")
         rc, _ = _build(tmp_path, scene_file, rays, active_bs="3,7")
@@ -460,6 +481,16 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"error: {bs3}: rays for base station 3 were traced from base station 4\n"
+        assert not ds_dir.exists()
+
+    def test_truncated_ray_file_is_named(self, tmp_path, scene_file, capsys):
+        rays = _trace(tmp_path, scene_file)
+        bs4 = rays / "rays_bs004.drf"
+        bs4.write_bytes(bs4.read_bytes()[:-7])
+        rc, ds_dir = _build(tmp_path, scene_file, rays)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bs4}: truncated ") and err.count("\n") == 1
         assert not ds_dir.exists()
 
     def test_build_refused_when_the_disk_is_too_small(self, tmp_path, scene_file,
@@ -630,11 +661,14 @@ class TestErrors:
         assert run(["validate", str(bad)]) == 1
         assert "violation" in capsys.readouterr().err
 
-    def test_validate_corrupt_rayfile(self, tmp_path, scene_file):
+    def test_validate_corrupt_rayfile(self, tmp_path, scene_file, capsys):
         rays = _trace(tmp_path, scene_file, bs="3")
         f = rays / "rays_bs003.drf"
         f.write_bytes(f.read_bytes()[:-5])
         assert run(["validate", str(f), "--quiet"]) == 1
+        err = capsys.readouterr().err       # one line, naming the file
+        assert err.startswith(f"violation: RayFileCorruptionError: {f}: truncated ")
+        assert err.count("\n") == 1
 
     def test_validate_semantic_rayfile_violation(self, tmp_path, scene_file, capsys):
         f = _trace(tmp_path, scene_file, bs="3") / "rays_bs003.drf"

@@ -210,10 +210,31 @@ class TestBuild:
         p = _params(active_bs=(3, 4))
         rf = _ray_sources(rng, tiny_scene, p)
         with pytest.raises(ScenarioMismatchError,
-                           match="^rays for base station 3 were traced from base station 4$"
-                           ) as exc:
+                           match="^rays for base station 3 were traced from base station 4$"):
             shard_sources({3: rf[4], 4: rf[3]}, p, tiny_scene)
-        assert exc.value.bs_id == 3
+
+    @pytest.mark.parametrize("name", [None, "rays/rays_bs005.drf"], ids=["unnamed", "named"])
+    @pytest.mark.parametrize("breaks,error,message", [
+        (lambda rf, other: replace(rf, header=other.header), ScenarioMismatchError,
+         "rays for base station 5 were traced from base station 3"),
+        (lambda rf, other: replace(rf, header=replace(rf.header, carrier_freq=28e9)),
+         ScenarioMismatchError, "rays for base station 5 were traced in scenario 'o1' at "
+                                "2.8e+10 Hz, but the scene is 'o1' at 6e+10 Hz"),
+        (lambda rf, other: replace(rf, rows=RayRows.from_path_lists(list(rf.rows)[::-1])),
+         DatasetError, "rays for base station 5: user indices are not strictly ascending"),
+        (lambda rf, other: replace(rf, rows=RayRows.from_path_lists(
+            [replace(pl, user_position=(0.0, 0.0, 0.0)) for pl in rf.rows])),
+         ScenarioMismatchError, "rays for base station 5 put user 1 at (0, 0, 0) m, but the "
+                                "scene puts it at (15, 2, 2) m"),
+    ], ids=["base_station", "carrier", "order", "position"])
+    def test_each_message_names_the_ray_file(self, rng, tiny_scene, breaks, error, message,
+                                             name):
+        p = _params()
+        sources = _ray_sources(rng, tiny_scene, p)
+        sources[5] = replace(breaks(sources[5], sources[3]), name=name)
+        with pytest.raises(error) as exc:
+            shard_sources(sources, p, tiny_scene)
+        assert str(exc.value) == (message if name is None else f"{name}: {message}")
 
     def test_ray_positions_must_match_scene(self, rng, tiny_scene):
         # Same grids and user indices, but grid 1 moved by 0.5 m along x.
@@ -227,9 +248,8 @@ class TestBuild:
         sources = _ray_sources(rng, tiny_scene, p)
         with pytest.raises(ScenarioMismatchError,
                            match=r"base station 3 put user 1 at \(15, 2, 2\) m, but the "
-                                 r"scene puts it at \(15.5, 2, 2\) m") as exc:
+                                 r"scene puts it at \(15.5, 2, 2\) m"):
             shard_sources(sources, p, moved)
-        assert exc.value.bs_id == 3
         # Within the tolerance the ray file's positions are accepted as they are.
         shifted = build_o1_scene(parse_kv(
             "grid1.n_rows=2\ngrid1.users_per_row=3\ngrid1.origin_x=15.0000001\n"

@@ -1,11 +1,14 @@
 """Unused-name checks of the package's modules, with the standard
 library's ``ast``: a name an import binds must be read somewhere in its
-module, or the import statement must carry ``# noqa`` (a re-export); and
-a private name (``_x``) that a module binds at its top level with ``def``,
-``class`` or an assignment must be read somewhere in it. A name read only
-inside a quoted annotation does not count as read."""
+module, or the import statement must carry ``# noqa`` (a re-export); a
+private name (``_x``) that a module binds at its top level with ``def``,
+``class`` or an assignment must be read somewhere in it; and such a public
+name must be read, as a name or as an attribute, somewhere in the code of
+``src/``, ``tests/`` or ``bench/``. A name read only inside a quoted
+annotation does not count as read."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 import mimogen
 
 PACKAGE = Path(mimogen.__file__).resolve().parent
+READERS = [PACKAGE.parents[1] / d for d in ("src", "tests", "bench")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,6 +39,20 @@ def unused_privates(source: str) -> list[str]:
     """The private names that the top level of ``source`` binds with
     ``def``, ``class`` or an assignment and that it never reads."""
     tree = ast.parse(source)
+    return [name for name in _top_level(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in _read(tree)]
+
+
+def unread_publics(source: str, others: list[Path]) -> list[str]:
+    """The public names that the top level of ``source`` binds with
+    ``def``, ``class`` or an assignment and that neither it nor any of the
+    files ``others`` reads as a name or as an attribute."""
+    tree = ast.parse(source)
+    read = _read(tree, attributes=True).union(*map(_file_reads, others))
+    return [name for name in _top_level(tree) if not name.startswith("_") and name not in read]
+
+
+def _top_level(tree: ast.Module) -> list[str]:
     bound: list[str] = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -43,13 +61,28 @@ def unused_privates(source: str) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound += [t.id for target in targets for t in ast.walk(target)
                       if isinstance(t, ast.Name)]
-    return [name for name in bound
-            if name.startswith("_") and not name.startswith("__") and name not in _read(tree)]
+    return bound
 
 
-def _read(tree: ast.AST) -> set[str]:
-    return {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+def _read(tree: ast.AST, attributes: bool = False) -> set[str]:
+    """The names ``tree`` reads, with ``attributes`` also those it reads as
+    an attribute (``x.name``)."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    if attributes:
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names
+
+
+@functools.cache
+def _file_reads(path: Path) -> set[str]:
+    return _read(ast.parse(path.read_text()), attributes=True)
+
+
+def _readers_besides(module: str) -> list[Path]:
+    """The code files of ``READERS`` other than the package's ``module``."""
+    return [path for root in READERS for path in sorted(root.rglob("*.py"))
+            if path != PACKAGE / module]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
@@ -78,3 +111,18 @@ def test_flags_a_planted_private_function():
     source = (PACKAGE / "rayio.py").read_text()
     planted = source + "\n\ndef _layout(n_paths, size):\n    return n_paths, size\n"
     assert unused_privates(planted) == ["_layout"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unread_public_name(module):
+    assert unread_publics((PACKAGE / module).read_text(), _readers_besides(module)) == []
+
+
+def test_flags_a_planted_public_function(tmp_path):
+    source = (PACKAGE / "rayio.py").read_text()
+    planted = source + "\n\ndef layout_of(n_paths, size):\n    return n_paths, size\n"
+    others = _readers_besides("rayio.py")
+    assert unread_publics(planted, others) == ["layout_of"]
+    reader = tmp_path / "reader.py"            # read as an attribute: in use
+    reader.write_text("from mimogen import rayio\n\nrayio.layout_of(1, 2)\n")
+    assert unread_publics(planted, [*others, reader]) == []

@@ -167,9 +167,9 @@ class TestWorkers:
                 with mock.patch.object(dataset, "_BATCH_BYTES", budget):
                     workers, users = pool_plan(source, scored=True)
                 assert 1 <= workers <= cpus and 1 <= users <= 256
-                if budget >= 3 * one:       # a step and 2 slots of one user fit
-                    assert (2 * workers + 1) * users * one <= budget
-                    assert workers == cpus or (2 * workers + 3) * one > budget
+                if budget >= 2 * one:       # 2 slots of one user fit
+                    assert 2 * workers * users * one <= budget
+                    assert workers == cpus or (2 * workers + 2) * one > budget
         workers, users = pool_plan(mock.Mock(params=p, bs_ids=p.active_bs, n_users=6),
                                    scored=True)
         assert users >= 6 and workers == 1      # one step: no more workers than steps
@@ -186,10 +186,10 @@ class TestWorkers:
             want = write_ml_dataset(reader, cfg, tmp_path / "machine")
         monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         with DatasetReader(tmp_path / "ds") as reader:
-            assert pool_plan(reader, scored=True) == (workers, 14 // (2 * workers + 1))
+            assert pool_plan(reader, scored=True) == (workers, 7 // workers)
             assert write_ml_dataset(reader, cfg, tmp_path / "shards") == want
-        # From the ray files, with no step drawn in this process.
-        assert pool_plan(rays, scored=True) == (workers, 14 // (2 * workers))
+        # From the ray files: the same ring.
+        assert pool_plan(rays, scored=True) == (workers, 7 // workers)
         assert write_ml_dataset(rays, cfg, tmp_path / "rays") == want
         assert want.entries[0].last_user - want.entries[0].first_user + 1 == 60
         for name in ML_OUTPUTS:
@@ -223,10 +223,10 @@ class TestWorkers:
 
     def test_rss_flat_in_steps(self, rng, tmp_path):
         # `mimogen beams` as a child with a 12-user step (2 workers, a budget
-        # of 5 steps), on 24 and on 240 users of 2 shards: 2 and 20 steps.
+        # of their 4 slots), on 24 and on 240 users of 2 shards: 2 and 20 steps.
         p = _params(active_bs=(3, 4), active_user_last=2, num_ant_y=8, num_ant_z=4,
                     num_ofdm=64, ofdm_limit=64)
-        budget = 5 * 12 * 2 * record_dtype(p).itemsize
+        budget = 4 * 12 * 2 * record_dtype(p).itemsize
         peaks = []
         for users_per_row in (12, 120):
             ds, ml = tmp_path / f"ds{users_per_row}", tmp_path / f"ml{users_per_row}"

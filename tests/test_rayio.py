@@ -150,6 +150,25 @@ class TestReadErrors:
         with pytest.raises(RayFileFormatError, match=f"byte {offset}"):
             read_rayfile(io.BytesIO(bytes(data)))
 
+    @pytest.mark.parametrize("cut,error", [(7, RayFileCorruptionError),
+                                           (0, RayFileFormatError)])
+    def test_a_file_opened_by_path_is_named(self, rng, tmp_path, cut, error):
+        path = tmp_path / "rays_bs003.drf"
+        data = bytearray(_write_bytes(_random_lists(rng, 3)))
+        if not cut:
+            data[28] = 0xFF     # the scenario name: not UTF-8
+        path.write_bytes(data[:len(data) - cut])
+        with path.open("rb") as fh, pytest.raises(error) as exc:
+            read_rayfile(fh)
+        assert str(exc.value).startswith(f"{path}: ")
+        with pytest.raises(error) as unnamed:
+            read_rayfile(io.BytesIO(path.read_bytes()))
+        assert str(exc.value) == f"{path}: {unnamed.value}"
+        path.write_bytes(_write_bytes([]))
+        with path.open("rb") as fh:
+            assert read_rayfile(fh).name == str(path)
+        assert read_rayfile(io.BytesIO(_write_bytes([]))).name is None
+
 
 class TestWriteErrors:
     def test_long_scenario_name(self):

@@ -187,6 +187,17 @@ class TestConfig:
         with pytest.raises(SceneConfigError, match=f"^{key}: must be > 0, got nan$"):
             build_o1_scene(parse_kv(f"{key}=nan"))
 
+    def test_user_count_within_the_index_type(self):
+        # Grid 1 and 2 hold 2 x 3 and 1 x 1 users: grid 3 brings the total to
+        # the largest int64 user index, then one past it.
+        doc = json.loads(scene_to_json(small_scene(rows=(2, 1, 1), users=(3, 1, 1))))
+        doc["grids"][2]["n_rows"] = 2**63 - 8
+        assert scene_from_json(json.dumps(doc)).total_users == 2**63 - 1
+        doc["grids"][2]["n_rows"] += 1
+        with pytest.raises(SceneConfigError, match=f"^grids: {2**63} users in all, more "
+                                                   f"than a user index holds"):
+            scene_from_json(json.dumps(doc))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(SceneConfigError, match="no_such_key"):
             build_o1_scene(parse_kv("no_such_key=3"))
