@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 _MODULES = {
     "scene": ("Building", "BaseStation", "Scene", "SceneConfigError", "UserGrid",
               "build_o1_scene", "enumerate_users", "users_in_row_range"),
-    "tracer": ("PathList", "PathRecord", "mirror_point", "path_phase", "path_power",
-               "trace_paths"),
+    "rayio": ("PathList", "PathRecord"),
+    "tracer": ("mirror_point", "path_phase", "path_power", "trace_paths"),
     "params": ("ParamSet", "parse_params", "subcarrier_set"),
     "channel": ("ChannelMatrix", "array_response", "channel_matrix"),
     "dataset": ("Dataset", "build_dataset", "get_channel", "get_location", "write_shards"),

@@ -7,7 +7,8 @@ sampled subcarrier set) is::
 
 summed over the strongest ``num_paths`` paths, where ``a`` is the Kronecker
 uniform-array response ``a_z (x) a_y (x) a_x`` and ``B`` the bandwidth in Hz.
-Subcarrier 1 carries zero frequency offset by convention.
+Subcarrier 1 carries zero frequency offset by convention. The paths come
+as ``rayio`` rows, so building channels imports no tracer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import ParamSet, subcarrier_set
-from .tracer import PathList, PathRecord, RayRows
+from .rayio import PathList, PathRecord, RayRows
 
 
 @dataclass(frozen=True)

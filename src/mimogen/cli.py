@@ -20,6 +20,7 @@ import collections
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -38,7 +39,8 @@ from .scene import Scene, SceneConfigError, build_o1_scene, scene_from_json, sce
 # them, so `--version`, `scene` and `validate <scene file>` start without
 # numpy (README, "Start-up"). Each is imported before any pool forks.
 
-_RAY_FILE = "rays_bs{:03d}.drf"     # a base station's ray file: `trace` writes, `build` reads
+_RAY_FILE = "rays_bs{:03d}.drf"     # a base station's ray file: `trace` writes, `build` reads,
+_RAY_FILE_BS = re.compile(r"rays_bs(\d+)\.drf")     # and `validate` checks the header's bs_id
 _TRACE_CHUNK = 1024
 _TRACE_POOL_STEPS = 5      # the fewest trace steps that fork workers (measured: README)
 
@@ -154,15 +156,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     for bs_id in bs_ids:
         scene.bs_by_id(bs_id)  # fail early on unknown ids
     indices = users_in_row_range(scene, args.active_user_first, args.active_user_last)
-    positions = user_positions(scene, indices)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     def trace(lo: int, bs_id: int) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
         """Base station ``bs_id``'s user indices, encoded records and
-        counters for the ``_TRACE_CHUNK`` users from ``lo``."""
-        batch = trace_paths_batch(scene, bs_id, positions[lo: lo + _TRACE_CHUNK],
-                                  user_indices=indices[lo: lo + _TRACE_CHUNK],
+        counters for the ``_TRACE_CHUNK`` users from ``lo``, located in the task."""
+        users = indices[lo: lo + _TRACE_CHUNK]
+        batch = trace_paths_batch(scene, bs_id, user_positions(scene, users), user_indices=users,
                                   max_reflections=args.max_reflections, max_paths=args.max_paths)
         with_k = np.bincount(batch.users["n_paths"]).tolist()
         key = f"bs{bs_id:03d}."
@@ -285,9 +286,20 @@ def _check_build_outputs(directory: Path, listed: set[str]) -> None:
                for name in sorted(listed - outputs)]))
 
 
+def _check_ray_file(path: Path) -> None:
+    """Read and check the ray file ``path``; one named for a base station must hold its rays."""
+    from .rayio import read_rayfile
+
+    with path.open("rb") as fh:
+        rf = read_rayfile(fh)       # raises on any violation
+    named = _RAY_FILE_BS.fullmatch(path.name)
+    if named and int(named[1]) != rf.header.bs_id:
+        raise rf.error(RayFileError, f"rays for base station {int(named[1])} were traced "
+                                     f"from base station {rf.header.bs_id}")
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.path)
-    problems: list[str] = []
     try:
         if path.is_dir():
             from . import dataset
@@ -297,11 +309,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
                 verify_ml_dataset(path)
             elif (path / "trace.manifest.json").is_file() and not (path / "manifest.txt").exists():
-                from .rayio import read_rayfile
-
                 for name in _run_outputs(path / "trace.manifest.json"):
-                    with (path / name).open("rb") as fh:
-                        read_rayfile(fh)
+                    _check_ray_file(path / name)
             else:
                 manifest = dataset.Manifest.read(path / "manifest.txt")
                 if manifest.entries and all(e.filename.endswith(".csv")
@@ -316,10 +325,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             with path.open("rb") as fh:
                 head = fh.read(4)
             if head == b"DMRF":
-                from .rayio import read_rayfile
-
-                with path.open("rb") as fh:
-                    read_rayfile(fh)        # raises on any violation
+                _check_ray_file(path)
             elif head == b"DMDS":
                 from .dataset import ShardReader
 
@@ -328,10 +334,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             else:
                 _load_scene(path)
     except (RayFileError, DatasetError, ConfigError, OSError, UnicodeDecodeError) as exc:
-        problems.append(f"{type(exc).__name__}: {exc}")
-    for p in problems:
-        print(f"violation: {p}", file=sys.stderr)
-    if problems:
+        print(f"violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:
         print(f"{path}: valid", file=sys.stderr)

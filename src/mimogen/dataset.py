@@ -24,9 +24,10 @@ Three producers serve the same records through one surface: ``params``,
 ``scenario_name``, ``bs_ids``, ``n_users`` and ``fill(batches, lo)``, which
 writes the records of the users from ``lo`` into the caller's arrays, one
 ``record_dtype`` batch per active base station. ``shard_sources``'
-``RayDataset`` computes them from ray files; ``DatasetReader`` reads them
-in order from a shard directory, each ``ShardReader`` checking its SHA-256
-as its last record is read; ``Dataset`` copies them from memory.
+``RayDataset`` computes them from ray files' ``rayio.RayRows``;
+``DatasetReader`` reads them in order from a shard directory, each
+``ShardReader`` checking its SHA-256 as its last record is read;
+``Dataset`` copies them from memory.
 ``write_shards`` and ``beams.write_ml_dataset`` drain any of them with
 ``write_steps`` (planned by ``pool_plan``): the ordered pool of
 ``parallel`` over a shared ring of record slots that the producer fills,
@@ -58,9 +59,8 @@ from .files import (  # noqa: F401  (content_hash: re-exported)
 )
 from .kvconfig import ConfigError, read_text
 from .params import ParamSet, parse_params, serialize_params, subcarrier_set
-from .rayio import RayFile
+from .rayio import USER_ROW, RayFile, RayRows
 from .scene import Scene, user_positions, users_in_row_range
-from .tracer import USER_ROW, RayRows
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")

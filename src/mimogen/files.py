@@ -98,11 +98,9 @@ def write_files(
     return sinks, (0, 0) if first is None else (first, last)
 
 
-def atomic_write(path: Path, data: bytes) -> tuple[int, str]:
-    """Write ``data`` to ``path`` through ``write_files``. Returns the byte
-    count and the ``content_hash`` of what was written."""
-    (sink,), _ = write_files([path], [data], (), None)
-    return sink.size, sink.digest
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through ``write_files``."""
+    write_files([path], [data], (), None)
 
 
 def file_digest(path: Path) -> tuple[int, str]:

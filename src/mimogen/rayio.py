@@ -11,30 +11,127 @@ Layout (all little-endian):
   per path: aod_az, aod_el, aoa_az, aoa_el (f64, degrees), power (f64, W),
   phase (f64, rad), delay (f64, s), n_reflections u16.
 
-In memory a file's payload is a ``tracer.RayRows``: its user rows in the
-``USER_ROW`` layout and its path rows in the ``PATH_ROW`` layout. The one
-encoder comes in two parts, so a file can be written a step of users at a
-time: ``encode_head`` packs the header and ``encode_rows`` checks a block
-of records and writes both row kinds through one user-row mask
-(``write_rayfile`` is one head and one block). The one decoder scans the
-users' path counts, gathers both through that mask and drops the file's
-bytes; the one validator then checks the invariants column by column,
-for the first 10 records (``_SHOWN``) that break any.
+The ray data model lives here, with its format: in memory a file's payload
+is a ``RayRows``, its user rows in the ``USER_ROW`` layout and its path
+rows in the ``PATH_ROW`` layout; ``PathList`` and ``PathRecord`` view one
+user's rows. The tracer writes them, ``channel`` and ``dataset`` read them.
+The one encoder comes in two parts, so a file can be written a step of
+users at a time: ``encode_head`` packs the header and ``encode_rows``
+checks a block of records and writes both row kinds through one user-row
+mask (``write_rayfile`` is one head and one block). The one decoder scans
+the users' path counts, gathers both through that mask and drops the
+file's bytes; the one validator then checks the invariants column by
+column, for the first 10 records (``_SHOWN``) that break any.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
 from .files import RayFileError
 from .scene import NAME_BYTES
-from .tracer import PATH_FIELDS, PATH_ROW, USER_ROW, PathList, RayRows
+
+
+@dataclass(frozen=True)
+class PathRecord:
+    """One propagation path between a transmitter and a receiver.
+
+    Angles are in degrees: azimuth in [-180, 180), elevation is the polar
+    angle from +z in [0, 180]. Power is linear watts at unit transmit power,
+    phase is radians in [0, 2*pi), delay is seconds.
+    """
+
+    aod_az: float
+    aod_el: float
+    aoa_az: float
+    aoa_el: float
+    power: float
+    phase: float
+    delay: float
+    n_reflections: int
+
+
+@dataclass(frozen=True)
+class PathList:
+    bs_id: int
+    user_index: int
+    user_position: tuple[float, float, float]
+    paths: tuple[PathRecord, ...]
+
+
+# The two row layouts of the ray file (little-endian, packed): a user row,
+# then that user's ``n_paths`` path rows, strongest first.
+USER_ROW = np.dtype([("user_index", "<u8"), ("position", "<f8", (3,)), ("n_paths", "<u2")])
+PATH_FIELDS = ("aod_az", "aod_el", "aoa_az", "aoa_el", "power", "phase", "delay")
+PATH_ROW = np.dtype([(name, "<f8") for name in PATH_FIELDS] + [("n_reflections", "<u2")])
+_PATH_VALUES = operator.attrgetter(*PATH_ROW.names)
+
+
+def _path_records(paths: np.ndarray) -> list[PathRecord]:
+    """One ``PathRecord`` per ``PATH_ROW`` row."""
+    return [PathRecord(*v) for v in zip(*(paths[name].tolist() for name in PATH_ROW.names))]
+
+
+@dataclass(frozen=True, eq=False)
+class RayRows:
+    """One base station's paths to a block of users as two row arrays:
+    ``users`` (U,) of ``USER_ROW`` and ``paths`` (P,) of ``PATH_ROW``, each
+    user's ``n_paths`` rows in user order. Indexing and iteration give each
+    user's ``PathList``, built one user at a time as it is asked for."""
+
+    bs_id: int
+    users: np.ndarray
+    paths: np.ndarray
+
+    @classmethod
+    def from_path_lists(cls, path_lists: Sequence[PathList]) -> "RayRows":
+        """The rows of ``path_lists``, which must share one base station."""
+        ids = {pl.bs_id for pl in path_lists}
+        if len(ids) > 1:
+            raise ValueError(f"path lists of base stations {sorted(ids)} in one block")
+        bs_id = ids.pop() if ids else 0
+        users = np.empty(len(path_lists), USER_ROW)
+        users["user_index"] = [pl.user_index for pl in path_lists]
+        users["position"] = np.array([pl.user_position for pl in path_lists],
+                                     dtype=float).reshape(-1, 3)
+        users["n_paths"] = [len(pl.paths) for pl in path_lists]
+        paths = np.array([_PATH_VALUES(p) for pl in path_lists for p in pl.paths], PATH_ROW)
+        return cls(bs_id, users, paths)
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """(U + 1,) index of each user's first path row, then P."""
+        starts = np.zeros(len(self.users) + 1, dtype=np.intp)
+        np.cumsum(self.users["n_paths"], out=starts[1:])
+        return starts
+
+    def rows(self, lo: int, hi: int) -> "RayRows":
+        """Users ``lo:hi`` (``hi`` clipped to the user count) and their paths,
+        as views."""
+        hi = min(hi, len(self))
+        return RayRows(self.bs_id, self.users[lo:hi],
+                       self.paths[self.starts[lo]: self.starts[hi]])
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, u: int) -> PathList:
+        u = range(len(self))[u]
+        return PathList(bs_id=self.bs_id, user_index=int(self.users["user_index"][u]),
+                        user_position=tuple(self.users["position"][u].tolist()),
+                        paths=tuple(_path_records(
+                            self.paths[self.starts[u]: self.starts[u + 1]])))
+
+    def __iter__(self) -> Iterator[PathList]:
+        return (self[u] for u in range(len(self)))
+
 
 MAGIC = b"DMRF"
 VERSION = 1

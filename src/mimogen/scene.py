@@ -73,10 +73,8 @@ class Building:
                 raise SceneConfigError(f"building corner axis {a}: min {self.min_corner[a]} "
                                        f"must be < max {self.max_corner[a]}")
 
-    def contains(self, p: Sequence[float], margin: float = 0.0) -> bool:
-        return all(
-            self.min_corner[a] + margin < p[a] < self.max_corner[a] - margin for a in range(3)
-        )
+    def contains(self, p: Sequence[float]) -> bool:
+        return all(self.min_corner[a] < p[a] < self.max_corner[a] for a in range(3))
 
 
 @dataclass(frozen=True)

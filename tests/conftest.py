@@ -11,10 +11,9 @@ import pytest
 from mimogen.channel import array_response, channel_matrices_batch
 from mimogen.dataset import Manifest, content_hash, parse_shard, shard_bytes
 from mimogen.params import ParamSet, subcarrier_set
-from mimogen.rayio import MAX_PATHS, RayFileHeader, Violation
+from mimogen.rayio import MAX_PATHS, PathList, PathRecord, RayFileHeader, Violation
 from mimogen.scene import GROUND_MATERIAL, BaseStation, Building, Scene, UserGrid
-from mimogen.tracer import (_EPS_SIDE, _EPS_T, _OTHER_AXES, _RECT_TOL, PathList, PathRecord,
-                            mirror_point)
+from mimogen.tracer import _EPS_SIDE, _EPS_T, _OTHER_AXES, _RECT_TOL, mirror_point
 
 
 @pytest.fixture

@@ -20,13 +20,14 @@ from mimogen.dataset import (
 )
 from mimogen.params import ParamSet, subcarrier_set
 from mimogen.rayio import (
+    PathList,
     RayFileError,
     RayFileHeader,
     read_rayfile,
     write_rayfile,
 )
 from mimogen.scene import SPEED_OF_LIGHT, build_o1_scene, users_in_row_range
-from mimogen.tracer import PathList, trace_between, trace_paths_batch
+from mimogen.tracer import trace_between, trace_paths_batch
 
 from conftest import compute_channels_parallel, random_path_list, random_path_record, wall_scene
 from test_channel import _single_antenna_params, _tap_record

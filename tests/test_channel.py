@@ -7,7 +7,7 @@ from mimogen.channel import (
     channel_matrix,
 )
 from mimogen.params import ParamSet
-from mimogen.tracer import PathList, PathRecord
+from mimogen.rayio import PathList, PathRecord
 
 from conftest import channel_matrix_oracle, channel_vector, random_path_list, random_path_record
 

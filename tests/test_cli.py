@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mimogen import beams, cli, dataset, parallel, tracer
+from mimogen import beams, cli, dataset, parallel, rayio, tracer
 from mimogen.cli import ProgressReporter, build_parser, run
 from mimogen.dataset import DatasetReader, content_hash, record_dtype
 from mimogen.params import KEYS, ParamSet
@@ -64,6 +64,16 @@ def _trace(tmp_path, scene_file, bs="3,4"):
         "--out-dir", str(rays), "--quiet",
     ])
     assert rc == 0
+    return rays
+
+
+def _swapped_trace(tmp_path, scene_file):
+    """A BS 3,4 trace directory whose two ray files have swapped names."""
+    rays = _trace(tmp_path, scene_file)
+    bs3, bs4 = rays / "rays_bs003.drf", rays / "rays_bs004.drf"
+    traced3 = bs3.read_bytes()
+    bs3.write_bytes(bs4.read_bytes())
+    bs4.write_bytes(traced3)
     return rays
 
 
@@ -201,7 +211,7 @@ class TestPipeline:
         def refuse(*args, **kwargs):
             raise AssertionError("a PathRecord was built")
 
-        monkeypatch.setattr(tracer, "PathRecord", refuse)
+        monkeypatch.setattr(rayio, "PathRecord", refuse)
         rc, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
         assert rc == 0
         assert (ds_dir / "shard_bs004.dmds").exists()
@@ -243,11 +253,11 @@ class TestPipeline:
         assert run(["scene", "--out", str(scene), "--quiet", *sets]) == 0
 
         def many_paths(scene, bs_id, positions, user_indices, max_reflections, max_paths):
-            users = np.zeros(len(user_indices), tracer.USER_ROW)
+            users = np.zeros(len(user_indices), rayio.USER_ROW)
             users["user_index"] = user_indices
             users["position"] = positions
             users["n_paths"] = MAX_PATHS
-            paths = np.zeros(len(users) * MAX_PATHS, tracer.PATH_ROW)
+            paths = np.zeros(len(users) * MAX_PATHS, rayio.PATH_ROW)
             paths["power"] = np.tile(np.geomspace(1e-6, 1e-9, MAX_PATHS), len(users))
             paths["delay"] = 1e-7
             return tracer.PathBatch(bs_id, users, paths)
@@ -472,16 +482,26 @@ class TestErrors:
         assert not ds_dir.exists()
 
     def test_rays_of_another_base_station(self, tmp_path, scene_file, capsys):
-        rays = _trace(tmp_path, scene_file)
-        bs3, bs4 = rays / "rays_bs003.drf", rays / "rays_bs004.drf"
-        traced3 = bs3.read_bytes()
-        bs3.write_bytes(bs4.read_bytes())
-        bs4.write_bytes(traced3)
+        rays = _swapped_trace(tmp_path, scene_file)
         rc, ds_dir = _build(tmp_path, scene_file, rays)
         assert rc == 1
-        assert capsys.readouterr().err == \
-            f"error: {bs3}: rays for base station 3 were traced from base station 4\n"
+        assert capsys.readouterr().err == (f"error: {rays / 'rays_bs003.drf'}: rays for base "
+                                           f"station 3 were traced from base station 4\n")
         assert not ds_dir.exists()
+
+    @pytest.mark.parametrize("target, named, traced", [
+        (".", 3, 4),                    # the trace directory: its first file is named
+        ("rays_bs004.drf", 4, 3),       # a lone file with a base station's name
+    ], ids=["trace dir", "lone file"])
+    def test_validate_refuses_rays_of_another_base_station(self, tmp_path, scene_file, capsys,
+                                                           target, named, traced):
+        rays = _swapped_trace(tmp_path, scene_file)
+        assert run(["validate", str(rays / target), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"violation: RayFileError: {rays / f'rays_bs{named:03d}.drf'}: rays for base "
+            f"station {named} were traced from base station {traced}\n")
+        unnamed = (rays / "rays_bs004.drf").rename(rays / "rays.drf")   # no name check
+        assert run(["validate", str(unnamed), "--quiet"]) == 0
 
     def test_truncated_ray_file_is_named(self, tmp_path, scene_file, capsys):
         rays = _trace(tmp_path, scene_file)

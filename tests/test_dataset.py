@@ -1,3 +1,4 @@
+import io
 import logging
 import os
 import struct
@@ -42,8 +43,7 @@ from mimogen.dataset import (
 from mimogen.kvconfig import parse_kv
 from mimogen.parallel import WorkerError
 from mimogen.params import ParamSet, serialize_params, subcarrier_set
-from mimogen.rayio import RayFile, RayFileHeader
-from mimogen.tracer import RayRows
+from mimogen.rayio import RayFile, RayFileHeader, RayRows
 from mimogen.scene import build_o1_scene, user_positions
 
 from conftest import (
@@ -611,8 +611,68 @@ class TestStreamingRead:
         assert got == [ds.shards[1]["global_index"][:4].tolist(),
                        ds.shards[1]["global_index"][4:].tolist()]
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda data: data[:11], "truncated shard: 11 bytes"),
+        (lambda data: _echo_replaced(data, b"user_count=6", b"user_count=-1"),
+         "negative user_count -1"),
+    ], ids=["under 12 bytes", "negative user count"])
+    def test_shard_refused_at_open(self, rng, tiny_scene, tmp_path, corrupt, message):
+        p = _params()
+        write_shards(tmp_path, build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene))
+        data = corrupt((tmp_path / "shard_bs005.dmds").read_bytes())
+        with pytest.raises(DatasetError) as exc:
+            ShardReader(io.BytesIO(data), "shard_bs005.dmds")
+        assert str(exc.value) == f"shard_bs005.dmds: {message}"
+
+    def test_shard_that_shrinks_while_read(self, rng, tiny_scene, tmp_path):
+        p = _params()
+        write_shards(tmp_path, build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene))
+        shard = tmp_path / "shard_bs005.dmds"
+        with shard.open("rb", buffering=0) as fh:      # unbuffered: each read sees the file
+            reader = ShardReader(fh, shard.name)
+            os.truncate(shard, shard.stat().st_size - 1)
+            with pytest.raises(DatasetError, match="^shard_bs005.dmds: shard ended early$"):
+                reader.read_into(np.empty(reader.user_count, reader.dtype))
+
+
+def _echo_replaced(data: bytes, old: bytes, new: bytes) -> bytes:
+    """The shard ``data`` with ``old`` replaced by ``new`` in its echo block."""
+    (echo_len,) = struct.unpack_from("<I", data, 8)
+    echo = data[12: 12 + echo_len]
+    assert old in echo
+    echo = echo.replace(old, new)
+    return data[:8] + struct.pack("<I", len(echo)) + echo + data[12 + echo_len:]
+
 
 class TestLoadConsistency:
+    def test_empty_manifest(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text("# no shards\n")
+        with pytest.raises(DatasetError, match="^empty manifest$"):
+            DatasetReader(tmp_path)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda params, scenario, records: (params, "other", records),
+         "inconsistent shard metadata"),
+        (lambda params, scenario, records: (replace(params, num_paths=4), scenario, records),
+         "inconsistent shard metadata"),
+        (lambda params, scenario, records: (params, scenario, records[:-1]),
+         "user list differs from shard_bs003.dmds"),
+    ], ids=["scenario", "params", "user count"])
+    def test_shards_must_agree(self, rng, tiny_scene, tmp_path, change, message):
+        p = _params()
+        manifest = write_shards(
+            tmp_path, build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene))
+        shard = tmp_path / "shard_bs005.dmds"
+        params, scenario, bs_id, records = parse_shard(shard.read_bytes())
+        params, scenario, records = change(params, scenario, records)
+        data = shard_bytes(params, scenario, bs_id, records)
+        shard.write_bytes(data)
+        entry = replace(manifest.entries[1], byte_size=len(data), content_hash=content_hash(data))
+        (tmp_path / "manifest.txt").write_text(Manifest((manifest.entries[0], entry)).to_text())
+        with pytest.raises(DatasetError) as exc:
+            DatasetReader(tmp_path)
+        assert str(exc.value) == f"shard_bs005.dmds: {message}"
+
     def test_shards_with_different_user_lists(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)

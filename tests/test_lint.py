@@ -4,8 +4,9 @@ module, or the import statement must carry ``# noqa`` (a re-export); a
 private name (``_x``) that a module binds at its top level with ``def``,
 ``class`` or an assignment must be read somewhere in it; and such a public
 name must be read, as a name or as an attribute, somewhere in the code of
-``src/``, ``tests/`` or ``bench/``. A name read only inside a quoted
-annotation does not count as read."""
+``src/``, ``tests/`` or ``bench/``; and a function's parameter must be
+read in its body. A name read only inside a quoted annotation does not
+count as read."""
 
 import ast
 import functools
@@ -50,6 +51,23 @@ def unread_publics(source: str, others: list[Path]) -> list[str]:
     tree = ast.parse(source)
     read = _read(tree, attributes=True).union(*map(_file_reads, others))
     return [name for name in _top_level(tree) if not name.startswith("_") and name not in read]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter of a function of
+    ``source`` that its body never reads. ``self``, ``cls``, ``_``-prefixed
+    and ``*``/``**`` parameters, dunder methods and lambdas are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        read = set().union(*map(_read, node.body))
+        unread += [f"{node.name}.{a.arg}"
+                   for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+                   if a.arg not in ("self", "cls") and not a.arg.startswith("_")
+                   and a.arg not in read]
+    return unread
 
 
 def _top_level(tree: ast.Module) -> list[str]:
@@ -126,3 +144,20 @@ def test_flags_a_planted_public_function(tmp_path):
     reader = tmp_path / "reader.py"            # read as an attribute: in use
     reader.write_text("from mimogen import rayio\n\nrayio.layout_of(1, 2)\n")
     assert unread_publics(planted, [*others, reader]) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unread_parameter(module):
+    assert unread_parameters((PACKAGE / module).read_text()) == []
+
+
+def test_flags_a_planted_parameter():
+    source = (PACKAGE / "tracer.py").read_text()
+    planted = source.replace("def path_power(length: float, carrier_freq: float,",
+                             "def path_power(length: float, n_reflections: int, "
+                             "carrier_freq: float,")
+    assert planted != source
+    exempt = ("\n\nclass Planted:\n"
+              "    def step(self, _unused, *args, **kwargs):\n        return lambda x: 0\n\n"
+              "    def __exit__(self, kind, value, traceback):\n        pass\n")
+    assert unread_parameters(planted + exempt) == ["path_power.n_reflections"]

@@ -72,6 +72,30 @@ class TestParsing:
             parse_params(f"{key}={value}")
         assert str(exc.value) == f"{key}: {message}"
 
+    @pytest.mark.parametrize("text,message", [
+        ("active_BS=3,4,3", "active_BS: duplicate ids"),
+        ("num_ant_x=0", "num_ant_x: must be >= 1, got 0"),
+        ("num_ant_y=-2", "num_ant_y: must be >= 1, got -2"),
+        ("num_ant_z=0", "num_ant_z: must be >= 1, got 0"),
+        ("num_OFDM=0", "num_OFDM: must be >= 1, got 0"),
+        ("OFDM_sampling_factor=0", "OFDM_sampling_factor: must be >= 1, got 0"),
+        ("OFDM_limit=-1", "OFDM_limit: must be >= 1, got -1"),
+    ])
+    def test_ids_and_counts_refused(self, text, message):
+        with pytest.raises(ParamError) as exc:
+            parse_params(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        ("num_paths=3\n=3", "line 2: empty key"),
+        ("active_BS= , ", "line 1: key 'active_BS' expects a comma-separated list"),
+    ])
+    def test_malformed_line_refused(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_params(text)
+        assert type(exc.value) is ConfigError
+        assert str(exc.value) == message
+
     def test_row_order_rejected(self):
         with pytest.raises(ParamError, match="active_user_first"):
             parse_params("active_user_first=200\nactive_user_last=100")

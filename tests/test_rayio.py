@@ -14,6 +14,10 @@ from mimogen.rayio import (
     HEADER_SIZE,
     MAGIC,
     MAX_PATHS,
+    PATH_ROW,
+    USER_ROW,
+    PathList,
+    PathRecord,
     RayFile,
     RayFileCorruptionError,
     RayFileError,
@@ -21,6 +25,7 @@ from mimogen.rayio import (
     RayFileHeader,
     RayFileSemanticError,
     RayFileVersionError,
+    RayRows,
     Violation,
     check_follows,
     encode_head,
@@ -30,7 +35,6 @@ from mimogen.rayio import (
     validate_rayfile,
     write_rayfile,
 )
-from mimogen.tracer import PATH_ROW, USER_ROW, PathList, PathRecord, RayRows
 
 from conftest import random_path_list, random_path_record, validate_rayfile_oracle
 

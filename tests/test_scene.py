@@ -215,6 +215,16 @@ class TestConfig:
         assert sc.bs_by_id(3).position[0] == 123.0
         assert sc.bs_by_id(3).position[2] == 7.5
 
+    @pytest.mark.parametrize("text,message", [
+        ("bs.3.z=0", "bs.3.z: height must be > 0"),
+        ("bs.3.y=-10", "bs.3: position (200.0, -10.0, 6.0) lies inside a building"),
+        ("carrier_freq_hz=0", "carrier_freq_hz: must be > 0, got 0.0"),
+    ])
+    def test_override_refused(self, text, message):
+        with pytest.raises(SceneConfigError) as exc:
+            build_o1_scene(parse_kv(text))
+        assert str(exc.value) == message
+
     def test_default_carrier_is_60ghz(self):
         assert build_o1_scene().carrier_freq == 60e9
 
@@ -275,6 +285,28 @@ class TestSerialization:
     ])
     def test_malformed_value_names_its_path(self, path, value, message):
         doc = json.loads(scene_to_json(small_scene()))
+        _put(doc, path, value)
+        with pytest.raises(SceneConfigError) as exc:
+            scene_from_json(json.dumps(doc))
+        assert str(exc.value) == message
+
+    # Well-formed values that break a rule of the scene.
+    _BS_IDS = "base station ids must be unique and contiguous from 1"
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("buildings", 1, "max", 2), 0.0, "building corner axis 2: min 0.0 must be < max 0.0"),
+        (("grids", 0, "n_rows"), 0, "grid n_rows: must be >= 1, got 0"),
+        (("grids", 2, "users_per_row"), -1, "grid users_per_row: must be >= 1, got -1"),
+        (("grids", 1, "spacing"), 0.0, "grid spacing_m: must be > 0, got 0.0"),
+        (("grids", 0, "col_axis"), [1.0, 1.0, 0.0],
+         "grid axes: row_axis and col_axis must be perpendicular"),
+        (("base_stations", 17, "id"), 20, _BS_IDS),
+        (("base_stations", 4, "id"), 4, _BS_IDS),
+        (("grids", 2, "first_row_label"), 5,
+         "grid 3: first_row_label 5 breaks contiguous row labelling (expected 4)"),
+    ])
+    def test_scene_rule_refused(self, path, value, message):
+        doc = json.loads(scene_to_json(small_scene(rows=(2, 1, 1))))
         _put(doc, path, value)
         with pytest.raises(SceneConfigError) as exc:
             scene_from_json(json.dumps(doc))

@@ -22,13 +22,13 @@ ENV = {**os.environ,
 # The stage modules: the ones that import numpy.
 STAGES = {"tracer", "rayio", "channel", "dataset", "beams"}
 
-# The names the package's ``__init__`` imported eagerly, by module, before
-# it resolved them lazily.
+# The package's public names, by the module that defines them (the ones
+# its ``__init__`` imported eagerly before it resolved them lazily).
 PUBLIC = {
     "scene": ("Building", "BaseStation", "Scene", "SceneConfigError", "UserGrid",
               "build_o1_scene", "enumerate_users", "users_in_row_range"),
-    "tracer": ("PathList", "PathRecord", "mirror_point", "path_phase", "path_power",
-               "trace_paths"),
+    "rayio": ("PathList", "PathRecord"),
+    "tracer": ("mirror_point", "path_phase", "path_power", "trace_paths"),
     "params": ("ParamSet", "parse_params", "subcarrier_set"),
     "channel": ("ChannelMatrix", "array_response", "channel_matrix"),
     "dataset": ("Dataset", "build_dataset", "get_channel", "get_location", "write_shards"),
@@ -85,7 +85,7 @@ def test_no_numpy_without_arrays(artifacts, command):
 def test_stage_imports(artifacts):
     tmp, scene, rays, ds, ml = artifacts
     ray_file = str(rays / "rays_bs003.drf")
-    assert _stages(_imports("-m", "mimogen.cli", "validate", ray_file)) == {"tracer", "rayio"}
+    assert _stages(_imports("-m", "mimogen.cli", "validate", ray_file)) == {"rayio"}
     trace = _imports("-m", "mimogen.cli", "trace", "--scene", str(scene), "--bs", "3",
                      "--active_user_first", "1", "--active_user_last", "2",
                      "--out-dir", str(tmp / "rays2"), "--quiet")
@@ -95,9 +95,12 @@ def test_stage_imports(artifacts):
                      "--set", "active_user_last=2", "--set", "num_ant_y=4",
                      "--set", "num_ant_z=2", "--set", "num_OFDM=16", "--set", "OFDM_limit=8",
                      "--out-dir", str(tmp / "ds2"), "--quiet")
-    assert _stages(build) == {"tracer", "rayio", "channel", "dataset"}
+    assert _stages(build) == {"rayio", "channel", "dataset"}
     assert (tmp / "ds2" / "manifest.txt").read_bytes() == (ds / "manifest.txt").read_bytes()
-    assert "beams" not in _stages(_imports("-m", "mimogen.cli", "validate", str(ds)))
+    assert not {"beams", "tracer"} & _stages(_imports("-m", "mimogen.cli", "validate", str(ds)))
+    beams = _imports("-m", "mimogen.cli", "beams", "--dataset-dir", str(ds),
+                     "--out-dir", str(tmp / "ml2"), "--quiet")
+    assert _stages(beams) == {"rayio", "channel", "dataset", "beams"}
     assert "beams" in _stages(_imports("-m", "mimogen.cli", "validate", str(ml)))
 
 

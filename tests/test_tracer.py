@@ -53,24 +53,24 @@ class TestPathPower:
     def test_friis_at_1m_60ghz(self):
         lam = SPEED_OF_LIGHT / 60e9
         expected = (lam / (4 * math.pi)) ** 2
-        assert path_power(1.0, 0, 60e9) == pytest.approx(expected, rel=1e-15)
+        assert path_power(1.0, 60e9) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(1.58e-7, rel=5e-3)
         assert 10 * math.log10(expected) == pytest.approx(-68.0, abs=0.05)
 
     def test_lossless_bounces_change_nothing(self):
-        assert path_power(7.0, 3, 60e9, [0.0, 0.0, 0.0]) == path_power(7.0, 0, 60e9)
+        assert path_power(7.0, 60e9, [0.0, 0.0, 0.0]) == path_power(7.0, 60e9)
 
     def test_inverse_square(self):
-        assert path_power(2.0, 0, 60e9) / path_power(1.0, 0, 60e9) == pytest.approx(0.25)
+        assert path_power(2.0, 60e9) / path_power(1.0, 60e9) == pytest.approx(0.25)
 
     def test_bounce_losses_multiply(self):
-        p0 = path_power(5.0, 0, 60e9)
-        p2 = path_power(5.0, 2, 60e9, [3.0, 7.0])
+        p0 = path_power(5.0, 60e9)
+        p2 = path_power(5.0, 60e9, [3.0, 7.0])
         assert p2 / p0 == pytest.approx(10 ** (-1.0))
 
     def test_nonpositive_length(self):
         with pytest.raises(ValueError):
-            path_power(0.0, 0, 60e9)
+            path_power(0.0, 60e9)
 
 
 class TestPathPhase:
