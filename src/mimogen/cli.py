@@ -20,7 +20,6 @@ import collections
 import json
 import math
 import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -28,7 +27,8 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 from . import __version__, parallel
 from .files import (
-    DatasetError, RayFileError, atomic_write, content_hash, file_digest, write_files,
+    RAY_FILE_MAGIC, SHARD_MAGIC, DatasetError, RayFileError, atomic_write, content_hash,
+    file_digest, write_files,
 )
 from .kvconfig import ConfigError, KVEntry, merge_kv, read_text
 from .params import KEYS, ParamSet, params_from_entries, serialize_params
@@ -39,8 +39,6 @@ from .scene import Scene, SceneConfigError, build_o1_scene, scene_from_json, sce
 # them, so `--version`, `scene` and `validate <scene file>` start without
 # numpy (README, "Start-up"). Each is imported before any pool forks.
 
-_RAY_FILE = "rays_bs{:03d}.drf"     # a base station's ray file: `trace` writes, `build` reads,
-_RAY_FILE_BS = re.compile(r"rays_bs(\d+)\.drf")     # and `validate` checks the header's bs_id
 _TRACE_CHUNK = 1024
 _TRACE_POOL_STEPS = 5      # the fewest trace steps that fork workers (measured: README)
 
@@ -135,7 +133,7 @@ def _cmd_scene(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     import numpy as np
-    from .rayio import MAX_PATHS, RayFileHeader, check_follows, encode_head, encode_rows
+    from .rayio import FILE_NAME, MAX_PATHS, RayFileHeader, check_follows, encode_head, encode_rows
     from .scene import user_positions, users_in_row_range
     from .tracer import image_node_counts, trace_paths_batch
 
@@ -188,7 +186,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     starts = range(0, indices.size, _TRACE_CHUNK)
     reporter = ProgressReporter("TRACE", len(bs_ids) * indices.size, quiet=args.quiet)
-    outputs = [outdir / _RAY_FILE.format(bs_id) for bs_id in bs_ids]
+    outputs = [outdir / FILE_NAME.format(bs_id) for bs_id in bs_ids]
     heads = [encode_head(RayFileHeader(bs_id, scene.carrier_freq, indices.size, scene.name))
              for bs_id in bs_ids]
     workers = min(parallel.worker_count(), len(starts)) if len(starts) >= _TRACE_POOL_STEPS else 0
@@ -207,12 +205,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     from .dataset import shard_sources, write_shards
-    from .rayio import RayFile, read_rayfile
+    from .rayio import FILE_NAME, RayFile, read_rayfile
 
     t0 = time.monotonic()
     scene = _load_scene(args.scene)
     params = _params_from_args(args)
-    ray_files = {b: Path(args.rays_dir) / _RAY_FILE.format(b) for b in params.active_bs}
+    ray_files = {b: Path(args.rays_dir) / FILE_NAME.format(b) for b in params.active_bs}
 
     def load(bs_id: int, path: Path) -> RayFile:
         if not path.exists():
@@ -238,7 +236,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_beams(args: argparse.Namespace) -> int:
     from .beams import BeamEvalConfig, dft_codebook, write_ml_dataset
-    from .dataset import DatasetReader
+    from .dataset import MANIFEST, DatasetReader
 
     t0 = time.monotonic()
     if not 0 < args.snr < math.inf:
@@ -258,7 +256,7 @@ def _cmd_beams(args: argparse.Namespace) -> int:
                     labels_bytes=manifest.entries[1].byte_size)
     _write_run(outdir / "beams.manifest.json", "beams", t0,
                f"{args.snr} {args.oversampling} {args.conjugate}",
-               {args.dataset_dir: Path(args.dataset_dir) / "manifest.txt"},
+               {args.dataset_dir: Path(args.dataset_dir) / MANIFEST},
                [outdir / e.filename for e in manifest.entries], counters)
     return 0
 
@@ -287,15 +285,11 @@ def _check_build_outputs(directory: Path, listed: set[str]) -> None:
 
 
 def _check_ray_file(path: Path) -> None:
-    """Read and check the ray file ``path``; one named for a base station must hold its rays."""
+    """Read and check the ray file ``path``: ``read_rayfile`` raises on any violation."""
     from .rayio import read_rayfile
 
     with path.open("rb") as fh:
-        rf = read_rayfile(fh)       # raises on any violation
-    named = _RAY_FILE_BS.fullmatch(path.name)
-    if named and int(named[1]) != rf.header.bs_id:
-        raise rf.error(RayFileError, f"rays for base station {int(named[1])} were traced "
-                                     f"from base station {rf.header.bs_id}")
+        read_rayfile(fh)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -308,11 +302,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 from .beams import verify_ml_dataset
 
                 verify_ml_dataset(path)
-            elif (path / "trace.manifest.json").is_file() and not (path / "manifest.txt").exists():
+            elif ((path / "trace.manifest.json").is_file()
+                  and not (path / dataset.MANIFEST).exists()):
                 for name in _run_outputs(path / "trace.manifest.json"):
                     _check_ray_file(path / name)
             else:
-                manifest = dataset.Manifest.read(path / "manifest.txt")
+                manifest = dataset.Manifest.read(path / dataset.MANIFEST)
                 if manifest.entries and all(e.filename.endswith(".csv")
                                             for e in manifest.entries):
                     dataset.verify_files(path, manifest)    # a `build --format csv` export
@@ -324,9 +319,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         else:
             with path.open("rb") as fh:
                 head = fh.read(4)
-            if head == b"DMRF":
+            if head == RAY_FILE_MAGIC:
                 _check_ray_file(path)
-            elif head == b"DMDS":
+            elif head == SHARD_MAGIC:
                 from .dataset import ShardReader
 
                 with path.open("rb") as fh:

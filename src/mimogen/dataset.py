@@ -13,21 +13,21 @@ station; ``get_channel(...).entries`` and ``get_location`` are views into
 it, read-only after ``load_dataset``.
 
 On disk the dataset is a directory of per-base-station shards plus a text
-manifest. Shard layout (little-endian): magic ``DMDS``, version u32, echo
-block (u32 byte length + UTF-8 key=value text carrying the parameter set,
-``bs_id``, ``user_count``, and ``scenario``), then the record array's
-buffer. The manifest has one line per shard:
-``filename bs_id first_user last_user bytes hash`` where the hash is the
-first 16 hex digits of the shard's SHA-256.
+manifest, ``MANIFEST``. Shard layout (little-endian): magic ``DMDS``
+(``files.SHARD_MAGIC``), version u32, echo block (u32 byte length + UTF-8
+key=value text carrying the parameter set, ``bs_id``, ``user_count``, and
+``scenario``), then the record array's buffer. The manifest has one line
+per shard: ``filename bs_id first_user last_user bytes hash`` where the
+hash is the first 16 hex digits of the shard's SHA-256.
 
 Three producers serve the same records through one surface: ``params``,
-``scenario_name``, ``bs_ids``, ``n_users`` and ``fill(batches, lo)``, which
-writes the records of the users from ``lo`` into the caller's arrays, one
-``record_dtype`` batch per active base station. ``shard_sources``'
-``RayDataset`` computes them from ray files' ``rayio.RayRows``;
-``DatasetReader`` reads them in order from a shard directory, each
-``ShardReader`` checking its SHA-256 as its last record is read;
-``Dataset`` copies them from memory.
+``scenario_name``, ``bs_ids`` (the parameters' ``active_BS``), ``n_users``
+and ``fill(batches, lo)``, which writes the records of the users from
+``lo`` into the caller's arrays, one ``record_dtype`` batch per active base
+station. ``shard_sources``' ``RayDataset`` computes them from ray files'
+``rayio.RayRows``; ``DatasetReader`` reads them in order from a shard
+directory, each ``ShardReader`` checking its SHA-256 as its last record is
+read; ``Dataset`` copies them from memory.
 ``write_shards`` and ``beams.write_ml_dataset`` drain any of them with
 ``write_steps`` (planned by ``pool_plan``): the ordered pool of
 ``parallel`` over a shared ring of record slots that the producer fills,
@@ -55,7 +55,8 @@ import numpy as np
 from . import parallel
 from .channel import ChannelMatrix, channel_matrices_batch
 from .files import (  # noqa: F401  (content_hash: re-exported)
-    DatasetError, HashingSink, atomic_write, content_hash, file_digest, hex16, write_files,
+    SHARD_MAGIC, DatasetError, HashingSink, atomic_write, content_hash, file_digest, hex16,
+    write_files,
 )
 from .kvconfig import ConfigError, read_text
 from .params import ParamSet, parse_params, serialize_params, subcarrier_set
@@ -65,9 +66,9 @@ from .scene import Scene, user_positions, users_in_row_range
 log = logging.getLogger(__name__)
 T = TypeVar("T")
 
-SHARD_MAGIC = b"DMDS"
 SHARD_VERSION = 1
 CSV_SIZE_CAP_BYTES = 64 * 1024 * 1024  # refuse CSV export above this estimate
+MANIFEST = "manifest.txt"              # the manifest of a `build` output directory
 ML_MANIFEST = "ml_manifest.txt"        # the manifest of a `beams` output directory
 
 _BATCH_BYTES = 16 * 2**20        # record bytes per channel-construction batch...
@@ -99,8 +100,8 @@ def record_dtype(params: ParamSet) -> np.dtype:
 class Dataset:
     params: ParamSet
     scenario_name: str
-    bs_ids: tuple[int, ...]            # active order
     shards: tuple[np.ndarray, ...]     # per active BS: record_dtype(params) array
+    bs_ids = property(lambda self: self.params.active_bs)     # active order
 
     @property
     def n_users(self) -> int:
@@ -198,9 +199,9 @@ class RayDataset:
     by ``shard_sources``; its records are computed only as they are filled."""
     params: ParamSet
     scenario_name: str
-    bs_ids: tuple[int, ...]                    # active order
     rays: tuple[RayRows, ...]                  # per active BS: a user row per active user
     gaps: tuple[int, ...]                      # per active BS: users without a ray record
+    bs_ids = property(lambda self: self.params.active_bs)     # active order
 
     @property
     def n_users(self) -> int:
@@ -270,7 +271,7 @@ def shard_sources(
                         ", ..." if len(missing) > _GAPS_SHOWN else "")
         rays.append(active)
         gaps.append(len(missing))
-    return RayDataset(params, scene.name, tuple(params.active_bs), tuple(rays), tuple(gaps))
+    return RayDataset(params, scene.name, tuple(rays), tuple(gaps))
 
 
 def _active_rows(rows: RayRows, indices: np.ndarray,
@@ -321,8 +322,7 @@ def _gather(source: RayDataset | DatasetReader) -> Dataset:
     shards = tuple(np.empty(source.n_users, record_dtype(source.params))
                    for _ in source.bs_ids)
     source.fill(shards, 0)
-    return Dataset(params=source.params, scenario_name=source.scenario_name,
-                   bs_ids=tuple(source.bs_ids), shards=shards)
+    return Dataset(params=source.params, scenario_name=source.scenario_name, shards=shards)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,7 @@ class DatasetReader:
 
     def __init__(self, source: Path | str):
         source = Path(source)
-        manifest = Manifest.read(source / "manifest.txt")
+        manifest = Manifest.read(source / MANIFEST)
         if not manifest.entries:
             raise DatasetError("empty manifest")
         self._files = contextlib.ExitStack()
@@ -682,8 +682,6 @@ def write_shards(
     step and not by the dataset, and no file is renamed into place until
     the last step is written.
 
-    A ``source`` whose base stations are not its ``active_BS``, in that
-    order, is refused, as ``DatasetReader`` would refuse its shards.
     ``fmt="csv"`` writes a readable tree instead and is refused above a
     documented size cap (CSV_SIZE_CAP_BYTES). Either is refused, before
     the first step, when its (estimated) size exceeds the free space of
@@ -693,9 +691,6 @@ def write_shards(
     if fmt not in _EXPORT_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
     params, scenario, n_users = source.params, source.scenario_name, source.n_users
-    if list(source.bs_ids) != list(params.active_bs):
-        raise DatasetError(f"the dataset's base stations {_ids(source.bs_ids)} are not "
-                           f"its active_BS {_ids(params.active_bs)}")
     size = sum(shard_size_bytes(params, n_users, scenario, bs_id) for bs_id in source.bs_ids)
     if fmt == "csv":
         size *= 3
@@ -718,7 +713,7 @@ def write_shards(
         progress=progress, counters=counters)
     manifest = Manifest(tuple(ManifestEntry(name, bs_id, *users, s.size, s.digest)
                               for name, bs_id, s in zip(names, source.bs_ids, sinks)))
-    atomic_write(sink / "manifest.txt", manifest.to_text().encode())
+    atomic_write(sink / MANIFEST, manifest.to_text().encode())
     return manifest
 
 

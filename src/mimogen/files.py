@@ -1,5 +1,5 @@
-"""The pipeline's output files: the one atomic writer, the one content
-hash, and the base errors of the ray files and dataset files.
+"""The pipeline's output files: the one atomic writer, the one content hash,
+the magic numbers of the ray files and dataset shards, and their base errors.
 
 The module imports no numpy, so the subcommands that need no arrays
 (``scene``, ``validate <scene file>``) write, hash and report errors
@@ -15,6 +15,8 @@ from typing import Any, BinaryIO, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
+RAY_FILE_MAGIC = b"DMRF"         # the first 4 bytes of a ray file (``rayio``)...
+SHARD_MAGIC = b"DMDS"            # ...and of a dataset shard (``dataset``)
 _READ_BYTES = 2**16              # chunk size when hashing a whole file
 
 

@@ -9,7 +9,7 @@ from it. The keys are the generator's documented names (``bandwidth`` in GHz).
 from __future__ import annotations
 
 import math
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .kvconfig import ConfigError, KVEntry, as_float, as_int, as_int_list, parse_kv
@@ -93,20 +93,20 @@ _READ = {"int": as_int, "float": as_float, "int_list": lambda e: tuple(as_int_li
 _WRITE = {"int": str, "float": repr, "int_list": lambda v: ",".join(map(str, v))}
 
 
-def params_from_entries(entries: Mapping[str, KVEntry], base: ParamSet | None = None) -> ParamSet:
-    """Apply parsed key=value entries to ``base``. Unspecified keys keep defaults."""
+def params_from_entries(entries: Mapping[str, KVEntry]) -> ParamSet:
+    """The parameter set of parsed key=value entries. Unspecified keys keep defaults."""
     overrides = {}
     for key, entry in entries.items():
         if key not in KEYS:
             raise ParamError(f"{entry.where}: unknown parameter {key!r}")
         f = KEYS[key]
         overrides[f.name] = _READ[f.metadata["kind"]](entry)
-    return replace(base or ParamSet(), **overrides)
+    return ParamSet(**overrides)
 
 
-def parse_params(text: str, base: ParamSet | None = None) -> ParamSet:
+def parse_params(text: str) -> ParamSet:
     """Parse a key=value parameter document. Unspecified keys keep defaults."""
-    return params_from_entries(parse_kv(text), base)
+    return params_from_entries(parse_kv(text))
 
 
 def serialize_params(p: ParamSet) -> str:

@@ -21,7 +21,9 @@ checks a block of records and writes both row kinds through one user-row
 mask (``write_rayfile`` is one head and one block). The one decoder scans
 the users' path counts, gathers both through that mask and drops the
 file's bytes; the one validator then checks the invariants column by
-column, for the first 10 records (``_SHOWN``) that break any.
+column, for the first 10 records (``_SHOWN``) that break any. A trace
+directory holds base station N's rays as ``FILE_NAME.format(N)``, and the
+reader refuses a file so named that holds another's.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+import re
 import struct
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from .files import RayFileError
+from .files import RAY_FILE_MAGIC, RayFileError
 from .scene import NAME_BYTES
 
 
@@ -133,7 +137,7 @@ class RayRows:
         return (self[u] for u in range(len(self)))
 
 
-MAGIC = b"DMRF"
+FILE_NAME = "rays_bs{:03d}.drf"      # base station N's ray file in a trace directory
 VERSION = 1
 HEADER_SIZE = 64
 MAX_PATHS = 25
@@ -144,6 +148,7 @@ _N_PATHS_AT = USER_ROW.fields["n_paths"][1]     # offset of n_paths in a user ro
 _ASCENDING = "must be strictly ascending"
 _SHOWN = 10     # records a check lists the violations of; violations a message shows
 _WORD = np.dtype(np.uint16)     # both row sizes are even: a payload splits on 2-byte words
+_FILE_BS = re.compile(r"rays_bs(\d+)\.drf")     # the N of a ``FILE_NAME``: whose rays it holds
 
 
 class RayFileFormatError(RayFileError):
@@ -301,7 +306,7 @@ def encode_head(header: RayFileHeader) -> bytes:
         raise RayFileFormatError(f"scenario name not encodable: {exc}") from None
     if len(scenario) > NAME_BYTES:
         raise RayFileFormatError(f"scenario name longer than {NAME_BYTES} bytes")
-    return _HEADER.pack(MAGIC, VERSION, header.bs_id, header.carrier_freq,
+    return _HEADER.pack(RAY_FILE_MAGIC, VERSION, header.bs_id, header.carrier_freq,
                         header.user_count, scenario) + bytes(HEADER_SIZE - _HEADER.size)
 
 
@@ -344,15 +349,20 @@ def write_rayfile(
 
 
 def read_rayfile(source: BinaryIO) -> RayFile:
-    """Parse and fully validate a binary ray file, named ``source.name``
-    if that is a string (a file opened by path). Raises a :class:`RayFileError`
-    subclass, after the name, on any defect; never returns a partial file.
-    """
+    """Parse and fully validate a binary ray file, named ``source.name`` if that
+    is a string (a file opened by path), as base station N's ``FILE_NAME`` only
+    if it holds N's rays. Raises a :class:`RayFileError` subclass, after the
+    name, on any defect; never returns a partial file."""
     name = source.name if isinstance(getattr(source, "name", None), str) else None
     try:
-        return replace(_parse(source), name=name)
+        rf = _parse(source)
+        named = _FILE_BS.fullmatch(os.path.basename(name or ""))
+        if named and int(named[1]) != rf.header.bs_id:
+            raise RayFileError(f"rays for base station {int(named[1])} were traced "
+                               f"from base station {rf.header.bs_id}")
     except RayFileError as exc:
         raise type(exc)(_named(name, exc)) from None
+    return replace(rf, name=name)
 
 
 def _parse(source: BinaryIO) -> RayFile:
@@ -363,8 +373,8 @@ def _parse(source: BinaryIO) -> RayFile:
             f"truncated header: got {len(data)} bytes, need {HEADER_SIZE}"
         )
     magic, version, bs_id, carrier_freq, user_count, scenario_raw = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise RayFileFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if magic != RAY_FILE_MAGIC:
+        raise RayFileFormatError(f"bad magic {magic!r}, expected {RAY_FILE_MAGIC!r}")
     if version != VERSION:
         raise RayFileVersionError(f"unsupported version {version} (supported: {VERSION})")
     try:

@@ -34,6 +34,7 @@ DEFAULT_REFLECTION_LOSS_DB = 6.0
 
 #: The longest scene name, in UTF-8 bytes, that a ray-file header carries.
 NAME_BYTES = 32
+_POSITION_USERS = 2**16      # users ``user_positions`` locates at a time: bounds its temporaries
 
 
 class SceneConfigError(ConfigError):
@@ -180,10 +181,6 @@ class Scene:
     @property
     def total_rows(self) -> int:
         return sum(g.n_rows for g in self.grids)
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_freq
 
     def bs_by_id(self, bs_id: int) -> BaseStation:
         for bs in self.base_stations:
@@ -403,15 +400,17 @@ def user_positions(scene: Scene, indices: np.ndarray) -> np.ndarray:
     if indices.size and (indices.min() < 1 or indices.max() > scene.total_users):
         raise IndexError(f"user index out of range: valid range is 1..{scene.total_users}")
     out = np.empty((indices.size, 3), dtype=float)
-    for g, start in zip(scene.grids, grid_start_indices(scene)):
-        sel = (indices >= start) & (indices < start + g.user_count)
-        if not sel.any():
-            continue
-        local = indices[sel] - start
-        row = local // g.users_per_row
-        col = local % g.users_per_row
-        o, ra, ca = map(np.asarray, (g.origin, g.row_axis, g.col_axis))
-        out[sel] = o + row[:, None] * g.spacing * ra + col[:, None] * g.spacing * ca
+    for lo in range(0, indices.size, _POSITION_USERS):
+        chunk, at = indices[lo: lo + _POSITION_USERS], out[lo: lo + _POSITION_USERS]
+        for g, start in zip(scene.grids, grid_start_indices(scene)):
+            sel = (chunk >= start) & (chunk < start + g.user_count)
+            if not sel.any():
+                continue
+            local = chunk[sel] - start
+            row = local // g.users_per_row
+            col = local % g.users_per_row
+            o, ra, ca = map(np.asarray, (g.origin, g.row_axis, g.col_axis))
+            at[sel] = o + row[:, None] * g.spacing * ra + col[:, None] * g.spacing * ca
     return out
 
 

@@ -44,21 +44,22 @@ def mirror_point(p: Sequence[float], axis: int, offset: float) -> np.ndarray:
 
 def path_power(length: float, carrier_freq: float,
                reflection_loss_db: Sequence[float] = ()) -> float:
-    """Friis free-space receive power times per-bounce linear losses.
+    """Friis free-space receive power times the bounces' losses, whose dB
+    sum to one linear factor. ``length`` may be an array of paths, with an
+    array of losses per bounce.
 
     Unit transmit power and unit antenna gains assumed.
     """
-    if length <= 0:
+    if np.any(np.asarray(length) <= 0):
         raise ValueError(f"path length must be > 0, got {length}")
     lam = SPEED_OF_LIGHT / carrier_freq
-    p = (lam / (4.0 * math.pi * length)) ** 2
-    for loss_db in reflection_loss_db:
-        p *= 10.0 ** (-loss_db / 10.0)
-    return p
+    return ((lam / (4.0 * math.pi * length)) ** 2
+            * 10.0 ** (-np.sum(reflection_loss_db, axis=0) / 10.0))
 
 
 def path_phase(delay: float, n_reflections: int, carrier_freq: float) -> float:
-    """Carrier phase accumulated over the path, plus pi per specular bounce."""
+    """Carrier phase accumulated over the path, plus pi per specular bounce.
+    ``delay`` may be an array of paths."""
     return (-2.0 * math.pi * carrier_freq * delay + math.pi * n_reflections) % (2.0 * math.pi)
 
 
@@ -400,8 +401,6 @@ def _trace_rows(
     image nodes searched (those ``_reachable`` keeps) and of those that gave
     a path."""
     geo = _geometry(scene)
-    freq = scene.carrier_freq
-    lam = scene.wavelength
 
     searched = []
     for seqs, images in _image_tree(geo, tx, max_reflections):
@@ -419,8 +418,8 @@ def _trace_rows(
         aod_az, aod_el = _angles_deg(chain[1] - chain[0])
         aoa_az, aoa_el = _angles_deg(chain[-2] - chain[-1])
         delays = lengths / SPEED_OF_LIGHT
-        powers = (lam / (4.0 * math.pi * lengths)) ** 2 * 10.0 ** (-loss_db / 10.0)
-        phases = (-2.0 * math.pi * freq * delays + math.pi * n) % (2.0 * math.pi)
+        powers = path_power(lengths, scene.carrier_freq, [loss_db])
+        phases = path_phase(delays, n, scene.carrier_freq)
         columns.append((rows, np.full(rows.size, rank[k]), aod_az, aod_el, aoa_az, aoa_el,
                         powers, phases, delays, np.full(rows.size, n)))
 

@@ -378,17 +378,6 @@ def _stream_cases(draw):
 
 
 class TestStreamingWrite:
-    def test_base_stations_must_be_the_active_bs(self, rng, tiny_scene, tmp_path):
-        # The reader refuses shards listed out of their active_BS order, so
-        # the writer does not write them.
-        p = _params()
-        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
-        swapped = replace(ds, bs_ids=(5, 3), shards=ds.shards[::-1])
-        with pytest.raises(DatasetError, match="^the dataset's base stations 5,3 are not "
-                                               "its active_BS 3,5$"):
-            write_shards(tmp_path / "out", swapped)
-        assert not (tmp_path / "out").exists()
-
     @settings(deadline=None, max_examples=60)
     @given(_stream_cases())
     def test_streamed_files_equal_in_memory_export(self, case):
@@ -585,7 +574,7 @@ class TestStreamingRead:
     def test_shard_without_users_checks_its_hash(self, tmp_path):
         p = _params()
         empty = tuple(np.empty(0, record_dtype(p)) for _ in p.active_bs)
-        manifest = write_shards(tmp_path, Dataset(p, "s", p.active_bs, empty))
+        manifest = write_shards(tmp_path, Dataset(p, "s", empty))
         assert load_dataset(tmp_path).n_users == 0
         bad = replace(manifest.entries[1], content_hash="0" * 16)
         (tmp_path / "manifest.txt").write_text(Manifest((manifest.entries[0], bad)).to_text())
@@ -783,7 +772,7 @@ class TestExportImport:
                      num_ofdm=1024, ofdm_limit=1024)
         records = np.zeros(6, dtype=record_dtype(p))
         records["global_index"] = range(1, 7)
-        ds = Dataset(params=p, scenario_name="O1_60", bs_ids=(1,), shards=(records,))
+        ds = Dataset(params=p, scenario_name="O1_60", shards=(records,))
         with pytest.raises(DatasetError, match="csv export refused"):
             write_shards(tmp_path / "big", ds, fmt="csv")
 

@@ -4,12 +4,14 @@ module, or the import statement must carry ``# noqa`` (a re-export); a
 private name (``_x``) that a module binds at its top level with ``def``,
 ``class`` or an assignment must be read somewhere in it; and such a public
 name must be read, as a name or as an attribute, somewhere in the code of
-``src/``, ``tests/`` or ``bench/``; and a function's parameter must be
-read in its body. A name read only inside a quoted annotation does not
+``src/``, ``tests/`` or ``bench/``; a function's parameter must be read
+in its body; and a parameter with a default must be passed by some call
+in those trees. A name read only inside a quoted annotation does not
 count as read."""
 
 import ast
 import functools
+import math
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,51 @@ def unread_parameters(source: str) -> list[str]:
     return unread
 
 
+def unpassed_options(source: str, others: list[Path]) -> list[str]:
+    """``function.parameter`` (``Class.method.parameter`` for a method) for
+    each parameter with a default of a function, method or constructor of
+    ``source`` that no call in it or in the files ``others`` passes, by
+    position or by keyword. A call is matched by the name it calls
+    (``f(...)`` or ``x.f(...)``), and a call of a class's name reaches its
+    ``__init__``; a method's ``self`` or ``cls`` takes no position. A ``*``
+    or ``**`` argument passes every parameter. Other dunder methods and
+    lambdas are exempt, and so are dataclass field defaults, which no
+    ``def`` declares."""
+    tree = ast.parse(source)
+    methods = {f: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    calls = _calls(tree).union(*map(_file_calls, others))
+    unpassed = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("__") and node.name != "__init__"):
+            continue
+        owner = methods.get(node)
+        called = owner if node.name == "__init__" else node.name
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        if owner and "staticmethod" not in {getattr(d, "id", None) for d in node.decorator_list}:
+            positional = positional[1:]
+        defaulted = [(at, a.arg) for at, a in enumerate(positional)
+                     if at >= len(positional) - len(args.defaults)]
+        defaulted += [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        unpassed += [f"{owner + '.' if owner else ''}{node.name}.{arg}" for at, arg in defaulted
+                     if not any(name == called and (n > at or arg in keywords or "**" in keywords)
+                                for name, n, keywords in calls)]
+    return unpassed
+
+
+def _calls(tree: ast.AST) -> set[tuple[str, float, frozenset[str]]]:
+    """Each call of ``tree`` as the name it calls, the count of its
+    positional arguments (infinite with a ``*`` one) and its keywords
+    (``**`` for a ``**`` one)."""
+    return {(node.func.id if isinstance(node.func, ast.Name) else node.func.attr,
+             math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args),
+             frozenset(k.arg or "**" for k in node.keywords))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
 def _top_level(tree: ast.Module) -> list[str]:
     bound: list[str] = []
     for node in tree.body:
@@ -95,6 +142,11 @@ def _read(tree: ast.AST, attributes: bool = False) -> set[str]:
 @functools.cache
 def _file_reads(path: Path) -> set[str]:
     return _read(ast.parse(path.read_text()), attributes=True)
+
+
+@functools.cache
+def _file_calls(path: Path) -> set[tuple[str, float, frozenset[str]]]:
+    return _calls(ast.parse(path.read_text()))
 
 
 def _readers_besides(module: str) -> list[Path]:
@@ -161,3 +213,25 @@ def test_flags_a_planted_parameter():
               "    def step(self, _unused, *args, **kwargs):\n        return lambda x: 0\n\n"
               "    def __exit__(self, kind, value, traceback):\n        pass\n")
     assert unread_parameters(planted + exempt) == ["path_power.n_reflections"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unpassed_option(module):
+    assert unpassed_options((PACKAGE / module).read_text(), _readers_besides(module)) == []
+
+
+def test_flags_a_planted_option(tmp_path):
+    source = (PACKAGE / "tracer.py").read_text()
+    planted = source.replace("def mirror_point(p: Sequence[float], axis: int, offset: float)",
+                             "def mirror_point(p: Sequence[float], axis: int, offset: float, "
+                             "scale: float = 2.0)")
+    assert planted != source
+    planted += ("\n\nclass Planted:\n"
+                "    def __init__(self, a, b=0, *, c=None):\n        self.a = a\n\n"
+                "    @staticmethod\n    def make(a, b=0):\n        return Planted(a, b)\n")
+    others = _readers_besides("tracer.py")
+    assert sorted(unpassed_options(planted, others)) == [
+        "Planted.__init__.c", "Planted.make.b", "mirror_point.scale"]
+    caller = tmp_path / "caller.py"     # by keyword, by position, by a * argument
+    caller.write_text("Planted(1, c=2).make(1, 2)\nmirror_point(*args)\n")
+    assert unpassed_options(planted, [*others, caller]) == []

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimogen import rayio
+from mimogen.files import RAY_FILE_MAGIC
 from mimogen.rayio import (
+    FILE_NAME,
     HEADER_SIZE,
-    MAGIC,
     MAX_PATHS,
     PATH_ROW,
     USER_ROW,
@@ -63,7 +64,7 @@ class TestLayout:
     def test_header_is_64_bytes(self):
         data = _write_bytes([])
         assert len(data) == HEADER_SIZE == 64
-        assert data[:4] == MAGIC
+        assert data[:4] == RAY_FILE_MAGIC
 
     def test_record_sizes(self, rng):
         pl = random_path_list(rng, 3, 42, max_paths=25)
@@ -172,6 +173,23 @@ class TestReadErrors:
         with path.open("rb") as fh:
             assert read_rayfile(fh).name == str(path)
         assert read_rayfile(io.BytesIO(_write_bytes([]))).name is None
+
+    def test_a_file_named_for_a_base_station_holds_its_rays(self, rng, tmp_path):
+        data = _write_bytes(_random_lists(rng, 3))      # base station 3's rays
+        for name, station in [(FILE_NAME.format(3), None), (FILE_NAME.format(4), 4),
+                              ("rays_bs7.drf", 7), ("rays.drf", None), ("rays_bs004.drf~", None)]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            with path.open("rb") as fh:
+                if station is None:
+                    assert read_rayfile(fh).header.bs_id == 3
+                    continue
+                with pytest.raises(RayFileError) as exc:
+                    read_rayfile(fh)
+            assert type(exc.value) is RayFileError
+            assert str(exc.value) == (f"{path}: rays for base station {station} were traced "
+                                      f"from base station 3")
+        assert read_rayfile(io.BytesIO(data)).header.bs_id == 3     # no name: no check
 
 
 class TestWriteErrors:

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mimogen.kvconfig import ConfigError, parse_kv
 from mimogen.params import ParamSet
 from mimogen.rayio import RayFileHeader, encode_head, read_rayfile
 from mimogen.scene import (
+    _POSITION_USERS,
     NAME_BYTES,
     SceneConfigError,
     build_o1_scene,
@@ -123,6 +125,21 @@ class TestEnumeration:
         pos = user_positions(o1, idx)
         gaps = np.linalg.norm(np.diff(pos, axis=0), axis=1)
         assert np.max(np.abs(gaps - 0.2)) < 1e-12
+
+    def test_whole_scene_in_bounded_memory(self, o1):
+        idx = np.arange(1, o1.total_users + 1)
+        tracemalloc.start()
+        try:
+            pos = user_positions(o1, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pos.nbytes + 8 * 2**20
+        # The users on both sides of each step's edge, each located alone.
+        edges = np.arange(0, idx.size, _POSITION_USERS)[:, None] + [-1, 0, 1]
+        near = np.unique(np.clip(edges, 0, idx.size - 1))
+        alone = np.concatenate([user_positions(o1, idx[i: i + 1]) for i in near.tolist()])
+        assert alone.tobytes() == pos[near].tobytes()
 
     def test_positions_inside_grid_rectangle(self, o1):
         for gi, g in enumerate(o1.grids):
