@@ -25,9 +25,9 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .dataset import (
-    ML_MANIFEST, Dataset, DatasetError, DatasetReader, Manifest, ManifestEntry, RayDataset,
-    atomic_write, verify_files, write_steps,
+    Dataset, DatasetReader, Manifest, ManifestEntry, RayDataset, verify_files, write_steps,
 )
+from .files import ML_MANIFEST, DatasetError, atomic_write
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 from . import __version__, parallel
 from .files import (
-    RAY_FILE_MAGIC, SHARD_MAGIC, DatasetError, RayFileError, atomic_write, content_hash,
-    file_digest, write_files,
+    MANIFEST, MAX_PATHS, ML_MANIFEST, RAY_FILE_MAGIC, SHARD_MAGIC, DatasetError, RayFileError,
+    atomic_write, content_hash, file_digest, write_files,
 )
 from .kvconfig import ConfigError, KVEntry, merge_kv, read_text
 from .params import KEYS, ParamSet, params_from_entries, serialize_params
@@ -41,6 +41,8 @@ from .scene import Scene, SceneConfigError, build_o1_scene, scene_from_json, sce
 
 _TRACE_CHUNK = 1024
 _TRACE_POOL_STEPS = 5      # the fewest trace steps that fork workers (measured: README)
+_RUN_MANIFEST = "{}.manifest.json"     # a stage's run manifest: named for the stage or scene file
+_DIR_STAGES = ("trace", "build", "beams")      # the stages that write a directory
 
 
 class ProgressReporter:
@@ -119,7 +121,7 @@ def _cmd_scene(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write(out, scene_to_json(scene).encode())
-    _write_run(out.with_name(out.name + ".manifest.json"), "scene", t0,
+    _write_run(out.with_name(_RUN_MANIFEST.format(out.name)), "scene", t0,
                "\n".join(sorted(f"{k}={e.value}" for k, e in overrides.items())),
                {args.config: args.config} if args.config else {}, [out])
     if not args.quiet:
@@ -133,7 +135,7 @@ def _cmd_scene(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     import numpy as np
-    from .rayio import FILE_NAME, MAX_PATHS, RayFileHeader, check_follows, encode_head, encode_rows
+    from .rayio import FILE_NAME, RayFileHeader, check_follows, encode_head, encode_rows
     from .scene import user_positions, users_in_row_range
     from .tracer import image_node_counts, trace_paths_batch
 
@@ -171,7 +173,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             key + "paths": len(batch.paths), key + "users_without_paths": with_k[0],
             **{key + f"users_with_{k}_paths": n for k, n in enumerate(with_k) if k and n}}
 
-    # Summed over the steps; the tree sizes also build the workers' geometry.
+    # Summed over the steps.
     counters = collections.Counter({f"bs{b:03d}.image_nodes": image_node_counts(
         scene, b, args.max_reflections) for b in bs_ids})
     last: dict[int, int | None] = dict.fromkeys(bs_ids)
@@ -194,9 +196,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         traced = pool.map(trace, ((lo, bs_id) for lo in starts for bs_id in bs_ids))
         steps = ((lo, [next(traced) for _ in bs_ids]) for lo in starts)
         write_files(outputs, heads, steps, write, lambda done: reporter.update(len(bs_ids) * done))
-    counters.update(workers=workers, users_per_step=_TRACE_CHUNK,
-                    workers_peak_rss_kib=pool.peak_rss_kib)
-    _write_run(outdir / "trace.manifest.json", "trace", t0,
+    counters.update(pool.counters(_TRACE_CHUNK))
+    _write_run(outdir / _RUN_MANIFEST.format("trace"), "trace", t0,
                f"{args.bs} {args.active_user_first} {args.active_user_last} "
                f"{args.max_reflections} {args.max_paths}",
                {args.scene: args.scene}, outputs, counters)
@@ -228,7 +229,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     for gaps, entry in zip(source.gaps, manifest.entries):
         counters[f"bs{entry.bs_id:03d}.zero_channel_gaps"] = gaps
         counters[f"bs{entry.bs_id:03d}.shard_bytes"] = entry.byte_size
-    _write_run(outdir / "build.manifest.json", "build", t0, serialize_params(params),
+    _write_run(outdir / _RUN_MANIFEST.format("build"), "build", t0, serialize_params(params),
                {str(f): f for f in [args.scene, *ray_files.values()]},
                [outdir / e.filename for e in manifest.entries], counters)
     return 0
@@ -236,7 +237,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_beams(args: argparse.Namespace) -> int:
     from .beams import BeamEvalConfig, dft_codebook, write_ml_dataset
-    from .dataset import MANIFEST, DatasetReader
+    from .dataset import DatasetReader
 
     t0 = time.monotonic()
     if not 0 < args.snr < math.inf:
@@ -254,7 +255,7 @@ def _cmd_beams(args: argparse.Namespace) -> int:
     counters.update(pairs=ds.n_users * len(ds.bs_ids), shards_hash_verified=ds.verified,
                     features_bytes=manifest.entries[0].byte_size,
                     labels_bytes=manifest.entries[1].byte_size)
-    _write_run(outdir / "beams.manifest.json", "beams", t0,
+    _write_run(outdir / _RUN_MANIFEST.format("beams"), "beams", t0,
                f"{args.snr} {args.oversampling} {args.conjugate}",
                {args.dataset_dir: Path(args.dataset_dir) / MANIFEST},
                [outdir / e.filename for e in manifest.entries], counters)
@@ -272,15 +273,15 @@ def _run_outputs(record: Path) -> list[str]:
 def _check_build_outputs(directory: Path, listed: set[str]) -> None:
     """With the ``build.manifest.json`` that ``build`` writes beside them,
     the files ``manifest.txt`` lists (``listed``) must be that run's outputs."""
-    record = directory / "build.manifest.json"
+    record = directory / _RUN_MANIFEST.format("build")
     if not record.is_file():
         return
     outputs = set(_run_outputs(record))
     if outputs != listed:
         raise DatasetError("; ".join(
-            [f"{name}: an output in {record.name} that manifest.txt does not list"
+            [f"{name}: an output in {record.name} that {MANIFEST} does not list"
              for name in sorted(outputs - listed)]
-            + [f"{name}: listed in manifest.txt but not an output in {record.name}"
+            + [f"{name}: listed in {MANIFEST} but not an output in {record.name}"
                for name in sorted(listed - outputs)]))
 
 
@@ -292,30 +293,47 @@ def _check_ray_file(path: Path) -> None:
         read_rayfile(fh)
 
 
+def _validate_dir(path: Path) -> None:
+    """Check the output directory ``path`` of ``trace``, ``build`` or ``beams``."""
+    if (path / ML_MANIFEST).is_file():
+        from .beams import verify_ml_dataset
+
+        verify_ml_dataset(path)
+    elif (path / _RUN_MANIFEST.format("trace")).is_file() and not (path / MANIFEST).exists():
+        for name in _run_outputs(path / _RUN_MANIFEST.format("trace")):
+            _check_ray_file(path / name)
+    else:
+        from . import dataset
+
+        manifest = dataset.Manifest.read(path / MANIFEST)
+        if manifest.entries and all(e.filename.endswith(".csv") for e in manifest.entries):
+            dataset.verify_files(path, manifest)    # a `build --format csv` export
+        else:
+            with dataset.DatasetReader(path) as ds:
+                for _ in dataset.steps(ds):
+                    pass
+        _check_build_outputs(path, {e.filename for e in manifest.entries})
+
+
+def _listed_beside(path: Path) -> bool:
+    """Whether a manifest beside the file ``path`` lists it."""
+    for manifest in (path.parent / MANIFEST, path.parent / ML_MANIFEST):
+        if manifest.is_file():
+            from .dataset import Manifest
+
+            if any(e.filename == path.name for e in Manifest.read(manifest).entries):
+                return True
+    return False
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.path)
     try:
         if path.is_dir():
-            from . import dataset
-
-            if (path / dataset.ML_MANIFEST).is_file():
-                from .beams import verify_ml_dataset
-
-                verify_ml_dataset(path)
-            elif ((path / "trace.manifest.json").is_file()
-                  and not (path / dataset.MANIFEST).exists()):
-                for name in _run_outputs(path / "trace.manifest.json"):
-                    _check_ray_file(path / name)
-            else:
-                manifest = dataset.Manifest.read(path / dataset.MANIFEST)
-                if manifest.entries and all(e.filename.endswith(".csv")
-                                            for e in manifest.entries):
-                    dataset.verify_files(path, manifest)    # a `build --format csv` export
-                else:
-                    with dataset.DatasetReader(path) as ds:
-                        for _ in dataset.steps(ds):
-                            pass
-                _check_build_outputs(path, {e.filename for e in manifest.entries})
+            _validate_dir(path)
+        elif (path.name in {MANIFEST, ML_MANIFEST, *map(_RUN_MANIFEST.format, _DIR_STAGES)}
+              or _listed_beside(path)):
+            _validate_dir(path.parent)
         else:
             with path.open("rb") as fh:
                 head = fh.read(4)
@@ -326,6 +344,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
                 with path.open("rb") as fh:
                     ShardReader(fh, path.name)      # a shard alone has no hash to check
+            elif path.name.endswith(_RUN_MANIFEST.format("")):     # a scene's run manifest
+                for name in _run_outputs(path):
+                    _load_scene(path.parent / name)
             else:
                 _load_scene(path)
     except (RayFileError, DatasetError, ConfigError, OSError, UnicodeDecodeError) as exc:
@@ -358,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--active_user_first", type=int, required=True)
     p_trace.add_argument("--active_user_last", type=int, required=True)
     p_trace.add_argument("--max-reflections", type=int, default=4)
-    p_trace.add_argument("--max-paths", type=int, default=25)
+    p_trace.add_argument("--max-paths", type=int, default=MAX_PATHS)
     p_trace.add_argument("--out-dir", default=_default_outdir())
     p_trace.add_argument("--quiet", action="store_true")
     p_trace.set_defaults(func=_cmd_trace)

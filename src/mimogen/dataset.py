@@ -13,7 +13,7 @@ station; ``get_channel(...).entries`` and ``get_location`` are views into
 it, read-only after ``load_dataset``.
 
 On disk the dataset is a directory of per-base-station shards plus a text
-manifest, ``MANIFEST``. Shard layout (little-endian): magic ``DMDS``
+manifest, ``files.MANIFEST``. Shard layout (little-endian): magic ``DMDS``
 (``files.SHARD_MAGIC``), version u32, echo block (u32 byte length + UTF-8
 key=value text carrying the parameter set, ``bs_id``, ``user_count``, and
 ``scenario``), then the record array's buffer. The manifest has one line
@@ -55,8 +55,8 @@ import numpy as np
 from . import parallel
 from .channel import ChannelMatrix, channel_matrices_batch
 from .files import (  # noqa: F401  (content_hash: re-exported)
-    SHARD_MAGIC, DatasetError, HashingSink, atomic_write, content_hash, file_digest, hex16,
-    write_files,
+    MANIFEST, SHARD_MAGIC, DatasetError, HashingSink, atomic_write, content_hash, file_digest,
+    hex16, write_files,
 )
 from .kvconfig import ConfigError, read_text
 from .params import ParamSet, parse_params, serialize_params, subcarrier_set
@@ -68,8 +68,6 @@ T = TypeVar("T")
 
 SHARD_VERSION = 1
 CSV_SIZE_CAP_BYTES = 64 * 1024 * 1024  # refuse CSV export above this estimate
-MANIFEST = "manifest.txt"              # the manifest of a `build` output directory
-ML_MANIFEST = "ml_manifest.txt"        # the manifest of a `beams` output directory
 
 _BATCH_BYTES = 16 * 2**20        # record bytes per channel-construction batch...
 _MAX_BATCH_USERS = 256           # ...and at most this many users in it
@@ -546,7 +544,7 @@ class DatasetReader:
                     raise DatasetError(f"{shard.name}: user list differs from {head.name}")
             listed = [shard.bs_id for shard in self.shards]
             if listed != list(head.params.active_bs):
-                raise DatasetError(f"manifest.txt lists base stations {_ids(listed)}, but "
+                raise DatasetError(f"{MANIFEST} lists base stations {_ids(listed)}, but "
                                    f"the shards' active_BS is {_ids(head.params.active_bs)}")
         except BaseException:
             self._files.close()
@@ -633,8 +631,8 @@ def write_steps(
     source's just before submitting it, after step n - window is written
     (so a ``DatasetReader`` checks its shards here). The task then scores
     the step with ``score`` (None without it). ``progress(done)`` gets the
-    (BS, user) pairs written after each step; ``counters`` gets ``workers``,
-    ``users_per_step`` and ``workers_peak_rss_kib`` (0 without workers).
+    (BS, user) pairs written after each step; ``counters`` gets the pool's
+    (``OrderedPool.counters``).
     """
     shards, n_users = len(source.bs_ids), source.n_users
     workers, users = pool_plan(source, score is not None)
@@ -663,8 +661,7 @@ def write_steps(
             paths, heads, taken, lambda step: (step[0][0]["global_index"], encode(*step)),
             None if progress is None else lambda done: progress(shards * done))
     if counters is not None:
-        counters.update(workers=workers, users_per_step=users,
-                        workers_peak_rss_kib=pool.peak_rss_kib)
+        counters.update(pool.counters(users))
     return written
 
 

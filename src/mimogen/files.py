@@ -1,9 +1,10 @@
 """The pipeline's output files: the one atomic writer, the one content hash,
-the magic numbers of the ray files and dataset shards, and their base errors.
+the magic numbers of the ray files and shards, the manifests' names, the
+path cap that ray files and ``num_paths`` share, and the base errors.
 
 The module imports no numpy, so the subcommands that need no arrays
-(``scene``, ``validate <scene file>``) write, hash and report errors
-without it.
+(``scene``, ``validate <scene file>``) write, hash, name files and report
+errors without it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ T = TypeVar("T")
 
 RAY_FILE_MAGIC = b"DMRF"         # the first 4 bytes of a ray file (``rayio``)...
 SHARD_MAGIC = b"DMDS"            # ...and of a dataset shard (``dataset``)
+MANIFEST = "manifest.txt"        # the manifest of a `build` output directory...
+ML_MANIFEST = "ml_manifest.txt"  # ...and of a `beams` output directory
+MAX_PATHS = 25                   # the most paths a ray record or `num_paths` holds
 _READ_BYTES = 2**16              # chunk size when hashing a whole file
 
 

@@ -65,6 +65,11 @@ class OrderedPool:
         self.peak_rss_kib = 0
         self._executor = None
 
+    def counters(self, users_per_step: int) -> dict[str, int]:
+        """``workers``, ``users_per_step`` and ``workers_peak_rss_kib``, for a run manifest."""
+        return {"workers": self.workers, "users_per_step": users_per_step,
+                "workers_peak_rss_kib": self.peak_rss_kib}
+
     def __enter__(self) -> "OrderedPool":
         return self
 

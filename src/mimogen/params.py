@@ -12,6 +12,7 @@ import math
 from dataclasses import Field, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
+from .files import MAX_PATHS
 from .kvconfig import ConfigError, KVEntry, as_float, as_int, as_int_list, parse_kv
 
 if TYPE_CHECKING:
@@ -69,8 +70,8 @@ class ParamSet:
             )
         if self.ofdm_limit < 1:
             raise ParamError(f"OFDM_limit: must be >= 1, got {self.ofdm_limit}")
-        if not 1 <= self.num_paths <= 25:
-            raise ParamError(f"num_paths: must be in 1..25, got {self.num_paths}")
+        if not 1 <= self.num_paths <= MAX_PATHS:
+            raise ParamError(f"num_paths: must be in 1..{MAX_PATHS}, got {self.num_paths}")
 
     @property
     def num_antennas(self) -> int:

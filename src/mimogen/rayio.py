@@ -39,7 +39,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-from .files import RAY_FILE_MAGIC, RayFileError
+from .files import MAX_PATHS, RAY_FILE_MAGIC, RayFileError
 from .scene import NAME_BYTES
 
 
@@ -140,7 +140,6 @@ class RayRows:
 FILE_NAME = "rays_bs{:03d}.drf"      # base station N's ray file in a trace directory
 VERSION = 1
 HEADER_SIZE = 64
-MAX_PATHS = 25
 
 _HEADER = struct.Struct(f"<4sIId Q{NAME_BYTES}s")
 _N_PATHS = struct.Struct("<H")

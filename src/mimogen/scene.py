@@ -8,6 +8,8 @@ numbers can be overridden through a flat key=value config.
 Coordinate frame: x along the main street, y along the cross street, z up.
 The main street occupies y in [0, 40]; the cross street occupies
 x in [300, 340], running from y = -240 to y = +200.
+
+A ``Scene`` compares by value, so it equals its JSON round trip.
 """
 
 from __future__ import annotations
@@ -131,8 +133,7 @@ class UserGrid:
         return self.first_row_label + self.n_rows - 1
 
 
-# eq=False: identity-based hashing so per-scene tracer geometry can be cached.
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scene:
     buildings: tuple[Building, ...] = _key("buildings", Building)
     base_stations: tuple[BaseStation, ...] = _key("base_stations", BaseStation)

@@ -195,6 +195,32 @@ class TestPipeline:
         assert err.startswith("violation: FileNotFoundError: ") and "rays_bs004.drf" in err
         assert err.count("\n") == 1
 
+    def test_validate_every_file_of_a_pipeline(self, tmp_path, scene_file, capsys):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        ml = tmp_path / "ml"
+        assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
+                    "--quiet"]) == 0
+        files = sorted(f for f in tmp_path.rglob("*") if f.is_file())
+        assert sorted(f.name for f in files) == sorted([
+            "scene.json", "scene.json.manifest.json", "rays_bs003.drf", "rays_bs004.drf",
+            "trace.manifest.json", "shard_bs003.dmds", "shard_bs004.dmds", "manifest.txt",
+            "build.manifest.json", "features.csv", "labels.csv", "ml_manifest.txt",
+            "beams.manifest.json"])
+        for f in files:
+            assert run(["validate", str(f)]) == 0, capsys.readouterr().err
+            assert capsys.readouterr().err == f"{f}: valid\n"
+        labels = ml / "labels.csv"
+        size = labels.stat().st_size
+        with labels.open("ab") as fh:
+            fh.write(b"0")
+        assert run(["validate", str(labels), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"violation: DatasetError: labels.csv: {size + 1} bytes, manifest says {size}\n")
+        # A scene's run manifest checks the scene file it lists.
+        scene_file.write_text(scene_file.read_text()[:-2])
+        assert run(["validate", f"{scene_file}.manifest.json", "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("violation: SceneConfigError: ")
+
     def test_build_workers_inherit_no_ray_file(self, tmp_path, scene_file, monkeypatch):
         rays = _trace(tmp_path, scene_file)
         write_shards = dataset.write_shards

@@ -266,6 +266,13 @@ class TestSerialization:
         assert sc2.grids == sc.grids
         assert sc2.carrier_freq == sc.carrier_freq
 
+    def test_a_scene_is_a_value(self, o1):
+        assert scene_from_json(scene_to_json(o1)) == o1
+        assert build_o1_scene() == o1
+        moved = build_o1_scene(parse_kv("bs.3.x=150.5"))
+        assert moved != o1
+        assert scene_from_json(scene_to_json(moved)) == moved
+
     @pytest.mark.parametrize("key", ["n_rows", "users_per_row"])
     @pytest.mark.parametrize("value", [7.9, 7.0, True, "7", None])
     def test_file_grid_counts_must_be_integers(self, key, value):

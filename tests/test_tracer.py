@@ -377,7 +377,7 @@ class TestPlaneTable:
     def test_equals_oracle(self, boxes, ground_z):
         scene = Scene(buildings=tuple(boxes), base_stations=(), grids=(), carrier_freq=28e9,
                       ground_z=ground_z, material_losses={"glass": 3.5, "ground": 2.0})
-        geo = tracer._build_geometry(scene)
+        geo = tracer._geometry(scene)
         oracle = geometry_oracle(scene)
         assert geo.plane_axis.tolist() == [pl[0] for pl in oracle]
         assert geo.plane_offset.tolist() == [pl[1] for pl in oracle]
