@@ -1,16 +1,16 @@
 """Command-line pipeline: scene -> trace -> build -> beams, plus validate.
 
-Exit codes: 0 success, 1 validation/pipeline failure, 2 usage error.
-A subcommand raises on failure; ``run`` alone turns the exception into
-one ``error:`` line and its exit code (a ``ConfigError`` is a usage
-error). ``validate`` prints its ``violation:`` lines itself. Each stage
-writes its run manifest with ``_write_run``. All diagnostics and
-progress go to stderr; declared output files are written atomically
-(temp file + rename), so an interrupted run never leaves a partial
-output under its final name.
-
-The default output directory can be set with the MIMOGEN_OUT_DIR
-environment variable.
+Exit codes: 0 success, 1 validation/pipeline failure, 2 usage error. A
+subcommand raises on failure; ``run`` alone turns the exception into one
+``error:`` line and its exit code (a ``ConfigError`` is a usage error).
+``validate`` prints its ``violation:`` lines itself. Each stage writes its
+run manifest with ``_write_run``; ``_STAGES`` names the manifests that
+mark each stage's output in a directory (a scene's: any other
+``*.manifest.json``) and the check, given their paths, that ``validate
+<dir>`` runs for each stage whose manifest the directory holds. All
+diagnostics and progress go to stderr; outputs are written atomically
+(temp file + rename), so an interrupted run never leaves a partial output
+under its final name. MIMOGEN_OUT_DIR sets the default output directory.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import __version__, parallel
 from .files import (
@@ -42,7 +42,6 @@ from .scene import Scene, SceneConfigError, build_o1_scene, scene_from_json, sce
 _TRACE_CHUNK = 1024
 _TRACE_POOL_STEPS = 5      # the fewest trace steps that fork workers (measured: README)
 _RUN_MANIFEST = "{}.manifest.json"     # a stage's run manifest: named for the stage or scene file
-_DIR_STAGES = ("trace", "build", "beams")      # the stages that write a directory
 
 
 class ProgressReporter:
@@ -262,62 +261,71 @@ def _cmd_beams(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_outputs(record: Path) -> list[str]:
-    """The file names of the outputs that the run manifest ``record`` lists."""
+def _run_outputs(record: Path) -> list[Path]:
+    """The outputs that the run manifest ``record`` lists, by file name beside it."""
     try:
-        return [Path(out).name for out in json.loads(read_text(record, DatasetError))["outputs"]]
+        return [record.parent / Path(out).name
+                for out in json.loads(read_text(record, DatasetError))["outputs"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise DatasetError(f"{record.name}: malformed run manifest: {exc!r}") from None
 
 
-def _check_build_outputs(directory: Path, listed: set[str]) -> None:
-    """With the ``build.manifest.json`` that ``build`` writes beside them,
-    the files ``manifest.txt`` lists (``listed``) must be that run's outputs."""
-    record = directory / _RUN_MANIFEST.format("build")
-    if not record.is_file():
-        return
-    outputs = set(_run_outputs(record))
-    if outputs != listed:
+def _check_scenes(*records: Path) -> None:
+    """Load each scene file that the scene run manifests ``records`` list."""
+    for scene in (path for record in records for path in _run_outputs(record)):
+        try:
+            scene_from_json(read_text(scene))      # its ConfigError names the file already
+        except SceneConfigError as exc:
+            raise SceneConfigError(f"{scene}: {exc}") from None
+
+
+def _check_rays(*paths: Path) -> None:
+    """Read and check each ray file ``paths``: ``read_rayfile`` raises on any violation."""
+    from .rayio import read_rayfile
+
+    for path in paths:
+        with path.open("rb") as fh:
+            read_rayfile(fh)
+
+
+def _check_dataset(listing: Path, record: Path) -> None:
+    """Check the files ``listing`` lists and that they are the run ``record``'s outputs."""
+    from . import dataset
+
+    manifest = dataset.Manifest.read(listing)
+    if manifest.entries and all(e.filename.endswith(".csv") for e in manifest.entries):
+        dataset.verify_files(listing.parent, manifest)      # a `build --format csv` export
+    else:
+        with dataset.DatasetReader(listing.parent) as ds:
+            for _ in dataset.steps(ds):
+                pass
+    listed = {e.filename for e in manifest.entries}
+    if record.is_file() and (outputs := {p.name for p in _run_outputs(record)}) != listed:
         raise DatasetError("; ".join(
-            [f"{name}: an output in {record.name} that {MANIFEST} does not list"
+            [f"{name}: an output in {record.name} that {listing.name} does not list"
              for name in sorted(outputs - listed)]
-            + [f"{name}: listed in {MANIFEST} but not an output in {record.name}"
+            + [f"{name}: listed in {listing.name} but not an output in {record.name}"
                for name in sorted(listed - outputs)]))
 
 
-def _check_ray_file(path: Path) -> None:
-    """Read and check the ray file ``path``: ``read_rayfile`` raises on any violation."""
-    from .rayio import read_rayfile
+def _check_ml(listing: Path, _record: Path) -> None:
+    from .beams import verify_ml_dataset
 
-    with path.open("rb") as fh:
-        read_rayfile(fh)
+    verify_ml_dataset(listing.parent)
 
 
-def _validate_dir(path: Path) -> None:
-    """Check the output directory ``path`` of ``trace``, ``build`` or ``beams``."""
-    if (path / ML_MANIFEST).is_file():
-        from .beams import verify_ml_dataset
-
-        verify_ml_dataset(path)
-    elif (path / _RUN_MANIFEST.format("trace")).is_file() and not (path / MANIFEST).exists():
-        for name in _run_outputs(path / _RUN_MANIFEST.format("trace")):
-            _check_ray_file(path / name)
-    else:
-        from . import dataset
-
-        manifest = dataset.Manifest.read(path / MANIFEST)
-        if manifest.entries and all(e.filename.endswith(".csv") for e in manifest.entries):
-            dataset.verify_files(path, manifest)    # a `build --format csv` export
-        else:
-            with dataset.DatasetReader(path) as ds:
-                for _ in dataset.steps(ds):
-                    pass
-        _check_build_outputs(path, {e.filename for e in manifest.entries})
+_STAGES: tuple[tuple[str, tuple[str, ...], Callable[..., None]], ...] = (
+    ("scene", (), _check_scenes),
+    ("trace", (_RUN_MANIFEST.format("trace"),), lambda run: _check_rays(*_run_outputs(run))),
+    ("build", (MANIFEST, _RUN_MANIFEST.format("build")), _check_dataset),
+    ("beams", (ML_MANIFEST, _RUN_MANIFEST.format("beams")), _check_ml),
+)
+_NAMED = [name for _, names, _ in _STAGES for name in names]
 
 
 def _listed_beside(path: Path) -> bool:
-    """Whether a manifest beside the file ``path`` lists it."""
-    for manifest in (path.parent / MANIFEST, path.parent / ML_MANIFEST):
+    """Whether a manifest beside the file ``path``, other than a run manifest, lists it."""
+    for manifest in (path.parent / n for n in _NAMED if not n.endswith(_RUN_MANIFEST.format(""))):
         if manifest.is_file():
             from .dataset import Manifest
 
@@ -328,25 +336,27 @@ def _listed_beside(path: Path) -> bool:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.path)
+    outdir = path if path.is_dir() else path.parent
     try:
-        if path.is_dir():
-            _validate_dir(path)
-        elif (path.name in {MANIFEST, ML_MANIFEST, *map(_RUN_MANIFEST.format, _DIR_STAGES)}
-              or _listed_beside(path)):
-            _validate_dir(path.parent)
+        scenes = sorted(p for p in outdir.glob(_RUN_MANIFEST.format("*")) if p.name not in _NAMED)
+        stages = [(check, [outdir / n for n in names] or scenes) for _, names, check in _STAGES]
+        held = [(check, paths) for check, paths in stages if any(p.is_file() for p in paths)]
+        if path.is_dir() or any(path in paths for _, paths in held) or _listed_beside(path):
+            if not held:
+                raise DatasetError(f"{path}: holds no stage manifest ({', '.join(_NAMED)} "
+                                   f"or a scene's {_RUN_MANIFEST.format('<scene file>')})")
+            for check, paths in held:
+                check(*paths)
         else:
             with path.open("rb") as fh:
                 head = fh.read(4)
             if head == RAY_FILE_MAGIC:
-                _check_ray_file(path)
+                _check_rays(path)
             elif head == SHARD_MAGIC:
                 from .dataset import ShardReader
 
                 with path.open("rb") as fh:
                     ShardReader(fh, path.name)      # a shard alone has no hash to check
-            elif path.name.endswith(_RUN_MANIFEST.format("")):     # a scene's run manifest
-                for name in _run_outputs(path):
-                    _load_scene(path.parent / name)
             else:
                 _load_scene(path)
     except (RayFileError, DatasetError, ConfigError, OSError, UnicodeDecodeError) as exc:

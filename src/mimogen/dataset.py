@@ -363,12 +363,15 @@ class Manifest:
                 continue
             try:
                 name, bs_id, first, last, size, digest = line.split()
-                entries.append(ManifestEntry(name, int(bs_id), int(first), int(last),
-                                             int(size), digest))
+                entry = ManifestEntry(name, int(bs_id), int(first), int(last), int(size), digest)
             except ValueError:
                 raise DatasetError(
                     f"manifest line {lineno}: expected 'filename bs_id first_user "
                     f"last_user byte_size hash', got {line!r}") from None
+            if name in (".", "..") or Path(name).name != name:     # a file beside the manifest
+                raise DatasetError(
+                    f"manifest line {lineno}: {name!r} is not a file name in its directory")
+            entries.append(entry)
         return cls(tuple(entries))
 
 

@@ -221,6 +221,43 @@ class TestPipeline:
         assert run(["validate", f"{scene_file}.manifest.json", "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("violation: SceneConfigError: ")
 
+    def test_validate_every_stage_in_one_directory(self, tmp_path, capsys):
+        # scene, trace, build and beams all write into one directory: each
+        # stage whose manifest it holds is checked, whichever file is named.
+        d = tmp_path / "d"
+        assert run(["scene", "--out", str(d / "scene.json"), "--quiet", *TINY_SCENE_SETS]) == 0
+        assert run(["trace", "--scene", str(d / "scene.json"), "--bs", "3,4",
+                    "--active_user_first", "1", "--active_user_last", "2",
+                    "--out-dir", str(d), "--quiet"]) == 0
+        assert run(["build", "--scene", str(d / "scene.json"), "--rays-dir", str(d),
+                    "--set", "active_BS=3,4", "--set", "active_user_first=1",
+                    "--set", "active_user_last=2", "--set", "num_ant_y=4",
+                    "--set", "num_ant_z=2", "--set", "num_OFDM=16", "--set", "OFDM_limit=8",
+                    "--out-dir", str(d), "--quiet"]) == 0
+        assert run(["beams", "--dataset-dir", str(d), "--out-dir", str(d), "--quiet"]) == 0
+        files = sorted(d.iterdir())
+        assert len(files) == 13
+        for target in (d, *files):
+            assert run(["validate", str(target)]) == 0, capsys.readouterr().err
+            assert capsys.readouterr().err == f"{target}: valid\n"
+        pristine = {f.name: f.read_bytes() for f in files}
+        shard, rays, scene, labels = (pristine[n] for n in (
+            "shard_bs003.dmds", "rays_bs004.drf", "scene.json", "labels.csv"))
+        for name, corrupt, targets in [
+            ("shard_bs003.dmds", shard[:-1] + bytes([shard[-1] ^ 1]),
+             ["manifest.txt", "shard_bs003.dmds"]),
+            ("rays_bs004.drf", rays[:HEADER_SIZE - 1] + b"\x01" + rays[HEADER_SIZE:], []),
+            ("scene.json", scene[:-2], []),
+            ("labels.csv", labels + b"0", []),
+        ]:
+            (d / name).write_bytes(corrupt)
+            for target in (d, *(d / t for t in targets)):
+                assert run(["validate", str(target), "--quiet"]) == 1, (name, target)
+                err = capsys.readouterr().err
+                assert err.startswith("violation: ") and err.count("\n") == 1, err
+                assert name in err, err
+            (d / name).write_bytes(pristine[name])
+
     def test_build_workers_inherit_no_ray_file(self, tmp_path, scene_file, monkeypatch):
         rays = _trace(tmp_path, scene_file)
         write_shards = dataset.write_shards
@@ -700,6 +737,35 @@ class TestErrors:
         assert rc == 1
         # The message, not the repr that str() gives a KeyError.
         assert capsys.readouterr().err == "error: unknown base station id 99 (valid: 1..18)\n"
+
+    def test_validate_a_directory_without_a_stage_manifest(self, tmp_path, scene_file, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run(["validate", str(empty)]) == 1
+        assert capsys.readouterr().err == (
+            f"violation: DatasetError: {empty}: holds no stage manifest (trace.manifest.json, "
+            "manifest.txt, build.manifest.json, ml_manifest.txt, beams.manifest.json or a "
+            "scene's <scene file>.manifest.json)\n")
+        # A build run manifest without its manifest.txt fails on the missing file.
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        (ds_dir / "manifest.txt").unlink()
+        assert run(["validate", str(ds_dir), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("violation: FileNotFoundError: ") and "manifest.txt" in err
+        assert err.count("\n") == 1
+
+    def test_manifest_lists_a_file_outside_its_directory(self, tmp_path, scene_file, capsys):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file), active_bs="3")
+        (ds_dir / "build.manifest.json").unlink()     # as `write_shards` leaves it
+        (ds_dir / "shard_bs003.dmds").rename(tmp_path / "outside.dmds")
+        manifest = ds_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("shard_bs003.dmds", "../outside.dmds"))
+        message = "manifest line 2: '../outside.dmds' is not a file name in its directory"
+        assert run(["validate", str(ds_dir), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"violation: DatasetError: {message}\n"
+        assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(tmp_path / "ml"),
+                    "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_validate_garbage_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "junk.bin"

@@ -1,6 +1,7 @@
 import io
 import logging
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -735,6 +736,13 @@ class TestExportImport:
     def test_manifest_text_roundtrip(self):
         m = Manifest((ManifestEntry("shard_bs003.dmds", 3, 1, 6, 1234, "ab" * 8),))
         assert Manifest.from_text(m.to_text()) == m
+
+    @pytest.mark.parametrize("name", ["../shard.dmds", "sub/shard.dmds", "/tmp/shard.dmds",
+                                      ".", ".."])
+    def test_manifest_names_only_files_beside_it(self, name):
+        text = f"# mimogen dataset manifest v1\n{name} 3 1 6 1234 {'ab' * 8}\n"
+        with pytest.raises(DatasetError, match=rf"^manifest line 2: '{re.escape(name)}' is not"):
+            Manifest.from_text(text)
 
     def test_csv_export(self, rng, tiny_scene, tmp_path):
         p = _params()

@@ -9,6 +9,7 @@ in its body; and a parameter with a default must be passed by some call
 in those trees. A name read only inside a quoted annotation does not
 count as read."""
 
+import argparse
 import ast
 import functools
 import math
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import mimogen
+from mimogen import cli
 
 PACKAGE = Path(mimogen.__file__).resolve().parent
 READERS = [PACKAGE.parents[1] / d for d in ("src", "tests", "bench")]
@@ -235,3 +237,13 @@ def test_flags_a_planted_option(tmp_path):
     caller = tmp_path / "caller.py"     # by keyword, by position, by a * argument
     caller.write_text("Planted(1, c=2).make(1, 2)\nmirror_point(*args)\n")
     assert unpassed_options(planted, [*others, caller]) == []
+
+
+def test_validate_checks_every_stage_that_writes_a_directory():
+    # No subcommand that writes a directory ships without `validate`'s check of it.
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    writes_a_directory = {name for name, parser in subcommands.items()
+                          if any("--out-dir" in a.option_strings for a in parser._actions)}
+    assert writes_a_directory == {stage for stage, names, _ in cli._STAGES if names}
+    assert [stage for stage, names, _ in cli._STAGES if not names] == ["scene"]

@@ -86,6 +86,12 @@ def test_stage_imports(artifacts):
     tmp, scene, rays, ds, ml = artifacts
     ray_file = str(rays / "rays_bs003.drf")
     assert _stages(_imports("-m", "mimogen.cli", "validate", ray_file)) == {"rayio"}
+    assert _stages(_imports("-m", "mimogen.cli", "validate", str(rays))) == {"rayio"}
+    scene_dir = tmp / "scene_only"      # a scene and its run manifest
+    assert run(["scene", "--out", str(scene_dir / "scene.json"), "--quiet",
+                *TINY_SCENE_SETS]) == 0
+    modules = _imports("-m", "mimogen.cli", "validate", str(scene_dir))
+    assert "numpy" not in modules and not _stages(modules)
     trace = _imports("-m", "mimogen.cli", "trace", "--scene", str(scene), "--bs", "3",
                      "--active_user_first", "1", "--active_user_last", "2",
                      "--out-dir", str(tmp / "rays2"), "--quiet")
