@@ -9,8 +9,8 @@ optional conjugate variant behind a config switch.
 
 ``write_ml_dataset`` writes the beam-prediction CSVs, one feature vector
 and one rate per beam for each (BS, user) pair, from any producer of
-records. Forked workers score each step in ``dataset.write_steps``, the
-step loop ``build`` shares: ``ml_arrays`` gives the step's features
+records. Forked workers fill and score each step in ``dataset.write_steps``,
+the step loop ``build`` shares: ``ml_arrays`` gives the step's features
 (users, BS, |K|) and labels (users, BS, P), and ``_ml_csv`` formats them.
 """
 
@@ -178,9 +178,9 @@ def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
     and rows (``_ml_csv``), which are written in step order, so the bytes
     do not depend on the number of workers. Both files are renamed into
     place only after the last step, so an error raised while the steps are
-    filled or scored (such as a shard failing its hash check at its end, a
-    ``DatasetError``, or a worker that fails or dies, a ``WorkerError``)
-    leaves neither file and no manifest.
+    filled, checked or scored (such as a shard failing its hash check at its
+    end, a ``DatasetError``, or a worker that fails, as on a shard that ends
+    early, or dies, a ``WorkerError``) leaves neither file and no manifest.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

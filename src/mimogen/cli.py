@@ -288,6 +288,19 @@ def _check_rays(*paths: Path) -> None:
             read_rayfile(fh)
 
 
+def _check_outputs(listing: Path, record: Path) -> None:
+    """Check that the files ``listing`` lists are the run ``record``'s outputs, if any."""
+    from .dataset import Manifest
+
+    listed = {e.filename for e in Manifest.read(listing).entries}
+    if record.is_file() and (outputs := {p.name for p in _run_outputs(record)}) != listed:
+        raise DatasetError("; ".join(
+            [f"{name}: an output in {record.name} that {listing.name} does not list"
+             for name in sorted(outputs - listed)]
+            + [f"{name}: listed in {listing.name} but not an output in {record.name}"
+               for name in sorted(listed - outputs)]))
+
+
 def _check_dataset(listing: Path, record: Path) -> None:
     """Check the files ``listing`` lists and that they are the run ``record``'s outputs."""
     from . import dataset
@@ -299,19 +312,14 @@ def _check_dataset(listing: Path, record: Path) -> None:
         with dataset.DatasetReader(listing.parent) as ds:
             for _ in dataset.steps(ds):
                 pass
-    listed = {e.filename for e in manifest.entries}
-    if record.is_file() and (outputs := {p.name for p in _run_outputs(record)}) != listed:
-        raise DatasetError("; ".join(
-            [f"{name}: an output in {record.name} that {listing.name} does not list"
-             for name in sorted(outputs - listed)]
-            + [f"{name}: listed in {listing.name} but not an output in {record.name}"
-               for name in sorted(listed - outputs)]))
+    _check_outputs(listing, record)
 
 
-def _check_ml(listing: Path, _record: Path) -> None:
+def _check_ml(listing: Path, record: Path) -> None:
     from .beams import verify_ml_dataset
 
     verify_ml_dataset(listing.parent)
+    _check_outputs(listing, record)
 
 
 _STAGES: tuple[tuple[str, tuple[str, ...], Callable[..., None]], ...] = (

@@ -21,20 +21,20 @@ per shard: ``filename bs_id first_user last_user bytes hash`` where the
 hash is the first 16 hex digits of the shard's SHA-256.
 
 Three producers serve the same records through one surface: ``params``,
-``scenario_name``, ``bs_ids`` (the parameters' ``active_BS``), ``n_users``
-and ``fill(batches, lo)``, which writes the records of the users from
-``lo`` into the caller's arrays, one ``record_dtype`` batch per active base
-station. ``shard_sources``' ``RayDataset`` computes them from ray files'
-``rayio.RayRows``; ``DatasetReader`` reads them in order from a shard
-directory, each ``ShardReader`` checking its SHA-256 as its last record is
-read; ``Dataset`` copies them from memory.
+``scenario_name``, ``bs_ids`` (the parameters' ``active_BS``), ``n_users``,
+``fill(batches, lo)``, which writes the records of the users from ``lo``
+into the caller's arrays, one ``record_dtype`` batch per active base
+station, in any process, and ``check(batches, lo)``, which takes them in
+order. ``shard_sources``' ``RayDataset`` computes them from ray files'
+``rayio.RayRows``; ``DatasetReader`` reads them from a shard directory, its
+``check`` running every check of the shards; ``Dataset`` copies them.
 ``write_shards`` and ``beams.write_ml_dataset`` drain any of them with
 ``write_steps`` (planned by ``pool_plan``): the ordered pool of
-``parallel`` over a shared ring of record slots that the producer fills,
-into ``files.write_files``, the one atomic writer, so memory is bounded by a
-step, not the dataset. ``trace`` runs the same pool and writer over its
-ray-file chunks. ``steps`` fills reused buffers step by step;
-``build_dataset`` and ``load_dataset`` fill whole arrays at once.
+``parallel`` over a shared ring of record slots that each step's task
+fills, into ``files.write_files``, the one atomic writer, so memory is
+bounded by a step, not the dataset. ``trace`` runs the same pool and writer
+over its ray-file chunks. ``steps`` fills and checks reused buffers step by
+step; ``build_dataset`` and ``load_dataset`` fill whole arrays at once.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import hashlib
 import io
 import logging
 import mmap
+import os
 import shutil
 import struct
 from dataclasses import dataclass
@@ -127,6 +128,9 @@ class Dataset:
         for batch, records in zip(batches, self.shards, strict=True):
             batch[:] = records[lo: lo + len(batch)]
 
+    def check(self, _batches: Sequence[np.ndarray], _lo: int) -> None:
+        """Nothing to check: the records come from memory."""
+
 
 def get_channel(ds: Dataset, b_ord: int, u_ord: int) -> ChannelMatrix:
     """Channel matrix of the b-th active BS and u-th active user (1-based).
@@ -167,6 +171,7 @@ def steps(source: Dataset | DatasetReader | RayDataset,
     for lo in range(0, source.n_users, users):
         batches = tuple(buf[: source.n_users - lo] for buf in bufs)
         source.fill(batches, lo)
+        source.check(batches, lo)
         yield batches
 
 
@@ -175,10 +180,10 @@ def pool_plan(source: Dataset | DatasetReader | RayDataset, scored: bool) -> tup
     ``source``, ``scored`` if the workers score its steps. Unscored, only
     the records of a ``RayDataset`` beyond one ``_BATCH_BYTES`` step are
     worth a pool; otherwise the workers are 0. The 2 ring slots per worker
-    hold ``_BATCH_BYTES`` of records in all: every producer fills its slot
-    in place. The steps shrink with the workers, and the workers are fewer
-    than ``worker_count()`` only when even one-user steps would not fit or
-    ``source`` has fewer steps than that."""
+    hold ``_BATCH_BYTES`` of records in all; the calling process holds only
+    the slot it writes. The steps shrink with the workers, and the workers
+    are fewer than ``worker_count()`` only when even one-user steps would
+    not fit or ``source`` has fewer steps than that."""
     shards = len(source.bs_ids)
     user_bytes = shards * record_dtype(source.params).itemsize
     if not (scored or isinstance(source, RayDataset)
@@ -214,6 +219,9 @@ class RayDataset:
             batch["global_index"] = rays.users["user_index"]
             batch["location"] = rays.users["position"]
             batch["channel"] = channel_matrices_batch(rays, self.params).transpose(0, 2, 1)
+
+    def check(self, _batches: Sequence[np.ndarray], _lo: int) -> None:
+        """Nothing to check: ``shard_sources`` checked the ray files."""
 
 
 def shard_sources(
@@ -320,6 +328,7 @@ def _gather(source: RayDataset | DatasetReader) -> Dataset:
     shards = tuple(np.empty(source.n_users, record_dtype(source.params))
                    for _ in source.bs_ids)
     source.fill(shards, 0)
+    source.check(shards, 0)
     return Dataset(params=source.params, scenario_name=source.scenario_name, shards=shards)
 
 
@@ -422,15 +431,15 @@ def shard_size_bytes(params: ParamSet, n_users: int, scenario: str, bs_id: int) 
 
 
 class ShardReader:
-    """One shard read front to back.
+    """One shard: its records read at their offsets, and checked in order.
 
     Opening reads the preamble and echo block and checks them: magic,
     version, a parsable echo, and a byte size that is exactly the head plus
-    ``user_count`` records; given the shard's manifest line, also its byte
-    size and ``bs_id``. ``read_into`` then reads the records in order, and
-    with a manifest line, once the last record is read, checks the first
-    and last user and the SHA-256 of the whole file. Error messages start
-    with ``name``.
+    ``user_count`` records from byte ``offset``; given the shard's manifest
+    line, also its byte size and ``bs_id``. ``read_into`` reads any records;
+    ``check`` takes them in order and, with a manifest line, once the last
+    record has passed, checks the first and last user and the SHA-256 of
+    the whole file. Error messages start with ``name``.
     """
 
     def __init__(self, fh: BinaryIO, name: str = "", entry: ManifestEntry | None = None):
@@ -457,15 +466,16 @@ class ShardReader:
         self._sha.update(echo)
         self.params, self.scenario, self.bs_id, self.user_count = self._parse_echo(echo)
         self.dtype = record_dtype(self.params)
-        if _PREAMBLE.size + echo_len + self.user_count * self.dtype.itemsize != size:
+        self.offset = _PREAMBLE.size + echo_len        # of the first record
+        if self.offset + self.user_count * self.dtype.itemsize != size:
             self._fail(f"shard length {size} does not match {self.user_count} user "
                        f"records of {self.dtype.itemsize} bytes")
         if entry is not None and self.bs_id != entry.bs_id:
             self._fail(f"bs_id {self.bs_id}, manifest says {entry.bs_id}")
-        self._read = 0
-        self._span = (0, 0)         # first and last user read; (0, 0) for none
+        self._checked = 0
+        self._span = (0, 0)         # first and last user checked; (0, 0) for none
         if not self.user_count:
-            self.read_into(np.empty(0, self.dtype))     # the end checks, at once
+            self.check(np.empty(0, self.dtype))     # the end checks, at once
 
     def _fail(self, message: str) -> NoReturn:
         raise DatasetError(f"{self.name}: {message}" if self.name else message)
@@ -495,20 +505,28 @@ class ShardReader:
             self._fail(f"negative user_count {user_count}")
         return params, scenario, bs_id, user_count
 
-    def read_into(self, batch: np.ndarray) -> None:
-        """Read the next ``len(batch)`` records into ``batch``, a contiguous
-        ``dtype`` array; with a manifest line, the read that reaches the last
-        record runs the first/last user and hash checks."""
+    def read_into(self, batch: np.ndarray, lo: int) -> None:
+        """Read the records of the users from ``lo`` into ``batch``, a
+        contiguous ``dtype`` array, by positional reads of the file."""
         raw = batch.view(np.uint8)
-        if self._fh.readinto(raw) != raw.size:
-            self._fail("shard ended early")      # the file shrank while read
-        self._sha.update(raw)
+        at = self.offset + lo * self.dtype.itemsize
+        done = 0
+        while done < raw.size:
+            if not (got := os.preadv(self._fh.fileno(), [raw[done:]], at + done)):
+                self._fail("shard ended early")      # the file shrank while read
+            done += got
+
+    def check(self, batch: np.ndarray) -> None:
+        """Take the next ``len(batch)`` records, as read, into the shard's
+        SHA-256; with a manifest line, the batch that reaches the last record
+        runs the first/last user and hash checks."""
+        self._sha.update(batch.view(np.uint8))
         if len(batch):
             index = batch["global_index"]
-            self._span = (self._span[0] if self._read else int(index[0]), int(index[-1]))
-        self._read += len(batch)
+            self._span = (self._span[0] if self._checked else int(index[0]), int(index[-1]))
+        self._checked += len(batch)
         entry = self._entry
-        if entry is None or self._read < self.user_count:
+        if entry is None or self._checked < self.user_count:
             return
         if self._span != (entry.first_user, entry.last_user):
             self._fail(f"first/last user {self._span}, manifest says "
@@ -524,7 +542,8 @@ class DatasetReader:
     each shard matches its manifest line, that all shards agree on the
     parameter set, scenario and user count, and that the manifest lists
     one shard per base station of their ``active_BS``, in that order.
-    ``fill`` then reads the records in order. Use it as a context manager,
+    ``fill`` then reads records, in any process that inherits the open
+    files, and ``check`` takes them in order. Use it as a context manager,
     which closes the shard files.
     """
 
@@ -556,7 +575,7 @@ class DatasetReader:
         self.scenario_name = head.scenario
         self.bs_ids = tuple(shard.bs_id for shard in self.shards)
         self.n_users = head.user_count
-        self._next = 0             # the user the next fill starts from
+        self._next = 0             # the user the next check starts from
 
     def __enter__(self) -> "DatasetReader":
         return self
@@ -566,19 +585,24 @@ class DatasetReader:
 
     @property
     def verified(self) -> int:
-        """Shards whose hash has been checked: all, once every record is read."""
+        """Shards whose hash has been checked: all, once every record is checked."""
         return len(self.shards) if self._next == self.n_users else 0
 
     def fill(self, batches: Sequence[np.ndarray], lo: int) -> None:
-        """Read the records of the users from ``lo``, where the last fill
-        ended (else ``ValueError``), into ``batches``, one per shard in
-        manifest order. The shards must hold the same users; each runs its
-        first/last user and hash checks as it reads its last record."""
+        """Read the records of the users from ``lo`` into ``batches``, one
+        per shard in manifest order."""
+        for shard, batch in zip(self.shards, batches, strict=True):
+            shard.read_into(batch, lo)
+
+    def check(self, batches: Sequence[np.ndarray], lo: int) -> None:
+        """Check the records ``fill`` read from ``lo``, where the last check
+        ended (else ``ValueError``): each shard's checks, its hash as its last
+        record passes, and that the shards hold the same users."""
         if lo != self._next:
-            raise ValueError(f"records are read in order: the next fill is from "
+            raise ValueError(f"records are checked in order: the next check is from "
                              f"user {self._next}, not {lo}")
         for shard, batch in zip(self.shards, batches, strict=True):
-            shard.read_into(batch)
+            shard.check(batch)
         head = self.shards[0]
         for shard, batch in zip(self.shards[1:], batches[1:]):
             if not np.array_equal(batch["global_index"], batches[0]["global_index"]):
@@ -590,8 +614,7 @@ def parse_shard(data: bytes) -> tuple[ParamSet, str, int, np.ndarray]:
     """Decode a shard held in memory: its parameter set, scenario, bs_id and
     ``record_dtype`` records."""
     reader = ShardReader(io.BytesIO(data))
-    records = np.empty(reader.user_count, reader.dtype)
-    reader.read_into(records)
+    records = np.frombuffer(data, reader.dtype, reader.user_count, reader.offset).copy()
     return reader.params, reader.scenario, reader.bs_id, records
 
 
@@ -628,40 +651,39 @@ def write_steps(
 ) -> tuple[list[HashingSink], tuple[int, int]]:
     """The step loop of ``build`` and ``beams``: ``write_files`` over the
     steps of ``source``, each written as ``encode(batches, score)``. Step n
-    has slot n mod window of a shared ring, one slot per step pending in an
-    ``OrderedPool`` named ``name`` with ``pool_plan``'s workers. Its task
-    fills a ``RayDataset``'s step there; this process fills any other
-    source's just before submitting it, after step n - window is written
-    (so a ``DatasetReader`` checks its shards here). The task then scores
-    the step with ``score`` (None without it). ``progress(done)`` gets the
-    (BS, user) pairs written after each step; ``counters`` gets the pool's
-    (``OrderedPool.counters``).
+    has slot n mod window of a shared ring (whole pages), one slot per step
+    pending in an ``OrderedPool`` named ``name`` with ``pool_plan``'s
+    workers. Its task fills the slot and scores it with ``score`` (None
+    without it); this process checks it (``source.check``, in step order),
+    writes it and, with workers, drops its own pages of it, so it holds one
+    slot, not the ring. ``progress(done)`` gets the (BS, user) pairs written
+    after each step; ``counters`` gets the pool's (``OrderedPool.counters``).
     """
     shards, n_users = len(source.bs_ids), source.n_users
     workers, users = pool_plan(source, score is not None)
-    computed = isinstance(source, RayDataset)
     with parallel.OrderedPool(name, workers) as pool:
         dtype = record_dtype(source.params)
-        ring = np.frombuffer(mmap.mmap(-1, pool.window * shards * users * dtype.itemsize),
-                             dtype).reshape(pool.window, shards, users)
+        stride = -(-shards * users * dtype.itemsize // mmap.PAGESIZE) * mmap.PAGESIZE
+        ring = mmap.mmap(-1, pool.window * stride)
 
         def slot(n: int) -> tuple[np.ndarray, ...]:
-            return tuple(ring[n % len(ring), :, : min(users, n_users - n * users)])
+            records = np.frombuffer(ring, dtype, shards * users, n % pool.window * stride)
+            return tuple(records.reshape(shards, users)[:, : min(users, n_users - n * users)])
 
         def task(n: int) -> T | None:
-            if computed:
-                source.fill(slot(n), n * users)
+            source.fill(slot(n), n * users)
             return None if score is None else score(slot(n))
 
-        def submitted() -> Iterator[tuple[int]]:
-            for n in range(-(-n_users // users)):
-                if not computed:
-                    source.fill(slot(n), n * users)
-                yield n,
+        def taken() -> Iterator[tuple[tuple[np.ndarray, ...], T | None]]:
+            scored = pool.map(task, ((n,) for n in range(-(-n_users // users))))
+            for n, step_score in enumerate(scored):
+                source.check(slot(n), n * users)
+                yield slot(n), step_score
+                if pool.workers:        # written: the workers' pages of the slot stay
+                    ring.madvise(mmap.MADV_DONTNEED, n % pool.window * stride, stride)
 
-        taken = ((slot(n), s) for n, s in enumerate(pool.map(task, submitted())))
         written = write_files(
-            paths, heads, taken, lambda step: (step[0][0]["global_index"], encode(*step)),
+            paths, heads, taken(), lambda step: (step[0][0]["global_index"], encode(*step)),
             None if progress is None else lambda done: progress(shards * done))
     if counters is not None:
         counters.update(pool.counters(users))

@@ -396,6 +396,22 @@ class TestPipeline:
         assert "violation: DatasetError: ml_manifest.txt lists ('features.csv',)" \
             in capsys.readouterr().err
 
+    def test_validate_ml_dir_against_its_run_manifest(self, tmp_path, scene_file, capsys):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        ml = tmp_path / "ml"
+        assert run(["beams", "--dataset-dir", str(ds_dir), "--out-dir", str(ml),
+                    "--quiet"]) == 0
+        record = ml / "beams.manifest.json"
+        record.write_text(json.dumps({**json.loads(record.read_text()),
+                                      "outputs": ["elsewhere/other.csv"]}))
+        for path in (ml, record):
+            assert run(["validate", str(path), "--quiet"]) == 1
+            assert capsys.readouterr().err == (
+                "violation: DatasetError: other.csv: an output in beams.manifest.json that "
+                "ml_manifest.txt does not list; features.csv: listed in ml_manifest.txt but "
+                "not an output in beams.manifest.json; labels.csv: listed in ml_manifest.txt "
+                "but not an output in beams.manifest.json\n")
+
     def test_build_manifest_records_inputs(self, tmp_path, scene_file):
         rays = _trace(tmp_path, scene_file, bs="3")
         rc, ds_dir = _build(tmp_path, scene_file, rays, active_bs="3")

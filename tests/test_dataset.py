@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mimogen import dataset, parallel
+from mimogen.beams import BeamEvalConfig, dft_codebook, write_ml_dataset
 from mimogen.dataset import (
     Dataset,
     DatasetError,
@@ -536,12 +537,14 @@ class TestStreamingRead:
         write_shards(tmp_path, ds)
         records = np.zeros((3, ds.n_users), record_dtype(p))
         with DatasetReader(tmp_path) as reader:
+            reader.fill(tuple(records[:, 4:]), 4)      # fill reads in any order...
             reader.fill(tuple(records[:, :4]), 0)
-            for lo in (0, 2, 5):            # only from where the last fill ended
-                with pytest.raises(ValueError, match="the next fill is from user 4, not"):
-                    reader.fill(tuple(records[:, 4:5]), lo)
+            reader.check(tuple(records[:, :4]), 0)
+            for lo in (0, 2, 5):            # ...check only from where the last check ended
+                with pytest.raises(ValueError, match="the next check is from user 4, not"):
+                    reader.check(tuple(records[:, 4:5]), lo)
             assert reader.verified == 0
-            reader.fill(tuple(records[:, 4:]), 4)
+            reader.check(tuple(records[:, 4:]), 4)
             assert reader.verified == 3
         for row, shard in zip(records, ds.shards):
             assert row.tobytes() == shard.tobytes()
@@ -550,6 +553,17 @@ class TestStreamingRead:
             steps = dataset.steps(reader, 2)
             first = next(steps)
             assert all(np.shares_memory(a, b) for a, b in zip(first, next(steps)))
+
+    def test_fill_resumes_a_short_read(self, rng, tiny_scene, tmp_path, monkeypatch):
+        # One read returns at most about 2 GiB, less than a large shard's
+        # records: the reader reads on from where a read stopped.
+        p = _params()
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        write_shards(tmp_path, ds)
+        preadv = os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, bufs, at: preadv(fd, [bufs[0][:100]], at))
+        for got, want in zip(load_dataset(tmp_path).shards, ds.shards, strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_no_step_held_outside_the_ring(self, rng, tiny_scene, tmp_path, monkeypatch):
         p = _params(active_bs=(3, 4, 5), num_ant_x=2, num_ant_y=8, num_ant_z=4,
@@ -595,8 +609,8 @@ class TestStreamingRead:
                 (p, tiny_scene.name, 5, 6)
             batch = np.empty(4, reader.dtype)
             got = []
-            for count in (4, 2):
-                reader.read_into(batch[:count])
+            for lo, count in ((0, 4), (4, 2)):
+                reader.read_into(batch[:count], lo)
                 got.append(batch[:count]["global_index"].tolist())
         assert got == [ds.shards[1]["global_index"][:4].tolist(),
                        ds.shards[1]["global_index"][4:].tolist()]
@@ -614,15 +628,28 @@ class TestStreamingRead:
             ShardReader(io.BytesIO(data), "shard_bs005.dmds")
         assert str(exc.value) == f"shard_bs005.dmds: {message}"
 
-    def test_shard_that_shrinks_while_read(self, rng, tiny_scene, tmp_path):
+    def test_shard_that_shrinks_while_read(self, rng, tiny_scene, tmp_path, monkeypatch):
         p = _params()
-        write_shards(tmp_path, build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene))
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        write_shards(tmp_path, ds)
         shard = tmp_path / "shard_bs005.dmds"
-        with shard.open("rb", buffering=0) as fh:      # unbuffered: each read sees the file
+        with shard.open("rb") as fh:
             reader = ShardReader(fh, shard.name)
             os.truncate(shard, shard.stat().st_size - 1)
             with pytest.raises(DatasetError, match="^shard_bs005.dmds: shard ended early$"):
-                reader.read_into(np.empty(reader.user_count, reader.dtype))
+                reader.read_into(np.empty(reader.user_count, reader.dtype), 0)
+        # Read in the one worker of `write_ml_dataset`: a WorkerError that
+        # names the shard, and no output file.
+        write_shards(tmp_path / "ds", ds)
+        shard, out = tmp_path / "ds" / "shard_bs005.dmds", tmp_path / "ml"
+        monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+        with DatasetReader(tmp_path / "ds") as reader:
+            assert pool_plan(reader, scored=True)[0] == 1
+            os.truncate(shard, shard.stat().st_size - 1)
+            with pytest.raises(WorkerError, match="^a beams worker failed: DatasetError: "
+                                                  "shard_bs005.dmds: shard ended early$"):
+                write_ml_dataset(reader, BeamEvalConfig(dft_codebook(p.dims)), out)
+        assert sorted(out.glob("*")) == []
 
 
 def _echo_replaced(data: bytes, old: bytes, new: bytes) -> bytes:

@@ -178,16 +178,19 @@ class TestWorkers:
     def test_bytes_do_not_depend_on_workers(self, rng, tmp_path, monkeypatch, workers):
         scene = _small_scene(30)
         p = _params(active_bs=(3, 4), active_user_last=2)
-        rays = shard_sources(_ray_sources(rng, scene, p), p, scene)
+        sources = _ray_sources(rng, scene, p)
+        rays = shard_sources(sources, p, scene)
         write_shards(tmp_path / "ds", rays)
-        monkeypatch.setattr(dataset, "_BATCH_BYTES", 14 * 2 * record_dtype(p).itemsize)
         cfg = BeamEvalConfig(dft_codebook(p.dims))
-        with DatasetReader(tmp_path / "ds") as reader:
-            want = write_ml_dataset(reader, cfg, tmp_path / "machine")
+        want = write_ml_dataset(build_dataset(sources, p, scene), cfg, tmp_path / "memory")
+        # A budget of 14 users of both shards: 7 // workers users per step,
+        # which the workers read from the shards themselves.
+        monkeypatch.setattr(dataset, "_BATCH_BYTES", 14 * 2 * record_dtype(p).itemsize)
         monkeypatch.setattr(parallel, "worker_count", lambda: workers)
         with DatasetReader(tmp_path / "ds") as reader:
             assert pool_plan(reader, scored=True) == (workers, 7 // workers)
             assert write_ml_dataset(reader, cfg, tmp_path / "shards") == want
+            assert reader.verified == 2
         # From the ray files: the same ring.
         assert pool_plan(rays, scored=True) == (workers, 7 // workers)
         assert write_ml_dataset(rays, cfg, tmp_path / "rays") == want
@@ -195,7 +198,7 @@ class TestWorkers:
         for name in ML_OUTPUTS:
             for got in ("shards", "rays"):
                 assert (tmp_path / got / name).read_bytes() == \
-                    (tmp_path / "machine" / name).read_bytes()
+                    (tmp_path / "memory" / name).read_bytes()
 
     def test_rays_to_ml_computes_in_the_workers(self, rng, tmp_path, monkeypatch):
         scene = _small_scene(30)
@@ -278,6 +281,37 @@ class TestWorkers:
         for five, twenty in zip(*peaks):
             assert abs(twenty - five) < 4 * 1024, peaks
 
+
+    def test_main_process_holds_one_slot(self, rng, tmp_path):
+        # `build` and then `beams` as children with 2 workers, so 4 ring slots,
+        # on 240 users of 2 base stations, at a step of S bytes (12 users of
+        # each) and at 4S: 20 and 5 steps, so every slot is used. Holding the
+        # slot it writes, the main process's peak rises by about 3S; holding
+        # every slot of the ring, by about 12S.
+        p = _params(active_bs=(3, 4), active_user_last=2, num_ant_x=2, num_ant_y=8,
+                    num_ant_z=4, num_ofdm=64, ofdm_limit=64)
+        step = 12 * 2 * record_dtype(p).itemsize
+        scene = _small_scene(120)
+        (tmp_path / "rays").mkdir()
+        (tmp_path / "scene.json").write_text(scene_to_json(scene))
+        (tmp_path / "params.cfg").write_text(serialize_params(p))
+        for bs_id, rays in _ray_sources(rng, scene, p).items():
+            with (tmp_path / "rays" / f"rays_bs{bs_id:03d}.drf").open("wb") as fh:
+                write_rayfile(rays.rows, rays.header, fh)
+        peaks = []
+        for scale in (1, 4):
+            ds, ml = tmp_path / f"ds{scale}", tmp_path / f"ml{scale}"
+            runs = [(["build", "--scene", str(tmp_path / "scene.json"),
+                      "--rays-dir", str(tmp_path / "rays"), "--config",
+                      str(tmp_path / "params.cfg"), "--out-dir", str(ds)], ds / "build"),
+                    (["beams", "--dataset-dir", str(ds), "--out-dir", str(ml)], ml / "beams")]
+            for argv, run in runs:
+                _spawn_cli(4 * scale * step, [*argv, "--quiet"])
+                counters = json.loads(run.with_suffix(".manifest.json").read_text())["counters"]
+                assert (counters["workers"], counters["users_per_step"]) == (2, 12 * scale)
+                peaks.append(counters["peak_rss_kib"])
+        for at_s, at_4s in zip(peaks[:2], peaks[2:]):       # build, beams
+            assert at_4s - at_s < 6 * step / 1024, (peaks, step // 1024)
 
 # A process's peak RSS starts at the RSS of the process it was forked from
 # and survives exec, so the child is started by a small launcher and not by
