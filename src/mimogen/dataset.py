@@ -434,7 +434,8 @@ class ShardReader:
     """One shard: its records read at their offsets, and checked in order.
 
     Opening reads the preamble and echo block and checks them: magic,
-    version, a parsable echo, and a byte size that is exactly the head plus
+    version, a parsable echo whose parameter set constructs (so it has a
+    ``record_dtype``), and a byte size that is exactly the head plus
     ``user_count`` records from byte ``offset``; given the shard's manifest
     line, also its byte size and ``bs_id``. ``read_into`` reads any records;
     ``check`` takes them in order and, with a manifest line, once the last
@@ -498,7 +499,6 @@ class ShardReader:
             bs_id = int(extra["bs_id"])
             user_count = int(extra["user_count"])
             scenario = extra["scenario"]
-            record_dtype(params)
         except (ConfigError, KeyError, ValueError) as exc:
             self._fail(f"bad shard echo block: {exc}")
         if user_count < 0:

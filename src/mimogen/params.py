@@ -1,6 +1,8 @@
 """Dataset parameter set: parsing, validation, and derived quantities.
 
-Each ``ParamSet`` field declares its key in the parameter file (and the
+``ParamSet`` checks every rule on the parameters, so a set that constructs
+works in every stage, and a bad one is refused where it is read, before
+anything is written. Each field declares its key in the parameter file (and the
 equivalent ``build`` flag) and its kind; ``KEYS`` maps the keys, in field
 order, to the fields, and the reader, the writer and the CLI flags all come
 from it. The keys are the generator's documented names (``bandwidth`` in GHz).
@@ -17,6 +19,9 @@ from .kvconfig import ConfigError, KVEntry, as_float, as_int, as_int_list, parse
 
 if TYPE_CHECKING:
     import numpy as np
+
+#: The most bytes of a record: numpy sizes a dtype with a C int.
+MAX_RECORD_BYTES = 2**31 - 1
 
 
 class ParamError(ConfigError):
@@ -54,24 +59,29 @@ class ParamSet:
                 f"active_user_first ({self.active_user_first}) must be <= "
                 f"active_user_last ({self.active_user_last})"
             )
-        for name in ("num_ant_x", "num_ant_y", "num_ant_z"):
-            if getattr(self, name) < 1:
-                raise ParamError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        for key in ("num_ant_x", "num_ant_y", "num_ant_z", "num_OFDM", "OFDM_sampling_factor",
+                    "OFDM_limit"):
+            if (count := getattr(self, KEYS[key].name)) < 1:
+                raise ParamError(f"{key}: must be >= 1, got {count}")
+        if self.num_ofdm > 2**63 - 1:       # the subcarrier indices are int64
+            raise ParamError(f"num_OFDM: must be <= {2**63 - 1}, got {self.num_ofdm}")
         for key, value in (("ant_spacing", self.ant_spacing), ("bandwidth", self.bandwidth)):
             if not value > 0:
                 raise ParamError(f"{key}: must be > 0, got {value}")
             if not math.isfinite(value):
                 raise ParamError(f"{key}: must be finite, got {value}")
-        if self.num_ofdm < 1:
-            raise ParamError(f"num_OFDM: must be >= 1, got {self.num_ofdm}")
-        if self.ofdm_sampling_factor < 1:
-            raise ParamError(
-                f"OFDM_sampling_factor: must be >= 1, got {self.ofdm_sampling_factor}"
-            )
-        if self.ofdm_limit < 1:
-            raise ParamError(f"OFDM_limit: must be >= 1, got {self.ofdm_limit}")
         if not 1 <= self.num_paths <= MAX_PATHS:
             raise ParamError(f"num_paths: must be in 1..{MAX_PATHS}, got {self.num_paths}")
+        if (last := 1 + (self.ofdm_limit - 1) * self.ofdm_sampling_factor) > self.num_ofdm:
+            raise ParamError(
+                f"subcarrier set exceeds num_OFDM: 1 + (OFDM_limit-1)*OFDM_sampling_factor = "
+                f"{last} > num_OFDM = {self.num_ofdm} (OFDM_limit={self.ofdm_limit}, "
+                f"OFDM_sampling_factor={self.ofdm_sampling_factor}, num_OFDM={self.num_ofdm})"
+            )
+        # A dataset.record_dtype: index and location, then OFDM_limit x M complex128.
+        if (size := 32 + 16 * self.num_antennas * self.ofdm_limit) > MAX_RECORD_BYTES:
+            raise ParamError(f"record size: 32 + 16*num_ant_x*num_ant_y*num_ant_z*OFDM_limit "
+                             f"= {size} bytes, more than a record holds ({MAX_RECORD_BYTES})")
 
     @property
     def num_antennas(self) -> int:
@@ -118,15 +128,9 @@ def serialize_params(p: ParamSet) -> str:
 
 
 def subcarrier_set(p: ParamSet) -> np.ndarray:
-    """The 1-based subcarrier indices {1, 1+f, 1+2f, ...}, `OFDM_limit` of them."""
+    """The 1-based subcarrier indices {1, 1+f, 1+2f, ...}, `OFDM_limit` of
+    them; ``ParamSet`` keeps the last within `num_OFDM`."""
     import numpy as np      # here: the CLI reads ``KEYS`` without numpy
 
-    last = 1 + (p.ofdm_limit - 1) * p.ofdm_sampling_factor
-    if last > p.num_ofdm:
-        raise ParamError(
-            f"subcarrier set exceeds num_OFDM: 1 + (OFDM_limit-1)*OFDM_sampling_factor = "
-            f"{last} > num_OFDM = {p.num_ofdm} "
-            f"(OFDM_limit={p.ofdm_limit}, OFDM_sampling_factor={p.ofdm_sampling_factor}, "
-            f"num_OFDM={p.num_ofdm})"
-        )
-    return np.arange(1, last + 1, p.ofdm_sampling_factor, dtype=np.int64)
+    f = p.ofdm_sampling_factor
+    return np.array(range(1, 1 + p.ofdm_limit * f, f), dtype=np.int64)

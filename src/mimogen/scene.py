@@ -168,12 +168,12 @@ class Scene:
         if self.total_users > 2**63 - 1:       # the int64 user indices of users_in_row_range
             raise SceneConfigError(f"grids: {self.total_users} users in all, more than a "
                                    f"user index holds ({2**63 - 1})")
-        for i, (g, h) in enumerate(zip(self.grids, self.grids[1:]), start=2):
-            if h.first_row_label != g.last_row_label + 1:
-                raise SceneConfigError(
-                    f"grid {i}: first_row_label {h.first_row_label} breaks contiguous "
-                    f"row labelling (expected {g.last_row_label + 1})"
-                )
+        # Rows are numbered 1..total_rows, grid after grid.
+        labels = itertools.accumulate((g.n_rows for g in self.grids), initial=1)
+        for i, (g, label) in enumerate(zip(self.grids, labels), start=1):
+            if g.first_row_label != label:
+                raise SceneConfigError(f"grid {i}: first_row_label {g.first_row_label} "
+                                       f"breaks contiguous row labelling (expected {label})")
 
     @property
     def total_users(self) -> int:
@@ -370,7 +370,8 @@ def enumerate_users(scene: Scene) -> Iterator[UserRecord]:
 
 
 def users_in_row_range(scene: Scene, first_row: int, last_row: int) -> np.ndarray:
-    """Global indices of all users whose row label is in [first_row, last_row]."""
+    """Global indices of all users whose row label is in [first_row, last_row]:
+    one run, as ``Scene`` numbers the rows 1..total_rows, grid after grid."""
     import numpy as np
 
     lo, hi = 1, scene.total_rows
@@ -379,18 +380,13 @@ def users_in_row_range(scene: Scene, first_row: int, last_row: int) -> np.ndarra
             f"row range R{first_row}..R{last_row} invalid: rows must satisfy "
             f"R{lo} <= first <= last <= R{hi}"
         )
-    chunks = []
-    for g, start in zip(scene.grids, grid_start_indices(scene)):
-        r0 = max(first_row, g.first_row_label)
-        r1 = min(last_row, g.last_row_label)
-        if r0 > r1:
-            continue
-        i0 = start + (r0 - g.first_row_label) * g.users_per_row
-        i1 = start + (r1 - g.first_row_label + 1) * g.users_per_row
-        chunks.append(np.arange(i0, i1, dtype=np.int64))
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+
+    def before(row: int) -> int:
+        """The users in the rows before ``row``."""
+        return sum(min(max(row - g.first_row_label, 0), g.n_rows) * g.users_per_row
+                   for g in scene.grids)
+
+    return np.arange(1 + before(first_row), 1 + before(last_row + 1), dtype=np.int64)
 
 
 def user_positions(scene: Scene, indices: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ from mimogen.channel import array_response, channel_matrices_batch
 from mimogen.dataset import Manifest, content_hash, parse_shard, shard_bytes
 from mimogen.params import ParamSet, subcarrier_set
 from mimogen.rayio import MAX_PATHS, PathList, PathRecord, RayFileHeader, Violation
-from mimogen.scene import GROUND_MATERIAL, BaseStation, Building, Scene, UserGrid
+from mimogen.scene import (
+    GROUND_MATERIAL, BaseStation, Building, Scene, UserGrid, grid_start_indices,
+)
 from mimogen.tracer import _EPS_SIDE, _EPS_T, _OTHER_AXES, _RECT_TOL, mirror_point
 
 
@@ -167,6 +169,20 @@ def rewrite_shard(ds_dir: Path, filename: str, edit: Callable[[np.ndarray], None
         if e.filename == filename else e
         for e in manifest.entries
     )).to_text())
+
+
+def users_in_row_range_oracle(scene: Scene, first_row: int, last_row: int) -> np.ndarray:
+    """The global indices of the users whose row label is in [first_row,
+    last_row], grid by grid: each grid's run of users in the range, joined."""
+    chunks = [np.empty(0, dtype=np.int64)]
+    for g, start in zip(scene.grids, grid_start_indices(scene)):
+        r0 = max(first_row, g.first_row_label)
+        r1 = min(last_row, g.last_row_label)
+        if r0 <= r1:
+            chunks.append(np.arange(start + (r0 - g.first_row_label) * g.users_per_row,
+                                    start + (r1 - g.first_row_label + 1) * g.users_per_row,
+                                    dtype=np.int64))
+    return np.concatenate(chunks)
 
 
 def channel_vector(paths: Sequence[PathRecord], k: int, params: ParamSet) -> np.ndarray:

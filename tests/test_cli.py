@@ -19,9 +19,9 @@ import pytest
 from mimogen import beams, cli, dataset, parallel, rayio, tracer
 from mimogen.cli import ProgressReporter, build_parser, run
 from mimogen.dataset import DatasetReader, content_hash, record_dtype
-from mimogen.params import KEYS, ParamSet
+from mimogen.params import KEYS, ParamError, ParamSet, parse_params
 from mimogen.rayio import HEADER_SIZE, MAX_PATHS, RayFile, read_rayfile
-from mimogen.scene import scene_from_json, users_in_row_range
+from mimogen.scene import SceneConfigError, scene_from_json, users_in_row_range
 
 from conftest import rewrite_shard
 
@@ -88,6 +88,19 @@ def _build(tmp_path, scene_file, rays, active_bs="3,4", quiet=True, fmt="binary"
         "--out-dir", str(out), *["--quiet"] * quiet,
     ])
     return rc, out
+
+
+@pytest.fixture(scope="module")
+def o1_rays(tmp_path_factory):
+    """The o1 scene file and a trace directory of its BS 3 and 4, row 1000,
+    one reflection."""
+    tmp = tmp_path_factory.mktemp("o1")
+    scene, rays = tmp / "scene.json", tmp / "rays"
+    assert run(["scene", "--out", str(scene), "--quiet"]) == 0
+    assert run(["trace", "--scene", str(scene), "--bs", "3,4", "--active_user_first", "1000",
+                "--active_user_last", "1000", "--max-reflections", "1",
+                "--out-dir", str(rays), "--quiet"]) == 0
+    return scene, rays
 
 
 # The bytes of one record of the datasets `_build` writes.
@@ -753,6 +766,86 @@ class TestErrors:
         assert rc == 1
         # The message, not the repr that str() gives a KeyError.
         assert capsys.readouterr().err == "error: unknown base station id 99 (valid: 1..18)\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_not_numbered_from_1(self, tmp_path, capsys, monkeypatch, workers):
+        # The o1 scene with every grid's rows raised by 99: each grid still
+        # follows the one before, but no user sits in rows 1..99.
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+        scene = tmp_path / "scene.json"
+        assert run(["scene", "--out", str(scene), "--quiet"]) == 0
+        doc = json.loads(scene.read_text())
+        for grid in doc["grids"]:
+            grid["first_row_label"] += 99
+        scene.write_text(json.dumps(doc))
+        message = "grid 1: first_row_label 100 breaks contiguous row labelling (expected 1)"
+        with pytest.raises(SceneConfigError) as exc:
+            scene_from_json(scene.read_text())
+        assert str(exc.value) == message
+        assert run(["validate", str(scene), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"violation: SceneConfigError: {message}\n"
+        rays = tmp_path / "rays"
+        for first, last in [("1", "2"), ("5300", "5300")]:
+            assert run(["trace", "--scene", str(scene), "--bs", "3,4",
+                        "--active_user_first", first, "--active_user_last", last,
+                        "--out-dir", str(rays), "--quiet"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not rays.exists()
+        assert run(["build", "--scene", str(scene), "--rays-dir", str(rays),
+                    "--out-dir", str(tmp_path / "ds"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sets,message", [
+        (["OFDM_limit=2000"], "subcarrier set exceeds num_OFDM: 1 + (OFDM_limit-1)"
+         "*OFDM_sampling_factor = 2000 > num_OFDM = 1024 (OFDM_limit=2000, "
+         "OFDM_sampling_factor=1, num_OFDM=1024)"),
+        (["OFDM_limit=1025", "num_ant_y=1", "num_ant_z=1"], "subcarrier set exceeds "
+         "num_OFDM: 1 + (OFDM_limit-1)*OFDM_sampling_factor = 1025 > num_OFDM = 1024 "
+         "(OFDM_limit=1025, OFDM_sampling_factor=1, num_OFDM=1024)"),
+        (["num_ant_y=1000000", "OFDM_limit=1000", "num_OFDM=100000"], "record size: 32 + "
+         "16*num_ant_x*num_ant_y*num_ant_z*OFDM_limit = 128000000032 bytes, more than a "
+         "record holds (2147483647)"),
+    ], ids=["8-MB-records", "16-KB-records", "records-past-a-C-int"])
+    def test_param_set_refused_before_anything_is_written(self, tmp_path, o1_rays, capsys,
+                                                         monkeypatch, workers, sets, message):
+        # Refused where the parameters are read, whether or not the records
+        # of a step would fork workers.
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+        with pytest.raises(ParamError) as exc:
+            parse_params("\n".join(sets))
+        assert str(exc.value) == message
+        scene, rays = o1_rays
+        out = tmp_path / "ds"
+        assert run(["build", "--scene", str(scene), "--rays-dir", str(rays),
+                    "--set", "active_BS=3,4", "--set", "active_user_first=1000",
+                    "--set", "active_user_last=1000", *(a for s in sets for a in ("--set", s)),
+                    "--out-dir", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_validate_a_shard_alone(self, tmp_path, scene_file, capsys):
+        _, ds_dir = _build(tmp_path, scene_file, _trace(tmp_path, scene_file))
+        alone = tmp_path / "alone" / "shard_bs003.dmds"
+        alone.parent.mkdir()
+        shutil.copyfile(ds_dir / "shard_bs003.dmds", alone)
+        assert run(["validate", str(alone), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        alone.write_bytes(alone.read_bytes()[:100])
+        assert run(["validate", str(alone), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("violation: DatasetError: shard_bs003.dmds: echo block overruns "
+                              "file: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ['{"outputs": 5}', "not json"])
+    def test_malformed_run_manifest(self, tmp_path, scene_file, capsys, text):
+        rays = _trace(tmp_path, scene_file)
+        (rays / "trace.manifest.json").write_text(text)
+        assert run(["validate", str(rays), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("violation: DatasetError: trace.manifest.json: malformed run "
+                              "manifest: ") and err.count("\n") == 1
 
     def test_validate_a_directory_without_a_stage_manifest(self, tmp_path, scene_file, capsys):
         empty = tmp_path / "empty"

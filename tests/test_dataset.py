@@ -304,6 +304,23 @@ class TestShard:
         with pytest.raises(DatasetError, match="magic"):
             parse_shard(b"NOPE" + b"\x00" * 20)
 
+    def test_records_of_another_parameter_set(self, rng, tiny_scene):
+        p = _params()
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        with pytest.raises(ValueError, match="does not match the parameter set"):
+            shard_bytes(replace(p, ofdm_limit=p.ofdm_limit - 1), ds.scenario_name, 3,
+                        ds.shards[0])
+
+    def test_echo_parameter_set_that_breaks_a_rule(self, rng, tiny_scene):
+        # num_OFDM below OFDM_limit (8), in an echo of the same length.
+        p = _params()
+        ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
+        data = shard_bytes(p, ds.scenario_name, 3, ds.shards[0])
+        assert data.count(b"num_OFDM=16\n") == 1
+        with pytest.raises(DatasetError, match="^bad shard echo block: subcarrier set exceeds "
+                                               "num_OFDM: "):
+            parse_shard(data.replace(b"num_OFDM=16\n", b"num_OFDM=07\n"))
+
 
 def _oracle_shard(params, scenario, bs_id, indices, locations, mats) -> bytes:
     """The shard layout written out user by user, independently of the

@@ -1,16 +1,24 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimogen.kvconfig import ConfigError
+from mimogen.dataset import record_dtype
+from mimogen.kvconfig import ConfigError, parse_kv
 from mimogen.params import (
     KEYS,
+    MAX_RECORD_BYTES,
     ParamError,
     ParamSet,
     parse_params,
     serialize_params,
     subcarrier_set,
 )
+from mimogen.scene import build_o1_scene, users_in_row_range
+
+from conftest import users_in_row_range_oracle
 
 
 class TestDefaults:
@@ -106,25 +114,31 @@ class TestParsing:
 
 
 _positive = st.floats(min_value=0, exclude_min=True, allow_nan=False, allow_infinity=False)
-_count = st.integers(1, 2**40)
+_RECORD_ENTRIES = (MAX_RECORD_BYTES - 32) // 16     # antennas x subcarriers a record holds
 
 
 @st.composite
 def _param_sets(draw):
+    """Parameter sets that construct: the antenna counts and OFDM_limit
+    within a record, and the subcarrier set within num_OFDM."""
     first = draw(st.integers(1, 10**7))
+    counts: list[int] = []
+    for _ in range(4):          # num_ant_x, num_ant_y, num_ant_z, OFDM_limit
+        counts.append(draw(st.integers(1, _RECORD_ENTRIES // math.prod(counts))))
+    factor = draw(st.integers(1, 2**62 // max(counts[3] - 1, 1)))
     return ParamSet(
         active_bs=tuple(draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=8,
                                       unique=True))),
         active_user_first=first,
         active_user_last=draw(st.integers(first, 2 * 10**7)),
-        num_ant_x=draw(_count),
-        num_ant_y=draw(_count),
-        num_ant_z=draw(_count),
+        num_ant_x=counts[0],
+        num_ant_y=counts[1],
+        num_ant_z=counts[2],
         ant_spacing=draw(_positive),
         bandwidth=draw(_positive),
-        num_ofdm=draw(_count),
-        ofdm_sampling_factor=draw(_count),
-        ofdm_limit=draw(_count),
+        num_ofdm=draw(st.integers(1 + (counts[3] - 1) * factor, 2**63 - 1)),
+        ofdm_sampling_factor=factor,
+        ofdm_limit=counts[3],
         num_paths=draw(st.integers(1, 25)),
     )
 
@@ -169,9 +183,8 @@ class TestSubcarrierSet:
         assert list(ks) == list(range(1, 9))
 
     def test_overflow_names_fields(self):
-        p = ParamSet(num_ofdm=64, ofdm_sampling_factor=4, ofdm_limit=64)
         with pytest.raises(ParamError) as exc:
-            subcarrier_set(p)
+            ParamSet(num_ofdm=64, ofdm_sampling_factor=4, ofdm_limit=64)
         msg = str(exc.value)
         assert "OFDM_limit" in msg and "OFDM_sampling_factor" in msg and "num_OFDM" in msg
 
@@ -180,3 +193,81 @@ class TestSubcarrierSet:
             ks = subcarrier_set(ParamSet(num_ofdm=k, ofdm_sampling_factor=f, ofdm_limit=limit))
             assert len(ks) == limit
             assert ks[-1] == 1 + (limit - 1) * f
+
+    def test_last_index_of_an_int64(self):
+        p = ParamSet(num_ofdm=2**63 - 1, ofdm_sampling_factor=2**63 - 2, ofdm_limit=2)
+        assert subcarrier_set(p).tolist() == [1, 2**63 - 1]
+        with pytest.raises(ParamError) as exc:
+            ParamSet(num_ofdm=2**63, ofdm_limit=1)
+        assert str(exc.value) == f"num_OFDM: must be <= {2**63 - 1}, got {2**63}"
+
+
+class TestRecordSize:
+    def test_largest_record(self):
+        p = ParamSet(num_ant_x=_RECORD_ENTRIES, num_ant_y=1, num_ant_z=1, ofdm_limit=1)
+        assert record_dtype(p).itemsize == 32 + 16 * _RECORD_ENTRIES == MAX_RECORD_BYTES - 15
+
+    @pytest.mark.parametrize("text,size", [
+        # One entry more: np.dtype gives the itemsize -2**31.
+        (f"num_ant_x={_RECORD_ENTRIES + 1}\nnum_ant_y=1\nnum_ant_z=1\nOFDM_limit=1", 2**31),
+        ("num_ant_y=1000000\nOFDM_limit=1000\nnum_OFDM=100000", 32 + 16 * 8 * 10**9),
+    ])
+    def test_record_beyond_a_c_int_refused(self, text, size):
+        with pytest.raises(ParamError) as exc:
+            parse_params(text)
+        assert str(exc.value) == (
+            f"record size: 32 + 16*num_ant_x*num_ant_y*num_ant_z*OFDM_limit = {size} bytes, "
+            f"more than a record holds ({MAX_RECORD_BYTES})")
+
+
+# A count below 1, a small one, or one past every cap.
+_any_count = st.integers(-1, 2**10) | st.integers(1, 2**70)
+
+
+@st.composite
+def _counts(draw):
+    """num_ant_x/y/z, OFDM_limit, OFDM_sampling_factor and num_OFDM: z and
+    num_OFDM next to the bound that a rule puts on them given the others,
+    which are any count."""
+    x, y = draw(st.integers(-1, 2**10)), draw(_any_count)
+    limit = draw(st.integers(-1, 2**12))      # a subcarrier_set of at most 32 KiB
+    z = _RECORD_ENTRIES // max(x * y * limit, 1) + draw(st.integers(-2, 2))
+    factor = draw(_any_count)
+    num_ofdm = 1 + (limit - 1) * factor + draw(st.integers(-2, 2))
+    return dict(num_ant_x=x, num_ant_y=y, num_ant_z=z, ofdm_limit=limit,
+                ofdm_sampling_factor=factor, num_ofdm=num_ofdm)
+
+
+@st.composite
+def _o1_rows(draw):
+    """An o1 scene with random grid counts, and a row range of it: each end
+    a grid's first or last row, or any row."""
+    counts = [(draw(st.integers(1, 3000)), draw(st.integers(1, 50))) for _ in range(3)]
+    scene = build_o1_scene(parse_kv("".join(
+        f"grid{i}.n_rows={rows}\ngrid{i}.users_per_row={users}\n"
+        for i, (rows, users) in enumerate(counts, start=1))))
+    edges = [r for g in scene.grids for r in (g.first_row_label, g.last_row_label)]
+    row = st.sampled_from(edges) | st.integers(1, scene.total_rows)
+    return (scene, *sorted((draw(row), draw(row))))
+
+
+class TestDefinition:
+    """A dataset's definition is a scene and a parameter set: any that
+    constructs works in every stage."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=_counts(), scene_rows=_o1_rows())
+    def test_every_definition_that_constructs_works(self, counts, scene_rows):
+        scene, first, last = scene_rows
+        try:
+            p = ParamSet(active_user_first=first, active_user_last=last, **counts)
+        except ParamError:
+            pass
+        else:
+            assert record_dtype(p).itemsize == 32 + 16 * p.num_antennas * p.ofdm_limit
+            ks = subcarrier_set(p)
+            assert ks.size == p.ofdm_limit and ks[0] == 1 and ks[-1] <= p.num_ofdm
+            assert (np.diff(ks) == p.ofdm_sampling_factor).all()
+        got = users_in_row_range(scene, first, last)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, users_in_row_range_oracle(scene, first, last))

@@ -197,6 +197,10 @@ class TestWriteErrors:
         with pytest.raises(RayFileFormatError, match="32"):
             write_rayfile([], _header(0, scenario="x" * 33), io.BytesIO())
 
+    def test_scenario_name_that_is_not_utf8(self):
+        with pytest.raises(RayFileFormatError, match="^scenario name not encodable: "):
+            encode_head(_header(0, scenario="o1\udc80"))
+
     def test_refuses_descending_user_index(self, rng):
         a = random_path_list(rng, 3, 10)
         b = random_path_list(rng, 3, 5)

@@ -120,6 +120,12 @@ class TestEnumeration:
         pos = user_positions(sc, idx)
         assert np.allclose(pos, np.array([r.position for r in recs]))
 
+    def test_positions_of_indices_outside_the_scene(self, o1):
+        for index in (0, o1.total_users + 1):
+            with pytest.raises(IndexError, match=f"^user index out of range: valid range is "
+                                                 f"1..{o1.total_users}$"):
+                user_positions(o1, np.array([1, index]))
+
     def test_row_spacing_exact(self, o1):
         idx = users_in_row_range(o1, 100, 100)
         pos = user_positions(o1, idx)
@@ -328,6 +334,8 @@ class TestSerialization:
         (("base_stations", 4, "id"), 4, _BS_IDS),
         (("grids", 2, "first_row_label"), 5,
          "grid 3: first_row_label 5 breaks contiguous row labelling (expected 4)"),
+        (("grids", 0, "first_row_label"), 0,
+         "grid 1: first_row_label 0 breaks contiguous row labelling (expected 1)"),
     ])
     def test_scene_rule_refused(self, path, value, message):
         doc = json.loads(scene_to_json(small_scene(rows=(2, 1, 1))))

@@ -452,6 +452,14 @@ def _region_cases(draw):
 
 
 class TestRegionPruning:
+    def test_only_non_finite_receivers(self):
+        # No finite receiver bounds a beam, so no image node is reachable.
+        rx = [(math.nan, 10.0, 2.0), (100.0, math.inf, 2.0)]
+        batch = trace_paths_batch(build_o1_scene(), 3, rx, user_indices=[7, 9])
+        assert batch.users["user_index"].tolist() == [7, 9]
+        assert batch.users["n_paths"].tolist() == [0, 0]
+        assert len(batch.paths) == batch.nodes_searched == batch.nodes_yielding == 0
+
     # A bounce point 5e-10 m off a face edge, found only within the tolerance;
     # a NaN receiver beside one with paths.
     @example(case=([Building((0.0, 2.0, 0.0), (3.0, 4.0, 3.0))], (1.0, 0.0, 1.5),
