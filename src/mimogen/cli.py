@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 validation/pipeline failure, 2 usage error. A
 subcommand raises on failure; ``run`` alone turns the exception into one
 ``error:`` line and its exit code (a ``ConfigError`` is a usage error).
-``validate`` prints its ``violation:`` lines itself. Each stage writes its
-run manifest with ``_write_run``; ``_STAGES`` names the manifests that
-mark each stage's output in a directory (a scene's: any other
-``*.manifest.json``) and the check, given their paths, that ``validate
-<dir>`` runs for each stage whose manifest the directory holds. All
-diagnostics and progress go to stderr; outputs are written atomically
+``validate`` prints its ``violation:`` lines itself. ``trace`` and ``build``
+read one parameter set, with the same flags (``_params_from_args``):
+``trace`` takes its base stations and rows, ``build`` the whole of it.
+Each stage writes its run manifest with ``_write_run``; ``_STAGES`` names
+the manifests that mark each stage's output in a directory (a scene's:
+any other ``*.manifest.json``) and the check, given their paths, that
+``validate <dir>`` runs for each stage whose manifest the directory holds.
+All diagnostics and progress go to stderr; outputs are written atomically
 (temp file + rename), so an interrupted run never leaves a partial output
 under its final name. MIMOGEN_OUT_DIR sets the default output directory.
 """
@@ -139,14 +141,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .tracer import image_node_counts, trace_paths_batch
 
     t0 = time.monotonic()
-    try:
-        bs_ids = [int(s) for s in args.bs.split(",") if s]
-    except ValueError:
-        raise ConfigError(f"--bs must be comma-separated integers, got {args.bs!r}") from None
-    if not bs_ids:
-        raise ConfigError(f"--bs names no base station, got {args.bs!r}")
-    if len(set(bs_ids)) < len(bs_ids):
-        raise ConfigError(f"--bs names a base station twice, got {args.bs!r}")
+    params = _params_from_args(args)
+    bs_ids = params.active_bs
     if args.max_reflections < 0:
         raise ConfigError(f"--max-reflections must be >= 0, got {args.max_reflections}")
     if not 1 <= args.max_paths <= MAX_PATHS:
@@ -154,7 +150,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     scene = _load_scene(args.scene)
     for bs_id in bs_ids:
         scene.bs_by_id(bs_id)  # fail early on unknown ids
-    indices = users_in_row_range(scene, args.active_user_first, args.active_user_last)
+    indices = users_in_row_range(scene, params.active_user_first, params.active_user_last)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -197,8 +193,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_files(outputs, heads, steps, write, lambda done: reporter.update(len(bs_ids) * done))
     counters.update(pool.counters(_TRACE_CHUNK))
     _write_run(outdir / _RUN_MANIFEST.format("trace"), "trace", t0,
-               f"{args.bs} {args.active_user_first} {args.active_user_last} "
-               f"{args.max_reflections} {args.max_paths}",
+               serialize_params(params) + f"max_reflections={args.max_reflections}\n"
+               f"max_paths={args.max_paths}\n",
                {args.scene: args.scene}, outputs, counters)
     return 0
 
@@ -225,8 +221,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     counters: dict[str, int] = {}
     manifest = write_shards(outdir, source, fmt=args.format, progress=reporter.update,
                             counters=counters)
-    for gaps, entry in zip(source.gaps, manifest.entries):
-        counters[f"bs{entry.bs_id:03d}.zero_channel_gaps"] = gaps
+    for entry in manifest.entries:
         counters[f"bs{entry.bs_id:03d}.shard_bytes"] = entry.byte_size
     _write_run(outdir / _RUN_MANIFEST.format("build"), "build", t0, serialize_params(params),
                {str(f): f for f in [args.scene, *ray_files.values()]},
@@ -391,11 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scene.add_argument("--quiet", action="store_true")
     p_scene.set_defaults(func=_cmd_scene)
 
-    p_trace = sub.add_parser("trace", help="trace rays for selected base stations")
+    p_trace = sub.add_parser("trace", help="trace rays for the parameter set's active "
+                                           "base stations and rows")
     p_trace.add_argument("--scene", required=True)
-    p_trace.add_argument("--bs", required=True, help="comma-separated base station ids")
-    p_trace.add_argument("--active_user_first", type=int, required=True)
-    p_trace.add_argument("--active_user_last", type=int, required=True)
     p_trace.add_argument("--max-reflections", type=int, default=4)
     p_trace.add_argument("--max-paths", type=int, default=MAX_PATHS)
     p_trace.add_argument("--out-dir", default=_default_outdir())
@@ -405,14 +398,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="build channel dataset from ray files")
     p_build.add_argument("--scene", required=True)
     p_build.add_argument("--rays-dir", required=True)
-    p_build.add_argument("--config", help="key=value parameter file")
-    p_build.add_argument("--set", action="append", metavar="KEY=VALUE")
-    for key in KEYS:
-        p_build.add_argument(f"--{key}")
     p_build.add_argument("--format", choices=("binary", "csv"), default="binary")
     p_build.add_argument("--out-dir", default=_default_outdir())
     p_build.add_argument("--quiet", action="store_true")
     p_build.set_defaults(func=_cmd_build)
+
+    for p in (p_trace, p_build):        # one parameter set for both: _params_from_args
+        p.add_argument("--config", help="key=value parameter file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE")
+        for key in KEYS:    # `trace --bs` stays for its callers, the benchmark's among them
+            p.add_argument(f"--{key}", *["--bs"] * (p is p_trace and key == "active_BS"))
 
     p_beams = sub.add_parser("beams", help="export beam-prediction features/labels")
     p_beams.add_argument("--dataset-dir", required=True)

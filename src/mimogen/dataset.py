@@ -42,7 +42,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import logging
 import mmap
 import os
 import shutil
@@ -61,10 +60,9 @@ from .files import (  # noqa: F401  (content_hash: re-exported)
 )
 from .kvconfig import ConfigError, read_text
 from .params import ParamSet, parse_params, serialize_params, subcarrier_set
-from .rayio import USER_ROW, RayFile, RayRows
+from .rayio import RayFile, RayRows
 from .scene import Scene, user_positions, users_in_row_range
 
-log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 SHARD_VERSION = 1
@@ -72,7 +70,7 @@ CSV_SIZE_CAP_BYTES = 64 * 1024 * 1024  # refuse CSV export above this estimate
 
 _BATCH_BYTES = 16 * 2**20        # record bytes per channel-construction batch...
 _MAX_BATCH_USERS = 256           # ...and at most this many users in it
-_GAPS_SHOWN = 5                  # users named in a base station's gap warning
+_USERS_SHOWN = 5                 # missing users a ray file's refusal names
 _POSITION_TOL = 1e-6             # m a ray record's user may sit from the scene's
 _PREAMBLE = struct.Struct("<4sII")    # magic, version, echo block length
 
@@ -199,11 +197,11 @@ def pool_plan(source: Dataset | DatasetReader | RayDataset, scored: bool) -> tup
 @dataclass(frozen=True)
 class RayDataset:
     """The dataset that one ray file per active base station gives, checked
-    by ``shard_sources``; its records are computed only as they are filled."""
+    by ``shard_sources``, which refuses a file that lacks an active user;
+    its records are computed only as they are filled."""
     params: ParamSet
     scenario_name: str
-    rays: tuple[RayRows, ...]                  # per active BS: a user row per active user
-    gaps: tuple[int, ...]                      # per active BS: users without a ray record
+    rays: tuple[RayRows, ...]       # per active BS: its file's rows of the active users
     bs_ids = property(lambda self: self.params.active_bs)     # active order
 
     @property
@@ -233,17 +231,18 @@ def shard_sources(
     whose records are computed only as they are filled.
 
     A ray file traced from another base station, or for another scenario
-    or carrier frequency, or one that puts a user more than
-    ``_POSITION_TOL`` from where the scene puts it, is a
-    ``ScenarioMismatchError``. A (bs, user) pair absent from its
-    ray file yields an all-zero channel; each base station with such gaps
-    logs one warning with their count and first few users. Each ray file's
-    user indices must be strictly ascending, as ``read_rayfile`` checks;
-    otherwise it is a ``DatasetError``. Each message names the ray file.
+    or carrier frequency, one that lacks a record of an active user, or one
+    that puts a user more than ``_POSITION_TOL`` from where the scene puts
+    it, is a ``ScenarioMismatchError``: ``trace`` writes a record of every
+    user of its rows, so a missing one means the rays were traced for
+    another parameter set or scene. Records of users outside the active rows are
+    left unread. Each ray file's user indices must be strictly ascending,
+    as ``read_rayfile`` checks; otherwise it is a ``DatasetError``. Each
+    message names the ray file.
     """
-    indices = active_user_indices(scene, params)
+    indices = active_user_indices(scene, params).astype(np.uint64)
     positions = user_positions(scene, indices)
-    rays, gaps = [], []
+    rays = []
     for bs_id in params.active_bs:
         if bs_id not in ray_sources:
             raise MissingRaySourceError(f"no ray source provided for active base station {bs_id}")
@@ -261,48 +260,25 @@ def shard_sources(
                            f"rays for base station {bs_id} were traced in scenario "
                            f"{header.scenario!r} at {header.carrier_freq:g} Hz, but the scene "
                            f"is {scene.name!r} at {scene.carrier_freq:g} Hz")
-        active, found = _active_rows(rf.rows, indices, positions)
+        # The active users are one run of indices, so they are one run of rows.
+        lo = int(np.searchsorted(index, indices[0]))
+        active = rf.rows.rows(lo, lo + indices.size)
+        if not np.array_equal(active.users["user_index"], indices):
+            missing = np.setdiff1d(indices, index, assume_unique=True)
+            raise rf.error(ScenarioMismatchError, f"rays for base station {bs_id} hold no "
+                           f"record of {missing.size} of the {indices.size} active users "
+                           f"(user {', '.join(map(str, missing[:_USERS_SHOWN].tolist()))}"
+                           f"{', ...' if missing.size > _USERS_SHOWN else ''}): they were "
+                           f"traced for another parameter set or scene")
         got = active.users["position"]
         bad = np.flatnonzero(~(np.abs(got - positions).max(axis=1) <= _POSITION_TOL))  # NaN too
         if bad.size:
             j = int(bad[0])
             raise rf.error(ScenarioMismatchError, f"rays for base station {bs_id} put user "
-                           f"{int(active.users['user_index'][j])} at {_xyz(got[j])}, but the "
-                           f"scene puts it at {_xyz(positions[j])}")
-        missing = indices[~found].tolist()
-        if missing:
-            log.warning("no ray record for bs %d: %d of %d users get a zero channel "
-                        "(user %s%s)", bs_id, len(missing), indices.size,
-                        ", ".join(map(str, missing[:_GAPS_SHOWN])),
-                        ", ..." if len(missing) > _GAPS_SHOWN else "")
+                           f"{int(indices[j])} at {_xyz(got[j])}, but the scene puts it at "
+                           f"{_xyz(positions[j])}")
         rays.append(active)
-        gaps.append(len(missing))
-    return RayDataset(params, scene.name, tuple(rays), tuple(gaps))
-
-
-def _active_rows(rows: RayRows, indices: np.ndarray,
-                 positions: np.ndarray) -> tuple[RayRows, np.ndarray]:
-    """The rows of the users ``indices`` in that order, each user absent
-    from ``rows`` an empty one at its scene position in ``positions``; and
-    the mask of the users ``rows`` has."""
-    have = rows.users["user_index"]
-    wanted = indices.astype(np.uint64)
-    at = np.searchsorted(have, wanted)
-    found = at < have.size
-    found[found] = have[at[found]] == wanted[found]
-    users = np.empty(indices.size, USER_ROW)
-    users["user_index"] = wanted
-    users["position"] = positions
-    users["n_paths"] = 0
-    take = at[found]
-    users[found] = rows.users[take]
-    if np.array_equal(take, np.arange(len(rows))):
-        paths = rows.paths
-    else:
-        counts = rows.users["n_paths"][take].astype(np.intp)
-        first = np.repeat(rows.starts[take] - (np.cumsum(counts) - counts), counts)
-        paths = rows.paths[first + np.arange(first.size)]
-    return RayRows(rows.bs_id, users, paths), found
+    return RayDataset(params, scene.name, tuple(rays))
 
 
 def _ids(bs_ids: Iterable[int]) -> str:

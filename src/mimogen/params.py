@@ -1,11 +1,13 @@
 """Dataset parameter set: parsing, validation, and derived quantities.
 
-``ParamSet`` checks every rule on the parameters, so a set that constructs
-works in every stage, and a bad one is refused where it is read, before
-anything is written. Each field declares its key in the parameter file (and the
-equivalent ``build`` flag) and its kind; ``KEYS`` maps the keys, in field
-order, to the fields, and the reader, the writer and the CLI flags all come
-from it. The keys are the generator's documented names (``bandwidth`` in GHz).
+``ParamSet`` checks every rule on the parameters, each field's exact kind
+first, so a set that constructs works in every stage and reads back from
+its own file, and a bad one is refused where it is read, before anything
+is written. Each field declares its key in the parameter file (and the
+equivalent ``trace`` and ``build`` flag) and its kind; ``KEYS`` maps the
+keys, in field order, to the fields, and the reader, the writer and the
+CLI flags all come from it. The keys are the generator's documented names
+(``bandwidth`` in GHz).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class ParamError(ConfigError):
 
 def _param(key: str, kind: str, default: Any) -> Any:
     """A ``ParamSet`` field read from and written to the file key ``key`` as
-    a value of ``kind`` (a key of ``_READ`` and ``_WRITE``)."""
+    a value of ``kind`` (a key of ``_READ``, ``_WRITE`` and ``_KIND``)."""
     return field(default=default, metadata={"key": key, "kind": kind})
 
 
@@ -50,6 +52,10 @@ class ParamSet:
     num_paths: int = _param("num_paths", "int", 5)
 
     def __post_init__(self) -> None:
+        for key, f in KEYS.items():
+            what, is_kind = _KIND[f.metadata["kind"]]
+            if not is_kind(value := getattr(self, f.name)):
+                raise ParamError(f"{key}: must be {what}, got {value!r}")
         if not self.active_bs:
             raise ParamError("active_BS: at least one base station required")
         if len(set(self.active_bs)) != len(self.active_bs):
@@ -102,6 +108,12 @@ KEYS: dict[str, Field] = {f.metadata["key"]: f for f in fields(ParamSet)}
 #: Per kind: how a value is read from a ``KVEntry`` and how it is written.
 _READ = {"int": as_int, "float": as_float, "int_list": lambda e: tuple(as_int_list(e))}
 _WRITE = {"int": str, "float": repr, "int_list": lambda v: ",".join(map(str, v))}
+#: Per kind: the exact type a field holds, so that it is written as it is
+#: read: ``True`` and ``4.0`` are no int, ``1`` is no float, a list no tuple.
+_KIND = {"int": ("an integer", lambda v: type(v) is int),
+         "float": ("a float", lambda v: type(v) is float),
+         "int_list": ("a tuple of integers",
+                      lambda v: type(v) is tuple and all(type(x) is int for x in v))}
 
 
 def params_from_entries(entries: Mapping[str, KVEntry]) -> ParamSet:

@@ -19,7 +19,7 @@ import pytest
 from mimogen import beams, cli, dataset, parallel, rayio, tracer
 from mimogen.cli import ProgressReporter, build_parser, run
 from mimogen.dataset import DatasetReader, content_hash, record_dtype
-from mimogen.params import KEYS, ParamError, ParamSet, parse_params
+from mimogen.params import KEYS, ParamError, ParamSet, parse_params, serialize_params
 from mimogen.rayio import HEADER_SIZE, MAX_PATHS, RayFile, read_rayfile
 from mimogen.scene import SceneConfigError, scene_from_json, users_in_row_range
 
@@ -465,28 +465,52 @@ class TestPipeline:
         else:
             assert doc["counters"]["peak_rss_kib"] > 0
 
-    def test_build_manifest_counts_gaps_and_bytes(self, tmp_path, scene_file, caplog,
-                                                  monkeypatch):
-        rays = tmp_path / "rays"
-        assert run(["trace", "--scene", str(scene_file), "--bs", "3,4",
-                    "--active_user_first", "1", "--active_user_last", "1",
+    def test_one_parameter_file_drives_trace_and_build(self, tmp_path, scene_file):
+        # The flag-driven pair of `_trace` and `_build`, then one file for both.
+        want_rays = _trace(tmp_path / "flags", scene_file)
+        _, want_ds = _build(tmp_path / "flags", scene_file, want_rays)
+        config = tmp_path / "params.txt"
+        config.write_text("active_BS = 3,4\nactive_user_first = 1\nactive_user_last = 2\n"
+                          "num_ant_y = 4\nnum_ant_z = 2\nnum_OFDM = 16\nOFDM_limit = 8\n")
+        rays, ds = tmp_path / "rays", tmp_path / "ds"
+        assert run(["trace", "--scene", str(scene_file), "--config", str(config),
                     "--out-dir", str(rays), "--quiet"]) == 0
-        rc, ds_dir = _build(tmp_path, scene_file, rays)    # rows 1-2: row 2 has no rays
+        assert run(["build", "--scene", str(scene_file), "--rays-dir", str(rays),
+                    "--config", str(config), "--out-dir", str(ds), "--quiet"]) == 0
+        for want, got in ((want_rays, rays), (want_ds, ds)):
+            names = [f.name for f in want.iterdir() if not f.name.endswith(".manifest.json")]
+            assert len(names) == {"rays": 2, "ds": 3}[got.name]
+            for name in names:
+                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+        # The trace records its definition: the parameter set and the depth.
+        doc = json.loads((rays / "trace.manifest.json").read_text())
+        assert doc["config_hash"] == content_hash(
+            (serialize_params(parse_params(config.read_text()))
+             + "max_reflections=4\nmax_paths=25\n").encode())
+
+    def test_trace_and_build_share_the_parameter_flags(self):
+        subcommands = next(a for a in build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        for name in ("trace", "build"):
+            flags = {a.dest for a in subcommands[name]._actions
+                     if any(o.startswith("--") and o[2:] in KEYS for o in a.option_strings)}
+            assert flags == set(KEYS), name
+
+    def test_build_manifest_counts_gaps_and_bytes(self, tmp_path, scene_file, monkeypatch):
+        rays = _trace(tmp_path, scene_file)
+        rc, ds_dir = _build(tmp_path, scene_file, rays)
         assert rc == 0
         counters = json.loads((ds_dir / "build.manifest.json").read_text())["counters"]
         # 12 records in one 16 MiB step: this process computes them itself.
+        # No user lacks rays (that is refused), so there are no gaps to count.
         assert counters == {
             "users_per_step": 256, "workers": 0,
-            "bs003.zero_channel_gaps": 3, "bs004.zero_channel_gaps": 3,
             "bs003.shard_bytes": (ds_dir / "shard_bs003.dmds").stat().st_size,
             "bs004.shard_bytes": (ds_dir / "shard_bs004.dmds").stat().st_size,
             "peak_rss_kib": counters["peak_rss_kib"],
             "workers_peak_rss_kib": 0,
         }
         assert counters["peak_rss_kib"] > 0
-        gaps = [r.getMessage() for r in caplog.records if "no ray record" in r.getMessage()]
-        assert gaps == [f"no ray record for bs {b}: 3 of 6 users get a zero channel "
-                        f"(user 4, 5, 6)" for b in (3, 4)]
         # Records beyond one step: 2 workers and the 4 slots of a 4-step
         # budget, one user per step.
         monkeypatch.setattr(parallel, "worker_count", lambda: 2)
@@ -797,6 +821,23 @@ class TestErrors:
         assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_build_over_rows_the_rays_lack(self, tmp_path, o1_rays, capsys, monkeypatch,
+                                           workers):
+        # Rays of row 1000, a parameter set of rows 1000-1001: refused, not
+        # built with zero channels for the 181 users of row 1001.
+        monkeypatch.setattr(parallel, "worker_count", lambda: workers)
+        scene, rays = o1_rays
+        out = tmp_path / "ds"
+        assert run(["build", "--scene", str(scene), "--rays-dir", str(rays),
+                    "--set", "active_BS=3,4", "--set", "active_user_first=1000",
+                    "--set", "active_user_last=1001", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {rays}/rays_bs003.drf: rays for base station 3 hold no record of 181 of "
+            f"the 362 active users (user 181001, 181002, 181003, 181004, 181005, ...): they "
+            f"were traced for another parameter set or scene\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("sets,message", [
         (["OFDM_limit=2000"], "subcarrier set exceeds num_OFDM: 1 + (OFDM_limit-1)"
          "*OFDM_sampling_factor = 2000 > num_OFDM = 1024 (OFDM_limit=2000, "
@@ -1043,10 +1084,10 @@ class TestErrors:
         assert not (tmp_path / "ml").exists()
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--bs", "x", "--bs must be comma-separated integers, got 'x'"),
-        ("--bs", "3,4.5", "--bs must be comma-separated integers, got '3,4.5'"),
-        ("--bs", ",", "--bs names no base station, got ','"),
-        ("--bs", "3,3", "--bs names a base station twice, got '3,3'"),
+        ("--bs", "x", "flag --active_BS: key 'active_BS' expects integers, got 'x'"),
+        ("--bs", "3,4.5", "flag --active_BS: key 'active_BS' expects integers, got '3,4.5'"),
+        ("--bs", ",", "flag --active_BS: key 'active_BS' expects a comma-separated list"),
+        ("--bs", "3,3", "active_BS: duplicate ids"),
         ("--max-reflections", "-1", "--max-reflections must be >= 0, got -1"),
         ("--max-paths", "0", "--max-paths must be in 1..25, got 0"),
         ("--max-paths", "26", "--max-paths must be in 1..25, got 26"),
@@ -1090,16 +1131,18 @@ class TestErrors:
 
     @pytest.mark.parametrize("first,last", [(5, 3), (1, 99999), (5, 5)])
     def test_row_range_outside_scene_exit_2(self, tmp_path, scene_file, capsys, first, last):
-        # The tiny scene has rows R1..R4.
-        message = (f"error: row range R{first}..R{last} invalid: rows must satisfy "
-                   f"R1 <= first <= last <= R4\n")
+        # The tiny scene has rows R1..R4; first > last is a parameter error,
+        # before the scene is consulted.
+        message = (f"error: active_user_first ({first}) must be <= active_user_last ({last})\n"
+                   if first > last else f"error: row range R{first}..R{last} invalid: rows "
+                                        f"must satisfy R1 <= first <= last <= R4\n")
         out = tmp_path / "out"
         assert run(["trace", "--scene", str(scene_file), "--bs", "3",
                     "--active_user_first", str(first), "--active_user_last", str(last),
                     "--out-dir", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == message
         assert not out.exists()
-        if first > last:        # a parameter error before the scene is consulted
+        if first > last:
             return
         rays = _trace(tmp_path, scene_file, bs="3")
         assert run(["build", "--scene", str(scene_file), "--rays-dir", str(rays),

@@ -1,5 +1,4 @@
 import io
-import logging
 import os
 import re
 import struct
@@ -46,7 +45,7 @@ from mimogen.kvconfig import parse_kv
 from mimogen.parallel import WorkerError
 from mimogen.params import ParamSet, serialize_params, subcarrier_set
 from mimogen.rayio import RayFile, RayFileHeader, RayRows
-from mimogen.scene import build_o1_scene, user_positions
+from mimogen.scene import build_o1_scene, user_positions, users_in_row_range
 
 from conftest import (
     channel_matrix_oracle, compute_channels_parallel, random_path_list, rewrite_shard,
@@ -71,9 +70,12 @@ def _params(**kw):
     return ParamSet(**base)
 
 
-def _ray_sources(rng, scene, params, skip=()):
-    """In-memory ray files with random paths for every active user."""
-    indices = active_user_indices(scene, params)
+def _ray_sources(rng, scene, params, skip=(), rows=None):
+    """In-memory ray files with random paths for every user of the rows
+    ``rows`` (first, last), by default the active rows, but the (bs, user)
+    pairs ``skip``."""
+    indices = users_in_row_range(scene, *(rows or (params.active_user_first,
+                                                   params.active_user_last)))
     positions = user_positions(scene, indices)
     sources = {}
     for bs_id in params.active_bs:
@@ -125,21 +127,30 @@ class TestBuild:
                 got = get_channel(ds, b_ord, u_ord).entries
                 assert np.max(np.abs(got - want)) < 1e-12 * (1 + np.max(np.abs(want)))
 
-    def test_ray_users_outside_the_active_rows_are_skipped(self, rng, tiny_scene):
-        sources = _ray_sources(rng, tiny_scene, _params(active_user_last=2), skip={(3, 5)})
+    def test_ray_users_outside_the_active_rows_are_skipped(self, rng, tmp_path, tiny_scene):
+        # Files of rows 1-4 that lack user 2 of row 1 and user 7 of row 3;
+        # the parameter set's rows are 2 (users 4-6).
         p = _params(active_user_first=2, active_user_last=2)
-        source = shard_sources(sources, p, tiny_scene)
-        assert list(source.gaps) == [1, 0]
+        sources = _ray_sources(rng, tiny_scene, p, skip={(3, 2), (5, 7)}, rows=(1, 4))
         ds = build_dataset(sources, p, tiny_scene)
         for b_ord, bs_id in enumerate(ds.bs_ids, start=1):
             by_index = {pl.user_index: pl for pl in sources[bs_id].rows}
             for u_ord in range(1, ds.n_users + 1):
                 gidx = ds.user_for_ordinal(u_ord)
-                want = channel_matrix_oracle(by_index[gidx].paths if gidx in by_index else (),
-                                             p)
+                want = channel_matrix_oracle(by_index[gidx].paths, p)
                 got = get_channel(ds, b_ord, u_ord).entries
                 assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
         assert [ds.user_for_ordinal(u) for u in (1, 2, 3)] == [4, 5, 6]
+        # The same bytes as files of just those users.
+        exact = {b: replace(rf, header=replace(rf.header, user_count=3),
+                            rows=RayRows.from_path_lists(list(rf.rows)[lo: lo + 3]))
+                 for b, rf, lo in [(3, sources[3], 2), (5, sources[5], 3)]}
+        assert [[pl.user_index for pl in rf.rows] for rf in exact.values()] == [[4, 5, 6]] * 2
+        want = write_shards(tmp_path / "exact", shard_sources(exact, p, tiny_scene))
+        assert write_shards(tmp_path / "wide", shard_sources(sources, p, tiny_scene)) == want
+        for name in [e.filename for e in want.entries] + ["manifest.txt"]:
+            assert (tmp_path / "wide" / name).read_bytes() == \
+                (tmp_path / "exact" / name).read_bytes()
 
     def test_locations(self, rng, tiny_scene):
         p = _params()
@@ -170,28 +181,33 @@ class TestBuild:
         with pytest.raises(ScenarioMismatchError, match="other"):
             build_dataset(sources, p, tiny_scene)
 
-    def test_missing_user_zero_channel(self, rng, tiny_scene, caplog):
+    def test_missing_user_zero_channel(self, rng, tiny_scene):
+        # A user without a ray record gets no zero channel: the rays are refused.
         p = _params()
         sources = _ray_sources(rng, tiny_scene, p, skip={(3, 4)})
-        with caplog.at_level(logging.WARNING, logger="mimogen.dataset"):
-            ds = build_dataset(sources, p, tiny_scene)
-        assert np.all(get_channel(ds, 1, 4).entries == 0)
-        assert any("user 4" in r.getMessage() for r in caplog.records)
-        # other users unaffected
-        assert np.any(get_channel(ds, 1, 3).entries != 0)
+        with pytest.raises(ScenarioMismatchError) as exc:
+            build_dataset(sources, p, tiny_scene)
+        assert str(exc.value) == (
+            "rays for base station 3 hold no record of 1 of the 6 active users (user 4): they "
+            "were traced for another parameter set or scene")
 
-    def test_one_gap_warning_per_bs(self, rng, tiny_scene, caplog):
+    def test_one_gap_warning_per_bs(self, rng, tiny_scene):
+        # One error, for the first base station whose file lacks active users,
+        # naming their count and the first five.
         p = _params()
         skip = {(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2)}
-        sources = _ray_sources(rng, tiny_scene, p, skip=skip)
-        with caplog.at_level(logging.WARNING, logger="mimogen.dataset"):
-            source = shard_sources(sources, p, tiny_scene)
-        assert list(source.gaps) == [6, 1]
-        assert [r.getMessage() for r in caplog.records] == [
-            "no ray record for bs 3: 6 of 6 users get a zero channel "
-            "(user 1, 2, 3, 4, 5, ...)",
-            "no ray record for bs 5: 1 of 6 users get a zero channel (user 2)",
-        ]
+        sources = {b: replace(rf, name=f"rays/rays_bs{b:03d}.drf")
+                   for b, rf in _ray_sources(rng, tiny_scene, p, skip=skip).items()}
+        with pytest.raises(ScenarioMismatchError) as exc:
+            shard_sources(sources, p, tiny_scene)
+        assert str(exc.value) == (
+            "rays/rays_bs003.drf: rays for base station 3 hold no record of 6 of the 6 active "
+            "users (user 1, 2, 3, 4, 5, ...): they were traced for another parameter set or "
+            "scene")
+        del sources[3]
+        with pytest.raises(ScenarioMismatchError, match="^rays/rays_bs005.drf: .* 1 of the 6 "
+                                                        r"active users \(user 2\):"):
+            shard_sources(sources, replace(p, active_bs=(5,)), tiny_scene)
 
     def test_unordered_ray_users_refused(self, rng, tiny_scene):
         p = _params()
@@ -379,6 +395,21 @@ def _small_scene(users_per_row: int):
 
 
 @st.composite
+def _wider_rays(draw, users_per_row, params):
+    """The rows (first, last) of ray files that hold the active rows and
+    maybe more, and (bs, user) pairs of their users outside the active
+    rows to leave out of them."""
+    rows = (draw(st.integers(1, params.active_user_first)),
+            draw(st.integers(params.active_user_last, 4)))
+    scene = _small_scene(users_per_row)
+    outside = sorted(set(users_in_row_range(scene, *rows).tolist())
+                     - set(active_user_indices(scene, params).tolist()))
+    skip = draw(st.sets(st.tuples(st.sampled_from(params.active_bs), st.sampled_from(outside)),
+                        max_size=4)) if outside else set()
+    return rows, skip
+
+
+@st.composite
 def _stream_cases(draw):
     users_per_row = draw(st.integers(1, 5))
     first = draw(st.integers(1, 4))
@@ -389,20 +420,19 @@ def _stream_cases(draw):
         num_ant_x=draw(st.integers(1, 2)), num_ant_y=draw(st.integers(1, 3)),
         num_ant_z=1, num_ofdm=8, ofdm_limit=draw(st.integers(1, 4)),
         num_paths=draw(st.integers(1, 6)))
-    skip = draw(st.sets(st.tuples(st.sampled_from(params.active_bs),
-                                  st.integers(1, 2 * users_per_row + 2)), max_size=4))
+    rays = draw(_wider_rays(users_per_row, params))
     # Batch budget in bytes: from less than one record to a few records.
     budget = draw(st.integers(0, 4 * record_dtype(params).itemsize))
-    return users_per_row, params, skip, budget, draw(st.integers(0, 2**32 - 1))
+    return users_per_row, params, rays, budget, draw(st.integers(0, 2**32 - 1))
 
 
 class TestStreamingWrite:
     @settings(deadline=None, max_examples=60)
     @given(_stream_cases())
     def test_streamed_files_equal_in_memory_export(self, case):
-        users_per_row, p, skip, budget, seed = case
+        users_per_row, p, (rows, skip), budget, seed = case
         scene = _small_scene(users_per_row)
-        sources = _ray_sources(np.random.default_rng(seed), scene, p, skip=skip)
+        sources = _ray_sources(np.random.default_rng(seed), scene, p, skip, rows)
         with tempfile.TemporaryDirectory() as tmp:
             ref, out = Path(tmp) / "ref", Path(tmp) / "streamed"
             want = write_shards(ref, build_dataset(sources, p, scene))

@@ -112,6 +112,20 @@ class TestParsing:
         p = ParamSet(active_bs=(1, 7), ant_spacing=0.37, bandwidth=1.25, num_paths=9)
         assert parse_params(serialize_params(p)) == p
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("num_ant_y", 4.0, "num_ant_y: must be an integer, got 4.0"),
+        ("ofdm_limit", 8.0, "OFDM_limit: must be an integer, got 8.0"),
+        ("num_ant_y", True, "num_ant_y: must be an integer, got True"),
+        ("active_bs", [3, 4], "active_BS: must be a tuple of integers, got [3, 4]"),
+        ("active_bs", (3, True), "active_BS: must be a tuple of integers, got (3, True)"),
+        ("ant_spacing", 1, "ant_spacing: must be a float, got 1"),
+    ])
+    def test_value_of_another_kind_refused(self, field, value, message):
+        # Each would construct a set that is written unlike the one read back.
+        with pytest.raises(ParamError) as exc:
+            ParamSet(**{field: value})
+        assert str(exc.value) == message
+
 
 _positive = st.floats(min_value=0, exclude_min=True, allow_nan=False, allow_infinity=False)
 _RECORD_ENTRIES = (MAX_RECORD_BYTES - 32) // 16     # antennas x subcarriers a record holds
@@ -239,6 +253,16 @@ def _counts(draw):
 
 
 @st.composite
+def _kept_counts(draw):
+    """The counts of ``_counts`` that keep every rule."""
+    limit, factor = draw(st.integers(1, 2**12)), draw(st.integers(1, 2**50))
+    return dict(num_ant_x=draw(st.integers(1, 4)), num_ant_y=draw(st.integers(1, 64)),
+                num_ant_z=draw(st.integers(1, 16)), ofdm_limit=limit,
+                ofdm_sampling_factor=factor,
+                num_ofdm=draw(st.integers(1 + (limit - 1) * factor, 2**63 - 1)))
+
+
+@st.composite
 def _o1_rows(draw):
     """An o1 scene with random grid counts, and a row range of it: each end
     a grid's first or last row, or any row."""
@@ -251,19 +275,39 @@ def _o1_rows(draw):
     return (scene, *sorted((draw(row), draw(row))))
 
 
+def _of_another_kind(value):
+    """Values of other kinds that may compare equal to ``value``: a bool, a
+    whole float, an int, NaN, a list or a tuple."""
+    items = list(value) if isinstance(value, tuple) else [value]
+    head = items[0] if items else 1
+    return st.sampled_from([
+        bool(head), float(head), int(head) if math.isfinite(head) else 0, math.nan,
+        items, tuple(items), tuple(map(float, items)), tuple(map(bool, items))])
+
+
 class TestDefinition:
     """A dataset's definition is a scene and a parameter set: any that
-    constructs works in every stage."""
+    constructs works in every stage and reads back from its own file."""
 
     @settings(max_examples=300, deadline=None)
-    @given(counts=_counts(), scene_rows=_o1_rows())
-    def test_every_definition_that_constructs_works(self, counts, scene_rows):
+    @given(counts=_counts() | _kept_counts(), scene_rows=_o1_rows(), data=st.data())
+    def test_every_definition_that_constructs_works(self, counts, scene_rows, data):
         scene, first, last = scene_rows
+        values = dict(active_bs=tuple(data.draw(st.lists(st.integers(0, 40), min_size=1,
+                                                         max_size=4, unique=True))),
+                      active_user_first=first, active_user_last=last,
+                      ant_spacing=data.draw(_positive), bandwidth=data.draw(_positive),
+                      num_paths=data.draw(st.integers(1, 25)), **counts)
+        for name in data.draw(st.sets(st.sampled_from(sorted(values)), max_size=3)):
+            values[name] = data.draw(_of_another_kind(values[name]), label=name)
         try:
-            p = ParamSet(active_user_first=first, active_user_last=last, **counts)
-        except ParamError:
+            p = ParamSet(**values)
+        except ParamError:      # and no other error
             pass
         else:
+            text = serialize_params(p)
+            assert parse_params(text) == p
+            assert serialize_params(parse_params(text)) == text
             assert record_dtype(p).itemsize == 32 + 16 * p.num_antennas * p.ofdm_limit
             ks = subcarrier_set(p)
             assert ks.size == p.ofdm_limit and ks[0] == 1 and ks[-1] <= p.num_ofdm

@@ -23,7 +23,7 @@ from mimogen.dataset import (
     write_shards,
 )
 
-from test_dataset import _params, _ray_sources, _small_scene
+from test_dataset import _params, _ray_sources, _small_scene, _wider_rays
 
 ML_OUTPUTS = ("features.csv", "labels.csv", "ml_manifest.txt")
 
@@ -39,15 +39,14 @@ def _cases(draw):
         num_ant_x=draw(st.integers(1, 2)), num_ant_y=draw(st.integers(1, 3)),
         num_ant_z=draw(st.integers(1, 2)), num_ofdm=8,
         ofdm_limit=draw(st.integers(1, 4)), num_paths=draw(st.integers(1, 4)))
-    skip = draw(st.sets(st.tuples(st.sampled_from(params.active_bs),
-                                  st.integers(1, 2 * users_per_row + 2)), max_size=4))
+    rays = draw(_wider_rays(users_per_row, params))
     # Step budget in bytes: from one record per step (0 still gives one
     # user) to a few users per base station, or the default 16 MiB.
     n_bs = len(params.active_bs)
     budget = draw(st.one_of(st.integers(0, 3 * n_bs * record_dtype(params).itemsize),
                             st.just(dataset._BATCH_BYTES)))
     cfg = BeamEvalConfig(dft_codebook(params.dims, draw(st.integers(1, 2))))
-    return users_per_row, params, skip, budget, cfg, draw(st.integers(0, 2**32 - 1))
+    return users_per_row, params, rays, budget, cfg, draw(st.integers(0, 2**32 - 1))
 
 
 def _steps(source):
@@ -63,9 +62,9 @@ class TestOneInterface:
     @settings(deadline=None, max_examples=40)
     @given(_cases())
     def test_producers_agree(self, case):
-        users_per_row, p, skip, budget, cfg, seed = case
+        users_per_row, p, (rows, skip), budget, cfg, seed = case
         scene = _small_scene(users_per_row)
-        sources = _ray_sources(np.random.default_rng(seed), scene, p, skip=skip)
+        sources = _ray_sources(np.random.default_rng(seed), scene, p, skip, rows)
         n_bs, itemsize = len(p.active_bs), record_dtype(p).itemsize
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(dataset, "_BATCH_BYTES", budget):
