@@ -24,9 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import ChannelMatrix
-from .dataset import (
-    Dataset, DatasetReader, Manifest, ManifestEntry, RayDataset, verify_files, write_steps,
-)
+from .dataset import Manifest, ManifestEntry, Source, verify_files, write_steps
 from .files import ML_MANIFEST, DatasetError, atomic_write
 
 
@@ -163,10 +161,7 @@ def _ml_csv(users: np.ndarray, features: np.ndarray,
     return "".join(feat_rows).encode(), "".join(label_rows).encode()
 
 
-MlSource = Dataset | DatasetReader | RayDataset
-
-
-def write_ml_dataset(source: MlSource, cfg: BeamEvalConfig, outdir: Path | str,
+def write_ml_dataset(source: Source, cfg: BeamEvalConfig, outdir: Path | str,
                      progress: Callable[[int], None] | None = None,
                      counters: dict[str, int] | None = None) -> Manifest:
     """Write features.csv and labels.csv in one pass over the steps of

@@ -36,25 +36,30 @@ class ChannelMatrix:
             raise ValueError("channel matrix must be 2-D")
 
 
-def array_response(
-    aod_az: float,
-    aod_el: float,
-    dims: tuple[int, int, int],
-    spacing: float,
-) -> np.ndarray:
-    """Unit-modulus array response for a uniform 3-D array.
+def steering(az: np.ndarray, el: np.ndarray, dims: tuple[int, int, int],
+             spacing: float) -> np.ndarray:
+    """The one steering kernel: unit-modulus responses (..., M) of a uniform
+    3-D array to the angle arrays ``az`` and ``el`` (radians, of one shape).
 
-    Angles in radians; elevation is the polar angle from +z. ``spacing`` is
-    in wavelengths, so the per-element phase factor is ``2*pi*spacing``.
-    Element ordering follows the Kronecker product a_z (x) a_y (x) a_x,
-    i.e. the x index varies fastest.
+    Elevation is the polar angle from +z. ``spacing`` is in wavelengths, so
+    the per-element phase factor is ``2*pi*spacing``. Element ordering
+    follows the Kronecker product a_z (x) a_y (x) a_x, i.e. the x index
+    varies fastest.
     """
     mx, my, mz = dims
     kd = 2.0 * np.pi * spacing
-    ax = np.exp(1j * kd * np.arange(mx) * np.sin(aod_el) * np.cos(aod_az))
-    ay = np.exp(1j * kd * np.arange(my) * np.sin(aod_el) * np.sin(aod_az))
-    az = np.exp(1j * kd * np.arange(mz) * np.cos(aod_el))
-    return np.kron(az, np.kron(ay, ax))
+    sin_el = np.sin(el)
+    ex = np.exp(1j * kd * sin_el[..., None] * np.cos(az)[..., None] * np.arange(mx))
+    ey = np.exp(1j * kd * sin_el[..., None] * np.sin(az)[..., None] * np.arange(my))
+    ez = np.exp(1j * kd * np.cos(el)[..., None] * np.arange(mz))
+    return (ez[..., :, None, None] * ey[..., None, :, None] * ex[..., None, None, :]
+            ).reshape(*np.shape(az), mx * my * mz)
+
+
+def array_response(aod_az: float, aod_el: float, dims: tuple[int, int, int],
+                   spacing: float) -> np.ndarray:
+    """The (M,) ``steering`` response to one direction."""
+    return steering(np.asarray(aod_az, float), np.asarray(aod_el, float), dims, spacing)
 
 
 def channel_matrix(paths: PathList | Sequence[PathRecord], params: ParamSet) -> ChannelMatrix:
@@ -81,8 +86,7 @@ def channel_matrices_batch(
         rays = RayRows.from_path_lists(rays)
     U = len(rays)
     ks = subcarrier_set(params)
-    m = params.num_antennas
-    out = np.zeros((U, m, ks.size), dtype=complex)
+    out = np.zeros((U, params.num_antennas, ks.size), dtype=complex)
     if U == 0:
         return out
 
@@ -101,16 +105,7 @@ def channel_matrices_batch(
     az = np.radians(column("aod_az"))
     el = np.radians(column("aod_el"))
 
-    mx, my, mz = params.dims
-    kd = 2.0 * np.pi * params.ant_spacing
-    sin_el = np.sin(el)
-    ex = np.exp(1j * kd * sin_el[..., None] * np.cos(az)[..., None] * np.arange(mx))
-    ey = np.exp(1j * kd * sin_el[..., None] * np.sin(az)[..., None] * np.arange(my))
-    ez = np.exp(1j * kd * np.cos(el)[..., None] * np.arange(mz))
-    # (U, L, M) with x varying fastest, matching the Kronecker order.
-    steer = (
-        ez[:, :, :, None, None] * ey[:, :, None, :, None] * ex[:, :, None, None, :]
-    ).reshape(U, L, m)
+    steer = steering(az, el, params.dims, params.ant_spacing)      # (U, L, M)
 
     big_k = params.num_ofdm
     k_off = (ks - 1).astype(float)

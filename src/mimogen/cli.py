@@ -96,6 +96,13 @@ def _load_scene(path: str | Path) -> Scene:
     return scene_from_json(read_text(path, SceneConfigError))
 
 
+class _Given(argparse.Action):
+    """Keeps a flag's value with its option string as typed (``trace --bs``)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, (option_string, value))
+
+
 def _merged_config(args: argparse.Namespace, flags: Iterable[str] = ()) -> dict[str, KVEntry]:
     """``--config`` file < ``--set`` items < the given per-key flags."""
     return merge_kv(
@@ -304,9 +311,8 @@ def _check_dataset(listing: Path, record: Path) -> None:
     if manifest.entries and all(e.filename.endswith(".csv") for e in manifest.entries):
         dataset.verify_files(listing.parent, manifest)      # a `build --format csv` export
     else:
-        with dataset.DatasetReader(listing.parent) as ds:
-            for _ in dataset.steps(ds):
-                pass
+        with dataset.load_dataset(listing.parent):
+            pass
     _check_outputs(listing, record)
 
 
@@ -407,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value parameter file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE")
         for key in KEYS:    # `trace --bs` stays for its callers, the benchmark's among them
-            p.add_argument(f"--{key}", *["--bs"] * (p is p_trace and key == "active_BS"))
+            p.add_argument(f"--{key}", *["--bs"] * (p is p_trace and key == "active_BS"),
+                           action=_Given)
 
     p_beams = sub.add_parser("beams", help="export beam-prediction features/labels")
     p_beams.add_argument("--dataset-dir", required=True)

@@ -9,8 +9,7 @@ BS, active user) pair, with the numpy structured dtype
 ``record_dtype(params)``: global_index u64, location 3 x f64, then channel
 as a (|K|, M) complex128 block, which is the M x |K| matrix in column-major
 order. ``Dataset.shards`` holds one such record array per active base
-station; ``get_channel(...).entries`` and ``get_location`` are views into
-it, read-only after ``load_dataset``.
+station.
 
 On disk the dataset is a directory of per-base-station shards plus a text
 manifest, ``files.MANIFEST``. Shard layout (little-endian): magic ``DMDS``
@@ -34,7 +33,9 @@ order. ``shard_sources``' ``RayDataset`` computes them from ray files'
 fills, into ``files.write_files``, the one atomic writer, so memory is
 bounded by a step, not the dataset. ``trace`` runs the same pool and writer
 over its ray-file chunks. ``steps`` fills and checks reused buffers step by
-step; ``build_dataset`` and ``load_dataset`` fill whole arrays at once.
+step, and ``load_dataset`` drains them once; ``build_dataset`` fills whole
+arrays at once. ``get_channel`` and ``get_location`` copy one user's record
+of any producer.
 """
 
 from __future__ import annotations
@@ -106,19 +107,11 @@ class Dataset:
 
     def bs_for_ordinal(self, b_ord: int) -> int:
         """Map the 1-based active-BS ordinal to the base station id."""
-        if not 1 <= b_ord <= len(self.bs_ids):
-            raise IndexError(
-                f"active-BS ordinal {b_ord} out of range 1..{len(self.bs_ids)}"
-            )
-        return self.bs_ids[b_ord - 1]
+        return self.bs_ids[_ordinal("BS", b_ord, len(self.bs_ids))]
 
     def user_for_ordinal(self, u_ord: int) -> int:
         """Map the 1-based active-user ordinal to the global user index."""
-        if not 1 <= u_ord <= self.n_users:
-            raise IndexError(
-                f"active-user ordinal {u_ord} out of range 1..{self.n_users}"
-            )
-        return int(self.shards[0]["global_index"][u_ord - 1])
+        return int(self.shards[0]["global_index"][_ordinal("user", u_ord, self.n_users)])
 
     def fill(self, batches: Sequence[np.ndarray], lo: int) -> None:
         """Copy the records of the users from ``lo`` into ``batches``, one
@@ -130,20 +123,34 @@ class Dataset:
         """Nothing to check: the records come from memory."""
 
 
-def get_channel(ds: Dataset, b_ord: int, u_ord: int) -> ChannelMatrix:
-    """Channel matrix of the b-th active BS and u-th active user (1-based).
-    Its entries are a view of the record, read-only after load_dataset."""
-    bs_id = ds.bs_for_ordinal(b_ord)
-    gidx = ds.user_for_ordinal(u_ord)
-    return ChannelMatrix(entries=ds.shards[b_ord - 1]["channel"][u_ord - 1].T,
-                         bs_id=bs_id, user_index=gidx)
+def _ordinal(what: str, ordinal: int, count: int) -> int:
+    """The 0-based index of the 1-based ordinal of ``count`` active ``what``s."""
+    if not 1 <= ordinal <= count:
+        raise IndexError(f"active-{what} ordinal {ordinal} out of range 1..{count}")
+    return ordinal - 1
 
 
-def get_location(ds: Dataset, b_ord: int, u_ord: int) -> np.ndarray:
-    """User location (3-vector view of the record) for the given ordinals."""
-    ds.bs_for_ordinal(b_ord)
-    ds.user_for_ordinal(u_ord)
-    return ds.shards[b_ord - 1]["location"][u_ord - 1]
+def _record(source: Source, b_ord: int, u_ord: int) -> np.void:
+    """The record of the b-th active BS and u-th active user (1-based) of
+    ``source``, filled into a batch of its own (the other batches empty)."""
+    b = _ordinal("BS", b_ord, len(source.bs_ids))
+    batches = [np.empty(int(i == b), record_dtype(source.params))
+               for i in range(len(source.bs_ids))]
+    source.fill(batches, _ordinal("user", u_ord, source.n_users))
+    return batches[b][0]
+
+
+def get_channel(source: Source, b_ord: int, u_ord: int) -> ChannelMatrix:
+    """Channel matrix of the b-th active BS and u-th active user (1-based)
+    of any producer: a copy of its record's."""
+    record = _record(source, b_ord, u_ord)
+    return ChannelMatrix(record["channel"].T, source.bs_ids[b_ord - 1],
+                         int(record["global_index"]))
+
+
+def get_location(source: Source, b_ord: int, u_ord: int) -> np.ndarray:
+    """User location (3-vector) for the given ordinals: a copy of the record's."""
+    return _record(source, b_ord, u_ord)["location"]
 
 
 def active_user_indices(scene: Scene, params: ParamSet) -> np.ndarray:
@@ -158,8 +165,7 @@ def batch_users(params: ParamSet, shards: int = 1) -> int:
                       _BATCH_BYTES // (shards * record_dtype(params).itemsize)))
 
 
-def steps(source: Dataset | DatasetReader | RayDataset,
-          users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+def steps(source: Source, users: int | None = None) -> Iterator[tuple[np.ndarray, ...]]:
     """``source``'s records, ``users`` per active base station per step
     (default ``batch_users(params, len(bs_ids))``), each step filled into
     one set of buffers that the next step overwrites."""
@@ -173,7 +179,7 @@ def steps(source: Dataset | DatasetReader | RayDataset,
         yield batches
 
 
-def pool_plan(source: Dataset | DatasetReader | RayDataset, scored: bool) -> tuple[int, int]:
+def pool_plan(source: Source, scored: bool) -> tuple[int, int]:
     """(worker processes, users per shard per step) of ``write_steps`` over
     ``source``, ``scored`` if the workers score its steps. Unscored, only
     the records of a ``RayDataset`` beyond one ``_BATCH_BYTES`` step are
@@ -295,17 +301,11 @@ def build_dataset(
     scene: Scene,
 ) -> Dataset:
     """Assemble the dataset in memory from one ray file per active base
-    station: ``shard_sources``' dataset gathered in one call."""
-    return _gather(shard_sources(ray_sources, params, scene))
-
-
-def _gather(source: RayDataset | DatasetReader) -> Dataset:
-    """All of ``source``'s records in memory, filled in one call."""
-    shards = tuple(np.empty(source.n_users, record_dtype(source.params))
-                   for _ in source.bs_ids)
+    station: ``shard_sources``' records filled into whole arrays in one call."""
+    source = shard_sources(ray_sources, params, scene)
+    shards = tuple(np.empty(source.n_users, record_dtype(params)) for _ in source.bs_ids)
     source.fill(shards, 0)
-    source.check(shards, 0)
-    return Dataset(params=source.params, scenario_name=source.scenario_name, shards=shards)
+    return Dataset(params=params, scenario_name=source.scenario_name, shards=shards)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +586,10 @@ class DatasetReader:
         self._next = lo + len(batches[0])
 
 
+#: The producers of records, each with the one surface: ``fill`` and ``check``.
+Source = Dataset | DatasetReader | RayDataset
+
+
 def parse_shard(data: bytes) -> tuple[ParamSet, str, int, np.ndarray]:
     """Decode a shard held in memory: its parameter set, scenario, bs_id and
     ``record_dtype`` records."""
@@ -617,7 +621,7 @@ _EXPORT_FORMATS = {
 
 def write_steps(
     name: str,
-    source: Dataset | DatasetReader | RayDataset,
+    source: Source,
     paths: Sequence[Path],
     heads: Sequence[bytes],
     encode: Callable[[tuple[np.ndarray, ...], T], Sequence[bytes | memoryview]],
@@ -668,7 +672,7 @@ def write_steps(
 
 def write_shards(
     sink: Path | str,
-    source: Dataset | DatasetReader | RayDataset,
+    source: Source,
     fmt: str = "binary",
     progress: Callable[[int], None] | None = None,
     counters: dict[str, int] | None = None,
@@ -715,12 +719,15 @@ def write_shards(
     return manifest
 
 
-def load_dataset(source: Path | str) -> Dataset:
-    """Re-import a binary dataset directory written by ``write_shards``: one
-    ``DatasetReader`` fill of all users, so every check of the reader
-    applies. The record arrays are read-only."""
-    with DatasetReader(source) as reader:
-        ds = _gather(reader)
-    for records in ds.shards:
-        records.flags.writeable = False
-    return ds
+def load_dataset(source: Path | str) -> DatasetReader:
+    """Open the dataset directory ``source``, check it with one ``steps``
+    pass (every check of ``DatasetReader``, each shard's SHA-256 included)
+    and return the open reader, its pass spent: random access hashes nothing."""
+    reader = DatasetReader(source)
+    try:
+        for _ in steps(reader):
+            pass
+    except BaseException:
+        reader.__exit__()       # close its files
+        raise
+    return reader

@@ -29,13 +29,14 @@ class KVEntry:
     key: str
     value: str
     line: int   # > 0: config file line; < 0: -(i) for the i-th --set item; 0: flag
+    flag: str = ""      # a flag's option string, as typed
 
     @property
     def where(self) -> str:
         """Where the entry came from, for diagnostics."""
         if self.line > 0:
             return f"line {self.line}"
-        return f"--set item {-self.line}" if self.line < 0 else f"flag --{self.key}"
+        return f"--set item {-self.line}" if self.line < 0 else f"flag {self.flag}"
 
 
 def parse_kv(text: str) -> dict[str, KVEntry]:
@@ -63,9 +64,10 @@ def parse_kv(text: str) -> dict[str, KVEntry]:
 def merge_kv(
     text: str | None = None,
     sets: Sequence[str] = (),
-    flags: Mapping[str, str] | None = None,
+    flags: Mapping[str, tuple[str, str]] | None = None,
 ) -> dict[str, KVEntry]:
-    """Merge a config document < ``--set key=value`` items < per-key flags.
+    """Merge a config document < ``--set key=value`` items < per-key flags,
+    each given as (option string, value).
 
     Later sources override earlier ones key by key; the config document is
     parsed strictly by :func:`parse_kv`, and a ``--set`` item without a key
@@ -77,8 +79,8 @@ def merge_kv(
         if not sep or not key.strip():
             raise ConfigError(f"--set {item!r}: expected key=value")
         entries[key.strip()] = KVEntry(key.strip(), value.strip(), -i)
-    for key, value in (flags or {}).items():
-        entries[key] = KVEntry(key, value.strip(), 0)
+    for key, (flag, value) in (flags or {}).items():
+        entries[key] = KVEntry(key, value.strip(), 0, flag)
     return entries
 
 

@@ -9,7 +9,7 @@ Coordinate frame: x along the main street, y along the cross street, z up.
 The main street occupies y in [0, 40]; the cross street occupies
 x in [300, 340], running from y = -240 to y = +200.
 
-A ``Scene`` compares by value, so it equals its JSON round trip.
+A ``Scene`` compares by value, so any that constructs equals its JSON round trip.
 """
 
 from __future__ import annotations
@@ -48,11 +48,33 @@ class RowRangeError(ConfigError, IndexError):
     ``IndexError`` like any other index out of range."""
 
 
-def _key(key: str, kind: str | type | None, optional: bool = False, **field_kw: Any) -> Any:
+def _key(key: str, kind: str | type, optional: bool = False, **field_kw: Any) -> Any:
     """A field kept under the scene-file key ``key`` as a value of ``kind``: a
-    key of ``_KINDS``, a class for a list of its objects, or None for a value
-    the class checks. Only an ``optional`` key may be missing from a file."""
+    key of ``_KINDS``, or a class for a tuple of its objects (a list of
+    objects in the file). Only an ``optional`` key may be missing from a file."""
     return field(metadata={"key": key, "kind": kind, "optional": optional}, **field_kw)
+
+
+class _KindError(SceneConfigError):
+    """A field's value of another kind than its ``_key`` declares."""
+
+
+def _check_kinds(obj: Any) -> None:
+    """Refuse the first field of the dataclass ``obj`` whose value is not of
+    its ``_key``'s kind, shown as JSON (``true``, not ``True``)."""
+    for f in fields(obj):
+        kind, value = f.metadata["kind"], getattr(obj, f.name)
+        if isinstance(kind, str):
+            expected, ok = kind, _KINDS[kind](value)
+        else:
+            expected = "a list of objects"
+            ok = type(value) is tuple and all(type(v) is kind for v in value)
+        if not ok:
+            try:
+                shown = json.dumps(value)
+            except (TypeError, ValueError):     # no JSON text: a tuple key, say
+                shown = repr(value)
+            raise _KindError(f"{f.metadata['key']}: expected {expected}, got {shown}")
 
 
 def _require_finite(name: str, value: float | tuple[float, ...]) -> None:
@@ -70,6 +92,7 @@ class Building:
     material_id: str = _key("material", "a string", default=BUILDING_MATERIAL)
 
     def __post_init__(self) -> None:
+        _check_kinds(self)
         _require_finite("building corners", self.min_corner + self.max_corner)
         for a in range(3):
             if not self.min_corner[a] < self.max_corner[a]:
@@ -88,7 +111,9 @@ class BaseStation:
                                                     default=(0.0, 0.0, 1.0))
 
     def __post_init__(self) -> None:
+        _check_kinds(self)
         _require_finite(f"bs.{self.id} position", self.position)
+        _require_finite(f"bs.{self.id} antenna_axis", self.antenna_axis)
         if self.position[2] <= 0:
             raise SceneConfigError(f"bs.{self.id}.z: height must be > 0")
 
@@ -104,15 +129,14 @@ class UserGrid:
     origin: tuple[float, float, float] = _key("origin", "3 numbers")
     row_axis: tuple[float, float, float] = _key("row_axis", "3 numbers")
     col_axis: tuple[float, float, float] = _key("col_axis", "3 numbers")
-    n_rows: int = _key("n_rows", None)                  # the counts: checked below
-    users_per_row: int = _key("users_per_row", None)
+    n_rows: int = _key("n_rows", "an integer")
+    users_per_row: int = _key("users_per_row", "an integer")
     spacing: float = _key("spacing", "a number")
     first_row_label: int = _key("first_row_label", "an integer")
 
     def __post_init__(self) -> None:
+        _check_kinds(self)
         for key, count in (("n_rows", self.n_rows), ("users_per_row", self.users_per_row)):
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise SceneConfigError(f"grid {key}: must be an integer, got {count!r}")
             if count < 1:
                 raise SceneConfigError(f"grid {key}: must be >= 1, got {count}")
         if not self.spacing > 0:
@@ -145,6 +169,7 @@ class Scene:
     name: str = _key("name", "a string", optional=True, default="custom")
 
     def __post_init__(self) -> None:
+        _check_kinds(self)
         # Every artifact carries the name: a ray-file header in NAME_BYTES of
         # UTF-8, a shard's echo block on one line.
         raw = self.name.encode("utf-8", "replace")     # a lone surrogate becomes "?"
@@ -424,13 +449,14 @@ def _is_number(v: Any) -> bool:
     return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
 
 
-#: The test of a value of each kind that ``_key`` names with a string.
+#: The test of a field's value of each kind that ``_key`` names with a string.
 _KINDS = {
-    "3 numbers": lambda v: type(v) is list and len(v) == 3 and all(map(_is_number, v)),
+    "3 numbers": lambda v: type(v) is tuple and len(v) == 3 and all(map(_is_number, v)),
     "a number": _is_number,
     "an integer": lambda v: type(v) is int,
     "a string": lambda v: type(v) is str,
-    "an object of numbers": lambda v: type(v) is dict and all(map(_is_number, v.values())),
+    "an object of numbers": lambda v: type(v) is dict and all(type(k) is str for k in v)
+    and all(map(_is_number, v.values())),
 }
 
 
@@ -444,8 +470,8 @@ def _to_doc(obj: Any) -> dict:
 
 def _from_doc(cls: type, doc: Any, where: str = "") -> Any:
     """The ``cls`` that the scene-file object ``doc`` at JSON path ``where``
-    holds: each value is checked against its field's kind, then ``cls``
-    checks the rest."""
+    holds, its lists as tuples; ``cls`` checks each value, and a value of
+    another kind is named by its JSON path."""
     if type(doc) is not dict:
         raise SceneConfigError(f"{where}: expected an object, got {json.dumps(doc)}")
     values = {}
@@ -458,12 +484,12 @@ def _from_doc(cls: type, doc: Any, where: str = "") -> Any:
             continue
         value = doc[key]
         if isinstance(kind, type) and type(value) is list:
-            value = tuple(_from_doc(kind, item, f"{path}[{i}]") for i, item in enumerate(value))
-        elif isinstance(kind, type) or kind and not _KINDS[kind](value):
-            expected = "a list of objects" if isinstance(kind, type) else kind
-            raise SceneConfigError(f"{path}: expected {expected}, got {json.dumps(value)}")
-        values[f.name] = tuple(value) if kind == "3 numbers" else value
-    return cls(**values)
+            value = [_from_doc(kind, item, f"{path}[{i}]") for i, item in enumerate(value)]
+        values[f.name] = tuple(value) if type(value) is list else value
+    try:
+        return cls(**values)
+    except _KindError as exc:
+        raise SceneConfigError(f"{where}.{exc}" if where else str(exc)) from None
 
 
 def scene_to_json(scene: Scene) -> str:

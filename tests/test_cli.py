@@ -1022,7 +1022,7 @@ class TestErrors:
         doc = json.loads(scene.read_text())
         doc["grids"][2]["n_rows"] = 7.9
         scene.write_text(json.dumps(doc))
-        message = "grid n_rows: must be an integer, got 7.9"
+        message = "grids[2].n_rows: expected an integer, got 7.9"
         assert run(["validate", str(scene), "--quiet"]) == 1
         assert capsys.readouterr().err == f"violation: SceneConfigError: {message}\n"
         assert run(["trace", "--scene", str(scene), "--bs", "3",
@@ -1084,10 +1084,11 @@ class TestErrors:
         assert not (tmp_path / "ml").exists()
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--bs", "x", "flag --active_BS: key 'active_BS' expects integers, got 'x'"),
-        ("--bs", "3,4.5", "flag --active_BS: key 'active_BS' expects integers, got '3,4.5'"),
-        ("--bs", ",", "flag --active_BS: key 'active_BS' expects a comma-separated list"),
+        ("--bs", "x", "flag --bs: key 'active_BS' expects integers, got 'x'"),
+        ("--bs", "3,4.5", "flag --bs: key 'active_BS' expects integers, got '3,4.5'"),
+        ("--bs", ",", "flag --bs: key 'active_BS' expects a comma-separated list"),
         ("--bs", "3,3", "active_BS: duplicate ids"),
+        ("--active_BS", "x", "flag --active_BS: key 'active_BS' expects integers, got 'x'"),
         ("--max-reflections", "-1", "--max-reflections must be >= 0, got -1"),
         ("--max-paths", "0", "--max-paths must be in 1..25, got 0"),
         ("--max-paths", "26", "--max-paths must be in 1..25, got 26"),

@@ -609,8 +609,11 @@ class TestStreamingRead:
         write_shards(tmp_path, ds)
         preadv = os.preadv
         monkeypatch.setattr(os, "preadv", lambda fd, bufs, at: preadv(fd, [bufs[0][:100]], at))
-        for got, want in zip(load_dataset(tmp_path).shards, ds.shards, strict=True):
-            assert got.tobytes() == want.tobytes()
+        with load_dataset(tmp_path) as loaded:
+            for b_ord in (1, 2):
+                for u_ord in range(1, ds.n_users + 1):
+                    assert np.array_equal(get_channel(loaded, b_ord, u_ord).entries,
+                                          get_channel(ds, b_ord, u_ord).entries)
 
     def test_no_step_held_outside_the_ring(self, rng, tiny_scene, tmp_path, monkeypatch):
         p = _params(active_bs=(3, 4, 5), num_ant_x=2, num_ant_y=8, num_ant_z=4,
@@ -637,7 +640,8 @@ class TestStreamingRead:
         p = _params()
         empty = tuple(np.empty(0, record_dtype(p)) for _ in p.active_bs)
         manifest = write_shards(tmp_path, Dataset(p, "s", empty))
-        assert load_dataset(tmp_path).n_users == 0
+        with load_dataset(tmp_path) as loaded:
+            assert loaded.n_users == 0
         bad = replace(manifest.entries[1], content_hash="0" * 16)
         (tmp_path / "manifest.txt").write_text(Manifest((manifest.entries[0], bad)).to_text())
         # No step reads a record, so opening the shard checks it.
@@ -767,24 +771,34 @@ class TestExportImport:
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
         manifest = write_shards(tmp_path / "out", ds)
         assert len(manifest.entries) == 2
-        ds2 = load_dataset(tmp_path / "out")
-        assert ds2.params == ds.params
-        assert ds2.bs_ids == ds.bs_ids
-        assert ds2.scenario_name == ds.scenario_name
-        for bi in range(2):
-            for a, b in zip(ds.shards[bi], ds2.shards[bi]):
-                assert np.array_equal(a["channel"], b["channel"])
-                assert np.array_equal(a["location"], b["location"])
+        with load_dataset(tmp_path / "out") as ds2:
+            assert ds2.verified == 2
+            assert ds2.params == ds.params
+            assert ds2.bs_ids == ds.bs_ids
+            assert ds2.scenario_name == ds.scenario_name
+            for b_ord in (1, 2):
+                for u_ord in range(1, ds.n_users + 1):
+                    got, want = get_channel(ds2, b_ord, u_ord), get_channel(ds, b_ord, u_ord)
+                    assert (got.bs_id, got.user_index) == (want.bs_id, want.user_index)
+                    assert got.entries.tobytes() == want.entries.tobytes()
+                    assert np.array_equal(get_location(ds2, b_ord, u_ord),
+                                          get_location(ds, b_ord, u_ord))
 
-    def test_loaded_channels_are_read_only_views(self, rng, tiny_scene, tmp_path):
+    def test_channels_and_locations_are_copies(self, rng, tiny_scene, tmp_path):
         p = _params()
         ds = build_dataset(_ray_sources(rng, tiny_scene, p), p, tiny_scene)
         write_shards(tmp_path / "out", ds)
-        ds2 = load_dataset(tmp_path / "out")
-        H = get_channel(ds2, 2, 3).entries
-        assert np.shares_memory(H, ds2.shards[1])
-        assert not H.flags.writeable
-        assert not get_location(ds2, 2, 3).flags.writeable
+        H, x = get_channel(ds, 2, 3).entries, get_location(ds, 2, 3)
+        assert not np.shares_memory(H, ds.shards[1]) and not np.shares_memory(x, ds.shards[1])
+        H[:], x[:] = 0, 0       # writable, and the records keep their values
+        assert ds.shards[1]["channel"][2].any() and ds.shards[1]["location"][2].any()
+        with load_dataset(tmp_path / "out") as ds2:
+            H2 = get_channel(ds2, 2, 3).entries
+            assert H2.flags.writeable
+            assert np.array_equal(H2, ds.shards[1]["channel"][2].T)
+            # The pass is spent: another full pass needs a new reader.
+            with pytest.raises(ValueError, match="records are checked in order"):
+                write_ml_dataset(ds2, BeamEvalConfig(dft_codebook(p.dims)), tmp_path / "ml")
 
     def test_export_deterministic(self, rng, tiny_scene, tmp_path):
         p = _params()

@@ -313,6 +313,35 @@ class TestWorkers:
         for at_s, at_4s in zip(peaks[:2], peaks[2:]):       # build, beams
             assert at_4s - at_s < 6 * step / 1024, (peaks, step // 1024)
 
+
+class TestRandomAccess:
+    def test_load_and_one_channel_rss_flat_in_users(self, rng, tmp_path):
+        # `load_dataset` (its checked pass in 12-user steps) and one
+        # `get_channel`, in a child, on 60 and on 240 users of 2 shards: 3.9
+        # and 15.7 MB of records. A copy of the dataset would peak 11.8 MB
+        # higher on the larger one.
+        p = _params(active_bs=(3, 4), active_user_last=2, num_ant_y=8, num_ant_z=4,
+                    num_ofdm=64, ofdm_limit=64)
+        budget = 12 * 2 * record_dtype(p).itemsize
+        code = "\n".join([
+            "import sys", "import numpy as np", "from mimogen import dataset",
+            f"dataset._BATCH_BYTES = {budget}",
+            "with dataset.load_dataset(sys.argv[1]) as ds:",
+            "    assert ds.verified == 2",
+            "    H = dataset.get_channel(ds, 2, ds.n_users).entries",
+            "    assert H.tobytes() == np.load(sys.argv[2]).tobytes()"])
+        peaks = []
+        for users_per_row in (30, 120):
+            ds_dir = tmp_path / f"ds{users_per_row}"
+            scene = _small_scene(users_per_row)
+            ds = build_dataset(_ray_sources(rng, scene, p), p, scene)
+            write_shards(ds_dir, ds)
+            want = tmp_path / f"H{users_per_row}.npy"
+            np.save(want, ds.shards[1]["channel"][-1].T)
+            del ds
+            peaks.append(_spawn(code, [str(ds_dir), str(want)]))
+        assert abs(peaks[1] - peaks[0]) < 3 * 1024, peaks
+
 # A process's peak RSS starts at the RSS of the process it was forked from
 # and survives exec, so the child is started by a small launcher and not by
 # this (large) process; the launcher reports its wait4.
@@ -322,18 +351,22 @@ _LAUNCHER = ("import os, sys; exe = sys.executable; "
              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
-def _spawn_cli(budget: int, argv: list[str]) -> int:
-    """Run ``mimogen argv`` with a ``budget``-byte step budget and 2
-    workers, in a child that the launcher starts; returns the child's wait4
-    peak RSS in KiB."""
-    cli = ("import sys; from mimogen import cli, dataset, parallel; "
-           f"dataset._BATCH_BYTES = {budget}; parallel.worker_count = lambda: 2; "
-           "sys.exit(cli.run(sys.argv[1:]))")
+def _spawn(code: str, argv: list[str]) -> int:
+    """Run ``python -c code argv`` in a child that the launcher starts;
+    returns the child's wait4 peak RSS in KiB."""
     src = str(Path(mimogen.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", _LAUNCHER, "-c", cli, *argv], env=env,
+    out = subprocess.run([sys.executable, "-c", _LAUNCHER, "-c", code, *argv], env=env,
                          capture_output=True, text=True, timeout=120, check=True).stdout
     rc, maxrss = map(int, out.split())
     assert rc == 0
     return maxrss
+
+
+def _spawn_cli(budget: int, argv: list[str]) -> int:
+    """Run ``mimogen argv`` with a ``budget``-byte step budget and 2
+    workers, as ``_spawn`` does."""
+    return _spawn("import sys; from mimogen import cli, dataset, parallel; "
+                  f"dataset._BATCH_BYTES = {budget}; parallel.worker_count = lambda: 2; "
+                  "sys.exit(cli.run(sys.argv[1:]))", argv)

@@ -1,8 +1,9 @@
 """The one ``fill`` surface. The dataset that ray files give
 (``shard_sources``), the one a shard directory holds (``DatasetReader``)
 and the one held in memory (``Dataset``) give the same steps through
-``dataset.steps``, and each writer fed from any of them writes the same
-bytes."""
+``dataset.steps`` and the same record of each (BS, user) through
+``get_channel`` and ``get_location``, and each writer fed from any of them
+writes the same bytes."""
 
 import tempfile
 from pathlib import Path
@@ -18,6 +19,9 @@ from mimogen.dataset import (
     DatasetReader,
     batch_users,
     build_dataset,
+    get_channel,
+    get_location,
+    load_dataset,
     record_dtype,
     shard_sources,
     write_shards,
@@ -105,3 +109,16 @@ class TestOneInterface:
                 ml_files = write_ml_dataset(reader, cfg, tmp / "ml_files")
             assert ml_rays == ml_files
             _same_files(tmp / "ml_rays", tmp / "ml_files", ML_OUTPUTS)
+
+            # One (BS, user) read from any producer: the same values.
+            with load_dataset(tmp / "rays") as loaded:
+                assert loaded.verified == n_bs
+                for b in range(1, n_bs + 1):
+                    for u in range(1, ds.n_users + 1):
+                        want = get_channel(ds, b, u)
+                        for source in (rays, loaded):
+                            got = get_channel(source, b, u)
+                            assert (got.bs_id, got.user_index) == (want.bs_id, want.user_index)
+                            assert got.entries.tobytes() == want.entries.tobytes()
+                            assert get_location(source, b, u).tobytes() == \
+                                get_location(ds, b, u).tobytes()
