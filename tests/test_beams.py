@@ -1,14 +1,18 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimogen import cli
 from mimogen.beams import (
     BeamEvalConfig,
     Codebook,
     _ml_csv,
+    _rate_tail,
     achievable_rate,
     beam_rates,
     best_beam,
@@ -18,11 +22,14 @@ from mimogen.beams import (
     write_ml_dataset,
 )
 from mimogen.channel import ChannelMatrix
-from mimogen.dataset import active_user_indices, build_dataset
+from mimogen.dataset import DatasetReader, build_dataset, record_dtype, steps
 from mimogen.params import ParamSet
 
 from conftest import ml_csv_oracle
+from test_cli import _trace, scene_file  # noqa: F401
 from test_dataset import _params, _ray_sources, tiny_scene  # noqa: F401
+
+_ONE = np.ones((1, 1), complex)
 
 
 class TestCodebook:
@@ -51,8 +58,22 @@ class TestCodebook:
         assert np.allclose(cb.vectors, [[1.0]])
 
     def test_bad_oversampling(self):
-        with pytest.raises(ValueError, match="oversampling"):
-            dft_codebook((1, 4, 2), oversampling=0)
+        # 1.5 used to build 18 beams that are not DFT beams, and True one of 1
+        for oversampling in (0, -1, 1.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="oversampling must be an int >= 1"):
+                dft_codebook((1, 4, 2), oversampling=oversampling)
+
+    def test_bad_dims(self):
+        # (0, 4, 2) used to give an empty (0, 0) codebook
+        for dims in ((0, 4, 2), (1, -4, 2), (1, 4), (1, 4, 2, 1), (1, 4.0, 2), (True, 4, 2)):
+            with pytest.raises(ValueError, match="array axes must be 3 ints >= 1"):
+                dft_codebook(dims)
+
+    def test_vectors_are_the_factors_kronecker_product(self):
+        cb = dft_codebook((3, 4, 2), oversampling=2)
+        assert [a.shape for a in (cb.x, cb.y, cb.z)] == [(6, 3), (8, 4), (4, 2)]
+        assert cb.dims == (3, 4, 2) and cb.n_antennas == 24 and cb.n_beams == 192
+        assert np.array_equal(cb.vectors, np.kron(cb.z, np.kron(cb.y, cb.x)))
 
     def test_first_beam_is_uniform(self):
         cb = dft_codebook((1, 8, 4))
@@ -126,11 +147,9 @@ class TestBestBeam:
             assert rv[p] == pytest.approx(achievable_rate(mat, v, 0.5), rel=1e-12)
 
     def test_tie_breaks_to_smallest(self):
-        cb = dft_codebook((1, 1, 1))
-        cb2 = Codebook(vectors=np.vstack([cb.vectors, cb.vectors]),
-                       dims=(1, 1, 1), oversampling=1)
-        cfg = BeamEvalConfig(cb2)
-        idx, _ = best_beam(np.ones((1, 4), complex), cfg)
+        # a y factor of two equal rows: two equal beams
+        cb = Codebook(x=_ONE, y=np.vstack([_ONE, _ONE]), z=_ONE, oversampling=1)
+        idx, _ = best_beam(np.ones((1, 4), complex), BeamEvalConfig(cb))
         assert idx == 1
 
     def test_aligned_beam_wins(self):
@@ -143,15 +162,116 @@ class TestBestBeam:
         assert idx == 6
 
     def test_empty_codebook(self):
-        cb = Codebook(vectors=np.zeros((0, 4), complex), dims=(1, 4, 1),
-                      oversampling=1)
+        cb = Codebook(x=_ONE, y=np.zeros((0, 4), complex), z=_ONE, oversampling=1)
+        assert cb.dims == (1, 4, 1) and cb.n_beams == 0
         with pytest.raises(ValueError, match="empty"):
             best_beam(np.zeros((4, 2), complex), BeamEvalConfig(cb))
+
+    def test_one_matrix(self, rng):
+        # a stack used to end in an IndexError from the flattened argmax
+        stack = rng.normal(size=(3, 8, 5)) + 0j
+        with pytest.raises(ValueError, match=r"one channel matrix expected, got shape \(3, 8, 5\)"):
+            best_beam(stack, BeamEvalConfig(dft_codebook((1, 4, 2))))
+
+    def test_channel_rows_must_be_the_codebook_antennas(self, rng):
+        cfg = BeamEvalConfig(dft_codebook((1, 4, 2)))
+        mat = rng.normal(size=(6, 3)) + 0j
+        with pytest.raises(ValueError, match="channel rows 6 != codebook antennas 8"):
+            beam_rates(mat, cfg)
+        with pytest.raises(ValueError, match="channel rows 6 != codebook antennas 8"):
+            best_beam(mat, cfg)
+        records = np.zeros(2, record_dtype(ParamSet(num_ant_y=3, num_ant_z=2, ofdm_limit=3)))
+        with pytest.raises(ValueError, match="channel rows 6 != codebook antennas 8"):
+            ml_arrays([records], cfg)
 
     def test_bad_snr(self):
         for snr in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="snr must be finite and > 0"):
                 BeamEvalConfig(dft_codebook((1, 2, 1)), snr=snr)
+
+
+@st.composite
+def _rate_cases(draw):
+    """A config of any codebook (each axis 1-5 elements, oversampling 1-3,
+    either product) and a stack of 0-3 random M x |K| channels."""
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    cfg = BeamEvalConfig(dft_codebook(dims, draw(st.integers(1, 3))),
+                         snr=draw(st.floats(0.01, 50.0)), conjugate=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(0, 3)), cfg.codebook.n_antennas, draw(st.integers(1, 4)))
+    return cfg, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _dense_rates(stack, cfg):
+    """The oracle: every beam of ``vectors`` at once, through the one rate tail."""
+    vectors = cfg.codebook.vectors
+    return _rate_tail((np.conj(vectors) if cfg.conjugate else vectors) @ stack, cfg.snr)
+
+
+class TestAxisKernel:
+    @settings(deadline=None, max_examples=60)
+    @given(_rate_cases())
+    def test_equals_dense_oracle(self, case):
+        cfg, stack = case
+        got = beam_rates(stack, cfg)
+        np.testing.assert_allclose(got, _dense_rates(stack, cfg), rtol=1e-12, atol=1e-12)
+        per_beam = [[achievable_rate(H, f, cfg.snr, cfg.conjugate) for f in cfg.codebook.vectors]
+                    for H in stack]
+        np.testing.assert_allclose(got, np.reshape(per_beam, got.shape), rtol=1e-12,
+                                   atol=1e-12)
+        # ml_arrays scores the record blocks in place, with beam_rates' bits
+        x, y, z = cfg.codebook.dims
+        records = np.zeros(len(stack), record_dtype(ParamSet(
+            num_ant_x=x, num_ant_y=y, num_ant_z=z, ofdm_limit=stack.shape[2])))
+        records["channel"] = stack.transpose(0, 2, 1)
+        _, _, labels = ml_arrays([records, records[::-1]], cfg)
+        assert np.array_equal(labels, np.stack([got, got[::-1]], axis=1))
+
+    def test_single_matrix_gives_a_vector(self, rng):
+        cfg = BeamEvalConfig(dft_codebook((2, 3, 1), oversampling=2))
+        stack = rng.normal(size=(2, 6, 5)) + 1j * rng.normal(size=(2, 6, 5))
+        rates = beam_rates(stack, cfg)
+        assert rates.shape == (2, 24)
+        assert np.array_equal(beam_rates(stack[1], cfg), rates[1])
+
+    def test_threads_sharing_a_config(self, rng):
+        # numpy releases the GIL in matmul, so threads that shared one set
+        # of buffers would score each other's channels
+        dims = (1, 8, 4)
+        cfg = BeamEvalConfig(dft_codebook(dims))
+        stacks = [rng.normal(size=(3, 32, 16)) + 1j * rng.normal(size=(3, 32, 16))
+                  for _ in range(8)]
+        want = [beam_rates(s, BeamEvalConfig(dft_codebook(dims))) for s in stacks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda s: [beam_rates(s, cfg) for _ in range(30)], stacks,
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for rates, one in zip(got, want):
+            assert all(np.array_equal(r, one) for r in rates)
+
+    def test_cli_dataset_labels_equal_the_dense_form(self, tmp_path, scene_file):
+        # On a dataset `build` wrote, at the CLI's default array (1, 32, 8)
+        # and snr 1, the gains |f^T h|^2 are so small that 1 + snr * gain
+        # rounds away the bits in which the two products differ.
+        ds_dir = tmp_path / "ds"
+        assert cli.run(["build", "--scene", str(scene_file), "--rays-dir",
+                        str(_trace(tmp_path, scene_file)), "--set", "active_BS=3,4",
+                        "--set", "active_user_first=1", "--set", "active_user_last=2",
+                        "--out-dir", str(ds_dir), "--quiet"]) == 0
+        with DatasetReader(ds_dir) as ds:
+            assert ds.params.dims == (1, 32, 8)
+            cfgs = [BeamEvalConfig(dft_codebook(ds.params.dims, oversampling))
+                    for oversampling in (1, 2)]
+            for batches in steps(ds):
+                for cfg in cfgs:
+                    _, _, labels = ml_arrays(batches, cfg)
+                    dense = [_dense_rates(b["channel"].transpose(0, 2, 1), cfg)
+                             for b in batches]
+                    assert np.array_equal(labels, np.stack(dense, axis=1))
 
 
 class TestOmniFeature:
